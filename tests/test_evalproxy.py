@@ -1,5 +1,6 @@
 """Holdout split, typed negatives, neighborhood scorers, and rank metrics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,8 +24,12 @@ from hgsparse import (
     mrr,
     sample_negatives,
     score_pair,
+    score_pairs,
+    sparsify,
     split_edges,
+    substream_seed,
 )
+from hgsparse.evalproxy import _negative_matrix
 
 
 @pytest.fixture
@@ -234,3 +239,67 @@ def test_evaluate_adamic_adar(proxy_graph):
                       negatives_per_positive=3)
     assert report.scorer == ADAMIC_ADAR
     assert 0.0 <= report.auc <= 1.0
+
+
+# ---- golden pins on the acceptance gate's 20k-edge graph ----
+#
+# Exact AUC/MRR floats of evaluate() and sha256 digests of the positive
+# and negative score vectors it ranks (eval seed 0, holdout 0.2, 19
+# negatives; the k=3 sparsifier seed is the one `eval --k 3` derives).
+# A change of any of these values must be deliberate and recorded.
+
+GOLDEN_EVAL = {
+    (COMMON_NEIGHBORS, None): (
+        0.5683658470394737, 0.23514696055406312,
+        "31ce0ca2949194ad3725e9137f8457e747ac84cbb920bfbffea6606877851af9",
+        "12729200bba557d46ad35ce87ff5bc6d1a4abb5daf456c6c1111724bc49f984d"),
+    (COMMON_NEIGHBORS, 3): (
+        0.5128208108552632, 0.1386475699974688,
+        "e2e67c331ca5ac2c06b6d9a6eef22e827ee0052ae766e7afabb377a7004aae89",
+        "0169100a0d483f6ff1c87e615d3ee13feff5721c011dcf6d6c8416054331a7cc"),
+    (ADAMIC_ADAR, None): (
+        0.5686889259868421, 0.24463242336685057,
+        "3bbb413a4f9ca4094a2b8e3fb7a1b679404130b1718b3d58cc412c70a08fc486",
+        "f5bd0506666cdb2378f8dca5b42525a18d16f7ca2f0fc5d94cfb9ad6ebb55e07"),
+    (ADAMIC_ADAR, 3): (
+        0.5131418157894737, 0.14200356053470936,
+        "1e28633f6be466ed81969dfe2d0d4f38459cbb08e6ffb8dc50228f9feaa6c59a",
+        "9c223ce6f3d123c0b6aad45e173698fe99cc32c6788c5a55417bfdc06c2fc9bb"),
+}
+
+
+@pytest.fixture(scope="module")
+def gate_graph():
+    sizes = (700, 600, 500, 200)
+    mix = ((0, 1, 6000), (1, 0, 5000), (0, 2, 4000), (2, 1, 5000))
+    return generate(GenSpec(sizes, tuple(EdgeTypeSpec(s, d, c, 0.6) for s, d, c in mix),
+                            seed=1000))
+
+
+def _sha(scores):
+    return hashlib.sha256(np.ascontiguousarray(scores, dtype=np.float64).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("scorer,k", sorted(GOLDEN_EVAL, key=str))
+def test_evaluate_golden(gate_graph, scorer, k):
+    g = gate_graph
+    params = None if k is None else SparsifyParams(k=k, seed=substream_seed(0, 2))
+    report = evaluate(g, 0.2, seed=0, scorer=scorer, negatives_per_positive=19,
+                      sparsify_params=params)
+    want_auc, want_mrr, want_pos, want_neg = GOLDEN_EVAL[(scorer, k)]
+    assert report.auc == want_auc
+    assert report.mrr == want_mrr
+    # the same pipeline, step by step, to reach the score vectors
+    split = split_edges(g, 0.2, 0)
+    neg = _negative_matrix(g, split.test_pos_ids, 19, substream_seed(0, 1))
+    train_mask = np.zeros(g.m, dtype=bool)
+    train_mask[split.train_ids] = True
+    train_g = g.subgraph(train_mask)
+    view = TrainView.from_graph(
+        train_g, None if params is None else sparsify(train_g, params).mask)
+    pos_u = g.src[split.test_pos_ids]
+    pos_scores = score_pairs(view, pos_u, g.dst[split.test_pos_ids], scorer)
+    neg_scores = score_pairs(view, np.repeat(pos_u, 19), neg.ravel(), scorer)
+    assert auc(pos_scores, neg_scores) == report.auc
+    assert _sha(pos_scores) == want_pos
+    assert _sha(neg_scores) == want_neg
