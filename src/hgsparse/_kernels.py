@@ -1,4 +1,4 @@
-"""Compiled inner loops: PRNG, sparsifier sweeps, negative sampling, scoring.
+"""Compiled inner loops: PRNG, sparsifier sweeps, negative sampling.
 
 Every function here is numba-compiled unless the ``HGSPARSE_NO_NUMBA``
 flag is set (see :mod:`hgsparse._accel`), and is written against numpy
@@ -24,8 +24,6 @@ Stream-consumption contract (must match ``_rng``):
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -273,54 +271,3 @@ def _sample_negatives(src, dst, etype, pos_src, pos_dst_type_slot, pos_etype,
             out[i, j] = w
     return np.int64(-1)
 
-
-# ---- neighborhood scoring ----
-#
-# ptr/nbrs: CSR of the undirected, type-agnostic, deduplicated train
-# view; nbrs ascending within each row.
-
-
-@jitkernel
-def _common_neighbor_scores(ptr, nbrs, us, vs, out):
-    for i in range(us.shape[0]):
-        a = ptr[us[i]]
-        a_hi = ptr[us[i] + 1]
-        b = ptr[vs[i]]
-        b_hi = ptr[vs[i] + 1]
-        score = 0.0
-        while a < a_hi and b < b_hi:
-            x = nbrs[a]
-            y = nbrs[b]
-            if x == y:
-                score += 1.0
-                a += 1
-                b += 1
-            elif x < y:
-                a += 1
-            else:
-                b += 1
-        out[i] = score
-
-
-@jitkernel
-def _adamic_adar_scores(ptr, nbrs, us, vs, out):
-    for i in range(us.shape[0]):
-        a = ptr[us[i]]
-        a_hi = ptr[us[i] + 1]
-        b = ptr[vs[i]]
-        b_hi = ptr[vs[i] + 1]
-        score = 0.0
-        while a < a_hi and b < b_hi:
-            x = nbrs[a]
-            y = nbrs[b]
-            if x == y:
-                deg = ptr[x + 1] - ptr[x]
-                if deg > 1:
-                    score += 1.0 / math.log(deg)
-                a += 1
-                b += 1
-            elif x < y:
-                a += 1
-            else:
-                b += 1
-        out[i] = score

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (_adamic_adar_scores, _common_neighbor_scores,
-                       _sample_negatives, _shuffle_prefix)
+from ._kernels import _sample_negatives, _shuffle_prefix
 from ._rng import state_buffer, substream_seed
 from .errors import DegenerateSplitError, NegativeSamplingError
 from .graph import HeteroGraph
@@ -27,10 +26,8 @@ COMMON_NEIGHBORS = "common-neighbors"
 ADAMIC_ADAR = "adamic-adar"
 SCORERS = (COMMON_NEIGHBORS, ADAMIC_ADAR)
 
-_SCORE_KERNELS = {
-    COMMON_NEIGHBORS: _common_neighbor_scores,
-    ADAMIC_ADAR: _adamic_adar_scores,
-}
+# expanded neighbor entries scored at once; bounds score_pairs' temporaries
+_SCORE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,12 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
     pop_ptr = np.concatenate(
         ([0], np.cumsum(np.bincount(g.node_types, minlength=type_span)))
     ).astype(np.int64)
-    out = np.empty((pos_ids.shape[0], per_pos), dtype=np.int64)
+    try:
+        out = np.empty((pos_ids.shape[0], per_pos), dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise NegativeSamplingError(
+            f"cannot hold {per_pos} negatives for each of "
+            f"{pos_ids.shape[0]} positives") from None
     scratch = np.empty(max(int(np.diff(pop_ptr).max()), 1), dtype=np.int64)
     fail = _sample_negatives(
         g.src, g.dst, g.etype, pos_src, pos_dst_type, pos_etype,
@@ -122,12 +124,15 @@ def sample_negatives(g: HeteroGraph, test_pos, per_pos: int,
 class TrainView:
     """Undirected, type-agnostic, deduplicated CSR over a train edge set."""
 
-    __slots__ = ("graph", "ptr", "nbrs")
+    __slots__ = ("graph", "ptr", "nbrs", "keys")
 
     def __init__(self, graph: HeteroGraph, ptr: np.ndarray, nbrs: np.ndarray):
         self.graph = graph
         self.ptr = ptr
         self.nbrs = nbrs
+        # row * n + nbr per entry, ascending because rows and each row's nbrs are
+        rows = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(ptr))
+        self.keys = rows * graph.n + nbrs
 
     @classmethod
     def from_graph(cls, g: HeteroGraph, selected=None) -> "TrainView":
@@ -152,13 +157,48 @@ class TrainView:
 
 
 def score_pairs(view: TrainView, us_dense, vs_dense, scorer: str) -> np.ndarray:
-    """Heuristic scores for parallel dense-id pair arrays."""
-    if scorer not in _SCORE_KERNELS:
+    """Heuristic scores for parallel dense-id pair arrays.
+
+    Each pair expands the neighbor row of its lower-degree endpoint (``us``
+    on a tie) and looks every ``other * n + nbr`` key up in ``view.keys``.
+    Hits are summed per pair in ascending neighbor order, the order of a
+    sorted-list merge, so Adamic-Adar float sums are reproducible.
+    """
+    if scorer not in SCORERS:
         raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
-    us = np.ascontiguousarray(us_dense, dtype=np.int64)
-    vs = np.ascontiguousarray(vs_dense, dtype=np.int64)
-    out = np.empty(us.shape[0], dtype=np.float64)
-    _SCORE_KERNELS[scorer](view.ptr, view.nbrs, us, vs, out)
+    us = np.asarray(us_dense, dtype=np.int64)
+    vs = np.asarray(vs_dense, dtype=np.int64)
+    out = np.zeros(us.shape[0], dtype=np.float64)
+    if view.keys.size == 0:
+        return out
+    n = view.graph.n
+    deg = np.diff(view.ptr)
+    weight = None
+    if scorer == ADAMIC_ADAR:  # 1 / log(deg), 0 where deg <= 1, by math.log
+        distinct = np.unique(deg)
+        table = [1.0 / math.log(d) if d > 1 else 0.0 for d in distinct.tolist()]
+        weight = np.array(table, dtype=np.float64)[np.searchsorted(distinct, deg)]
+    swap = deg[vs] < deg[us]
+    expand = np.where(swap, vs, us)
+    other = np.where(swap, us, vs) * n
+    counts = deg[expand]
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < us.shape[0]:
+        base = ends[lo] - counts[lo]
+        hi = max(int(np.searchsorted(ends, base + _SCORE_CHUNK, side="right")), lo + 1)
+        c = counts[lo:hi]
+        total = int(ends[hi - 1] - base)
+        pair = np.repeat(np.arange(hi - lo), c)
+        # position of each entry inside view.nbrs: its row start plus its rank in the row
+        pos = np.arange(total) + np.repeat(view.ptr[expand[lo:hi]] - (ends[lo:hi] - c - base), c)
+        nbr = view.nbrs[pos]
+        key = other[lo:hi][pair] + nbr
+        found = np.searchsorted(view.keys, key)
+        hit = view.keys[np.minimum(found, view.keys.size - 1)] == key
+        out[lo:hi] = np.bincount(pair[hit], minlength=hi - lo,
+                                 weights=None if weight is None else weight[nbr[hit]])
+        lo = hi
     return out
 
 
