@@ -24,6 +24,7 @@ from .sparsify import METHODS, PER_TYPE, SparsifyParams, sparsify
 from .synthgen import EdgeTypeSpec, GenSpec, generate, parse_spec_file
 
 _SEED_RANGE = click.IntRange(0, 2**64 - 1)
+_K_RANGE = click.IntRange(1, 2**63 - 1)
 
 
 @click.group()
@@ -84,7 +85,7 @@ def _stamp(report: dict, deterministic: bool) -> dict:
 
 @app.command(name="sparsify")
 @_input_options
-@click.option("--k", required=True, type=click.IntRange(min=1),
+@click.option("--k", required=True, type=_K_RANGE,
               help="per-bucket retention budget")
 @click.option("--method", type=click.Choice(METHODS), default=PER_TYPE,
               show_default=True)
@@ -202,7 +203,7 @@ def generate_cmd(spec_path, node_types_opt, edge_opts, seed, out, nodes_out,
 @click.option("--sparse", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="sparsifier output to check against the full graph")
-@click.option("--k", required=True, type=click.IntRange(min=1))
+@click.option("--k", required=True, type=_K_RANGE)
 @click.option("--method", type=click.Choice(METHODS), default=PER_TYPE,
               show_default=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False))
@@ -252,7 +253,7 @@ def verify_cmd(links, nodes, weighted, delimiter, comment_prefix,
               show_default=True)
 @click.option("--negatives-per-positive", type=click.IntRange(min=1), default=19,
               show_default=True)
-@click.option("--k", type=click.IntRange(min=1), default=None,
+@click.option("--k", type=_K_RANGE, default=None,
               help="sparsify the train edges first (absent = full-graph baseline)")
 @click.option("--method", type=click.Choice(METHODS), default=PER_TYPE,
               show_default=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LinkFormatError, NodeFileError
+from .errors import DataError, LinkFormatError, NodeFileError
 from .graph import EdgeRecord, HeteroGraph
 
 
@@ -42,12 +42,15 @@ class LinkFileOptions:
 
 @contextmanager
 def _opened(source, mode: str):
-    if hasattr(source, "read") or hasattr(source, "write"):
-        yield source
-    else:
-        newline = "" if "w" in mode else None
-        with open(source, mode, encoding="utf-8", newline=newline) as handle:
-            yield handle
+    try:
+        if hasattr(source, "read") or hasattr(source, "write"):
+            yield source
+        else:
+            newline = "" if "w" in mode else None
+            with open(source, mode, encoding="utf-8", newline=newline) as handle:
+                yield handle
+    except UnicodeDecodeError:
+        raise DataError(f"{getattr(source, 'name', source)}: not UTF-8 text") from None
 
 
 def _parse_id(field: str, what: str, line_no: int) -> int:
@@ -55,8 +58,8 @@ def _parse_id(field: str, what: str, line_no: int) -> int:
         value = int(field)
     except ValueError:
         raise LinkFormatError(line_no, f"invalid integer {field!r} for {what}") from None
-    if value < 0:
-        raise LinkFormatError(line_no, f"negative {what} {value}")
+    if not 0 <= value < 2**63:  # stored as int64
+        raise LinkFormatError(line_no, f"{what} {value} is outside [0, 2**63)")
     return value
 
 
@@ -121,8 +124,8 @@ def read_node_file(source) -> dict[int, tuple[str, int]]:
             except ValueError:
                 raise NodeFileError(
                     line_no, f"invalid integer field in {line!r}") from None
-            if node_id < 0 or node_type < 0:
-                raise NodeFileError(line_no, "negative node id or type")
+            if not (0 <= node_id < 2**63 and 0 <= node_type < 2**63):
+                raise NodeFileError(line_no, "node id or type is outside [0, 2**63)")
             if node_id in table:
                 raise NodeFileError(line_no, f"duplicate node id {node_id}")
             table[node_id] = (fields[1], node_type)

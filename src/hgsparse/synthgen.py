@@ -130,11 +130,14 @@ def parse_spec_file(source) -> GenSpec:
     one ``edges <src_type> <dst_type> <count> <alpha>`` per edge type.
     Blank lines and ``#`` comments are skipped.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+    try:
+        if hasattr(source, "read"):
+            lines = source.read().splitlines()
+        else:
+            with open(source, encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+    except UnicodeDecodeError:
+        raise GenSpecError(f"{getattr(source, 'name', source)}: not UTF-8 text") from None
     sizes: list[int] | None = None
     seed = 0
     entries: list[EdgeTypeSpec] = []

@@ -105,6 +105,68 @@ def test_malformed_input_exits_two(tmp_path):
     assert run(["stats", "--links", str(bad)]) == 2  # weight without --weighted
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
+
+
+def test_k_beyond_int64_exits_one(star_file, tmp_path, capsys):
+    out = tmp_path / "x.dat"
+    big = str(2**63)
+    assert run(["sparsify", "--links", str(star_file), "--k", big,
+                "--out", str(out)]) == 1
+    assert not out.exists()
+    assert run(["verify", "--links", str(star_file), "--sparse", str(star_file),
+                "--k", big]) == 1
+    assert run(["eval", "--links", str(star_file), "--k", big]) == 1
+    assert "--k" in capsys.readouterr().err
+    assert run(["sparsify", "--links", str(star_file), "--k", str(2**63 - 1),
+                "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 12
+
+
+def test_unallocatable_negatives_exit_two(star_file, capsys):
+    # both sizes fail numpy's shape checks before any memory is taken
+    for per_pos in (2**62, 2**63):
+        assert run(["eval", "--links", str(star_file),
+                    "--negatives-per-positive", str(per_pos)]) == 2
+        assert "negatives" in _one_line_error(capsys)
+
+
+def test_undecodable_files_exit_two(tmp_path, capsys):
+    links = tmp_path / "link.dat"
+    nodes = tmp_path / "node.dat"
+    spec = tmp_path / "spec.txt"
+    links.write_bytes(b"1\t2\t0\n\xff\xfe\t3\t0\n")
+    assert run(["stats", "--links", str(links)]) == 2
+    assert str(links) in _one_line_error(capsys)
+    links.write_text("1\t2\t0\n")
+    nodes.write_bytes(b"1\ta\t0\n2\tb\xe9\t0\n")
+    assert run(["stats", "--links", str(links), "--nodes", str(nodes)]) == 2
+    assert str(nodes) in _one_line_error(capsys)
+    spec.write_bytes(b"node_types = 3\n# caf\xe9\nedges 0 0 2 0.0\n")
+    assert run(["generate", "--spec", str(spec), "--out",
+                str(tmp_path / "g.dat")]) == 2
+    assert str(spec) in _one_line_error(capsys)
+
+
+def test_ids_beyond_int64_exit_two(tmp_path, capsys):
+    links = tmp_path / "link.dat"
+    nodes = tmp_path / "node.dat"
+    for line in (f"{2**63}\t2\t0", f"1\t{2**64}\t0", f"1\t2\t{2**63}"):
+        links.write_text(f"1\t2\t0\n{line}\n")
+        assert run(["stats", "--links", str(links)]) == 2
+        assert "line 2" in _one_line_error(capsys)
+    links.write_text("1\t2\t0\n")
+    for line in (f"{2**63}\tb\t0", f"2\tb\t{2**63}"):
+        nodes.write_text(f"1\ta\t0\n{line}\n")
+        assert run(["stats", "--links", str(links), "--nodes", str(nodes)]) == 2
+        assert "line 2" in _one_line_error(capsys)
+    links.write_text(f"{2**63 - 1}\t2\t0\n")
+    assert run(["stats", "--links", str(links)]) == 0
+
+
 def test_stats_output(star_file, tmp_path, capsys):
     report = tmp_path / "stats.json"
     assert run(["stats", "--links", str(star_file), "--report", str(report),
