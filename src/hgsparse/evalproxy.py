@@ -178,22 +178,21 @@ def score_pairs(view: TrainView, us_dense, vs_dense, scorer: str) -> np.ndarray:
         distinct = np.unique(deg)
         table = [1.0 / math.log(d) if d > 1 else 0.0 for d in distinct.tolist()]
         weight = np.array(table, dtype=np.float64)[np.searchsorted(distinct, deg)]
-    swap = deg[vs] < deg[us]
-    expand = np.where(swap, vs, us)
-    other = np.where(swap, us, vs) * n
-    counts = deg[expand]
+    counts = np.minimum(deg[us], deg[vs])
     ends = np.cumsum(counts)
     lo = 0
     while lo < us.shape[0]:
-        base = ends[lo] - counts[lo]
-        hi = max(int(np.searchsorted(ends, base + _SCORE_CHUNK, side="right")), lo + 1)
-        c = counts[lo:hi]
-        total = int(ends[hi - 1] - base)
+        start = ends[lo] - counts[lo]
+        hi = max(int(np.searchsorted(ends, start + _SCORE_CHUNK, side="right")), lo + 1)
+        u, v, c = us[lo:hi], vs[lo:hi], counts[lo:hi]
+        swap = deg[v] < deg[u]
+        expand = np.where(swap, v, u)
         pair = np.repeat(np.arange(hi - lo), c)
-        # position of each entry inside view.nbrs: its row start plus its rank in the row
-        pos = np.arange(total) + np.repeat(view.ptr[expand[lo:hi]] - (ends[lo:hi] - c - base), c)
+        # each entry's index in view.nbrs: its row start plus its rank in the row
+        pos = np.arange(ends[hi - 1] - start) + np.repeat(
+            view.ptr[expand] - (ends[lo:hi] - c - start), c)
         nbr = view.nbrs[pos]
-        key = other[lo:hi][pair] + nbr
+        key = np.where(swap, u, v)[pair] * n + nbr
         found = np.searchsorted(view.keys, key)
         hit = view.keys[np.minimum(found, view.keys.size - 1)] == key
         out[lo:hi] = np.bincount(pair[hit], minlength=hi - lo,
