@@ -171,10 +171,11 @@ def score_pairs(view: TrainView, us_dense, vs_dense, scorer: str) -> np.ndarray:
     out = np.zeros(us.shape[0], dtype=np.float64)
     if view.keys.size == 0:
         return out
-    n = view.graph.n
     deg = np.diff(view.ptr)
     weight = None
-    if scorer == ADAMIC_ADAR:  # 1 / log(deg), 0 where deg <= 1, by math.log
+    if scorer == ADAMIC_ADAR:
+        # 1 / log(deg), 0 where deg <= 1; math.log, not np.log, keeps the
+        # sums bit-identical to the merge-loop reference in the tests
         distinct = np.unique(deg)
         table = [1.0 / math.log(d) if d > 1 else 0.0 for d in distinct.tolist()]
         weight = np.array(table, dtype=np.float64)[np.searchsorted(distinct, deg)]
@@ -192,7 +193,7 @@ def score_pairs(view: TrainView, us_dense, vs_dense, scorer: str) -> np.ndarray:
         pos = np.arange(ends[hi - 1] - start) + np.repeat(
             view.ptr[expand] - (ends[lo:hi] - c - start), c)
         nbr = view.nbrs[pos]
-        key = np.where(swap, u, v)[pair] * n + nbr
+        key = np.where(swap, u, v)[pair] * view.graph.n + nbr
         found = np.searchsorted(view.keys, key)
         hit = view.keys[np.minimum(found, view.keys.size - 1)] == key
         out[lo:hi] = np.bincount(pair[hit], minlength=hi - lo,
