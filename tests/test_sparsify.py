@@ -1,5 +1,7 @@
 """Sampler hand-traces, kernel-vs-reference equivalence, and core invariants."""
 
+import hashlib
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,9 @@ from hgsparse import (
     SparsifyParams,
     build_graph,
     coverage_report,
+    generate,
     isolated_nodes,
+    pubmed_like_spec,
     sample_without_replacement,
     sparsify,
     sparsify_alt,
@@ -228,3 +232,46 @@ def test_result_edge_ids_match_mask(g1):
     res = sparsify_graph(g1, SparsifyParams(k=1, seed=3))
     assert list(res.edge_ids) == list(np.flatnonzero(res.mask))
     assert res.params.k == 1
+
+
+# ---- golden pins of the sweep's output ----
+#
+# sha256 of the kept-edge mask (one byte per edge) for both methods on
+# random graphs whose buckets really get sampled (k=2, sparsifier seed =
+# graph seed) and on the PubMed-shaped graph (k=3, seed 0).  A change of
+# any digest changes which edges the sweep keeps and must be deliberate.
+
+GOLDEN_MASKS = {
+    (5, PER_TYPE): "48e79dd8b23649849230005c27c07d2a17c23c59d9a1f7623ebfd0f0ddb0e5f5",
+    (5, ALL_TYPES): "4154e25a42b5f9b98ac92b6312faffbcc8873e1f29af8eef0daf2ca719b9aaab",
+    (7, PER_TYPE): "ffc6003075144ab94e563191a3331edc68db4ff1e4acbab3b0f17e4cf1ff4773",
+    (7, ALL_TYPES): "63afe96fb713ee352c064f2b6f24e6f9c2c71cf3a22ec76b9e42e8d6a3381567",
+    (13, PER_TYPE): "2f8c807bd4df6a3d7e4213c6f5cbf4d27a8293f991c375579fa8fe92565f7362",
+    (13, ALL_TYPES): "fe83ac064c3b00561688f9a028be71958fe07552ddfc0bfdbb10901fbb2b94aa",
+    (28, PER_TYPE): "76648ccbfdf3001001bdb64a56b579e7cb4f077a30781c69e26b3ae8a9bd52b4",
+    (28, ALL_TYPES): "ea5a1b9dc4f73eb2c56f409add4c4f9151e3c28165710628a54f3599853b4ed3",
+}
+
+GOLDEN_PUBMED_MASKS = {
+    PER_TYPE: (149780, "ae40000951bfeb6bebb4e8c3dbc288897a4e800194f271a804e534041d7ea0d2"),
+    ALL_TYPES: (115858, "0096dc7b177a3a0c4ec038b054a86aa99e5e357d6e93c9968af0471d9539087b"),
+}
+
+
+def _mask_sha(mask):
+    return hashlib.sha256(np.ascontiguousarray(mask, dtype=bool).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("gseed,method", sorted(GOLDEN_MASKS))
+def test_sparsify_mask_golden(gseed, method):
+    g = make_random_graph(gseed)
+    res = sparsify(g, SparsifyParams(k=2, method=method, seed=gseed))
+    assert res.kept < g.m  # the pin covers sampled buckets, not take-all ones
+    assert _mask_sha(res.mask) == GOLDEN_MASKS[(gseed, method)]
+
+
+def test_sparsify_mask_golden_pubmed_like():
+    g = generate(pubmed_like_spec(0))
+    for method, (kept, digest) in GOLDEN_PUBMED_MASKS.items():
+        res = sparsify(g, SparsifyParams(k=3, method=method, seed=0))
+        assert (res.kept, _mask_sha(res.mask)) == (kept, digest)
