@@ -1,10 +1,12 @@
-"""Compiled inner loops: PRNG, sparsifier sweeps, negative sampling.
+"""Compiled inner loops: the sequential PRNG and the sparsifier sweeps.
 
 Every function here is numba-compiled unless the ``HGSPARSE_NO_NUMBA``
 flag is set (see :mod:`hgsparse._accel`), and is written against numpy
-arrays only, so the pure-Python path runs the identical source.
+arrays only, so the pure-Python path runs the identical source.  Eval's
+split and negatives are not here: they use the counter-keyed stream of
+:mod:`hgsparse._rng` as batched numpy in both execution modes.
 
-The PRNG is xorshift64.  The stream state lives in a one-element
+The sweep's PRNG is xorshift64.  The stream state lives in a one-element
 ``uint64`` array (see ``_rng.state_buffer``) rather than a scalar: a
 scalar state crossing the Python/numba boundary would re-dispatch as
 ``int64`` whenever its value drops below 2**63, silently switching the
@@ -38,9 +40,6 @@ _F4 = np.uint64(4)
 _F8 = np.uint64(8)
 _F16 = np.uint64(16)
 _F32 = np.uint64(32)
-
-# rejection attempts per negative draw before switching to an exact scan
-_NEG_ATTEMPT_CAP = 64
 
 
 # ---- random stream ----
@@ -183,91 +182,3 @@ def _sweep(per_type, vertex_order,
             _all_types_node_dir(
                 in_order, in_bkt_ptr, in_node_bkt_ptr[u],
                 in_node_bkt_ptr[u + 1], k, selected, scratch, state)
-
-
-# ---- canonical edge-table lookups ----
-
-
-@jitkernel
-def _bisect_left(arr, lo, hi, val):
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if arr[mid] < val:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-@jitkernel
-def _bisect_right(arr, lo, hi, val):
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if arr[mid] <= val:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-@jitkernel
-def _edge_exists(src, dst, etype, s, d, t):
-    """Membership of (s, d, t) in a table sorted by (src, dst, etype)."""
-    lo = _bisect_left(src, 0, src.shape[0], s)
-    hi = _bisect_right(src, lo, src.shape[0], s)
-    if lo == hi:
-        return False
-    lo = _bisect_left(dst, lo, hi, d)
-    hi = _bisect_right(dst, lo, hi, d)
-    if lo == hi:
-        return False
-    lo = _bisect_left(etype, lo, hi, t)
-    return lo < hi and etype[lo] == t
-
-
-# ---- negative sampling ----
-
-
-@jitkernel
-def _sample_negatives(src, dst, etype, pos_src, pos_dst_type_slot, pos_etype,
-                      pop_ptr, pop_nodes, per_pos, out, valid_scratch, state):
-    """Typed destination corruption for each positive edge.
-
-    For positive i, draws per_pos destinations uniformly from the node
-    population pop_nodes[pop_ptr[slot]:pop_ptr[slot+1]] (slot = the dst's
-    node-type), rejecting candidates w with (u, w, t) already an edge.
-    Falls back to an exact scan of the population when rejection keeps
-    missing, so dense neighborhoods stay uniform over the valid set.
-    Returns the index of the first positive with zero valid candidates,
-    or -1 if all succeeded.
-    """
-    for i in range(pos_src.shape[0]):
-        u = pos_src[i]
-        t = pos_etype[i]
-        plo = pop_ptr[pos_dst_type_slot[i]]
-        phi = pop_ptr[pos_dst_type_slot[i] + 1]
-        psize = phi - plo
-        valid_count = np.int64(-1)
-        for j in range(per_pos):
-            if valid_count >= 0:
-                out[i, j] = valid_scratch[_randbelow(state, valid_count)]
-                continue
-            w = np.int64(-1)
-            for _attempt in range(_NEG_ATTEMPT_CAP):
-                cand = pop_nodes[plo + _randbelow(state, psize)]
-                if not _edge_exists(src, dst, etype, u, cand, t):
-                    w = cand
-                    break
-            if w < 0:
-                valid_count = np.int64(0)
-                for p in range(plo, phi):
-                    cand = pop_nodes[p]
-                    if not _edge_exists(src, dst, etype, u, cand, t):
-                        valid_scratch[valid_count] = cand
-                        valid_count += 1
-                if valid_count == 0:
-                    return np.int64(i)
-                w = valid_scratch[_randbelow(state, valid_count)]
-            out[i, j] = w
-    return np.int64(-1)
-

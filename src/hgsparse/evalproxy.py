@@ -7,6 +7,9 @@ type-agnostic view of the train edges, then report AUC and MRR over the
 same candidate sets.  Sparsification, when requested, is applied to the
 train portion only, so full-graph and sparsified runs share identical
 test sets and negatives and their metrics are directly comparable.
+The split and the negatives draw from the counter-keyed stream of
+:mod:`hgsparse._rng`, each draw keyed by (seed, tag, index, attempt), so
+both run as batched numpy in either execution mode.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _sample_negatives, _shuffle_prefix
-from ._rng import state_buffer, substream_seed
+from ._rng import counter_words, randbelow_array, substream_seed
 from .errors import DegenerateSplitError, NegativeSamplingError
 from .graph import HeteroGraph
 from .sparsify import SparsifyParams, sparsify
@@ -28,6 +30,10 @@ SCORERS = (COMMON_NEIGHBORS, ADAMIC_ADAR)
 
 # expanded neighbor entries scored at once; bounds score_pairs' temporaries
 _SCORE_CHUNK = 1 << 14
+
+# rejection attempts per negative draw before switching to an exact scan
+_NEG_ATTEMPT_CAP = 64
+_SPLIT_TAG, _NEGATIVE_TAG = 0, 1  # counter-keyed stream tags
 
 
 @dataclass(frozen=True)
@@ -62,11 +68,12 @@ def split_edges(g: HeteroGraph, holdout_fraction: float, seed: int = 0) -> EdgeS
     if test_count == 0 or test_count == g.m:
         raise DegenerateSplitError(
             f"holdout {holdout_fraction} of m={g.m} edges leaves an empty side")
-    pool = np.arange(g.m, dtype=np.int64)
-    _shuffle_prefix(pool, g.m, test_count, state_buffer(seed))
+    # the test_count smallest words; they are distinct, so nothing ties
+    keys = counter_words(seed, _SPLIT_TAG, np.arange(g.m))
+    test = keys <= np.partition(keys, test_count - 1)[test_count - 1]
     return EdgeSplit(
-        train_ids=np.sort(pool[test_count:]),
-        test_pos_ids=np.sort(pool[:test_count]),
+        train_ids=np.flatnonzero(~test),
+        test_pos_ids=np.flatnonzero(test),
         holdout_fraction=holdout_fraction,
         seed=seed,
     )
@@ -79,32 +86,54 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
     Destination corruption: for positive (u, v, t), candidates are drawn
     uniformly from v's node-type population, rejecting w with (u, w, t)
     already an edge of g; duplicates across the per_pos draws are fine.
+    Attempt a of entry e = i * per_pos + j is keyed by counter
+    e * (cap + 1) + a, and all open entries are drawn at once.  After cap
+    rejections an entry draws from an exact scan of its positive's valid
+    destinations (a = cap), so dense neighborhoods stay uniform.
     """
     if per_pos < 1:
         raise ValueError(f"per_pos must be >= 1, got {per_pos}")
-    pos_ids = np.ascontiguousarray(pos_ids, dtype=np.int64)
-    pos_src = np.ascontiguousarray(g.src[pos_ids])
-    pos_dst_type = np.ascontiguousarray(g.node_types[g.dst[pos_ids]])
-    pos_etype = np.ascontiguousarray(g.etype[pos_ids])
-    type_span = int(g.node_types.max()) + 1 if g.n else 1
-    pop_nodes = np.argsort(g.node_types, kind="stable").astype(np.int64)
-    pop_ptr = np.concatenate(
-        ([0], np.cumsum(np.bincount(g.node_types, minlength=type_span)))
-    ).astype(np.int64)
+    pos_ids = np.asarray(pos_ids, dtype=np.int64)
     try:
         out = np.empty((pos_ids.shape[0], per_pos), dtype=np.int64)
     except (ValueError, MemoryError):
         raise NegativeSamplingError(
             f"cannot hold {per_pos} negatives for each of "
             f"{pos_ids.shape[0]} positives") from None
-    scratch = np.empty(max(int(np.diff(pop_ptr).max()), 1), dtype=np.int64)
-    fail = _sample_negatives(
-        g.src, g.dst, g.etype, pos_src, pos_dst_type, pos_etype,
-        pop_ptr, pop_nodes, per_pos, out, scratch, state_buffer(seed))
-    if fail >= 0:
-        raise NegativeSamplingError(
-            f"positive {g.edge_key(int(pos_ids[fail]))} has no "
-            f"type-compatible non-edge destination")
+    pos_src = g.src[pos_ids]
+    pos_etype = g.etype[pos_ids]
+    # node types are arbitrary ints below 2**63; rank them densely
+    _, type_rank = np.unique(g.node_types, return_inverse=True)
+    pop_nodes = np.argsort(type_rank, kind="stable")
+    pop_ptr = np.concatenate(([0], np.cumsum(np.bincount(type_rank))))
+    pop_lo = pop_ptr[type_rank[g.dst[pos_ids]]]
+    pop_size = pop_ptr[type_rank[g.dst[pos_ids]] + 1] - pop_lo
+    flat = out.reshape(-1)
+    stride = _NEG_ATTEMPT_CAP + 1
+    todo = np.arange(flat.shape[0])
+    for attempt in range(_NEG_ATTEMPT_CAP):
+        if not todo.size:
+            break
+        row = todo // per_pos
+        draw = randbelow_array(
+            counter_words(seed, _NEGATIVE_TAG, todo * stride + attempt), pop_size[row])
+        cand = pop_nodes[pop_lo[row] + draw]
+        taken = g.dense_edge_ids(pos_src[row], cand, pos_etype[row]) >= 0
+        flat[todo[~taken]] = cand[~taken]
+        todo = todo[taken]
+    rows = todo // per_pos
+    for i in np.unique(rows).tolist():
+        pop = pop_nodes[pop_lo[i]:pop_lo[i] + pop_size[i]]
+        valid = pop[g.dense_edge_ids(np.full(pop.shape, pos_src[i]), pop,
+                                     np.full(pop.shape, pos_etype[i])) < 0]
+        if not valid.size:
+            raise NegativeSamplingError(
+                f"positive {g.edge_key(int(pos_ids[i]))} has no "
+                f"type-compatible non-edge destination")
+        mine = todo[rows == i]
+        flat[mine] = valid[randbelow_array(
+            counter_words(seed, _NEGATIVE_TAG, mine * stride + _NEG_ATTEMPT_CAP),
+            valid.shape[0])]
     return out
 
 

@@ -229,39 +229,37 @@ class HeteroGraph:
     def edge_index(self, src: int, dst: int, etype: int) -> int:
         """Edge id of identity (src, dst, etype) in original node ids."""
         try:
-            sd = self.dense_id(src)
-            dd = self.dense_id(dst)
+            return int(self.edge_ids([src], [dst], [etype])[0])
         except UnknownNodeError:
             raise UnknownEdgeError(f"({src}, {dst}, {etype}) is not an edge") from None
-        lo = int(np.searchsorted(self.src, sd, side="left"))
-        hi = int(np.searchsorted(self.src, sd, side="right"))
-        lo += int(np.searchsorted(self.dst[lo:hi], dd, side="left"))
-        hi = lo + int(np.searchsorted(self.dst[lo:hi], dd, side="right"))
-        lo += int(np.searchsorted(self.etype[lo:hi], etype, side="left"))
-        if lo < hi and self.etype[lo] == etype:
-            return lo
-        raise UnknownEdgeError(f"({src}, {dst}, {etype}) is not an edge")
 
     def edge_ids(self, src, dst, etype) -> np.ndarray:
         """Vectorized edge_index over parallel arrays of original ids."""
-        sd = self.dense_ids(src)
-        dd = self.dense_ids(dst)
-        tt = _as_int64(etype, "edge types")
-        t_span = int(self._etype_ids[-1]) + 1 if self.t else 1
-        if self.n and self.n * self.n * t_span > np.iinfo(np.int64).max:
-            return np.array([self.edge_index(s, d, t)
-                             for s, d, t in zip(src, dst, etype)], dtype=np.int64)
-        table = (self.src * self.n + self.dst) * t_span + self.etype
-        keys = (sd * self.n + dd) * t_span + tt
-        pos = np.searchsorted(table, keys)
-        ok = pos < self.m
-        ok &= table[np.minimum(pos, max(self.m - 1, 0))] == keys
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
+        ids = self.dense_edge_ids(self.dense_ids(src), self.dense_ids(dst),
+                                  _as_int64(etype, "edge types"))
+        if (ids < 0).any():
+            bad = int(np.flatnonzero(ids < 0)[0])
             raise UnknownEdgeError(
                 f"({int(np.asarray(src)[bad])}, {int(np.asarray(dst)[bad])}, "
                 f"{int(np.asarray(etype)[bad])}) is not an edge")
-        return pos.astype(np.int64)
+        return ids
+
+    def dense_edge_ids(self, src: np.ndarray, dst: np.ndarray,
+                       etype: np.ndarray) -> np.ndarray:
+        """Edge id of each (src, dst, etype) of dense node ids; -1 if absent."""
+        # the table is sorted by (src, dst, etype), so src * n + dst ascends
+        # with each pair's etypes in one run; n * n < 2**63 for any graph
+        # that fits in memory, so the pair key cannot overflow
+        pair = self.src * self.n + self.dst
+        key = src * self.n + dst
+        lo = np.searchsorted(pair, key, side="left")
+        run = np.searchsorted(pair, key, side="right") - lo
+        owner = np.repeat(np.arange(key.shape[0]), run)
+        pos = np.arange(owner.shape[0]) + np.repeat(lo - (np.cumsum(run) - run), run)
+        hit = self.etype[pos] == etype[owner]
+        ids = np.full(key.shape[0], -1, dtype=np.int64)
+        ids[owner[hit]] = pos[hit]
+        return ids
 
     # ---- edge selections ----
 

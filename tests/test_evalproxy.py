@@ -29,7 +29,9 @@ from hgsparse import (
     split_edges,
     substream_seed,
 )
-from hgsparse.evalproxy import _negative_matrix
+from hgsparse._rng import counter_words
+from hgsparse import evalproxy
+from hgsparse.evalproxy import _NEG_ATTEMPT_CAP, _negative_matrix
 
 
 @pytest.fixture
@@ -95,6 +97,15 @@ def test_negatives_respect_type_and_membership():
         assert w in range(11, 16)  # same type as 10, never a neighbor
 
 
+def test_negatives_with_sparse_node_type_values():
+    # type values are ids below 2**63, not a dense range to count over
+    edges = [(0, 10, 0)]
+    types = {0: 2**40} | {u: 2**62 for u in range(10, 16)} | {20: 7}
+    g = build_graph(edges, node_types=types)
+    drawn = sample_negatives(g, [(0, 10, 0)], 5, seed=3)[(0, 10, 0)]
+    assert {w for _, w, _ in drawn} <= set(range(11, 16))
+
+
 def test_negatives_deterministic():
     edges = [(0, 10, 0), (1, 11, 0)]
     types = {0: 0, 1: 0} | {u: 1 for u in range(10, 18)}
@@ -113,6 +124,50 @@ def test_negatives_may_repeat():
     g = build_graph(edges, node_types=types)
     negs = sample_negatives(g, [(0, 1, 0)], 3, seed=0)
     assert negs[(0, 1, 0)] == [(0, 2, 0), (0, 2, 0), (0, 2, 0)]
+
+
+def test_negative_exhaustion_names_lowest_failing_positive():
+    # (0, 10, 0) can still corrupt to 11; every later positive has no valid
+    # destination, and (0, 20, 1) has the lowest edge id among them
+    edges = [(0, 10, 0), (0, 20, 1), (1, 10, 0), (1, 11, 0)]
+    types = {0: 0, 1: 0, 10: 1, 11: 1, 20: 2}
+    g = build_graph(edges, node_types=types)
+    with pytest.raises(NegativeSamplingError, match=r"positive \(0, 20, 1\) "):
+        sample_negatives(g, edges, 3, seed=0)
+    with pytest.raises(NegativeSamplingError, match=r"positive \(1, 10, 0\) "):
+        sample_negatives(g, edges[2:], 3, seed=0)
+
+
+def test_negatives_uniform_on_rejection_path():
+    # 5 valid destinations among 10; each of 10k seeds draws one negative
+    edges = [(0, w, 0) for w in range(10, 15)]
+    types = {0: 0} | {w: 1 for w in range(10, 20)}
+    g = build_graph(edges, node_types=types)
+    pos = np.array([0])
+    draws = [int(_negative_matrix(g, pos, 1, seed)[0, 0]) for seed in range(10_000)]
+    freqs = np.bincount(draws, minlength=g.n)[g.dense_ids(range(15, 20))] / 10_000
+    assert freqs.sum() == 1.0
+    assert np.all(np.abs(freqs - 0.2) <= 0.02), freqs
+
+
+def test_negatives_uniform_on_exact_scan_fallback(monkeypatch):
+    # 398 of 400 destinations are linked, so most draws exhaust the
+    # rejection cap ((398/400)**64 ~ 0.73) and come from the exact scan
+    edges = [(0, w, 0) for w in range(1, 399)]
+    types = {0: 0} | {w: 1 for w in range(1, 401)}
+    g = build_graph(edges, node_types=types)
+    attempts = []
+
+    def spy(seed, tag, counters):
+        attempts.extend((np.asarray(counters) % (_NEG_ATTEMPT_CAP + 1)).tolist())
+        return counter_words(seed, tag, counters)
+
+    monkeypatch.setattr(evalproxy, "counter_words", spy)
+    draws = _negative_matrix(g, np.array([0]), 10_000, seed=17).ravel()
+    assert attempts.count(_NEG_ATTEMPT_CAP) > 5_000  # fallback draws
+    freqs = np.bincount(draws, minlength=g.n)[g.dense_ids([399, 400])] / draws.size
+    assert freqs.sum() == 1.0
+    assert np.all(np.abs(freqs - 0.5) <= 0.02), freqs
 
 
 def test_common_neighbors_path():
@@ -250,22 +305,25 @@ def test_evaluate_adamic_adar(proxy_graph):
 
 GOLDEN_EVAL = {
     (COMMON_NEIGHBORS, None): (
-        0.5683658470394737, 0.23514696055406312,
-        "31ce0ca2949194ad3725e9137f8457e747ac84cbb920bfbffea6606877851af9",
-        "12729200bba557d46ad35ce87ff5bc6d1a4abb5daf456c6c1111724bc49f984d"),
+        0.5658291282894737, 0.23324266430192214,
+        "f11632702237910afcd915435ce218288fdb944b052d07bcfa09549746b28a3e",
+        "01821a133a92f5a49634507c469eeab6f93b48ece39d08668b446db9db4ec23e"),
     (COMMON_NEIGHBORS, 3): (
-        0.5128208108552632, 0.1386475699974688,
-        "e2e67c331ca5ac2c06b6d9a6eef22e827ee0052ae766e7afabb377a7004aae89",
-        "0169100a0d483f6ff1c87e615d3ee13feff5721c011dcf6d6c8416054331a7cc"),
+        0.5095595460526315, 0.1324449104660124,
+        "409f5240446300389cf5b4ce9e36dc499ad3c1b34a2be365fe8fa0fd8a696860",
+        "6d36f6173a72a725eef4c1ab31a058b423ba75c606999c994d067956fea4726a"),
     (ADAMIC_ADAR, None): (
-        0.5686889259868421, 0.24463242336685057,
-        "3bbb413a4f9ca4094a2b8e3fb7a1b679404130b1718b3d58cc412c70a08fc486",
-        "f5bd0506666cdb2378f8dca5b42525a18d16f7ca2f0fc5d94cfb9ad6ebb55e07"),
+        0.5662123684210526, 0.2428596131092961,
+        "f75f414f72a4555eefb04df2efcd2b38c45141ace5e2e095ff70383ce7d632be",
+        "b1e29f929b0bfcecd48259f40ac12cb1e47a031d46ec2921e91afb37ff26757d"),
     (ADAMIC_ADAR, 3): (
-        0.5131418157894737, 0.14200356053470936,
-        "1e28633f6be466ed81969dfe2d0d4f38459cbb08e6ffb8dc50228f9feaa6c59a",
-        "9c223ce6f3d123c0b6aad45e173698fe99cc32c6788c5a55417bfdc06c2fc9bb"),
+        0.5097657253289474, 0.13503608318218513,
+        "ad88771fda684b237d3ac51321b7bbd0d0f9220e8dd1003d6a67bc0864134503",
+        "18086b863384751f16302e809570dd77862de091a427f77d0ad0e936deb2cdf6"),
 }
+
+# sha256 of the int64 dense-id negative matrix evaluate() draws above
+GOLDEN_NEGATIVES = "d62b3c55b9f4843b54b93ad78a2d32911a009c5cf3bbc87009de6a2d3e48c28e"
 
 
 @pytest.fixture(scope="module")
@@ -303,3 +361,17 @@ def test_evaluate_golden(gate_graph, scorer, k):
     assert auc(pos_scores, neg_scores) == report.auc
     assert _sha(pos_scores) == want_pos
     assert _sha(neg_scores) == want_neg
+
+
+def test_negative_matrix_golden(gate_graph):
+    g = gate_graph
+    pos_ids = split_edges(g, 0.2, 0).test_pos_ids
+    neg = _negative_matrix(g, pos_ids, 19, substream_seed(0, 1))
+    assert neg.shape == (4000, 19)
+    assert hashlib.sha256(neg.astype(np.int64).tobytes()).hexdigest() == GOLDEN_NEGATIVES
+    # every draw keeps the positive's dst type and is not an edge of g
+    edges = set(zip(g.src.tolist(), g.dst.tolist(), g.etype.tolist()))
+    rows = np.repeat(pos_ids, 19)
+    assert np.array_equal(g.node_types[neg.ravel()], g.node_types[g.dst[rows]])
+    assert not any((u, w, t) in edges for u, w, t in zip(
+        g.src[rows].tolist(), neg.ravel().tolist(), g.etype[rows].tolist()))

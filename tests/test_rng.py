@@ -1,5 +1,7 @@
 """Deterministic stream behavior and parity with the compiled kernels."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,10 @@ import pytest
 
 from hgsparse import RandomStream, mix_seed, substream_seed
 from hgsparse._kernels import _randbelow, _shuffle_prefix
-from hgsparse._rng import state_buffer
+from hgsparse._rng import (counter_words, randbelow_array, splitmix64,
+                           splitmix64_array, state_buffer)
+
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 def test_same_seed_same_sequence():
@@ -123,3 +128,58 @@ def test_randbelow_roughly_uniform():
     rng = RandomStream(2024)
     counts = np.bincount([rng.randbelow(4) for _ in range(8000)], minlength=4)
     assert counts.min() > 1800 and counts.max() < 2200
+
+
+# ---- counter-keyed stream ----
+
+
+@given(values=st.lists(st.integers(0, 2**64 - 1), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_splitmix64_array_matches_scalar(values):
+    values = [0, 2**63, 2**64 - 1] + values
+    assert splitmix64_array(values).tolist() == [splitmix64(v) for v in values]
+
+
+@given(seed=st.integers(0, 2**64 - 1), tag=st.integers(0, 2**64 - 1),
+       counters=st.lists(st.integers(0, 2**40), min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_counter_words_are_splitmix_outputs(seed, tag, counters):
+    base = substream_seed(seed, tag)
+    want = [splitmix64((base + c * _GAMMA) % 2**64) for c in counters]
+    assert counter_words(seed, tag, counters).tolist() == want
+
+
+def test_counter_words_never_collide():
+    words = counter_words(5, 1, np.arange(100_000))
+    assert np.unique(words).size == words.size
+
+
+def test_randbelow_array_small_bounds_give_zero():
+    keys = counter_words(3, 0, np.arange(6))
+    assert randbelow_array(keys, [1, 0, -4, 1, 0, 1]).tolist() == [0] * 6
+
+
+@given(seed=st.integers(0, 2**64 - 1),
+       bounds=st.lists(st.integers(1, 2**62), min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_randbelow_array_in_range_without_overflow_warnings(seed, bounds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keys = counter_words(seed, 0, np.arange(len(bounds)))
+        draws = randbelow_array(keys, bounds)
+        splitmix64_array([2**64 - 1, 2**63])
+    assert draws.dtype == np.int64
+    assert all(0 <= d < b for d, b in zip(draws.tolist(), bounds))
+
+
+def test_randbelow_array_rejects_by_first_word():
+    # bound 5 masks with 7: the draw is the first masked word below 5
+    key = int(counter_words(11, 0, [0])[0])
+    words = [splitmix64((key + r * _GAMMA) % 2**64) & 7 for r in range(64)]
+    assert int(randbelow_array([key], 5)[0]) == next(w for w in words if w < 5)
+
+
+def test_randbelow_array_roughly_uniform():
+    draws = randbelow_array(counter_words(2024, 0, np.arange(8000)), 6)
+    counts = np.bincount(draws, minlength=6)
+    assert counts.min() > 1200 and counts.max() < 1480
