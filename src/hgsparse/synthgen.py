@@ -70,10 +70,13 @@ def _rank_cdf(size: int, alpha: float) -> np.ndarray:
 
 def generate(spec: GenSpec) -> HeteroGraph:
     """Build the graph a spec describes; deterministic per spec.seed."""
-    sizes = np.asarray(spec.node_type_sizes, dtype=np.int64)
+    n = sum(spec.node_type_sizes)
+    try:
+        sizes = np.asarray(spec.node_type_sizes, dtype=np.int64)
+        node_types = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
+    except (OverflowError, ValueError, MemoryError):
+        raise GenSpecError(f"cannot allocate a table of {n} nodes") from None
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    n = int(offsets[-1])
-    node_types = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
 
     rng = np.random.default_rng(spec.seed)
     all_src: list[np.ndarray] = []

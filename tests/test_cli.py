@@ -240,6 +240,14 @@ def test_generate_infeasible_exits_two(tmp_path):
                 "--out", str(tmp_path / "x.dat")]) == 2
 
 
+def test_generate_unallocatable_size_exits_two(tmp_path, capsys):
+    # numpy rejects a 2**62-node table before any memory is taken
+    assert run(["generate", "--node-types", str(2**62), "--edge", "0:0:1:0",
+                "--out", str(tmp_path / "x.dat")]) == 2
+    assert str(2**62) in _one_line_error(capsys)
+    assert not (tmp_path / "x.dat").exists()
+
+
 def test_verify_accepts_own_output(chain_file, tmp_path, capsys):
     sparse = tmp_path / "sparse.dat"
     run(["sparsify", "--links", str(chain_file), "--k", "1", "--out", str(sparse)])
