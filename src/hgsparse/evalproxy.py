@@ -33,6 +33,8 @@ _SCORE_CHUNK = 1 << 14
 
 # rejection attempts per negative draw before switching to an exact scan
 _NEG_ATTEMPT_CAP = 64
+# negative-matrix entries drawn at once; bounds _negative_matrix's temporaries
+_NEG_CHUNK = 1 << 14
 _SPLIT_TAG, _NEGATIVE_TAG = 0, 1  # counter-keyed stream tags
 
 
@@ -110,30 +112,31 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
     pop_size = pop_ptr[type_rank[g.dst[pos_ids]] + 1] - pop_lo
     flat = out.reshape(-1)
     stride = _NEG_ATTEMPT_CAP + 1
-    todo = np.arange(flat.shape[0])
-    for attempt in range(_NEG_ATTEMPT_CAP):
-        if not todo.size:
-            break
-        row = todo // per_pos
-        draw = randbelow_array(
-            counter_words(seed, _NEGATIVE_TAG, todo * stride + attempt), pop_size[row])
-        cand = pop_nodes[pop_lo[row] + draw]
-        taken = g.dense_edge_ids(pos_src[row], cand, pos_etype[row]) >= 0
-        flat[todo[~taken]] = cand[~taken]
-        todo = todo[taken]
-    rows = todo // per_pos
-    for i in np.unique(rows).tolist():
-        pop = pop_nodes[pop_lo[i]:pop_lo[i] + pop_size[i]]
-        valid = pop[g.dense_edge_ids(np.full(pop.shape, pos_src[i]), pop,
-                                     np.full(pop.shape, pos_etype[i])) < 0]
-        if not valid.size:
-            raise NegativeSamplingError(
-                f"positive {g.edge_key(int(pos_ids[i]))} has no "
-                f"type-compatible non-edge destination")
-        mine = todo[rows == i]
-        flat[mine] = valid[randbelow_array(
-            counter_words(seed, _NEGATIVE_TAG, mine * stride + _NEG_ATTEMPT_CAP),
-            valid.shape[0])]
+    for start in range(0, flat.shape[0], _NEG_CHUNK):
+        todo = np.arange(start, min(start + _NEG_CHUNK, flat.shape[0]))
+        for attempt in range(_NEG_ATTEMPT_CAP):
+            if not todo.size:
+                break
+            row = todo // per_pos
+            draw = randbelow_array(
+                counter_words(seed, _NEGATIVE_TAG, todo * stride + attempt), pop_size[row])
+            cand = pop_nodes[pop_lo[row] + draw]
+            taken = g.dense_edge_ids(pos_src[row], cand, pos_etype[row]) >= 0
+            flat[todo[~taken]] = cand[~taken]
+            todo = todo[taken]
+        rows = todo // per_pos
+        for i in np.unique(rows).tolist():
+            pop = pop_nodes[pop_lo[i]:pop_lo[i] + pop_size[i]]
+            valid = pop[g.dense_edge_ids(np.full(pop.shape, pos_src[i]), pop,
+                                         np.full(pop.shape, pos_etype[i])) < 0]
+            if not valid.size:
+                raise NegativeSamplingError(
+                    f"positive {g.edge_key(int(pos_ids[i]))} has no "
+                    f"type-compatible non-edge destination")
+            mine = todo[rows == i]
+            flat[mine] = valid[randbelow_array(
+                counter_words(seed, _NEGATIVE_TAG, mine * stride + _NEG_ATTEMPT_CAP),
+                valid.shape[0])]
     return out
 
 
@@ -141,13 +144,9 @@ def sample_negatives(g: HeteroGraph, test_pos, per_pos: int,
                      seed: int = 0) -> dict[tuple[int, int, int], list[tuple[int, int, int]]]:
     """Map each positive identity to its per_pos corrupted identities."""
     pos_ids = np.flatnonzero(g.edge_mask(test_pos))
-    matrix = _negative_matrix(g, pos_ids, per_pos, seed)
-    result: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    for row, edge_id in enumerate(pos_ids):
-        s, _, t = g.edge_key(int(edge_id))
-        result[g.edge_key(int(edge_id))] = [
-            (s, int(g.node_ids[w]), t) for w in matrix[row]]
-    return result
+    matrix = g.node_ids[_negative_matrix(g, pos_ids, per_pos, seed)].tolist()
+    return {(s, d, t): [(s, w, t) for w in row]
+            for (s, d, t), row in zip(g.edge_keys(pos_ids), matrix)}
 
 
 class TrainView:

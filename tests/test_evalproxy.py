@@ -97,6 +97,15 @@ def test_negatives_respect_type_and_membership():
         assert w in range(11, 16)  # same type as 10, never a neighbor
 
 
+def test_negatives_may_reuse_a_pair_linked_by_another_etype():
+    # (0, 11) is linked only by etype 1, so (0, 11, 0) is a valid negative
+    edges = [(0, 10, 0), (0, 11, 1)]
+    types = {0: 0, 10: 1, 11: 1, 12: 1}
+    g = build_graph(edges, node_types=types)
+    drawn = sample_negatives(g, [(0, 10, 0)], 200, seed=1)[(0, 10, 0)]
+    assert {w for _, w, _ in drawn} == {11, 12}
+
+
 def test_negatives_with_sparse_node_type_values():
     # type values are ids below 2**63, not a dense range to count over
     edges = [(0, 10, 0)]
@@ -136,6 +145,21 @@ def test_negative_exhaustion_names_lowest_failing_positive():
         sample_negatives(g, edges, 3, seed=0)
     with pytest.raises(NegativeSamplingError, match=r"positive \(1, 10, 0\) "):
         sample_negatives(g, edges[2:], 3, seed=0)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_negative_matrix_independent_of_chunk(monkeypatch, chunk):
+    # destination 399 or 400 for (0, 1, 0), mostly via the exact scan;
+    # (2, 3, 0) and (2, 4, 0) have no valid destination at all
+    edges = [(0, w, 0) for w in range(1, 399)] + [(2, 3, 0), (2, 4, 0)]
+    types = {0: 0, 2: 0} | {w: 1 for w in range(1, 401)} | {3: 2, 4: 2}
+    g = build_graph(edges, node_types=types)
+    pos = np.array([0, 1, 200, 397])
+    want = _negative_matrix(g, pos, 9, seed=4)
+    monkeypatch.setattr(evalproxy, "_NEG_CHUNK", chunk)
+    assert np.array_equal(_negative_matrix(g, pos, 9, seed=4), want)
+    with pytest.raises(NegativeSamplingError, match=r"positive \(2, 3, 0\) "):
+        _negative_matrix(g, np.array([0, g.m - 2, g.m - 1]), 9, seed=4)
 
 
 def test_negatives_uniform_on_rejection_path():

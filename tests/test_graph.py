@@ -105,6 +105,12 @@ def test_edge_index_and_ids(g1):
         g1.edge_index(2, 1, 0)
     ids = g1.edge_ids([1, 1], [4, 2], [1, 0])
     assert list(ids) == [g1.edge_index(1, 4, 1), g1.edge_index(1, 2, 0)]
+    # the pair (1, 2) exists, but only with etype 0
+    with pytest.raises(UnknownEdgeError):
+        g1.edge_ids([1, 1], [4, 2], [1, 1])
+    dense = g1.dense_ids([1, 1, 2])
+    assert list(g1.dense_edge_ids(dense, g1.dense_ids([2, 2, 1]), np.array([0, 1, 0]))) == \
+        [g1.edge_index(1, 2, 0), -1, -1]
 
 
 def test_edge_mask_forms(g1):

@@ -172,11 +172,14 @@ def test_randbelow_array_in_range_without_overflow_warnings(seed, bounds):
     assert all(0 <= d < b for d, b in zip(draws.tolist(), bounds))
 
 
-def test_randbelow_array_rejects_by_first_word():
-    # bound 5 masks with 7: the draw is the first masked word below 5
-    key = int(counter_words(11, 0, [0])[0])
-    words = [splitmix64((key + r * _GAMMA) % 2**64) & 7 for r in range(64)]
-    assert int(randbelow_array([key], 5)[0]) == next(w for w in words if w < 5)
+def test_randbelow_array_takes_first_word_below_bound():
+    # bound 5 masks with 7; about 3 keys in 8 reject their first word
+    keys = counter_words(11, 0, np.arange(64))
+    want = []
+    for key in keys.tolist():
+        words = (splitmix64((key + r * _GAMMA) % 2**64) & 7 for r in range(64))
+        want.append(next(w for w in words if w < 5))
+    assert randbelow_array(keys, 5).tolist() == want
 
 
 def test_randbelow_array_roughly_uniform():
