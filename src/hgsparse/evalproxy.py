@@ -89,9 +89,10 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
     uniformly from v's node-type population, rejecting w with (u, w, t)
     already an edge of g; duplicates across the per_pos draws are fine.
     Attempt a of entry e = i * per_pos + j is keyed by counter
-    e * (cap + 1) + a, and all open entries are drawn at once.  After cap
-    rejections an entry draws from an exact scan of its positive's valid
-    destinations (a = cap), so dense neighborhoods stay uniform.
+    e * (cap + 1) + a; open entries are drawn together, a chunk at a time.
+    After cap rejections an entry draws from an exact scan of its
+    positive's valid destinations (a = cap), so dense neighborhoods stay
+    uniform.
     """
     if per_pos < 1:
         raise ValueError(f"per_pos must be >= 1, got {per_pos}")

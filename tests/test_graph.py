@@ -113,6 +113,20 @@ def test_edge_index_and_ids(g1):
         [g1.edge_index(1, 2, 0), -1, -1]
 
 
+@pytest.mark.parametrize("seed", [1, 7, 18, 28])
+def test_dense_edge_ids_match_a_set_lookup(seed):
+    # multi-etype pairs and misses, against a plain dict of identities
+    g = make_random_graph(seed, max_t=3)
+    table = {key: eid for eid, key in enumerate(zip(g.src.tolist(), g.dst.tolist(),
+                                                    g.etype.tolist()))}
+    rng = np.random.default_rng(seed)
+    us = np.concatenate((g.src, rng.integers(0, g.n, 500)))
+    ws = np.concatenate((g.dst, rng.integers(0, g.n, 500)))
+    ts = np.concatenate((g.etype, rng.integers(0, 4, 500)))
+    want = [table.get(key, -1) for key in zip(us.tolist(), ws.tolist(), ts.tolist())]
+    assert g.dense_edge_ids(us, ws, ts).tolist() == want
+
+
 def test_edge_mask_forms(g1):
     assert g1.edge_mask(None).all()
     assert list(g1.edge_mask([(1, 4, 1)])) == [False, False, True]
