@@ -21,7 +21,7 @@ from .evalproxy import (ADAMIC_ADAR, COMMON_NEIGHBORS, SCORERS, EdgeSplit,
                         split_edges)
 from .graph import (DIRECTIONS, IN, OUT, EdgeRecord, GraphStats, HeteroGraph,
                     build_graph, build_graph_arrays, graph_stats)
-from .hgb_io import (LinkFileOptions, read_link_file, read_node_file,
+from .hgb_io import (LinkFileOptions, LinkTable, read_link_file, read_node_file,
                      write_link_file, write_node_file, write_report)
 from .metrics import (CoverageViolation, coverage_report, isolated_nodes,
                       per_type_kept, sparsification_ratio)
@@ -40,7 +40,7 @@ __all__ = [
     "CoverageViolation", "DataError", "DegenerateSplitError", "EdgeRecord",
     "EdgeSplit", "EdgeTypeSpec", "EmptyGraphError", "EvalReport", "GenSpec",
     "GenSpecError", "GraphStats", "HeteroGraph", "InfeasibleSpecError",
-    "LinkFileOptions", "LinkFormatError", "NegativeSamplingError",
+    "LinkFileOptions", "LinkFormatError", "LinkTable", "NegativeSamplingError",
     "NodeFileError", "NonFiniteWeightError", "RandomStream", "RetryCapError",
     "SparsifierResult", "SparsifyParams", "TrainView", "UnknownEdgeError",
     "UnknownNodeError", "VerificationError", "auc", "build_graph",

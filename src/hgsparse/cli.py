@@ -11,13 +11,14 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 import click
+import numpy as np
 
 from ._rng import substream_seed
 from .errors import (DataError, LinkFormatError, NodeFileError,
                      UnknownEdgeError, UnknownNodeError, VerificationError)
 from .evalproxy import COMMON_NEIGHBORS, SCORERS, evaluate
-from .graph import HeteroGraph, build_graph
-from .hgb_io import (LinkFileOptions, read_link_file, read_node_file,
+from .graph import HeteroGraph, build_graph_arrays
+from .hgb_io import (LinkFileOptions, LinkTable, read_link_file, read_node_file,
                      write_link_file, write_node_file, write_report)
 from .metrics import coverage_report, isolated_nodes, per_type_kept
 from .sparsify import METHODS, PER_TYPE, SparsifyParams, sparsify
@@ -55,10 +56,10 @@ def _link_options(weighted: bool, delimiter: str, comment_prefix) -> LinkFileOpt
         return LinkFileOptions(has_weight=weighted, delimiter=delimiter,
                                comment_prefix=comment_prefix)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+        raise click.ClickException(str(exc)) from None  # one line, no usage text
 
 
-def _read_links(path: str, opts: LinkFileOptions) -> list:
+def _read_links(path: str, opts: LinkFileOptions) -> LinkTable:
     try:
         return read_link_file(path, opts)
     except LinkFormatError as exc:
@@ -67,20 +68,38 @@ def _read_links(path: str, opts: LinkFileOptions) -> list:
 
 def _load_graph(links, nodes, weighted, delimiter, comment_prefix) -> HeteroGraph:
     opts = _link_options(weighted, delimiter, comment_prefix)
-    records = _read_links(links, opts)
-    node_types = None
+    table = _read_links(links, opts)
+    node_ids = node_types = None
     if nodes:
         try:
-            node_types = {nid: t for nid, (_name, t) in read_node_file(nodes).items()}
+            node_table = read_node_file(nodes)
         except NodeFileError as exc:
             raise DataError(f"{nodes}: {exc}") from None
-    return build_graph(records, node_types)
+        node_ids = np.fromiter(node_table, dtype=np.int64, count=len(node_table))
+        node_types = np.fromiter((t for _name, t in node_table.values()),
+                                 dtype=np.int64, count=len(node_table))
+    return build_graph_arrays(table.src, table.dst, table.etype, weight=table.weight,
+                              node_ids=node_ids, node_types=node_types)
 
 
 def _stamp(report: dict, deterministic: bool) -> dict:
     if not deterministic:
         report["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return report
+
+
+def _selection_report(g: HeteroGraph, mask, k: int, method: str, seed,
+                      violations, isolated, deterministic: bool) -> dict:
+    """The report of sparsify and verify: what an edge selection kept."""
+    kept = int(mask.sum())
+    return _stamp({
+        "n": g.n, "m": g.m, "k": k, "t": g.t, "method": method, "seed": seed,
+        "kept_edges": kept, "ratio": kept / g.m if g.m else 0.0,
+        "per_type_kept": {str(t): c for t, c in per_type_kept(g, mask).items()},
+        "duplicates_dropped": g.duplicates_dropped,
+        "coverage_violations": [v.to_dict() for v in violations],
+        "isolated_nodes": sorted(isolated),
+    }, deterministic)
 
 
 @app.command(name="sparsify")
@@ -105,15 +124,8 @@ def sparsify_cmd(links, nodes, weighted, delimiter, comment_prefix,
     violations = coverage_report(g, result.mask, k, method)
     isolated = isolated_nodes(g, result.mask)
     if report_path:
-        report = _stamp({
-            "n": g.n, "m": g.m, "k": k, "t": g.t, "method": method, "seed": seed,
-            "kept_edges": result.kept, "ratio": result.ratio,
-            "per_type_kept": {str(t): c for t, c in per_type_kept(g, result.mask).items()},
-            "duplicates_dropped": g.duplicates_dropped,
-            "coverage_violations": [v.to_dict() for v in violations],
-            "isolated_nodes": sorted(isolated),
-        }, deterministic)
-        write_report(report, report_path)
+        write_report(_selection_report(g, result.mask, k, method, seed, violations,
+                                       isolated, deterministic), report_path)
     click.echo(f"kept {result.kept} of {g.m} edges "
                f"(ratio {result.ratio:.4f}, method {method}, k={k}) -> {out}")
 
@@ -213,34 +225,27 @@ def verify_cmd(links, nodes, weighted, delimiter, comment_prefix,
     """Check a sparse edge file against the guarantees of a method."""
     g = _load_graph(links, nodes, weighted, delimiter, comment_prefix)
     opts = _link_options(weighted, delimiter, comment_prefix)
-    kept_records = _read_links(sparse, opts)
+    kept = _read_links(sparse, opts)
+    mask = np.zeros(g.m, dtype=bool)
     try:
-        mask = g.edge_mask([r.key for r in kept_records])
+        mask[g.edge_ids(kept.src, kept.dst, kept.etype)] = True
     except (UnknownEdgeError, UnknownNodeError) as exc:
         raise VerificationError(f"sparse file is not a subset of the graph: {exc}")
     violations = coverage_report(g, mask, k, method)
     isolated = isolated_nodes(g, mask)
-    kept = int(mask.sum())
     for v in violations:
         click.echo(f"violation: node {v.node} {v.direction} etype {v.etype}: "
                    f"kept {v.actual} < required {v.required}")
     for u in sorted(isolated):
         click.echo(f"isolated: node {u}")
     if report_path:
-        report = _stamp({
-            "n": g.n, "m": g.m, "k": k, "t": g.t, "method": method, "seed": None,
-            "kept_edges": kept, "ratio": kept / g.m if g.m else 0.0,
-            "per_type_kept": {str(t): c for t, c in per_type_kept(g, mask).items()},
-            "duplicates_dropped": g.duplicates_dropped,
-            "coverage_violations": [v.to_dict() for v in violations],
-            "isolated_nodes": sorted(isolated),
-        }, deterministic)
-        write_report(report, report_path)
+        write_report(_selection_report(g, mask, k, method, None, violations,
+                                       isolated, deterministic), report_path)
     if violations or isolated:
         raise VerificationError(
             f"{len(violations)} coverage violation(s), "
             f"{len(isolated)} isolated node(s)")
-    click.echo(f"ok: {kept} of {g.m} edges satisfy {method} coverage at k={k}")
+    click.echo(f"ok: {int(mask.sum())} of {g.m} edges satisfy {method} coverage at k={k}")
 
 
 @app.command(name="eval")

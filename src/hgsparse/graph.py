@@ -100,7 +100,7 @@ class HeteroGraph:
     """Use :func:`build_graph` or :func:`build_graph_arrays` to construct."""
 
     __slots__ = ("node_ids", "node_types", "src", "dst", "etype", "weight",
-                 "duplicates_dropped", "_out", "_in", "_etype_ids")
+                 "duplicates_dropped", "_out", "_in", "_etype_ids", "_pair_key")
 
     def __init__(self, node_ids, node_types, src, dst, etype, weight,
                  duplicates_dropped, out_index, in_index):
@@ -114,6 +114,10 @@ class HeteroGraph:
         self._out = out_index
         self._in = in_index
         self._etype_ids = np.unique(etype)
+        # the table is sorted by (src, dst, etype), so src * n + dst ascends
+        # with each pair's etypes in one run; n * n < 2**63 for any graph
+        # that fits in memory, so the pair key cannot overflow
+        self._pair_key = src * node_ids.shape[0] + dst
 
     # ---- basic counts ----
 
@@ -247,10 +251,7 @@ class HeteroGraph:
     def dense_edge_ids(self, src: np.ndarray, dst: np.ndarray,
                        etype: np.ndarray) -> np.ndarray:
         """Edge id of each (src, dst, etype) of dense node ids; -1 if absent."""
-        # the table is sorted by (src, dst, etype), so src * n + dst ascends
-        # with each pair's etypes in one run; n * n < 2**63 for any graph
-        # that fits in memory, so the pair key cannot overflow
-        pair = self.src * self.n + self.dst
+        pair = self._pair_key
         key = src * self.n + dst
         lo = np.searchsorted(pair, key, side="left")
         run = np.searchsorted(pair, key, side="right") - lo

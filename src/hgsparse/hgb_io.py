@@ -1,8 +1,17 @@
 """HGB-style tab-separated graph files plus JSON run reports.
 
-Formats (UTF-8, LF endings):
+Formats (UTF-8):
 
-* link file: ``<src>\\t<dst>\\t<etype>[\\t<weight>]`` per line
+* link file: ``<src>\\t<dst>\\t<etype>[\\t<weight>]`` per line, the
+  delimiter any one non-digit character.  Ids and edge types are ASCII
+  digits ``[0-9]+`` of any length with a value in ``[0, 2**63)``; the
+  weight column is there on every line or on none, and holds a finite
+  value that ``float()`` accepts.  A line ends at ``\\n`` without the
+  CRs just before it; read by path, a lone CR also ends a line.  Blank
+  (whitespace-only) lines and lines starting with the comment prefix
+  are skipped but counted in error line numbers.
+  :func:`read_link_file` checks and parses the whole text with numpy
+  passes over its code points into a :class:`LinkTable` of columns.
 * node file: ``<node_id>\\t<name>\\t<node_type_id>`` per line; extra
   attribute columns are ignored with a warning
 * report: a JSON object, keys sorted, written with a trailing newline
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -22,7 +32,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, LinkFormatError, NodeFileError
-from .graph import EdgeRecord, HeteroGraph
+from .graph import HeteroGraph
+
+_MAX_ID = 2**63 - 1  # ids are stored as int64
+# A line's trailing CRs are not part of it.  A file read by path has none
+# left after universal-newline decoding; a text stream may keep them.
+_TRAILING_CR = re.compile(r"\r+(?=\n|\Z)")
+# str.isspace() by code point; no code point above U+3000 is whitespace,
+# so larger ones clip to the last entry, which is False
+_IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 
 @dataclass(frozen=True)
@@ -38,6 +56,21 @@ class LinkFileOptions:
             raise ValueError("delimiter must not be a digit")
         if self.comment_prefix is not None and len(self.comment_prefix) != 1:
             raise ValueError("comment_prefix must be a single character")
+        if self.comment_prefix is not None and self.comment_prefix.isdigit():
+            raise ValueError("comment_prefix must not be a digit")
+
+
+@dataclass(frozen=True, eq=False)
+class LinkTable:
+    """The edges of a link file as columns, in file order."""
+
+    src: np.ndarray              # int64, original node ids
+    dst: np.ndarray              # int64, original node ids
+    etype: np.ndarray            # int64
+    weight: np.ndarray | None    # float64, or None without a weight column
+
+    def __len__(self) -> int:
+        return int(self.src.shape[0])
 
 
 @contextmanager
@@ -53,50 +86,143 @@ def _opened(source, mode: str):
         raise DataError(f"{getattr(source, 'name', source)}: not UTF-8 text") from None
 
 
-def _parse_id(field: str, what: str, line_no: int) -> int:
+def _code_points(text: str) -> np.ndarray:
+    """The text as an array of code points, one byte each when it is ASCII."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def _text(chars: np.ndarray) -> str:
+    if chars.dtype == np.uint8:
+        return chars.tobytes().decode("ascii")
+    return chars.tobytes().decode("utf-32-le", "surrogatepass")
+
+
+def _interleave(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The bounds lo[0], hi[0], lo[1], hi[1], ... of ascending spans [lo, hi)."""
+    bounds = np.empty(2 * lo.shape[0], dtype=np.int64)
+    bounds[0::2] = lo
+    bounds[1::2] = hi
+    return bounds
+
+
+def _span_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Length-n mask that is True on the ascending, disjoint spans [lo, hi)."""
+    bounds = np.concatenate(([0], _interleave(lo, hi), [n]))
+    inside = np.zeros(bounds.shape[0] - 1, dtype=bool)
+    inside[1::2] = True
+    return np.repeat(inside, bounds[1:] - bounds[:-1])
+
+
+def _blank(chars: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Whether each line ``chars[start:end]`` is empty or whitespace only."""
+    # each span takes its line's newline too, a space, so none is empty
+    lens = end + 1 - start
+    nonspace = ~_IS_SPACE.take(chars[_span_mask(chars.shape[0], start, end + 1)],
+                               mode="clip")
+    return ~np.logical_or.reduceat(nonspace, np.cumsum(lens) - lens)
+
+
+def _line_error(line: str, opts: LinkFileOptions) -> str:
+    """Why a line that is neither blank nor a comment is not a link."""
+    fields = line.split(opts.delimiter)
+    if len(fields) not in (3, 4):
+        return f"expected 3 or 4 fields, got {len(fields)}"
+    if len(fields) == 4 and not opts.has_weight:
+        return "unexpected weight column (weights are disabled)"
+    if len(fields) == 3 and opts.has_weight:
+        return "missing weight column (weights are enabled)"
+    for what, field in zip(("src", "dst", "etype"), fields):
+        if not (field.isascii() and field.isdigit()):
+            return f"invalid integer {field!r} for {what}"
+        digits = field.lstrip("0") or "0"
+        if len(digits) > 19 or int(digits) > _MAX_ID:
+            return f"{what} {digits} is outside [0, 2**63)"
     try:
-        value = int(field)
+        float(fields[3])
     except ValueError:
-        raise LinkFormatError(line_no, f"invalid integer {field!r} for {what}") from None
-    if not 0 <= value < 2**63:  # stored as int64
-        raise LinkFormatError(line_no, f"{what} {value} is outside [0, 2**63)")
-    return value
+        return f"invalid weight {fields[3]!r}"
+    return f"non-finite weight {fields[3]!r}"
 
 
-def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> list[EdgeRecord]:
-    """Parse a link file into EdgeRecords in file order."""
-    records: list[EdgeRecord] = []
+def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTable:
+    """Parse a link file into columns, in file order.
+
+    Raises :class:`LinkFormatError` naming the first malformed line.
+    """
     with _opened(source, "r") as stream:
-        for line_no, raw in enumerate(stream, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            if opts.comment_prefix and line.startswith(opts.comment_prefix):
-                continue
-            fields = line.split(opts.delimiter)
-            if len(fields) not in (3, 4):
-                raise LinkFormatError(
-                    line_no, f"expected 3 or 4 fields, got {len(fields)}")
-            if len(fields) == 4 and not opts.has_weight:
-                raise LinkFormatError(
-                    line_no, "unexpected weight column (weights are disabled)")
-            if len(fields) == 3 and opts.has_weight:
-                raise LinkFormatError(
-                    line_no, "missing weight column (weights are enabled)")
-            src = _parse_id(fields[0], "src", line_no)
-            dst = _parse_id(fields[1], "dst", line_no)
-            etype = _parse_id(fields[2], "etype", line_no)
-            weight = None
-            if opts.has_weight:
-                try:
-                    weight = float(fields[3])
-                except ValueError:
-                    raise LinkFormatError(
-                        line_no, f"invalid weight {fields[3]!r}") from None
-                if not math.isfinite(weight):
-                    raise LinkFormatError(line_no, f"non-finite weight {fields[3]!r}")
-            records.append(EdgeRecord(src, dst, etype, weight))
-    return records
+        text = stream.read()
+    if "\r" in text:
+        text = _TRAILING_CR.sub("", text)
+    if text and not text.endswith("\n"):
+        text += "\n"
+    chars = _code_points(text)
+
+    # a line's fields end at delimiters and at its newline
+    is_nl = chars == 10
+    is_sep = is_nl | (chars == ord(opts.delimiter))
+    sep = np.flatnonzero(is_sep)
+    line_last = np.flatnonzero(is_nl[sep])  # index into sep of each newline
+    line_first = np.concatenate(([0], line_last + 1))[:-1]
+    line_end = sep[line_last]
+    line_start = np.concatenate(([0], line_end + 1))[:-1]
+    if opts.comment_prefix is None:
+        comment = np.zeros(line_end.shape[0], dtype=bool)
+    else:
+        comment = chars[line_start] == ord(opts.comment_prefix)
+
+    # in a row of the right width, ids src, dst, etype end at ends[0],
+    # ends[1], ends[2] and span chars[start:ends[2]] with the delimiters
+    # between them; each id is one or more ASCII digits
+    width = 4 if opts.has_weight else 3
+    rows = np.flatnonzero((line_last - line_first + 1 == width) & ~comment)
+    start = line_start[rows]
+    ends = sep[line_first[rows] + np.arange(3)[:, None]]
+    digit = chars - 48 <= 9  # wraps below '0' in the unsigned dtype
+    stray = np.logical_or.reduceat(~(digit | is_sep), _interleave(start, ends[2]))
+    rows_ok = ((ends[0] > start) & (ends[1] > ends[0] + 1) & (ends[2] > ends[1] + 1)
+               & ~stray[::2])
+    good = rows[rows_ok]
+    start = start[rows_ok]
+    ends = ends[:, rows_ok]
+
+    # every other line that is not a comment is malformed unless blank
+    bad = ~comment
+    bad[good] = False
+    suspect = np.flatnonzero(bad)
+    bad[suspect[_blank(chars, line_start[suspect], line_end[suspect])]] = False
+
+    # parse all ids in one pass over a copy holding only their digits,
+    # spaces elsewhere; uint64 saturates above 2**64 - 1, so the range
+    # check sees every overlong id
+    keep = _span_mask(chars.shape[0], start, ends[2]) & digit
+    digits = ((chars - 32) * keep + 32).astype(np.uint8).tobytes()
+    values = np.empty(0, dtype=np.uint64)
+    if good.shape[0]:  # fromstring reads a string of spaces as [0]
+        values = np.fromstring(digits, dtype=np.uint64, sep=" ")
+    bad[good[np.flatnonzero(values > _MAX_ID) // 3]] = True
+
+    weight = None
+    if opts.has_weight:
+        # the weight is the rest of the row; its newline separates the fields
+        keep = _span_mask(chars.shape[0], ends[2] + 1, line_end[good] + 1)
+        fields = _text(chars[keep]).split("\n")[:-1]
+        parsed: list[float] = []
+        try:
+            parsed.extend(map(float, fields))
+        except ValueError:
+            # extend keeps what it appended, so the first bad field is next
+            bad[good[len(parsed)]] = True
+        weight = np.array(parsed, dtype=np.float64)
+        bad[good[:weight.shape[0]][~np.isfinite(weight)]] = True
+
+    first = np.flatnonzero(bad)
+    if first.shape[0]:
+        i = int(first[0])
+        raise LinkFormatError(i + 1, _line_error(text[line_start[i]:line_end[i]], opts))
+    src, dst, etype = values.view(np.int64).reshape(-1, 3).T.copy()
+    return LinkTable(src, dst, etype, weight)
 
 
 def read_node_file(source) -> dict[int, tuple[str, int]]:
@@ -136,17 +262,17 @@ def write_link_file(g: HeteroGraph, dest, selected=None, delimiter: str = "\t") 
     """Write kept edges in canonical order; returns the line count."""
     mask = g.edge_mask(selected)
     ids = np.flatnonzero(mask)
-    src = g.node_ids[g.src[ids]]
-    dst = g.node_ids[g.dst[ids]]
-    etype = g.etype[ids]
-    weights = g.weight[ids] if g.weight is not None else None
+    src = g.node_ids[g.src[ids]].tolist()
+    dst = g.node_ids[g.dst[ids]].tolist()
+    etype = g.etype[ids].tolist()
+    tails = [""] * len(src)
+    if g.weight is not None:
+        tails = ["" if math.isnan(w) else f"{delimiter}{float(w)!r}"
+                 for w in g.weight[ids].tolist()]
     with _opened(dest, "w") as stream:
-        for i in range(ids.shape[0]):
-            line = f"{src[i]}{delimiter}{dst[i]}{delimiter}{etype[i]}"
-            if weights is not None and not np.isnan(weights[i]):
-                line += f"{delimiter}{float(weights[i])!r}"
-            stream.write(line + "\n")
-    return int(ids.shape[0])
+        stream.write("".join([f"{s}{delimiter}{d}{delimiter}{t}{tail}\n"
+                              for s, d, t, tail in zip(src, dst, etype, tails)]))
+    return len(src)
 
 
 def write_node_file(dest, node_ids, node_types, names=None) -> int:

@@ -22,7 +22,7 @@ from hgsparse import (
     RandomStream,
     SparsifyParams,
     auc,
-    build_graph,
+    build_graph_arrays,
     coverage_report,
     evaluate,
     generate,
@@ -125,8 +125,8 @@ def test_determinism_byte_identical(tmp_path):
                     reason=f"set {PUBMED_ENV} to a PubMed link.dat to enable")
 def test_pubmed_ratio_reproduction():
     started = time.perf_counter()
-    records = read_link_file(os.environ[PUBMED_ENV], LinkFileOptions(has_weight=True))
-    g = build_graph(records)
+    table = read_link_file(os.environ[PUBMED_ENV], LinkFileOptions(has_weight=True))
+    g = build_graph_arrays(table.src, table.dst, table.etype, weight=table.weight)
     expected = {1: 0.45, 2: 0.59, 3: 0.67, 5: 0.75, 10: 0.86}
     ratios = {k: sparsify_graph(g, SparsifyParams(k=k, seed=0)).ratio
               for k in SUITE_KS}

@@ -284,6 +284,35 @@ def test_verify_rejects_alien_edges(chain_file, tmp_path):
                 "--k", "1"]) == 3
 
 
+def test_verify_subset_messages_and_empty_sparse(chain_file, tmp_path, capsys):
+    sparse = tmp_path / "sparse.dat"
+    prefix = "verification failed: sparse file is not a subset of the graph: "
+    for line, reason in (("99\t98\t0", "node 99 is not in the graph"),
+                         ("1\t0\t0", "(1, 0, 0) is not an edge"),
+                         ("1\t2\t5", "(1, 2, 5) is not an edge")):
+        sparse.write_text(f"0\t1\t0\n{line}\n")
+        assert run(["verify", "--links", str(chain_file), "--sparse", str(sparse),
+                    "--k", "1"]) == 3
+        assert _one_line_error(capsys) == prefix + reason + "\n"
+    # an empty sparse file keeps no edge, so every node is isolated
+    sparse.write_text("")
+    report = tmp_path / "v.json"
+    assert run(["verify", "--links", str(chain_file), "--sparse", str(sparse),
+                "--k", "1", "--report", str(report), "--deterministic"]) == 3
+    payload = json.loads(report.read_text())
+    assert payload["kept_edges"] == 0 and payload["ratio"] == 0.0
+    assert payload["isolated_nodes"] == list(range(9))
+    assert payload["per_type_kept"] == {"0": 0}
+
+
+def test_bad_link_options_exit_one(star_file, capsys):
+    for flag, value, reason in (("--comment-prefix", "0", "comment_prefix must not be a digit"),
+                                ("--delimiter", "7", "delimiter must not be a digit"),
+                                ("--delimiter", "::", "delimiter must be a single character")):
+        assert run(["stats", "--links", str(star_file), flag, value]) == 1
+        assert _one_line_error(capsys) == f"Error: {reason}\n"
+
+
 def test_eval_full_and_sparsified(star_file, tmp_path, capsys):
     report = tmp_path / "e.json"
     code = run(["eval", "--links", str(star_file), "--holdout", "0.25",

@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from hgsparse import (
@@ -10,6 +11,7 @@ from hgsparse import (
     LinkFormatError,
     NodeFileError,
     build_graph,
+    build_graph_arrays,
     read_link_file,
     read_node_file,
     write_link_file,
@@ -18,16 +20,25 @@ from hgsparse import (
 )
 
 
+def _rows(table) -> list[tuple]:
+    weights = table.weight.tolist() if table.weight is not None else [None] * len(table)
+    return list(zip(table.src.tolist(), table.dst.tolist(), table.etype.tolist(), weights))
+
+
 def test_two_line_parse():
-    recs = read_link_file(io.StringIO("1\t2\t0\n1\t3\t0\n"))
-    assert [r.key for r in recs] == [(1, 2, 0), (1, 3, 0)]
-    assert all(r.weight is None for r in recs)
+    table = read_link_file(io.StringIO("1\t2\t0\n1\t3\t0\n"))
+    assert len(table) == 2
+    assert _rows(table) == [(1, 2, 0, None), (1, 3, 0, None)]
+    assert table.weight is None
+    for column in (table.src, table.dst, table.etype):
+        assert column.dtype == np.int64
 
 
 def test_weighted_parse():
     opts = LinkFileOptions(has_weight=True)
-    recs = read_link_file(io.StringIO("1\t2\t0\t0.5\n"), opts)
-    assert recs == [(1, 2, 0, 0.5)]
+    table = read_link_file(io.StringIO("1\t2\t0\t0.5\n"), opts)
+    assert _rows(table) == [(1, 2, 0, 0.5)]
+    assert table.weight.dtype == np.float64
 
 
 def test_two_fields_is_an_error():
@@ -62,8 +73,8 @@ def test_non_finite_weight_rejected_at_parse():
 
 
 def test_custom_delimiter():
-    recs = read_link_file(io.StringIO("1,2,0\n"), LinkFileOptions(delimiter=","))
-    assert recs == [(1, 2, 0, None)]
+    table = read_link_file(io.StringIO("1,2,0\n"), LinkFileOptions(delimiter=","))
+    assert _rows(table) == [(1, 2, 0, None)]
 
 
 def test_delimiter_validation():
@@ -73,6 +84,13 @@ def test_delimiter_validation():
         LinkFileOptions(delimiter="7")
     with pytest.raises(ValueError):
         LinkFileOptions(comment_prefix="too long")
+
+
+def test_digit_comment_prefix_is_rejected():
+    # a digit prefix would skip every edge whose src starts with it
+    for prefix in ("1", "0", "٣"):
+        with pytest.raises(ValueError, match="comment_prefix must not be a digit"):
+            LinkFileOptions(comment_prefix=prefix)
 
 
 def test_node_file_basic():
@@ -119,13 +137,50 @@ def test_write_preserves_weight_column():
     assert out.getvalue() == "1\t2\t0\t0.5\n2\t3\t0\n"
 
 
+def _graph(table):
+    return build_graph_arrays(table.src, table.dst, table.etype, weight=table.weight)
+
+
+def _reference_write(g, dest, selected=None, delimiter="\t") -> int:
+    # the per-row writer that write_link_file replaced
+    mask = g.edge_mask(selected)
+    ids = np.flatnonzero(mask)
+    src = g.node_ids[g.src[ids]]
+    dst = g.node_ids[g.dst[ids]]
+    etype = g.etype[ids]
+    weights = g.weight[ids] if g.weight is not None else None
+    for i in range(ids.shape[0]):
+        line = f"{src[i]}{delimiter}{dst[i]}{delimiter}{etype[i]}"
+        if weights is not None and not np.isnan(weights[i]):
+            line += f"{delimiter}{float(weights[i])!r}"
+        dest.write(line + "\n")
+    return int(ids.shape[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_writer_matches_per_row_reference(seed):
+    rng = np.random.default_rng(seed)
+    m = 300
+    weight = rng.choice([np.nan, 0.1, 1e-300, 2.5, 1e300, -0.0, 1 / 3], size=m)
+    base = [0, 10**12, 2**63 - 41][seed]  # up to the largest int64 id
+    g = build_graph_arrays(base + rng.integers(0, 40, size=m),
+                           base + rng.integers(0, 40, size=m), rng.integers(0, 5, size=m),
+                           weight=weight if seed else None)
+    selected = rng.random(g.m) < 0.5
+    for delimiter in ("\t", ",", "→"):
+        new, old = io.StringIO(), io.StringIO()
+        assert (write_link_file(g, new, selected, delimiter)
+                == _reference_write(g, old, selected, delimiter))
+        assert new.getvalue() == old.getvalue()
+
+
 def test_roundtrip_is_byte_stable(tmp_path):
     text = "5\t1\t2\n1\t5\t0\n1\t2\t0\n1\t2\t1\n"
-    g = build_graph(read_link_file(io.StringIO(text)))
+    g = _graph(read_link_file(io.StringIO(text)))
     first = tmp_path / "a.dat"
     second = tmp_path / "b.dat"
     write_link_file(g, first)
-    write_link_file(build_graph(read_link_file(first)), second)
+    write_link_file(_graph(read_link_file(first)), second)
     assert first.read_bytes() == second.read_bytes()
 
 
