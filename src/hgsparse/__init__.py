@@ -4,11 +4,10 @@ Build a :class:`HeteroGraph`, run :func:`sparsify` to keep at most k
 edges per (node, direction, edge-type) bucket (or per node-direction
 across types), verify the structural guarantees with :mod:`metrics`,
 and measure downstream impact with the :mod:`evalproxy` link-prediction
-proxy.  Set ``HGSPARSE_NO_NUMBA=1`` to run the pure-Python kernels and
-``HGSPARSE_THREADS`` to cap the numba thread pool.
+proxy.  Everything runs as numpy passes and plain Python; there is no
+compiled path.
 """
 
-from ._accel import NUMBA_ENABLED
 from ._rng import RandomStream, mix_seed, substream_seed
 from .errors import (DataError, DegenerateSplitError, EmptyGraphError,
                      GenSpecError, InfeasibleSpecError, LinkFormatError,
@@ -20,19 +19,22 @@ from .evalproxy import (ADAMIC_ADAR, COMMON_NEIGHBORS, SCORERS, EdgeSplit,
                         mrr, sample_negatives, score_pair, score_pairs,
                         split_edges)
 from .graph import (DIRECTIONS, IN, OUT, EdgeRecord, GraphStats, HeteroGraph,
-                    build_graph, build_graph_arrays, graph_stats)
+                    build_graph, build_graph_arrays)
 from .hgb_io import (LinkFileOptions, LinkTable, read_link_file, read_node_file,
                      write_link_file, write_node_file, write_report)
 from .metrics import (CoverageViolation, coverage_report, isolated_nodes,
                       per_type_kept, sparsification_ratio)
 from .sparsify import (ALL_TYPES, METHODS, PER_TYPE, SparsifierResult,
                        SparsifyParams, sample_without_replacement, sparsify,
-                       sparsify_alt, sparsify_graph, sparsify_node_direction,
-                       vertex_order)
+                       sparsify_node_direction, vertex_order)
 from .synthgen import (EdgeTypeSpec, GenSpec, generate, parse_spec_file,
                        pubmed_like_spec)
 
 __version__ = "0.1.0"
+
+# There is no compiled path any more; the flag stays because the benchmark
+# (perfbench/run.py) records it with every run.
+NUMBA_ENABLED = False
 
 __all__ = [
     "ADAMIC_ADAR", "ALL_TYPES", "COMMON_NEIGHBORS", "DIRECTIONS", "IN",
@@ -45,11 +47,11 @@ __all__ = [
     "SparsifierResult", "SparsifyParams", "TrainView", "UnknownEdgeError",
     "UnknownNodeError", "VerificationError", "auc", "build_graph",
     "build_graph_arrays", "candidate_ranks", "coverage_report", "evaluate",
-    "generate", "graph_stats", "isolated_nodes", "mix_seed", "mrr",
+    "generate", "isolated_nodes", "mix_seed", "mrr",
     "parse_spec_file", "per_type_kept", "pubmed_like_spec", "read_link_file",
     "read_node_file", "sample_negatives", "sample_without_replacement",
     "score_pair", "score_pairs", "sparsification_ratio", "sparsify",
-    "sparsify_alt", "sparsify_graph", "sparsify_node_direction", "split_edges",
+    "sparsify_node_direction", "split_edges",
     "substream_seed", "vertex_order", "write_link_file", "write_node_file",
     "write_report",
 ]

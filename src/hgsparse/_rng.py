@@ -1,11 +1,9 @@
 """Deterministic 64-bit random streams used by every sampling routine.
 
-The sweep draws from a sequential stream: xorshift64 (shifts 13/7/17)
-seeded through a splitmix64 scramble, with bounded draws done by
-mask-and-reject so each value below the bound is equally likely.  The
-compiled kernels implement the exact same update over ``uint64`` scalars,
-so a stream state can cross the numba boundary in either direction and
-stay reproducible.  :class:`RandomStream` is the pure ``int`` reference.
+The sweep draws from a sequential stream, :class:`RandomStream`:
+xorshift64 (shifts 13/7/17) seeded through a splitmix64 scramble, with
+bounded draws done by mask-and-reject so each value below the bound is
+equally likely.  Its state is a plain Python ``int``.
 
 Eval's split and negatives draw from a counter-keyed stream: the word at
 counter ``c`` of stream ``(seed, tag)`` is output ``c`` of a SplitMix64
@@ -14,8 +12,8 @@ OOPSLA 2014).  No word depends on another, so numpy computes them in
 batches (Salmon et al., SC 2011); counter to word is a bijection, so
 distinct counters of one stream never share a word.
 
-Stream-consumption rules of the sequential stream (shared with the
-kernels, relied on by the equivalence tests):
+Stream-consumption rules of the sequential stream (the sweep's output
+depends on them, and the golden mask tests pin it):
 
 * ``randbelow(1)`` and ``randbelow(0)`` return 0 without advancing.
 * A shuffle of ``count`` positions consumes exactly ``count`` bounded
@@ -108,18 +106,6 @@ def substream_seed(seed: int, tag: int) -> int:
     return splitmix64(splitmix64(seed & _MASK64) ^ (tag & _MASK64))
 
 
-def state_buffer(seed: int) -> np.ndarray:
-    """Seeded stream state in the one-element uint64 form the kernels take."""
-    return np.array([mix_seed(seed)], dtype=np.uint64)
-
-
-def _next(state: int) -> int:
-    state ^= (state << 13) & _MASK64
-    state ^= state >> 7
-    state ^= (state << 17) & _MASK64
-    return state
-
-
 class RandomStream:
     """Tiny stateful wrapper over the xorshift64 stream."""
 
@@ -136,16 +122,12 @@ class RandomStream:
         """Uniform integer in ``[0, bound)``; 0 consumes no state when bound <= 1."""
         if bound <= 1:
             return 0
-        mask = bound - 1
-        mask |= mask >> 1
-        mask |= mask >> 2
-        mask |= mask >> 4
-        mask |= mask >> 8
-        mask |= mask >> 16
-        mask |= mask >> 32
+        mask = (1 << (bound - 1).bit_length()) - 1
         state = self._state
         while True:
-            state = _next(state)
+            state ^= (state << 13) & _MASK64
+            state ^= state >> 7
+            state ^= (state << 17) & _MASK64
             draw = state & mask
             if draw < bound:
                 self._state = state

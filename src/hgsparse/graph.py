@@ -436,7 +436,3 @@ def build_graph(edges: Iterable, node_types: Mapping[int, int] | None = None) ->
         srcs, dsts, etypes,
         weight=np.asarray(weights) if any_weight else None,
         node_ids=node_ids, node_types=node_type_arr)
-
-
-def graph_stats(g: HeteroGraph) -> GraphStats:
-    return g.stats()

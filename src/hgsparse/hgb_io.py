@@ -54,6 +54,8 @@ class LinkFileOptions:
             raise ValueError("delimiter must be a single character")
         if self.delimiter.isdigit():
             raise ValueError("delimiter must not be a digit")
+        if self.delimiter in "\r\n":
+            raise ValueError("delimiter must not be a line break")
         if self.comment_prefix is not None and len(self.comment_prefix) != 1:
             raise ValueError("comment_prefix must be a single character")
         if self.comment_prefix is not None and self.comment_prefix.isdigit():

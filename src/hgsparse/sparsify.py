@@ -5,7 +5,7 @@ degree (ties by ascending node id), out-direction before in-direction
 per vertex, edges only ever added to the kept set H.
 
 * ``per-type``: within each (node, direction, edge-type) bucket B, keep
-  all of B when |B| < k; otherwise top B's intersection with H up to k
+  all of B when |B| <= k; otherwise top B's intersection with H up to k
   by sampling uniformly without replacement from B - H.  Every bucket
   ends with >= min(k, |B|) kept edges and |H| <= 2ktn.
 * ``all-types``: per node-direction, first guarantee one kept edge in
@@ -15,6 +15,19 @@ per vertex, edges only ever added to the kept set H.
 
 Sampling pools are always in ascending edge-identity order before the
 partial shuffle, so a (graph, k, method, seed) tuple fully determines H.
+
+The sweep visits units: a per-type bucket, or an all-types
+node-direction.  The unit of node u in direction d comes at time
+2*rank(u) + d, rank being the position of u in :func:`vertex_order`.  A
+unit is *order-free* when it keeps all of its edges whatever H holds on
+arrival: a per-type bucket of at most k edges, or a node-direction whose
+buckets each hold one edge.  Such a unit draws nothing from the random
+stream (every take-all step and every ``randbelow(1)`` is free), so the
+sweep keeps all of their edges in one numpy pass and walks only the other
+units, in time order, in Python.  An edge belongs to one unit per
+direction, so when a walked unit looks at an edge, the edge is in H iff
+an earlier walked unit picked it or its order-free unit came earlier.
+The stream is consumed draw for draw as by the one-unit-at-a-time sweep.
 """
 
 from __future__ import annotations
@@ -23,14 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _sweep
-from ._rng import RandomStream, state_buffer
+from ._rng import RandomStream
 from .errors import EmptyGraphError
-from .graph import HeteroGraph
+from .graph import IN, OUT, HeteroGraph
 
 PER_TYPE = "per-type"
 ALL_TYPES = "all-types"
 METHODS = (PER_TYPE, ALL_TYPES)
+
+_NEVER = np.iinfo(np.int64).max  # the time of an edge no order-free unit keeps
 
 
 @dataclass(frozen=True)
@@ -70,47 +84,100 @@ def vertex_order(g: HeteroGraph) -> np.ndarray:
     return np.lexsort((np.arange(g.n), g.degrees())).astype(np.int64)
 
 
-def _run_sweep(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``arange(s, s + n)`` for each pair of ``starts`` and ``lens``, concatenated."""
+    offsets = np.cumsum(lens) - lens
+    return np.repeat(starts - offsets, lens) + np.arange(lens.sum())
+
+
+def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
+    """Run whichever method ``params`` names."""
     if g.m == 0:
         raise EmptyGraphError("cannot sparsify a graph with no edges")
-    out_idx = g._dir_index("out")
-    in_idx = g._dir_index("in")
-    scratch_len = max(
-        int(np.diff(out_idx.node_ptr).max()),
-        int(np.diff(in_idx.node_ptr).max()),
-        1,
-    )
-    selected = np.zeros(g.m, dtype=np.bool_)
-    scratch = np.empty(scratch_len, dtype=np.int64)
-    _sweep(
-        params.method == PER_TYPE,
-        vertex_order(g),
-        out_idx.order, out_idx.bkt_ptr, out_idx.node_bkt_ptr,
-        in_idx.order, in_idx.bkt_ptr, in_idx.node_bkt_ptr,
-        params.k, selected, scratch, state_buffer(params.seed),
-    )
+    per_type = params.method == PER_TYPE
+    out_idx, in_idx = g._dir_index(OUT), g._dir_index(IN)
+    m = g.m
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[vertex_order(g)] = np.arange(g.n)
+
+    # both directions side by side, out first: a node-direction ("side")
+    # has time 2*rank(u) + d, and its buckets and edges follow the out ones
+    side_time = np.concatenate((2 * rank, 2 * rank + 1))
+    side_bkt_ptr = np.concatenate(
+        (out_idx.node_bkt_ptr, in_idx.node_bkt_ptr[1:] + out_idx.node_bkt_ptr[-1]))
+    side_bkts = side_bkt_ptr[1:] - side_bkt_ptr[:-1]
+    bkt_ptr = np.concatenate((out_idx.bkt_ptr, in_idx.bkt_ptr[1:] + m))
+    if per_type:  # a unit is a bucket
+        unit_ptr = bkt_ptr
+        unit_time = np.repeat(side_time, side_bkts)
+    else:  # a unit is a side
+        unit_ptr = bkt_ptr[side_bkt_ptr]
+        unit_time = side_time
+    lens = unit_ptr[1:] - unit_ptr[:-1]
+    free = lens <= params.k if per_type else lens == side_bkts
+
+    # stage 1: keep every edge of the order-free units, noting for each
+    # edge the earliest time such a unit kept it
+    kept_at = np.repeat(np.where(free, unit_time, _NEVER), lens)
+    free_time = np.empty(m, dtype=np.int64)
+    free_time[out_idx.order] = kept_at[:m]
+    free_time[in_idx.order] = np.minimum(free_time[in_idx.order], kept_at[m:])
+    selected = free_time != _NEVER
+
+    # stage 2: the other units in time order.  An edge is kept at time T
+    # once an earlier unit picked it, so the edges that an order-free
+    # unit kept before their loop unit's time start out picked.
+    units = np.flatnonzero(~free)
+    if units.shape[0]:
+        units = units[np.argsort(unit_time[units], kind="stable")]
+        lens = lens[units]
+        edges = np.concatenate((out_idx.order, in_idx.order))[_ranges(unit_ptr[units], lens)]
+        picked = set(edges[free_time[edges] < np.repeat(unit_time[units], lens)].tolist())
+        bounds = np.cumsum(lens).tolist()
+        rng = RandomStream(params.seed)
+        if per_type:
+            _sweep_buckets(edges.tolist(), bounds, params.k, picked, rng)
+        else:
+            counts = side_bkts[units]
+            sizes = (bkt_ptr[1:] - bkt_ptr[:-1])[_ranges(side_bkt_ptr[units], counts)]
+            _sweep_sides(edges.tolist(), bounds, sizes.tolist(), counts.tolist(),
+                         params.k, picked, rng)
+        selected[np.fromiter(picked, dtype=np.int64, count=len(picked))] = True
     kept = int(selected.sum())
     return SparsifierResult(graph=g, params=params, mask=selected,
                             kept=kept, ratio=kept / g.m)
 
 
-def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
-    """Run whichever method ``params`` names."""
-    return _run_sweep(g, params)
+def _sweep_buckets(edges: list, bounds: list, k: int, picked: set,
+                   rng: RandomStream) -> None:
+    """Top each per-type loop bucket up to k kept edges, in order."""
+    lo = 0
+    for hi in bounds:
+        pool = [e for e in edges[lo:hi] if e not in picked]
+        need = k - (hi - lo - len(pool))
+        if need > 0:
+            picked.update(sample_without_replacement(pool, min(need, len(pool)), rng))
+        lo = hi
 
 
-def sparsify_graph(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
-    """The per-type method; ``params.method`` must agree."""
-    if params.method != PER_TYPE:
-        raise ValueError(f"sparsify_graph requires method={PER_TYPE!r}")
-    return _run_sweep(g, params)
-
-
-def sparsify_alt(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
-    """The all-types method; ``params.method`` must agree."""
-    if params.method != ALL_TYPES:
-        raise ValueError(f"sparsify_alt requires method={ALL_TYPES!r}")
-    return _run_sweep(g, params)
+def _sweep_sides(edges: list, bounds: list, sizes: list, counts: list, k: int,
+                 picked: set, rng: RandomStream) -> None:
+    """Cover each bucket of each all-types loop side, then top the side up to k."""
+    lo = b = 0
+    for hi, count in zip(bounds, counts):
+        start = lo
+        for size in sizes[b:b + count]:
+            bucket = edges[start:start + size]
+            if picked.isdisjoint(bucket):
+                picked.add(bucket[rng.randbelow(size)])
+            start += size
+        b += count
+        if count < k:  # else the covered buckets already hold k kept edges
+            pool = sorted(e for e in edges[lo:hi] if e not in picked)
+            need = k - (hi - lo - len(pool))
+            if need > 0:
+                picked.update(sample_without_replacement(pool, min(need, len(pool)), rng))
+        lo = hi
 
 
 def sample_without_replacement(pool, count: int, rng: RandomStream) -> list:
@@ -133,8 +200,8 @@ def sparsify_node_direction(g: HeteroGraph, u: int, direction: str,
                             H: set, k: int, rng: RandomStream) -> set:
     """One vertex-direction step of the per-type method, on identity triples.
 
-    Pure-Python reference for the compiled sweep: updates H in place,
-    consuming the stream exactly as the kernel does, and returns H.
+    Pure-Python reference for the sweep: updates H in place, consuming
+    the stream exactly as :func:`sparsify` does, and returns H.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -32,7 +32,6 @@ from hgsparse import (
     read_link_file,
     sample_without_replacement,
     sparsify,
-    sparsify_graph,
     write_link_file,
 )
 
@@ -128,7 +127,7 @@ def test_pubmed_ratio_reproduction():
     table = read_link_file(os.environ[PUBMED_ENV], LinkFileOptions(has_weight=True))
     g = build_graph_arrays(table.src, table.dst, table.etype, weight=table.weight)
     expected = {1: 0.45, 2: 0.59, 3: 0.67, 5: 0.75, 10: 0.86}
-    ratios = {k: sparsify_graph(g, SparsifyParams(k=k, seed=0)).ratio
+    ratios = {k: sparsify(g, SparsifyParams(k=k, seed=0)).ratio
               for k in SUITE_KS}
     elapsed = time.perf_counter() - started
     misses = {k: ratios[k] for k in SUITE_KS
@@ -142,7 +141,7 @@ def test_synthetic_ratio_trend():
     g = generate(pubmed_like_spec(seed=0, alpha=1.0))
     means = []
     for k in SUITE_KS:
-        ratios = [sparsify_graph(g, SparsifyParams(k=k, seed=s)).ratio
+        ratios = [sparsify(g, SparsifyParams(k=k, seed=s)).ratio
                   for s in range(20)]
         means.append(float(np.mean(ratios)))
     increasing = all(a < b for a, b in zip(means, means[1:]))

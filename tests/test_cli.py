@@ -1,9 +1,6 @@
 """End-to-end command tests: exit codes, file outputs, report contents."""
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -313,6 +310,12 @@ def test_bad_link_options_exit_one(star_file, capsys):
         assert _one_line_error(capsys) == f"Error: {reason}\n"
 
 
+@pytest.mark.parametrize("delimiter", ["\n", "\r"])
+def test_line_break_delimiter_exits_one(star_file, capsys, delimiter):
+    assert run(["stats", "--links", str(star_file), "--delimiter", delimiter]) == 1
+    assert _one_line_error(capsys) == "Error: delimiter must not be a line break\n"
+
+
 def test_eval_full_and_sparsified(star_file, tmp_path, capsys):
     report = tmp_path / "e.json"
     code = run(["eval", "--links", str(star_file), "--holdout", "0.25",
@@ -334,19 +337,3 @@ def test_eval_full_and_sparsified(star_file, tmp_path, capsys):
 def test_eval_holdout_range_enforced(star_file):
     assert run(["eval", "--links", str(star_file), "--holdout", "1.5"]) == 1
     assert run(["eval", "--links", str(star_file), "--holdout", "0"]) == 1
-
-
-def test_fallback_mode_matches_compiled(k33_file, tmp_path):
-    """The pure-python path must pick the exact same edges as the kernels."""
-    fast = tmp_path / "fast.dat"
-    run(["sparsify", "--links", str(k33_file), "--k", "1", "--seed", "11",
-         "--out", str(fast)])
-    assert len(fast.read_text().splitlines()) < 9  # a real selection happened
-    slow = tmp_path / "slow.dat"
-    env = dict(os.environ, HGSPARSE_NO_NUMBA="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "hgsparse", "sparsify", "--links", str(k33_file),
-         "--k", "1", "--seed", "11", "--out", str(slow)],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert slow.read_bytes() == fast.read_bytes()

@@ -12,7 +12,6 @@ from hgsparse import (
     UnknownNodeError,
     build_graph,
     build_graph_arrays,
-    graph_stats,
 )
 
 from conftest import G1_EDGES, G1_TYPES, make_random_graph
@@ -58,7 +57,7 @@ def test_stats_fields(g1):
     assert s.per_edge_type == {0: 2, 1: 1}
     assert s.max_bucket == 2
     assert s.edges_per_node == pytest.approx(0.75)
-    assert graph_stats(g1) == s
+    assert g1.stats() == s
     d = s.to_dict()
     assert d["per_edge_type"] == {"0": 2, "1": 1}
 

@@ -205,9 +205,15 @@ def test_matches_reference_on_disk(tmp_path, data, has_weight):
     "1\t2\t0\t\n",
 ])
 def test_matches_reference_on_edge_cases(text):
-    for opts in (LinkFileOptions(), LinkFileOptions(has_weight=True),
-                 LinkFileOptions(delimiter="\r"), LinkFileOptions(delimiter="\n")):
+    for opts in (LinkFileOptions(), LinkFileOptions(has_weight=True)):
         _agree(text, opts)
+
+
+@pytest.mark.parametrize("delimiter", ["\n", "\r"])
+def test_line_break_delimiter_is_rejected(delimiter):
+    # a line break can never separate fields: every line would be one field
+    with pytest.raises(ValueError, match="delimiter must not be a line break"):
+        LinkFileOptions(delimiter=delimiter)
 
 
 def test_lone_cr_on_disk_is_a_line_break(tmp_path):

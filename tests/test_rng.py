@@ -1,4 +1,4 @@
-"""Deterministic stream behavior and parity with the compiled kernels."""
+"""Deterministic behavior of the sequential and counter-keyed streams."""
 
 import warnings
 
@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 import pytest
 
 from hgsparse import RandomStream, mix_seed, substream_seed
-from hgsparse._kernels import _randbelow, _shuffle_prefix
-from hgsparse._rng import (counter_words, randbelow_array, splitmix64,
-                           splitmix64_array, state_buffer)
+from hgsparse._rng import counter_words, randbelow_array, splitmix64, splitmix64_array
 
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -61,35 +59,6 @@ def test_randbelow_in_range(seed, bound, draws):
         assert 0 <= rng.randbelow(bound) < bound
 
 
-@given(seed=st.integers(0, 2**64 - 1),
-       bounds=st.lists(st.integers(1, 2**62), min_size=1, max_size=40))
-@settings(max_examples=150, deadline=None)
-def test_kernel_parity(seed, bounds):
-    """The njit kernel and the Python stream must walk the same state path."""
-    rng = RandomStream(seed)
-    state = state_buffer(seed)
-    for bound in bounds:
-        assert rng.randbelow(bound) == int(_randbelow(state, bound))
-        assert rng.state == int(state[0])
-
-
-def test_kernel_parity_across_sign_boundary():
-    # Regression guard: long runs cross the 2**63 state boundary many times,
-    # which once diverged when kernels took the state as a scalar.
-    rng = RandomStream(9)
-    state = state_buffer(9)
-    low = high = 0
-    for i in range(4000):
-        bound = (i % 97) + 2
-        assert rng.randbelow(bound) == int(_randbelow(state, bound))
-        if rng.state < 2**63:
-            low += 1
-        else:
-            high += 1
-    assert low > 0 and high > 0
-    assert rng.state == int(state[0])
-
-
 def test_shuffle_prefix_consumption_contract():
     """shuffle_prefix(items, c) consumes exactly one randbelow per position."""
     items = list(range(8))
@@ -103,17 +72,6 @@ def test_shuffle_prefix_consumption_contract():
         manual[i], manual[j] = manual[j], manual[i]
     assert items == manual
     assert rng.state == replay.state
-
-
-def test_shuffle_prefix_kernel_parity():
-    items = list(range(11))
-    rng = RandomStream(3)
-    rng.shuffle_prefix(items, 6)
-    arr = np.arange(11, dtype=np.int64)
-    state = state_buffer(3)
-    _shuffle_prefix(arr, 11, 6, state)
-    assert list(arr) == items
-    assert rng.state == int(state[0])
 
 
 def test_shuffle_prefix_full_pool_is_permutation():

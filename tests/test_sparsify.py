@@ -1,4 +1,4 @@
-"""Sampler hand-traces, kernel-vs-reference equivalence, and core invariants."""
+"""Sampler hand-traces, sweep-vs-reference equivalence, and core invariants."""
 
 import hashlib
 
@@ -20,8 +20,6 @@ from hgsparse import (
     pubmed_like_spec,
     sample_without_replacement,
     sparsify,
-    sparsify_alt,
-    sparsify_graph,
     sparsify_node_direction,
     vertex_order,
 )
@@ -31,14 +29,14 @@ from conftest import make_random_graph
 
 def test_g1_k1_keeps_everything_per_type(g1):
     for seed in range(25):
-        res = sparsify_graph(g1, SparsifyParams(k=1, seed=seed))
+        res = sparsify(g1, SparsifyParams(k=1, seed=seed))
         assert res.kept == 3
         assert res.ratio == 1.0
 
 
 def test_g1_k1_keeps_everything_all_types(g1):
     for seed in range(25):
-        res = sparsify_alt(g1, SparsifyParams(k=1, method=ALL_TYPES, seed=seed))
+        res = sparsify(g1, SparsifyParams(k=1, method=ALL_TYPES, seed=seed))
         assert res.kept == 3
 
 
@@ -60,7 +58,7 @@ def test_node_direction_validates_k(g1):
 
 def test_k33_bounds_and_coverage(k33):
     for seed in range(60):
-        res = sparsify_graph(k33, SparsifyParams(k=1, seed=seed))
+        res = sparsify(k33, SparsifyParams(k=1, seed=seed))
         assert 3 <= res.kept <= 6
         assert coverage_report(k33, res.mask, 1) == []
         assert isolated_nodes(k33, res.mask) == set()
@@ -138,20 +136,65 @@ def _reference_all_types(g, k, seed):
     return H
 
 
+@st.composite
+def split_edge_graphs(draw):
+    """Graphs built around the edges of the sweep's order-free/loop split.
+
+    Hub buckets of exactly k and k+1 edges, self-loops, pairs linked under
+    several edge types, and spread nodes whose buckets each hold one edge,
+    over a few random edges that may grow any bucket.
+    """
+    k = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 4))
+    nodes = st.integers(0, 11)
+    etypes = st.integers(0, t - 1)
+    edges = set()
+    for _ in range(draw(st.integers(0, 4))):
+        hub, etype = draw(nodes), draw(etypes)
+        size = draw(st.sampled_from([k, k + 1]))
+        others = draw(st.lists(nodes, min_size=size, max_size=size, unique=True))
+        if draw(st.booleans()):
+            edges.update((hub, v, etype) for v in others)
+        else:
+            edges.update((v, hub, etype) for v in others)
+    edges.update((u, u, etype) for u, etype in
+                 draw(st.lists(st.tuples(nodes, etypes), max_size=3)))
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(nodes), draw(nodes)
+        edges.update((u, v, etype) for etype in draw(st.sets(etypes, min_size=1)))
+    for _ in range(draw(st.integers(0, 3))):
+        spread = draw(nodes)
+        for etype in draw(st.sets(etypes, min_size=1)):
+            edges.add((spread, draw(nodes), etype))
+    edges.update(draw(st.lists(st.tuples(nodes, nodes, etypes), max_size=10)))
+    if not edges:
+        edges.add((0, 1, 0))
+    g = build_graph(sorted(edges))
+    if draw(st.booleans()):
+        k = g.stats().max_bucket + draw(st.integers(0, 2))  # k at or above every bucket
+    return g, k
+
+
+sweep_cases = st.one_of(
+    split_edge_graphs(),
+    st.tuples(st.integers(0, 2**16).map(
+        lambda seed: make_random_graph(seed, max_n=40, max_t=5, max_m=200)),
+        st.sampled_from([1, 2, 4])),
+)
+
+
 @pytest.mark.parametrize("method", [PER_TYPE, ALL_TYPES])
-def test_kernel_matches_pure_reference(method):
-    for seed in range(12):
-        g = make_random_graph(seed, max_n=40, max_t=5, max_m=200)
-        for k in (1, 2, 4):
-            res = sparsify(g, SparsifyParams(k=k, method=method, seed=seed))
-            if method == PER_TYPE:
-                expected = _reference_per_type(g, k, seed)
-                got = set(res.selected_triples())
-                expected = {g.edge_key(g.edge_index(*key)) for key in expected}
-            else:
-                expected = {g.edge_key(e) for e in _reference_all_types(g, k, seed)}
-                got = set(res.selected_triples())
-            assert got == expected
+@given(case=sweep_cases, seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=200, deadline=None)
+def test_sweep_matches_pure_reference(method, case, seed):
+    g, k = case
+    res = sparsify(g, SparsifyParams(k=k, method=method, seed=seed))
+    if method == PER_TYPE:
+        expected = {g.edge_key(g.edge_index(*key))
+                    for key in _reference_per_type(g, k, seed)}
+    else:
+        expected = {g.edge_key(e) for e in _reference_all_types(g, k, seed)}
+    assert set(res.selected_triples()) == expected
 
 
 suite_params = st.tuples(
@@ -188,7 +231,7 @@ def test_sparsifier_invariants(params):
 
 
 def test_saturating_k_keeps_all(g1):
-    res = sparsify_graph(g1, SparsifyParams(k=2, seed=9))
+    res = sparsify(g1, SparsifyParams(k=2, seed=9))
     assert res.ratio == 1.0
 
 
@@ -196,7 +239,7 @@ def test_mean_ratio_nondecreasing_in_k():
     g = make_random_graph(77, max_n=50, max_t=4, max_m=600)
     means = []
     for k in (1, 2, 3, 5, 10):
-        ratios = [sparsify_graph(g, SparsifyParams(k=k, seed=s)).ratio
+        ratios = [sparsify(g, SparsifyParams(k=k, seed=s)).ratio
                   for s in range(12)]
         means.append(sum(ratios) / len(ratios))
     assert all(a <= b for a, b in zip(means, means[1:]))
@@ -204,10 +247,6 @@ def test_mean_ratio_nondecreasing_in_k():
 
 
 def test_methods_dispatch_and_guards(g1):
-    with pytest.raises(ValueError):
-        sparsify_graph(g1, SparsifyParams(k=1, method=ALL_TYPES))
-    with pytest.raises(ValueError):
-        sparsify_alt(g1, SparsifyParams(k=1))
     assert sparsify(g1, SparsifyParams(k=1, method=ALL_TYPES)).kept == 3
 
 
@@ -225,11 +264,11 @@ def test_params_validation():
 def test_empty_graph_rejected():
     g = build_graph([], node_types={1: 0})
     with pytest.raises(EmptyGraphError):
-        sparsify_graph(g, SparsifyParams(k=1))
+        sparsify(g, SparsifyParams(k=1))
 
 
 def test_result_edge_ids_match_mask(g1):
-    res = sparsify_graph(g1, SparsifyParams(k=1, seed=3))
+    res = sparsify(g1, SparsifyParams(k=1, seed=3))
     assert list(res.edge_ids) == list(np.flatnonzero(res.mask))
     assert res.params.k == 1
 

@@ -12,7 +12,6 @@ from hgsparse import (
     InfeasibleSpecError,
     RetryCapError,
     generate,
-    graph_stats,
     parse_spec_file,
     pubmed_like_spec,
 )
@@ -138,7 +137,7 @@ def test_pubmed_like_shape():
     assert spec.total_edges == 236458
     assert len(spec.edge_types) == 10
     g = generate(spec)
-    stats = graph_stats(g)
+    stats = g.stats()
     assert stats.n == 63109 and stats.m == 236458
     assert stats.edges_per_node == pytest.approx(3.7, abs=0.1)
     assert stats.edge_type_count == 10
