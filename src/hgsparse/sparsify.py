@@ -129,6 +129,7 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     # unit kept before their loop unit's time start out picked.
     units = np.flatnonzero(~free)
     if units.shape[0]:
+        # stable: the buckets of one side share its time and draw in bucket order
         units = units[np.argsort(unit_time[units], kind="stable")]
         lens = lens[units]
         edges = np.concatenate((out_idx.order, in_idx.order))[_ranges(unit_ptr[units], lens)]

@@ -1,6 +1,8 @@
 """End-to-end command tests: exit codes, file outputs, report contents."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -337,3 +339,13 @@ def test_eval_full_and_sparsified(star_file, tmp_path, capsys):
 def test_eval_holdout_range_enforced(star_file):
     assert run(["eval", "--links", str(star_file), "--holdout", "1.5"]) == 1
     assert run(["eval", "--links", str(star_file), "--holdout", "0"]) == 1
+
+
+def test_import_is_silent_and_loads_no_numba():
+    # the package has one execution path: importing it warns about
+    # nothing and pulls in no JIT compiler
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import sys, hgsparse, hgsparse.cli; assert 'numba' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -114,8 +114,8 @@ def _reference_per_type(g, k, seed):
 
 
 def _reference_all_types(g, k, seed):
-    # mirrors the fused kernel: cover every bucket, then top the
-    # node-direction up to k from the ascending-id pool
+    # the all-types sweep one node-direction at a time: cover every
+    # bucket, then top the node-direction up to k from the ascending-id pool
     H = set()
     rng = RandomStream(seed)
     for u_dense in vertex_order(g):
