@@ -1,15 +1,21 @@
 """Verification helpers: ratio, coverage floors, isolation, per-type counts."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from hgsparse import (
     ALL_TYPES,
+    PER_TYPE,
     EmptyGraphError,
     build_graph,
     coverage_report,
+    generate,
     isolated_nodes,
     per_type_kept,
+    pubmed_like_spec,
     sparsification_ratio,
 )
 
@@ -82,3 +88,35 @@ def test_isolated_ignores_already_isolated():
 def test_per_type_kept(g1):
     assert per_type_kept(g1, None) == {0: 2, 1: 1}
     assert per_type_kept(g1, [(1, 4, 1)]) == {0: 0, 1: 1}
+
+
+# ---- golden pins of the coverage check and the graph summary ----
+#
+# sha256 of the JSON (sorted keys) of every violation that coverage_report
+# lists on the PubMed-shaped graph when only every 7th edge is kept, so
+# the pin covers the out-then-in, (node, etype) order of many violations
+# in both directions; and of stats() and degrees() on the same graph.
+
+GOLDEN_PUBMED_COVERAGE = {
+    PER_TYPE: (109732, "aebb72c1dde6f81075a0105c82f43d377ff89a817f8caae758df7a311dddc484"),
+    ALL_TYPES: (88855, "7081336ccb11248f21d68c7f2cd44ffd49d386de220db9c2014e159a8d175318"),
+}
+GOLDEN_PUBMED_STATS = "7320495ea491bd3a8596dae089291ccaa5d4822e26e28b5b88744b0236337e1e"
+GOLDEN_PUBMED_DEGREES = "ed377f05fdfebaa9253bbc9901a28e0e71b256806b95a42cb6af239cce7d8472"
+
+
+def _json_sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_coverage_and_stats_golden_pubmed_like():
+    g = generate(pubmed_like_spec(0))
+    mask = np.zeros(g.m, dtype=bool)
+    mask[::7] = True
+    for method, (count, digest) in GOLDEN_PUBMED_COVERAGE.items():
+        report = [v.to_dict() for v in coverage_report(g, mask, 3, method)]
+        assert {v["direction"] for v in report} == {"out", "in"}
+        assert (len(report), _json_sha(report)) == (count, digest)
+    assert _json_sha(g.stats().to_dict()) == GOLDEN_PUBMED_STATS
+    degrees = np.ascontiguousarray(g.degrees(), dtype=np.int64)
+    assert hashlib.sha256(degrees.tobytes()).hexdigest() == GOLDEN_PUBMED_DEGREES
