@@ -8,7 +8,7 @@ proxy.  Everything runs as numpy passes and plain Python; there is no
 compiled path.
 """
 
-from ._rng import RandomStream, mix_seed, substream_seed
+from ._rng import substream_seed
 from .errors import (DataError, DegenerateSplitError, EmptyGraphError,
                      GenSpecError, InfeasibleSpecError, LinkFormatError,
                      NegativeSamplingError, NodeFileError, NonFiniteWeightError,
@@ -25,8 +25,7 @@ from .hgb_io import (LinkFileOptions, LinkTable, read_link_file, read_node_file,
 from .metrics import (CoverageViolation, coverage_report, isolated_nodes,
                       per_type_kept, sparsification_ratio)
 from .sparsify import (ALL_TYPES, METHODS, PER_TYPE, SparsifierResult,
-                       SparsifyParams, sample_without_replacement, sparsify,
-                       sparsify_node_direction, vertex_order)
+                       SparsifyParams, sparsify, vertex_order)
 from .synthgen import (EdgeTypeSpec, GenSpec, generate, parse_spec_file,
                        pubmed_like_spec)
 
@@ -43,15 +42,13 @@ __all__ = [
     "EdgeSplit", "EdgeTypeSpec", "EmptyGraphError", "EvalReport", "GenSpec",
     "GenSpecError", "GraphStats", "HeteroGraph", "InfeasibleSpecError",
     "LinkFileOptions", "LinkFormatError", "LinkTable", "NegativeSamplingError",
-    "NodeFileError", "NonFiniteWeightError", "RandomStream", "RetryCapError",
+    "NodeFileError", "NonFiniteWeightError", "RetryCapError",
     "SparsifierResult", "SparsifyParams", "TrainView", "UnknownEdgeError",
     "UnknownNodeError", "VerificationError", "auc", "build_graph",
     "build_graph_arrays", "candidate_ranks", "coverage_report", "evaluate",
-    "generate", "isolated_nodes", "mix_seed", "mrr",
-    "parse_spec_file", "per_type_kept", "pubmed_like_spec", "read_link_file",
-    "read_node_file", "sample_negatives", "sample_without_replacement",
+    "generate", "isolated_nodes", "mrr", "parse_spec_file", "per_type_kept",
+    "pubmed_like_spec", "read_link_file", "read_node_file", "sample_negatives",
     "score_pair", "score_pairs", "sparsification_ratio", "sparsify",
-    "sparsify_node_direction", "split_edges",
-    "substream_seed", "vertex_order", "write_link_file", "write_node_file",
-    "write_report",
+    "split_edges", "substream_seed", "vertex_order", "write_link_file",
+    "write_node_file", "write_report",
 ]

@@ -2,9 +2,11 @@
 
 Edges are stored in one canonical table sorted ascending by
 (src, dst, etype) over dense node indices; an edge's identity is that
-triple and its edge id is its row in the table.  Each direction carries
-a grouped view: ``order`` lists edge ids grouped by (node, etype) with
-ascending edge id inside every bucket, so bucket iteration order is
+triple and its edge id is its row in the table.  One
+:class:`BucketLayout` groups the edge ids of both directions by side:
+side u is node u's out-direction and side n + u its in-direction, all
+out sides first.  Inside a side the buckets follow ascending etype, and
+inside a bucket the edge ids ascend, so bucket iteration order is
 deterministic and matches ascending identity order.
 
 Node ids from input files are remapped to a dense 0..n-1 range at build
@@ -15,7 +17,7 @@ are kept for all user-facing output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -37,15 +39,20 @@ class EdgeRecord(NamedTuple):
         return (self.src, self.dst, self.etype)
 
 
-@dataclass(frozen=True)
-class _DirIndex:
-    """Grouped edge-id view of one direction (keyed by src for out, dst for in)."""
+@dataclass(frozen=True, eq=False)
+class BucketLayout:
+    """Edge ids grouped into (side, etype) buckets, both directions in one.
 
-    order: np.ndarray         # edge ids grouped by (node, etype), shape (m,)
+    Side u < n is node u's out-direction and side n + u its in-direction,
+    so every edge appears twice: once among the out sides, which all come
+    first, and once among the in sides.
+    """
+
+    order: np.ndarray         # 2m edge ids grouped by (side, etype), ascending in a bucket
     bkt_ptr: np.ndarray       # bucket b spans order[bkt_ptr[b]:bkt_ptr[b+1]]
     bkt_etype: np.ndarray     # edge type of bucket b
-    node_bkt_ptr: np.ndarray  # node u owns buckets node_bkt_ptr[u]:node_bkt_ptr[u+1]
-    node_ptr: np.ndarray      # node u owns edges order[node_ptr[u]:node_ptr[u+1]]
+    side_bkt_ptr: np.ndarray  # side s owns buckets side_bkt_ptr[s]:side_bkt_ptr[s+1]
+    side_ptr: np.ndarray      # side s owns order[side_ptr[s]:side_ptr[s+1]]
 
 
 @dataclass(frozen=True)
@@ -77,33 +84,29 @@ def _as_int64(values, name: str) -> np.ndarray:
     return arr
 
 
-def _build_dir_index(key: np.ndarray, etype: np.ndarray, n: int) -> _DirIndex:
-    m = key.shape[0]
-    # stable lexsort keeps ascending edge id inside equal (node, etype)
-    order = np.lexsort((etype, key)).astype(np.int64)
-    key_sorted = key[order]
-    et_sorted = etype[order]
-    if m == 0:
-        starts = np.empty(0, dtype=np.int64)
-    else:
-        change = (key_sorted[1:] != key_sorted[:-1]) | (et_sorted[1:] != et_sorted[:-1])
-        starts = np.flatnonzero(np.concatenate(([True], change))).astype(np.int64)
-    bkt_ptr = np.concatenate((starts, [m])).astype(np.int64)
-    bkt_node = key_sorted[starts]
-    bkt_etype = np.ascontiguousarray(et_sorted[starts], dtype=np.int64)
-    node_bkt_ptr = np.searchsorted(bkt_node, np.arange(n + 1)).astype(np.int64)
-    node_ptr = bkt_ptr[node_bkt_ptr]
-    return _DirIndex(np.ascontiguousarray(order), bkt_ptr, bkt_etype, node_bkt_ptr, node_ptr)
+def _build_layout(src: np.ndarray, dst: np.ndarray, etype: np.ndarray,
+                  n: int) -> BucketLayout:
+    m = src.shape[0]
+    # stable lexsorts keep ascending edge id inside equal (node, etype)
+    order = np.concatenate((np.lexsort((etype, src)), np.lexsort((etype, dst))))
+    side = np.concatenate((src[order[:m]], dst[order[m:]] + n))
+    et = etype[order]
+    first = np.ones(2 * m, dtype=bool)
+    first[1:] = (side[1:] != side[:-1]) | (et[1:] != et[:-1])
+    starts = np.flatnonzero(first)
+    bkt_ptr = np.append(starts, 2 * m)
+    side_bkt_ptr = np.searchsorted(side[starts], np.arange(2 * n + 1))
+    return BucketLayout(order, bkt_ptr, et[starts], side_bkt_ptr, bkt_ptr[side_bkt_ptr])
 
 
 class HeteroGraph:
     """Use :func:`build_graph` or :func:`build_graph_arrays` to construct."""
 
     __slots__ = ("node_ids", "node_types", "src", "dst", "etype", "weight",
-                 "duplicates_dropped", "_out", "_in", "_etype_ids", "_pair_key")
+                 "duplicates_dropped", "layout", "_etype_ids", "_pair_key")
 
     def __init__(self, node_ids, node_types, src, dst, etype, weight,
-                 duplicates_dropped, out_index, in_index):
+                 duplicates_dropped, layout):
         self.node_ids = node_ids
         self.node_types = node_types
         self.src = src
@@ -111,8 +114,7 @@ class HeteroGraph:
         self.etype = etype
         self.weight = weight
         self.duplicates_dropped = duplicates_dropped
-        self._out = out_index
-        self._in = in_index
+        self.layout = layout
         self._etype_ids = np.unique(etype)
         # the table is sorted by (src, dst, etype), so src * n + dst ascends
         # with each pair's etypes in one run; n * n < 2**63 for any graph
@@ -162,55 +164,11 @@ class HeteroGraph:
             raise UnknownNodeError(f"node {int(bad)} is not in the graph")
         return pos.astype(np.int64)
 
-    def original_ids(self, dense) -> np.ndarray:
-        return self.node_ids[dense]
-
     # ---- adjacency queries ----
 
-    def _dir_index(self, direction: str) -> _DirIndex:
-        if direction == OUT:
-            return self._out
-        if direction == IN:
-            return self._in
-        raise ValueError(f"direction must be {OUT!r} or {IN!r}, got {direction!r}")
-
-    def bucket_edge_ids(self, u: int, direction: str, etype: int) -> np.ndarray:
-        """Edge ids of bucket (u, direction, etype), ascending; u is an original id."""
-        idx = self._dir_index(direction)
-        ud = self.dense_id(u)
-        b_lo = idx.node_bkt_ptr[ud]
-        b_hi = idx.node_bkt_ptr[ud + 1]
-        b = b_lo + np.searchsorted(idx.bkt_etype[b_lo:b_hi], etype)
-        if b >= b_hi or idx.bkt_etype[b] != etype:
-            return np.empty(0, dtype=np.int64)
-        return idx.order[idx.bkt_ptr[b]:idx.bkt_ptr[b + 1]].copy()
-
-    def bucket(self, u: int, direction: str, etype: int) -> list[tuple[int, int, int]]:
-        """Bucket contents as identity triples with original node ids."""
-        return self.edge_keys(self.bucket_edge_ids(u, direction, etype))
-
-    def node_buckets(self, u: int, direction: str) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (etype, edge ids) for each nonempty bucket of u, etype ascending."""
-        idx = self._dir_index(direction)
-        ud = self.dense_id(u)
-        for b in range(int(idx.node_bkt_ptr[ud]), int(idx.node_bkt_ptr[ud + 1])):
-            yield int(idx.bkt_etype[b]), idx.order[idx.bkt_ptr[b]:idx.bkt_ptr[b + 1]].copy()
-
-    def node_direction_edge_ids(self, u: int, direction: str) -> np.ndarray:
-        idx = self._dir_index(direction)
-        ud = self.dense_id(u)
-        return idx.order[idx.node_ptr[ud]:idx.node_ptr[ud + 1]].copy()
-
-    def degree(self, u: int) -> int:
-        """Total degree: out + in, a self-loop counting once per direction."""
-        ud = self.dense_id(u)
-        out_n = self._out.node_ptr[ud + 1] - self._out.node_ptr[ud]
-        in_n = self._in.node_ptr[ud + 1] - self._in.node_ptr[ud]
-        return int(out_n + in_n)
-
     def degrees(self) -> np.ndarray:
-        """Total degree of every node, dense order."""
-        return np.diff(self._out.node_ptr) + np.diff(self._in.node_ptr)
+        """Total degree of every node, dense order: out + in, a self-loop counting once per direction."""
+        return np.diff(self.layout.side_ptr).reshape(2, self.n).sum(axis=0)
 
     # ---- edge identity lookups ----
 
@@ -221,14 +179,6 @@ class HeteroGraph:
 
     def edge_keys(self, edge_ids) -> list[tuple[int, int, int]]:
         return [self.edge_key(int(e)) for e in np.asarray(edge_ids, dtype=np.int64)]
-
-    def edge_record(self, edge_id: int) -> EdgeRecord:
-        w = None
-        if self.weight is not None:
-            stored = float(self.weight[edge_id])
-            w = None if np.isnan(stored) else stored
-        s, d, t = self.edge_key(edge_id)
-        return EdgeRecord(s, d, t, w)
 
     def edge_index(self, src: int, dst: int, etype: int) -> int:
         """Edge id of identity (src, dst, etype) in original node ids."""
@@ -306,10 +256,6 @@ class HeteroGraph:
 
     def stats(self) -> GraphStats:
         ids, counts = np.unique(self.etype, return_counts=True)
-        max_bucket = 0
-        for idx in (self._out, self._in):
-            if idx.bkt_ptr.shape[0] > 1:
-                max_bucket = max(max_bucket, int(np.diff(idx.bkt_ptr).max()))
         return GraphStats(
             n=self.n,
             m=self.m,
@@ -317,7 +263,7 @@ class HeteroGraph:
             node_type_count=int(np.unique(self.node_types).shape[0]) if self.n else 0,
             edge_type_count=self.t,
             per_edge_type={int(i): int(c) for i, c in zip(ids, counts)},
-            max_bucket=max_bucket,
+            max_bucket=int(np.diff(self.layout.bkt_ptr).max(initial=0)),
         )
 
 
@@ -399,10 +345,8 @@ def build_graph_arrays(src, dst, etype, weight=None,
     if weight is not None:
         w_c = np.ascontiguousarray(weight[perm][keep])
 
-    out_index = _build_dir_index(src_c, et_c, n)
-    in_index = _build_dir_index(dst_c, et_c, n)
     return HeteroGraph(node_ids, node_types, src_c, dst_c, et_c, w_c,
-                       duplicates_dropped, out_index, in_index)
+                       duplicates_dropped, _build_layout(src_c, dst_c, et_c, n))
 
 
 def build_graph(edges: Iterable, node_types: Mapping[int, int] | None = None) -> HeteroGraph:

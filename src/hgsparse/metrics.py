@@ -46,28 +46,20 @@ def coverage_report(g: HeteroGraph, selected, k: int,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     mask = g.edge_mask(selected)
-    violations: list[CoverageViolation] = []
     if g.m == 0:
-        return violations
-    for direction in (OUT, IN):
-        idx = g._dir_index(direction)
-        sizes = np.diff(idx.bkt_ptr)
-        kept = np.add.reduceat(mask[idx.order].astype(np.int64), idx.bkt_ptr[:-1])
-        if method == PER_TYPE:
-            required = np.minimum(k, sizes)
-        else:
-            required = np.ones_like(sizes)
-        key = g.src if direction == OUT else g.dst
-        for b in np.flatnonzero(kept < required):
-            first_edge = idx.order[idx.bkt_ptr[b]]
-            violations.append(CoverageViolation(
-                node=int(g.node_ids[key[first_edge]]),
-                direction=direction,
-                etype=int(idx.bkt_etype[b]),
-                required=int(required[b]),
-                actual=int(kept[b]),
-            ))
-    return violations
+        return []
+    layout = g.layout
+    sizes = np.diff(layout.bkt_ptr)
+    kept = np.add.reduceat(mask[layout.order].astype(np.int64), layout.bkt_ptr[:-1])
+    required = np.minimum(k, sizes) if method == PER_TYPE else np.ones_like(sizes)
+    bad = np.flatnonzero(kept < required)
+    # bucket b belongs to side s = d * n + u, the last side starting at or before b
+    inward, node = np.divmod(np.searchsorted(layout.side_bkt_ptr, bad, side="right") - 1, g.n)
+    return [CoverageViolation(node=u, direction=IN if d else OUT, etype=t,
+                              required=r, actual=a)
+            for u, d, t, r, a in zip(g.node_ids[node].tolist(), inward.tolist(),
+                                     layout.bkt_etype[bad].tolist(),
+                                     required[bad].tolist(), kept[bad].tolist())]
 
 
 def isolated_nodes(g: HeteroGraph, selected) -> set[int]:

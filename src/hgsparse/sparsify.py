@@ -38,7 +38,7 @@ import numpy as np
 
 from ._rng import RandomStream
 from .errors import EmptyGraphError
-from .graph import IN, OUT, HeteroGraph
+from .graph import HeteroGraph
 
 PER_TYPE = "per-type"
 ALL_TYPES = "all-types"
@@ -74,10 +74,6 @@ class SparsifierResult:
     def edge_ids(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
-    def selected_triples(self) -> list[tuple[int, int, int]]:
-        """Kept edges as identity triples with original node ids."""
-        return self.graph.edge_keys(self.edge_ids)
-
 
 def vertex_order(g: HeteroGraph) -> np.ndarray:
     """Dense node ids in ascending (total degree, node id) order."""
@@ -95,23 +91,21 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     if g.m == 0:
         raise EmptyGraphError("cannot sparsify a graph with no edges")
     per_type = params.method == PER_TYPE
-    out_idx, in_idx = g._dir_index(OUT), g._dir_index(IN)
+    layout = g.layout
     m = g.m
     rank = np.empty(g.n, dtype=np.int64)
     rank[vertex_order(g)] = np.arange(g.n)
 
-    # both directions side by side, out first: a node-direction ("side")
-    # has time 2*rank(u) + d, and its buckets and edges follow the out ones
+    # a node-direction ("side") of node u has time 2*rank(u) + d
     side_time = np.concatenate((2 * rank, 2 * rank + 1))
-    side_bkt_ptr = np.concatenate(
-        (out_idx.node_bkt_ptr, in_idx.node_bkt_ptr[1:] + out_idx.node_bkt_ptr[-1]))
+    side_bkt_ptr = layout.side_bkt_ptr
     side_bkts = side_bkt_ptr[1:] - side_bkt_ptr[:-1]
-    bkt_ptr = np.concatenate((out_idx.bkt_ptr, in_idx.bkt_ptr[1:] + m))
+    bkt_ptr = layout.bkt_ptr
     if per_type:  # a unit is a bucket
         unit_ptr = bkt_ptr
         unit_time = np.repeat(side_time, side_bkts)
     else:  # a unit is a side
-        unit_ptr = bkt_ptr[side_bkt_ptr]
+        unit_ptr = layout.side_ptr
         unit_time = side_time
     lens = unit_ptr[1:] - unit_ptr[:-1]
     free = lens <= params.k if per_type else lens == side_bkts
@@ -119,9 +113,10 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     # stage 1: keep every edge of the order-free units, noting for each
     # edge the earliest time such a unit kept it
     kept_at = np.repeat(np.where(free, unit_time, _NEVER), lens)
+    out_order, in_order = layout.order[:m], layout.order[m:]
     free_time = np.empty(m, dtype=np.int64)
-    free_time[out_idx.order] = kept_at[:m]
-    free_time[in_idx.order] = np.minimum(free_time[in_idx.order], kept_at[m:])
+    free_time[out_order] = kept_at[:m]
+    free_time[in_order] = np.minimum(free_time[in_order], kept_at[m:])
     selected = free_time != _NEVER
 
     # stage 2: the other units in time order.  An edge is kept at time T
@@ -132,7 +127,7 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
         # stable: the buckets of one side share its time and draw in bucket order
         units = units[np.argsort(unit_time[units], kind="stable")]
         lens = lens[units]
-        edges = np.concatenate((out_idx.order, in_idx.order))[_ranges(unit_ptr[units], lens)]
+        edges = layout.order[_ranges(unit_ptr[units], lens)]
         picked = set(edges[free_time[edges] < np.repeat(unit_time[units], lens)].tolist())
         bounds = np.cumsum(lens).tolist()
         rng = RandomStream(params.seed)
@@ -195,28 +190,3 @@ def sample_without_replacement(pool, count: int, rng: RandomStream) -> list:
         return items
     rng.shuffle_prefix(items, count)
     return items[:count]
-
-
-def sparsify_node_direction(g: HeteroGraph, u: int, direction: str,
-                            H: set, k: int, rng: RandomStream) -> set:
-    """One vertex-direction step of the per-type method, on identity triples.
-
-    Pure-Python reference for the sweep: updates H in place, consuming
-    the stream exactly as :func:`sparsify` does, and returns H.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    for _etype, ids in g.node_buckets(u, direction):
-        keys = g.edge_keys(ids)
-        if len(keys) < k:
-            H.update(keys)
-            continue
-        pool = [key for key in keys if key not in H]
-        need = k - (len(keys) - len(pool))
-        if need <= 0:
-            continue
-        if need >= len(pool):
-            H.update(pool)
-            continue
-        H.update(sample_without_replacement(pool, need, rng))
-    return H

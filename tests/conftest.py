@@ -1,4 +1,5 @@
-"""Shared fixtures: small hand-built graphs and a seeded random-graph factory."""
+"""Shared fixtures: small hand-built graphs, a seeded random-graph factory and
+dict-built buckets."""
 
 import numpy as np
 import pytest
@@ -43,3 +44,18 @@ def make_random_graph(seed: int, max_n: int = 200, max_t: int = 8,
 @pytest.fixture
 def random_graph():
     return make_random_graph
+
+
+def dict_buckets(g: HeteroGraph) -> dict:
+    """Every nonempty bucket of g, grouped with plain dicts from the edge table.
+
+    Maps (direction, original node id) to {etype: edge ids}, the ids
+    ascending.  It reads only ``g.src``, ``g.dst`` and ``g.etype``, so it
+    stays independent of the graph's bucket layout.
+    """
+    buckets: dict = {}
+    for e, (s, d, t) in enumerate(zip(g.node_ids[g.src].tolist(),
+                                      g.node_ids[g.dst].tolist(), g.etype.tolist())):
+        buckets.setdefault(("out", s), {}).setdefault(t, []).append(e)
+        buckets.setdefault(("in", d), {}).setdefault(t, []).append(e)
+    return buckets

@@ -19,7 +19,6 @@ from hgsparse import (
     EdgeTypeSpec,
     GenSpec,
     LinkFileOptions,
-    RandomStream,
     SparsifyParams,
     auc,
     build_graph_arrays,
@@ -30,10 +29,11 @@ from hgsparse import (
     mrr,
     pubmed_like_spec,
     read_link_file,
-    sample_without_replacement,
     sparsify,
     write_link_file,
 )
+from hgsparse._rng import RandomStream
+from hgsparse.sparsify import sample_without_replacement
 
 from conftest import make_random_graph
 

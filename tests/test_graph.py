@@ -1,4 +1,4 @@
-"""Graph construction, bucket indexing, and canonical-order invariants."""
+"""Graph construction, the bucket layout, and canonical-order invariants."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from hgsparse import (
     build_graph_arrays,
 )
 
-from conftest import G1_EDGES, G1_TYPES, make_random_graph
+from conftest import G1_EDGES, G1_TYPES, dict_buckets, make_random_graph
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 5)),
@@ -22,32 +22,46 @@ edge_lists = st.lists(
 )
 
 
+def layout_buckets(g) -> dict:
+    """The graph's layout in the form of ``dict_buckets``, side by side."""
+    lay = g.layout
+    buckets = {}
+    for side in range(2 * g.n):
+        key = ("in" if side >= g.n else "out", int(g.node_ids[side % g.n]))
+        for b in range(lay.side_bkt_ptr[side], lay.side_bkt_ptr[side + 1]):
+            ids = lay.order[lay.bkt_ptr[b]:lay.bkt_ptr[b + 1]].tolist()
+            buckets.setdefault(key, {})[int(lay.bkt_etype[b])] = ids
+    return buckets
+
+
 def test_g1_shape(g1):
     assert g1.n == 4
     assert g1.m == 3
     assert g1.t == 2
-    assert len(g1.bucket_edge_ids(1, "out", 0)) == 2
-    assert len(g1.bucket_edge_ids(1, "out", 1)) == 1
-    assert len(g1.bucket_edge_ids(2, "in", 0)) == 1
+    buckets = layout_buckets(g1)
+    assert len(buckets["out", 1][0]) == 2
+    assert len(buckets["out", 1][1]) == 1
+    assert len(buckets["in", 2][0]) == 1
 
 
 def test_g1_bucket_contents(g1):
-    assert g1.bucket(1, "out", 0) == [(1, 2, 0), (1, 3, 0)]
-    assert g1.bucket(2, "out", 0) == []
-    assert g1.bucket(4, "in", 1) == [(1, 4, 1)]
+    buckets = layout_buckets(g1)
+    assert g1.edge_keys(buckets["out", 1][0]) == [(1, 2, 0), (1, 3, 0)]
+    assert ("out", 2) not in buckets
+    assert g1.edge_keys(buckets["in", 4][1]) == [(1, 4, 1)]
 
 
 def test_g1_degrees(g1):
-    assert g1.degree(1) == 3
-    assert g1.degree(2) == 1
     assert list(g1.degrees()) == [3, 1, 1, 1]
+    assert g1.degrees()[g1.dense_id(2)] == 1
 
 
 def test_node_buckets_partition_direction(g1):
-    out_buckets = dict(g1.node_buckets(1, "out"))
-    assert set(out_buckets) == {0, 1}
-    ids = np.concatenate(list(out_buckets.values()))
-    assert sorted(ids) == sorted(g1.node_direction_edge_ids(1, "out"))
+    # node 1's out side holds its two buckets and nothing else
+    lay = g1.layout
+    side = g1.dense_id(1)
+    assert list(lay.bkt_etype[lay.side_bkt_ptr[side]:lay.side_bkt_ptr[side + 1]]) == [0, 1]
+    assert sorted(lay.order[lay.side_ptr[side]:lay.side_ptr[side + 1]]) == [0, 1, 2]
 
 
 def test_stats_fields(g1):
@@ -77,14 +91,14 @@ def test_duplicate_edges_dropped():
 def test_duplicate_keeps_first_weight():
     g = build_graph([EdgeRecord(1, 2, 0, 5.0), EdgeRecord(1, 2, 0, 7.0)])
     assert g.m == 1
-    assert g.edge_record(0).weight == 5.0
+    assert g.weight[0] == 5.0
 
 
 def test_mixed_weight_presence():
     g = build_graph([EdgeRecord(1, 2, 0, 2.5), (2, 3, 0)])
     assert g.has_weights
-    assert g.edge_record(g.edge_index(1, 2, 0)).weight == 2.5
-    assert g.edge_record(g.edge_index(2, 3, 0)).weight is None
+    assert g.weight[g.edge_index(1, 2, 0)] == 2.5
+    assert np.isnan(g.weight[g.edge_index(2, 3, 0)])  # no weight
 
 
 def test_non_finite_weight_rejected():
@@ -138,14 +152,14 @@ def test_subgraph_keeps_node_table(g1):
     sub = g1.subgraph([(1, 2, 0)])
     assert sub.n == g1.n
     assert sub.m == 1
-    assert sub.degree(3) == 0
+    assert sub.degrees()[sub.dense_id(3)] == 0
     assert list(sub.node_ids) == list(g1.node_ids)
 
 
 def test_dense_id_roundtrip():
     g = build_graph([(10, 7, 0), (7, 3, 1)])
     # dense ids follow ascending original id
-    assert list(g.original_ids(np.arange(g.n))) == [3, 7, 10]
+    assert list(g.node_ids) == [3, 7, 10]
     assert g.dense_id(7) == 1
     assert list(g.dense_ids([10, 3])) == [2, 0]
     with pytest.raises(UnknownNodeError):
@@ -172,18 +186,27 @@ def test_build_invariants(edges):
     assert int(g.degrees().sum()) == 2 * g.m
 
 
-@given(edges=edge_lists, direction=st.sampled_from(["out", "in"]))
-@settings(max_examples=80, deadline=None)
-def test_buckets_partition_edges(edges, direction):
+@given(edges=edge_lists)
+@settings(max_examples=120, deadline=None)
+def test_buckets_partition_edges(edges):
     g = build_graph(edges)
-    seen = []
-    for u in g.node_ids.tolist():
-        for _, ids in g.node_buckets(u, direction):
-            chunk = ids.tolist()
-            # ascending edge id inside each bucket
-            assert chunk == sorted(chunk)
-            seen.extend(chunk)
-    assert sorted(seen) == list(range(g.m))
+    lay = g.layout
+    # the layout holds exactly the dict-built buckets, etype ascending in a side
+    buckets = layout_buckets(g)
+    assert buckets == dict_buckets(g)
+    assert all(list(by_type) == sorted(by_type) for by_type in buckets.values())
+    # ascending edge id inside each bucket, and no bucket is empty
+    for b in range(lay.bkt_etype.shape[0]):
+        ids = lay.order[lay.bkt_ptr[b]:lay.bkt_ptr[b + 1]].tolist()
+        assert ids and ids == sorted(ids)
+    # the out sides come first and hold the first m entries, and each
+    # direction's buckets partition the m edges
+    assert lay.side_bkt_ptr[0] == 0 and lay.side_bkt_ptr[-1] == lay.bkt_etype.shape[0]
+    assert (np.diff(lay.side_bkt_ptr) >= 0).all()
+    assert list(lay.side_ptr) == list(lay.bkt_ptr[lay.side_bkt_ptr])
+    assert lay.bkt_ptr[0] == 0 and lay.side_ptr[g.n] == g.m and lay.bkt_ptr[-1] == 2 * g.m
+    assert sorted(lay.order[:g.m]) == list(range(g.m))
+    assert sorted(lay.order[g.m:]) == list(range(g.m))
 
 
 def test_random_factory_respects_caps():

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from hgsparse import RandomStream, mix_seed, substream_seed
-from hgsparse._rng import counter_words, randbelow_array, splitmix64, splitmix64_array
+from hgsparse._rng import (RandomStream, counter_words, mix_seed, randbelow_array,
+                           splitmix64, splitmix64_array, substream_seed)
 
 _GAMMA = 0x9E3779B97F4A7C15
 

@@ -11,20 +11,45 @@ from hgsparse import (
     ALL_TYPES,
     PER_TYPE,
     EmptyGraphError,
-    RandomStream,
     SparsifyParams,
     build_graph,
     coverage_report,
     generate,
     isolated_nodes,
     pubmed_like_spec,
-    sample_without_replacement,
     sparsify,
-    sparsify_node_direction,
     vertex_order,
 )
+from hgsparse._rng import RandomStream
+from hgsparse.sparsify import sample_without_replacement
 
-from conftest import make_random_graph
+from conftest import dict_buckets, make_random_graph
+
+
+def sparsify_node_direction(g, buckets, u: int, direction: str,
+                            H: set, k: int, rng: RandomStream) -> set:
+    """One vertex-direction step of the per-type method, on identity triples.
+
+    Pure-Python reference for the sweep: updates H in place, consuming
+    the stream exactly as :func:`sparsify` does, and returns H.
+    ``buckets`` is :func:`conftest.dict_buckets` of g.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    for _etype, ids in sorted(buckets.get((direction, u), {}).items()):
+        keys = g.edge_keys(ids)
+        if len(keys) < k:
+            H.update(keys)
+            continue
+        pool = [key for key in keys if key not in H]
+        need = k - (len(keys) - len(pool))
+        if need <= 0:
+            continue
+        if need >= len(pool):
+            H.update(pool)
+            continue
+        H.update(sample_without_replacement(pool, need, rng))
+    return H
 
 
 def test_g1_k1_keeps_everything_per_type(g1):
@@ -46,14 +71,15 @@ def test_node_direction_hand_trace(g1):
     H = {(1, 2, 0), (1, 3, 0)}
     rng = RandomStream(0)
     before = rng.state
-    sparsify_node_direction(g1, 1, "out", H, 1, rng)
+    sparsify_node_direction(g1, dict_buckets(g1), 1, "out", H, 1, rng)
     assert H == {(1, 2, 0), (1, 3, 0), (1, 4, 1)}
     assert rng.state == before  # forced moves consume no stream
 
 
 def test_node_direction_validates_k(g1):
     with pytest.raises(ValueError):
-        sparsify_node_direction(g1, 1, "out", set(), 0, RandomStream(0))
+        sparsify_node_direction(g1, dict_buckets(g1), 1, "out", set(), 0,
+                                RandomStream(0))
 
 
 def test_k33_bounds_and_coverage(k33):
@@ -99,17 +125,16 @@ def test_sample_is_subset_and_deterministic(seed, count):
 
 def test_vertex_order_by_degree_then_id():
     g = build_graph([(1, 2, 0), (1, 3, 0), (1, 4, 0), (5, 1, 0)])
-    order = [int(g.original_ids(np.array([u]))[0]) for u in vertex_order(g)]
-    assert order == [2, 3, 4, 5, 1]
+    assert g.node_ids[vertex_order(g)].tolist() == [2, 3, 4, 5, 1]
 
 
 def _reference_per_type(g, k, seed):
     H = set()
     rng = RandomStream(seed)
-    for u_dense in vertex_order(g):
-        u = int(g.original_ids(np.array([u_dense]))[0])
-        sparsify_node_direction(g, u, "out", H, k, rng)
-        sparsify_node_direction(g, u, "in", H, k, rng)
+    buckets = dict_buckets(g)
+    for u in g.node_ids[vertex_order(g)].tolist():
+        sparsify_node_direction(g, buckets, u, "out", H, k, rng)
+        sparsify_node_direction(g, buckets, u, "in", H, k, rng)
     return H
 
 
@@ -118,15 +143,14 @@ def _reference_all_types(g, k, seed):
     # bucket, then top the node-direction up to k from the ascending-id pool
     H = set()
     rng = RandomStream(seed)
-    for u_dense in vertex_order(g):
-        u = int(g.original_ids(np.array([u_dense]))[0])
+    by_side = dict_buckets(g)
+    for u in g.node_ids[vertex_order(g)].tolist():
         for direction in ("out", "in"):
-            buckets = list(g.node_buckets(u, direction))
+            buckets = sorted(by_side.get((direction, u), {}).items())
             for _etype, ids in buckets:
-                if not any(int(e) in H for e in ids):
-                    H.add(int(ids[rng.randbelow(len(ids))]))
-            pool = sorted(int(e) for _etype, ids in buckets for e in ids
-                          if int(e) not in H)
+                if not any(e in H for e in ids):
+                    H.add(ids[rng.randbelow(len(ids))])
+            pool = sorted(e for _etype, ids in buckets for e in ids if e not in H)
             need = k - (sum(len(ids) for _e, ids in buckets) - len(pool))
             if need >= len(pool):
                 H.update(pool)
@@ -190,11 +214,10 @@ def test_sweep_matches_pure_reference(method, case, seed):
     g, k = case
     res = sparsify(g, SparsifyParams(k=k, method=method, seed=seed))
     if method == PER_TYPE:
-        expected = {g.edge_key(g.edge_index(*key))
-                    for key in _reference_per_type(g, k, seed)}
+        expected = _reference_per_type(g, k, seed)
     else:
-        expected = {g.edge_key(e) for e in _reference_all_types(g, k, seed)}
-    assert set(res.selected_triples()) == expected
+        expected = set(g.edge_keys(sorted(_reference_all_types(g, k, seed))))
+    assert set(g.edge_keys(res.edge_ids)) == expected
 
 
 suite_params = st.tuples(
