@@ -1,7 +1,9 @@
 """Command-line front end: sparsify, stats, generate, verify, eval.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-inconsistent inputs), 3 verification failure.
+inconsistent inputs, or an output path that cannot be written), 3
+verification failure, 4 internal error (a fault in hgsparse itself).
+Every failure prints one line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -305,6 +307,9 @@ def run(argv=None) -> int:
     except DataError as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
+    except Exception as exc:  # a fault of the program, not of its input
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        return 4
 
 
 def main() -> None:

@@ -12,8 +12,9 @@ Formats (UTF-8):
   are skipped but counted in error line numbers.
   :func:`read_link_file` checks and parses the whole text with numpy
   passes over its code points into a :class:`LinkTable` of columns.
-* node file: ``<node_id>\\t<name>\\t<node_type_id>`` per line; extra
-  attribute columns are ignored with a warning
+* node file: ``<node_id>\\t<name>\\t<node_type_id>`` per line, the id
+  and type ASCII digits as in link files; extra attribute columns are
+  ignored with a warning, and blank lines are skipped
 * report: a JSON object, keys sorted, written with a trailing newline
 
 Link output is in canonical (src, dst, etype) ascending order with
@@ -86,6 +87,8 @@ def _opened(source, mode: str):
                 yield handle
     except UnicodeDecodeError:
         raise DataError(f"{getattr(source, 'name', source)}: not UTF-8 text") from None
+    except OSError as exc:
+        raise DataError(f"{getattr(source, 'name', source)}: {exc.strerror or exc}") from None
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -227,6 +230,16 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     return LinkTable(src, dst, etype, weight)
 
 
+def _node_field(field: str, what: str, line_no: int) -> int:
+    """A node file's id or type: ASCII digits with a value in [0, 2**63)."""
+    if not (field.isascii() and field.isdigit()):
+        raise NodeFileError(line_no, f"invalid integer {field!r} for {what}")
+    digits = field.lstrip("0") or "0"
+    if len(digits) > 19 or int(digits) > _MAX_ID:
+        raise NodeFileError(line_no, f"{what} {digits} is outside [0, 2**63)")
+    return int(digits)
+
+
 def read_node_file(source) -> dict[int, tuple[str, int]]:
     """Parse a node file into {node_id: (name, node_type_id)}."""
     table: dict[int, tuple[str, int]] = {}
@@ -246,14 +259,8 @@ def read_node_file(source) -> dict[int, tuple[str, int]]:
                     f"{len(fields) - 3} attribute column(s)",
                     stacklevel=2)
                 warned_extra = True
-            try:
-                node_id = int(fields[0])
-                node_type = int(fields[2])
-            except ValueError:
-                raise NodeFileError(
-                    line_no, f"invalid integer field in {line!r}") from None
-            if not (0 <= node_id < 2**63 and 0 <= node_type < 2**63):
-                raise NodeFileError(line_no, "node id or type is outside [0, 2**63)")
+            node_id = _node_field(fields[0], "node id", line_no)
+            node_type = _node_field(fields[2], "node type", line_no)
             if node_id in table:
                 raise NodeFileError(line_no, f"duplicate node id {node_id}")
             table[node_id] = (fields[1], node_type)

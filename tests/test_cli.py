@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from hgsparse import cli
 from hgsparse.cli import run
 
 REPORT_FIELDS = {"n", "m", "k", "t", "method", "seed", "kept_edges", "ratio",
@@ -184,6 +185,47 @@ def test_stats_reads_node_file(star_file, tmp_path, capsys):
     nodes.write_text("".join(f"{u}\tn{u}\t{1 if u else 0}\n" for u in range(8)))
     assert run(["stats", "--links", str(star_file), "--nodes", str(nodes)]) == 0
     assert "node types:     2" in capsys.readouterr().out
+
+
+def test_node_file_ids_follow_link_grammar(tmp_path, capsys):
+    # int() would read "1_0" as node 10, which the link file names
+    links = tmp_path / "link.dat"
+    links.write_text("10\t2\t0\n")
+    nodes = tmp_path / "node.dat"
+    for bad in ("1_0\tx\t0", " 10\tx\t0", "+10\tx\t0", "10\tx\t+0", "\u0661\tx\t0"):
+        nodes.write_text(f"2\ty\t0\n{bad}\n")
+        assert run(["stats", "--links", str(links), "--nodes", str(nodes)]) == 2
+        assert f"{nodes}: line 2: invalid integer" in _one_line_error(capsys)
+    nodes.write_text("2\ty\t0\n010\tx\t0\n")
+    assert run(["stats", "--links", str(links), "--nodes", str(nodes)]) == 0
+
+
+def test_unwritable_outputs_exit_two(star_file, tmp_path, capsys):
+    missing = tmp_path / "no" / "such"
+    ok = str(tmp_path / "ok.dat")
+    links = ["--links", str(star_file)]
+    gen = ["generate", "--node-types", "5,5", "--edge", "0:1:10"]
+    for argv in (
+        ["sparsify", *links, "--k", "1", "--out", str(missing / "o.dat")],
+        ["sparsify", *links, "--k", "1", "--out", ok, "--report", str(missing / "r.json")],
+        ["stats", *links, "--report", str(missing / "r.json")],
+        gen + ["--out", str(missing / "g.dat")],
+        gen + ["--out", ok, "--nodes-out", str(missing / "n.dat")],
+        gen + ["--out", ok, "--report", str(missing / "r.json")],
+    ):
+        assert run(argv) == 2
+        err = _one_line_error(capsys)
+        assert err.startswith(f"error: {missing}")
+
+
+def test_internal_error_exits_four(star_file, tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage failed")
+
+    monkeypatch.setattr(cli, "coverage_report", broken)
+    assert run(["sparsify", "--links", str(star_file), "--k", "1",
+                "--out", str(tmp_path / "o.dat")]) == 4
+    assert _one_line_error(capsys) == "internal error: RuntimeError: stage failed\n"
 
 
 def test_weighted_and_delimiter_flags(tmp_path):

@@ -118,6 +118,29 @@ def test_node_file_short_line():
         read_node_file(io.StringIO("1\tx\n"))
 
 
+@pytest.mark.parametrize("line,message", [
+    ("1_0\tx\t0", "invalid integer '1_0' for node id"),
+    (" 1\tx\t0", "invalid integer ' 1' for node id"),
+    ("+2\tx\t0", "invalid integer '+2' for node id"),
+    ("-2\tx\t0", "invalid integer '-2' for node id"),
+    ("\u0663\tx\t0", "invalid integer '\u0663' for node id"),
+    ("3\tx\t1 ", "invalid integer '1 ' for node type"),
+    ("3\tx\t", "invalid integer '' for node type"),
+    (f"{2**63}\tx\t0", f"node id {2**63} is outside [0, 2**63)"),
+    (f"3\tx\t{'9' * 5000}", f"node type {'9' * 5000} is outside [0, 2**63)"),
+])
+def test_node_file_ids_are_ascii_digits(line, message):
+    # the link-file id grammar: [0-9]+ with a value in [0, 2**63)
+    with pytest.raises(NodeFileError) as err:
+        read_node_file(io.StringIO(f"7\ta\t0\n{line}\n"))
+    assert str(err.value) == f"line 2: {message}"
+
+
+def test_node_file_leading_zeros_and_crlf():
+    text = f"007\ta\t01\r\n{2**63 - 1}\tb\t0\r\n"
+    assert read_node_file(io.StringIO(text)) == {7: ("a", 1), 2**63 - 1: ("b", 0)}
+
+
 def test_write_all_edges_canonical(g1):
     out = io.StringIO()
     assert write_link_file(g1, out) == 3
