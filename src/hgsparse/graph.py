@@ -167,7 +167,10 @@ class HeteroGraph:
     # ---- adjacency queries ----
 
     def degrees(self) -> np.ndarray:
-        """Total degree of every node, dense order: out + in, a self-loop counting once per direction."""
+        """Total degree of every node, dense order.
+
+        Out + in, a self-loop counting once per direction.
+        """
         return np.diff(self.layout.side_ptr).reshape(2, self.n).sum(axis=0)
 
     # ---- edge identity lookups ----

@@ -87,8 +87,9 @@ def _opened(source, mode: str):
                 yield handle
     except UnicodeDecodeError:
         raise DataError(f"{getattr(source, 'name', source)}: not UTF-8 text") from None
-    except OSError as exc:
-        raise DataError(f"{getattr(source, 'name', source)}: {exc.strerror or exc}") from None
+    except OSError as exc:  # e.g. an output directory that does not exist
+        name = getattr(source, "name", source)
+        raise DataError(f"{name}: {exc.strerror or exc}") from None
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -129,6 +130,20 @@ def _blank(chars: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     return ~np.logical_or.reduceat(nonspace, np.cumsum(lens) - lens)
 
 
+def _parse_id(field: str, what: str) -> int:
+    """The value of an id or type field; ValueError says why it is not one.
+
+    A field is ASCII digits ``[0-9]+`` with a value in [0, 2**63), in link
+    and node files alike.
+    """
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"invalid integer {field!r} for {what}")
+    digits = field.lstrip("0") or "0"
+    if len(digits) > 19 or int(digits) > _MAX_ID:
+        raise ValueError(f"{what} {digits} is outside [0, 2**63)")
+    return int(digits)
+
+
 def _line_error(line: str, opts: LinkFileOptions) -> str:
     """Why a line that is neither blank nor a comment is not a link."""
     fields = line.split(opts.delimiter)
@@ -138,12 +153,11 @@ def _line_error(line: str, opts: LinkFileOptions) -> str:
         return "unexpected weight column (weights are disabled)"
     if len(fields) == 3 and opts.has_weight:
         return "missing weight column (weights are enabled)"
-    for what, field in zip(("src", "dst", "etype"), fields):
-        if not (field.isascii() and field.isdigit()):
-            return f"invalid integer {field!r} for {what}"
-        digits = field.lstrip("0") or "0"
-        if len(digits) > 19 or int(digits) > _MAX_ID:
-            return f"{what} {digits} is outside [0, 2**63)"
+    try:
+        for what, field in zip(("src", "dst", "etype"), fields):
+            _parse_id(field, what)
+    except ValueError as exc:
+        return str(exc)
     try:
         float(fields[3])
     except ValueError:
@@ -230,16 +244,6 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     return LinkTable(src, dst, etype, weight)
 
 
-def _node_field(field: str, what: str, line_no: int) -> int:
-    """A node file's id or type: ASCII digits with a value in [0, 2**63)."""
-    if not (field.isascii() and field.isdigit()):
-        raise NodeFileError(line_no, f"invalid integer {field!r} for {what}")
-    digits = field.lstrip("0") or "0"
-    if len(digits) > 19 or int(digits) > _MAX_ID:
-        raise NodeFileError(line_no, f"{what} {digits} is outside [0, 2**63)")
-    return int(digits)
-
-
 def read_node_file(source) -> dict[int, tuple[str, int]]:
     """Parse a node file into {node_id: (name, node_type_id)}."""
     table: dict[int, tuple[str, int]] = {}
@@ -259,8 +263,11 @@ def read_node_file(source) -> dict[int, tuple[str, int]]:
                     f"{len(fields) - 3} attribute column(s)",
                     stacklevel=2)
                 warned_extra = True
-            node_id = _node_field(fields[0], "node id", line_no)
-            node_type = _node_field(fields[2], "node type", line_no)
+            try:
+                node_id = _parse_id(fields[0], "node id")
+                node_type = _parse_id(fields[2], "node type")
+            except ValueError as exc:
+                raise NodeFileError(line_no, str(exc)) from None
             if node_id in table:
                 raise NodeFileError(line_no, f"duplicate node id {node_id}")
             table[node_id] = (fields[1], node_type)

@@ -53,8 +53,9 @@ def coverage_report(g: HeteroGraph, selected, k: int,
     kept = np.add.reduceat(mask[layout.order].astype(np.int64), layout.bkt_ptr[:-1])
     required = np.minimum(k, sizes) if method == PER_TYPE else np.ones_like(sizes)
     bad = np.flatnonzero(kept < required)
-    # bucket b belongs to side s = d * n + u, the last side starting at or before b
-    inward, node = np.divmod(np.searchsorted(layout.side_bkt_ptr, bad, side="right") - 1, g.n)
+    # bucket b belongs to side d * n + u, the last side starting at or before b
+    side = np.searchsorted(layout.side_bkt_ptr, bad, side="right") - 1
+    inward, node = np.divmod(side, g.n)
     return [CoverageViolation(node=u, direction=IN if d else OUT, etype=t,
                               required=r, actual=a)
             for u, d, t, r, a in zip(g.node_ids[node].tolist(), inward.tolist(),

@@ -137,7 +137,8 @@ def test_node_file_ids_are_ascii_digits(line, message):
 
 
 def test_node_file_leading_zeros_and_crlf():
-    text = f"007\ta\t01\r\n{2**63 - 1}\tb\t0\r\n"
+    # more leading zeros than int() takes digits
+    text = f"{'0' * 5000}7\ta\t01\r\n{2**63 - 1}\tb\t0\r\n"
     assert read_node_file(io.StringIO(text)) == {7: ("a", 1), 2**63 - 1: ("b", 0)}
 
 
