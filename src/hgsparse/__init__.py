@@ -16,14 +16,14 @@ from .errors import (DataError, DegenerateSplitError, EmptyGraphError,
                      VerificationError)
 from .evalproxy import (ADAMIC_ADAR, COMMON_NEIGHBORS, SCORERS, EdgeSplit,
                         EvalReport, TrainView, auc, candidate_ranks, evaluate,
-                        mrr, sample_negatives, score_pair, score_pairs,
-                        split_edges)
-from .graph import (DIRECTIONS, IN, OUT, EdgeRecord, GraphStats, HeteroGraph,
+                        mrr, sample_negatives, score_pairs, split_edges)
+from .graph import (IN, OUT, EdgeRecord, GraphStats, HeteroGraph,
                     build_graph, build_graph_arrays)
-from .hgb_io import (LinkFileOptions, LinkTable, read_link_file, read_node_file,
-                     write_link_file, write_node_file, write_report)
+from .hgb_io import (LinkFileOptions, LinkTable, NodeTable, read_link_file,
+                     read_node_file, write_link_file, write_node_file,
+                     write_report)
 from .metrics import (CoverageViolation, coverage_report, isolated_nodes,
-                      per_type_kept, sparsification_ratio)
+                      per_type_kept)
 from .sparsify import (ALL_TYPES, METHODS, PER_TYPE, SparsifierResult,
                        SparsifyParams, sparsify, vertex_order)
 from .synthgen import (EdgeTypeSpec, GenSpec, generate, parse_spec_file,
@@ -36,19 +36,18 @@ __version__ = "0.1.0"
 NUMBA_ENABLED = False
 
 __all__ = [
-    "ADAMIC_ADAR", "ALL_TYPES", "COMMON_NEIGHBORS", "DIRECTIONS", "IN",
-    "METHODS", "NUMBA_ENABLED", "OUT", "PER_TYPE", "SCORERS",
+    "ADAMIC_ADAR", "ALL_TYPES", "COMMON_NEIGHBORS", "IN", "METHODS",
+    "NUMBA_ENABLED", "OUT", "PER_TYPE", "SCORERS",
     "CoverageViolation", "DataError", "DegenerateSplitError", "EdgeRecord",
     "EdgeSplit", "EdgeTypeSpec", "EmptyGraphError", "EvalReport", "GenSpec",
     "GenSpecError", "GraphStats", "HeteroGraph", "InfeasibleSpecError",
     "LinkFileOptions", "LinkFormatError", "LinkTable", "NegativeSamplingError",
-    "NodeFileError", "NonFiniteWeightError", "RetryCapError",
+    "NodeFileError", "NodeTable", "NonFiniteWeightError", "RetryCapError",
     "SparsifierResult", "SparsifyParams", "TrainView", "UnknownEdgeError",
     "UnknownNodeError", "VerificationError", "auc", "build_graph",
     "build_graph_arrays", "candidate_ranks", "coverage_report", "evaluate",
     "generate", "isolated_nodes", "mrr", "parse_spec_file", "per_type_kept",
     "pubmed_like_spec", "read_link_file", "read_node_file", "sample_negatives",
-    "score_pair", "score_pairs", "sparsification_ratio", "sparsify",
-    "split_edges", "substream_seed", "vertex_order", "write_link_file",
-    "write_node_file", "write_report",
+    "score_pairs", "sparsify", "split_edges", "substream_seed",
+    "vertex_order", "write_link_file", "write_node_file", "write_report",
 ]

@@ -77,9 +77,7 @@ def _load_graph(links, nodes, weighted, delimiter, comment_prefix) -> HeteroGrap
             node_table = read_node_file(nodes)
         except NodeFileError as exc:
             raise DataError(f"{nodes}: {exc}") from None
-        node_ids = np.fromiter(node_table, dtype=np.int64, count=len(node_table))
-        node_types = np.fromiter((t for _name, t in node_table.values()),
-                                 dtype=np.int64, count=len(node_table))
+        node_ids, node_types = node_table.ids, node_table.types
     return build_graph_arrays(table.src, table.dst, table.etype, weight=table.weight,
                               node_ids=node_ids, node_types=node_types)
 

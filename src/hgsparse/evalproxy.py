@@ -231,13 +231,6 @@ def score_pairs(view: TrainView, us_dense, vs_dense, scorer: str) -> np.ndarray:
     return out
 
 
-def score_pair(view: TrainView, u: int, v: int, scorer: str = COMMON_NEIGHBORS) -> float:
-    """Score one (u, v) pair given with original node ids."""
-    ud = view.graph.dense_id(u)
-    vd = view.graph.dense_id(v)
-    return float(score_pairs(view, [ud], [vd], scorer)[0])
-
-
 def auc(pos_scores, neg_scores) -> float:
     """P(pos > neg) + 0.5 * P(pos = neg) over all pairs, via tied rank sums."""
     pos = np.asarray(pos_scores, dtype=np.float64)

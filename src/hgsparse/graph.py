@@ -25,7 +25,6 @@ from .errors import NonFiniteWeightError, UnknownEdgeError, UnknownNodeError
 
 OUT = "out"
 IN = "in"
-DIRECTIONS = (OUT, IN)
 
 
 class EdgeRecord(NamedTuple):
@@ -33,10 +32,6 @@ class EdgeRecord(NamedTuple):
     dst: int
     etype: int
     weight: float | None = None
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.src, self.dst, self.etype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,19 +79,49 @@ def _as_int64(values, name: str) -> np.ndarray:
     return arr
 
 
-def _build_layout(src: np.ndarray, dst: np.ndarray, etype: np.ndarray,
-                  n: int) -> BucketLayout:
+def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
+    """The index of each of ``ids`` in the ascending ``sorted_ids``.
+
+    Raises :class:`UnknownNodeError`, ``missing`` formatted with the first
+    id that is not there.
+    """
+    n = sorted_ids.shape[0]
+    pos = np.searchsorted(sorted_ids, ids)
+    # the appended entry makes pos == n a valid index whatever its value
+    found = (pos < n) & (np.append(sorted_ids, 0)[pos] == ids)
+    if not found.all():
+        raise UnknownNodeError(missing.format(int(ids[np.argmin(found)])))
+    return pos
+
+
+def _build_layout(src: np.ndarray, dst: np.ndarray, etype_rank: np.ndarray,
+                  etype_ids: np.ndarray, n: int) -> BucketLayout:
+    """The buckets of a table in canonical order, etype_rank indexing etype_ids."""
     m = src.shape[0]
-    # stable lexsorts keep ascending edge id inside equal (node, etype)
-    order = np.concatenate((np.lexsort((etype, src)), np.lexsort((etype, dst))))
-    side = np.concatenate((src[order[:m]], dst[order[m:]] + n))
-    et = etype[order]
+    t = etype_ids.shape[0]
+    # a bucket's key is side * t + etype rank.  Edge ids ascend with src
+    # and, among one dst's edges of one etype, with their distinct srcs,
+    # so stable sorts give each bucket's ids in ascending order: the out
+    # keys are nearly sorted already, and the in keys once the edges are
+    # ordered by (dst, src).  n * t < 2**63 as n * n does, t being at most m.
+    out_key = src * t + etype_rank
+    out = np.argsort(out_key, kind="stable")
+    by_dst = np.argsort(dst * n + src)
+    in_key = (dst * t + etype_rank)[by_dst]
+    into = np.argsort(in_key, kind="stable")
+    order = np.concatenate((out, by_dst[into]))
+    key = np.concatenate((out_key[out], in_key[into]))
     first = np.ones(2 * m, dtype=bool)
-    first[1:] = (side[1:] != side[:-1]) | (et[1:] != et[:-1])
+    first[1:] = key[1:] != key[:-1]
+    first[m:m + 1] = True  # the first in-side bucket, whatever its key
     starts = np.flatnonzero(first)
     bkt_ptr = np.append(starts, 2 * m)
-    side_bkt_ptr = np.searchsorted(side[starts], np.arange(2 * n + 1))
-    return BucketLayout(order, bkt_ptr, et[starts], side_bkt_ptr, bkt_ptr[side_bkt_ptr])
+    side = key[starts] // max(t, 1)
+    side[np.searchsorted(starts, m):] += n
+    side_bkt_ptr = np.zeros(2 * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(side, minlength=2 * n), out=side_bkt_ptr[1:])
+    return BucketLayout(order, bkt_ptr, etype_ids[etype_rank[order[starts]]],
+                        side_bkt_ptr, bkt_ptr[side_bkt_ptr])
 
 
 class HeteroGraph:
@@ -106,7 +131,7 @@ class HeteroGraph:
                  "duplicates_dropped", "layout", "_etype_ids", "_pair_key")
 
     def __init__(self, node_ids, node_types, src, dst, etype, weight,
-                 duplicates_dropped, layout):
+                 duplicates_dropped, layout, etype_ids, pair_key):
         self.node_ids = node_ids
         self.node_types = node_types
         self.src = src
@@ -115,11 +140,9 @@ class HeteroGraph:
         self.weight = weight
         self.duplicates_dropped = duplicates_dropped
         self.layout = layout
-        self._etype_ids = np.unique(etype)
-        # the table is sorted by (src, dst, etype), so src * n + dst ascends
-        # with each pair's etypes in one run; n * n < 2**63 for any graph
-        # that fits in memory, so the pair key cannot overflow
-        self._pair_key = src * node_ids.shape[0] + dst
+        self._etype_ids = etype_ids
+        # src * n + dst; it ascends with each pair's etypes in one run
+        self._pair_key = pair_key
 
     # ---- basic counts ----
 
@@ -139,10 +162,6 @@ class HeteroGraph:
     def etype_ids(self) -> np.ndarray:
         return self._etype_ids
 
-    @property
-    def has_weights(self) -> bool:
-        return self.weight is not None
-
     def __repr__(self) -> str:
         return f"HeteroGraph(n={self.n}, m={self.m}, t={self.t})"
 
@@ -155,14 +174,8 @@ class HeteroGraph:
         return pos
 
     def dense_ids(self, us) -> np.ndarray:
-        us = _as_int64(us, "node ids")
-        pos = np.searchsorted(self.node_ids, us)
-        ok = pos < self.n
-        ok &= self.node_ids[np.minimum(pos, max(self.n - 1, 0))] == us
-        if not ok.all():
-            bad = us[np.flatnonzero(~ok)[0]]
-            raise UnknownNodeError(f"node {int(bad)} is not in the graph")
-        return pos.astype(np.int64)
+        return _positions(self.node_ids, _as_int64(us, "node ids"),
+                          "node {} is not in the graph")
 
     # ---- adjacency queries ----
 
@@ -183,15 +196,8 @@ class HeteroGraph:
     def edge_keys(self, edge_ids) -> list[tuple[int, int, int]]:
         return [self.edge_key(int(e)) for e in np.asarray(edge_ids, dtype=np.int64)]
 
-    def edge_index(self, src: int, dst: int, etype: int) -> int:
-        """Edge id of identity (src, dst, etype) in original node ids."""
-        try:
-            return int(self.edge_ids([src], [dst], [etype])[0])
-        except UnknownNodeError:
-            raise UnknownEdgeError(f"({src}, {dst}, {etype}) is not an edge") from None
-
     def edge_ids(self, src, dst, etype) -> np.ndarray:
-        """Vectorized edge_index over parallel arrays of original ids."""
+        """Edge id of each (src, dst, etype) identity, given in original ids."""
         ids = self.dense_edge_ids(self.dense_ids(src), self.dense_ids(dst),
                                   _as_int64(etype, "edge types"))
         if (ids < 0).any():
@@ -317,39 +323,30 @@ def build_graph_arrays(src, dst, etype, weight=None,
     node_ids = np.ascontiguousarray(node_ids)
     n = node_ids.shape[0]
 
-    def remap(arr: np.ndarray, what: str) -> np.ndarray:
-        if arr.size == 0:
-            return arr.copy()
-        pos = np.searchsorted(node_ids, arr)
-        ok = pos < n
-        ok &= node_ids[np.minimum(pos, max(n - 1, 0))] == arr
-        if not ok.all():
-            bad = int(arr[np.flatnonzero(~ok)[0]])
-            raise UnknownNodeError(f"edge {what} {bad} is not in the node table")
-        return pos.astype(np.int64)
+    src = _positions(node_ids, src, "edge source {} is not in the node table")
+    dst = _positions(node_ids, dst, "edge destination {} is not in the node table")
 
-    src_d = remap(src, "source")
-    dst_d = remap(dst, "destination")
-
-    perm = np.lexsort((etype, dst_d, src_d))
-    src_c = np.ascontiguousarray(src_d[perm])
-    dst_c = np.ascontiguousarray(dst_d[perm])
-    et_c = np.ascontiguousarray(etype[perm])
-    if src_c.size:
-        dup = (src_c[1:] == src_c[:-1]) & (dst_c[1:] == dst_c[:-1]) & (et_c[1:] == et_c[:-1])
-        keep = np.concatenate(([True], ~dup))
-    else:
-        keep = np.ones(0, dtype=bool)
-    duplicates_dropped = int(src_c.size - keep.sum())
-    src_c = np.ascontiguousarray(src_c[keep])
-    dst_c = np.ascontiguousarray(dst_c[keep])
-    et_c = np.ascontiguousarray(et_c[keep])
-    w_c = None
+    # canonical order: ascending (src, dst, etype), input order among
+    # duplicates; n * n < 2**63 for any graph that fits in memory, so the
+    # pair key cannot overflow
+    pair = src * n + dst
+    perm = np.lexsort((etype, pair))
+    pair = pair[perm]
+    etype = etype[perm]
+    keep = np.ones(perm.shape[0], dtype=bool)
+    keep[1:] = (pair[1:] != pair[:-1]) | (etype[1:] != etype[:-1])
+    perm = perm[keep]
+    pair = pair[keep]
+    etype = etype[keep]
+    src = src[perm]
+    dst = dst[perm]
     if weight is not None:
-        w_c = np.ascontiguousarray(weight[perm][keep])
-
-    return HeteroGraph(node_ids, node_types, src_c, dst_c, et_c, w_c,
-                       duplicates_dropped, _build_layout(src_c, dst_c, et_c, n))
+        weight = weight[perm]
+    etype_ids, etype_rank = np.unique(etype, return_inverse=True)
+    return HeteroGraph(node_ids, node_types, src, dst, etype, weight,
+                       int(keep.shape[0] - perm.shape[0]),
+                       _build_layout(src, dst, etype_rank, etype_ids, n),
+                       etype_ids, pair)
 
 
 def build_graph(edges: Iterable, node_types: Mapping[int, int] | None = None) -> HeteroGraph:

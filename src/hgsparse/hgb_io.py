@@ -10,12 +10,18 @@ Formats (UTF-8):
   CRs just before it; read by path, a lone CR also ends a line.  Blank
   (whitespace-only) lines and lines starting with the comment prefix
   are skipped but counted in error line numbers.
-  :func:`read_link_file` checks and parses the whole text with numpy
-  passes over its code points into a :class:`LinkTable` of columns.
 * node file: ``<node_id>\\t<name>\\t<node_type_id>`` per line, the id
-  and type ASCII digits as in link files; extra attribute columns are
-  ignored with a warning, and blank lines are skipped
+  and type ASCII digits as in link files and lines ending as they do;
+  extra attribute columns are ignored with a warning, blank lines are
+  skipped, and an id may appear once
 * report: a JSON object, keys sorted, written with a trailing newline
+
+Both readers are columnar: :func:`read_link_file` and
+:func:`read_node_file` cut the whole text into lines and fields with
+one shared set of numpy passes over its code points, check the id
+fields and parse them all with one ``np.fromstring`` call, and return a
+:class:`LinkTable` or a :class:`NodeTable` of columns.  Python looks at
+one line only: the first bad one, to explain it in the error.
 
 Link output is in canonical (src, dst, etype) ascending order with
 original node ids, so two selections diff cleanly.
@@ -29,6 +35,7 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +81,18 @@ class LinkTable:
 
     def __len__(self) -> int:
         return int(self.src.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """The nodes of a node file as columns, in file order."""
+
+    ids: np.ndarray     # int64, original node ids
+    types: np.ndarray   # int64, node type ids
+    names: list[str]
+
+    def __len__(self) -> int:
+        return int(self.ids.shape[0])
 
 
 @contextmanager
@@ -130,6 +149,39 @@ def _blank(chars: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     return ~np.logical_or.reduceat(nonspace, np.cumsum(lens) - lens)
 
 
+class _Lines(NamedTuple):
+    """A text cut into lines and fields by :func:`_split_lines`."""
+
+    text: str            # without trailing CRs, ending in a newline unless empty
+    chars: np.ndarray    # its code points
+    is_sep: np.ndarray   # True at each delimiter and newline
+    sep: np.ndarray      # the positions where is_sep holds
+    first: np.ndarray    # per line, the index into sep of its first field's end
+    last: np.ndarray     # per line, the index into sep of its newline
+    start: np.ndarray    # per line, the position of its first character
+    end: np.ndarray      # per line, the position of its newline
+
+
+def _split_lines(source, delimiter: str) -> _Lines:
+    """Read a whole text and find its lines and the fields' ends in them."""
+    with _opened(source, "r") as stream:
+        text = stream.read()
+    if "\r" in text:
+        text = _TRAILING_CR.sub("", text)
+    if text and not text.endswith("\n"):
+        text += "\n"
+    chars = _code_points(text)
+    # a line's fields end at delimiters and at its newline
+    is_nl = chars == 10
+    is_sep = is_nl | (chars == ord(delimiter))
+    sep = np.flatnonzero(is_sep)
+    last = np.flatnonzero(is_nl[sep])
+    first = np.concatenate(([0], last + 1))[:-1]
+    end = sep[last]
+    start = np.concatenate(([0], end + 1))[:-1]
+    return _Lines(text, chars, is_sep, sep, first, last, start, end)
+
+
 def _parse_id(field: str, what: str) -> int:
     """The value of an id or type field; ValueError says why it is not one.
 
@@ -170,22 +222,8 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
 
     Raises :class:`LinkFormatError` naming the first malformed line.
     """
-    with _opened(source, "r") as stream:
-        text = stream.read()
-    if "\r" in text:
-        text = _TRAILING_CR.sub("", text)
-    if text and not text.endswith("\n"):
-        text += "\n"
-    chars = _code_points(text)
-
-    # a line's fields end at delimiters and at its newline
-    is_nl = chars == 10
-    is_sep = is_nl | (chars == ord(opts.delimiter))
-    sep = np.flatnonzero(is_sep)
-    line_last = np.flatnonzero(is_nl[sep])  # index into sep of each newline
-    line_first = np.concatenate(([0], line_last + 1))[:-1]
-    line_end = sep[line_last]
-    line_start = np.concatenate(([0], line_end + 1))[:-1]
+    (text, chars, is_sep, sep,
+     line_first, line_last, line_start, line_end) = _split_lines(source, opts.delimiter)
     if opts.comment_prefix is None:
         comment = np.zeros(line_end.shape[0], dtype=bool)
     else:
@@ -244,34 +282,81 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     return LinkTable(src, dst, etype, weight)
 
 
-def read_node_file(source) -> dict[int, tuple[str, int]]:
-    """Parse a node file into {node_id: (name, node_type_id)}."""
-    table: dict[int, tuple[str, int]] = {}
-    warned_extra = False
-    with _opened(source, "r") as stream:
-        for line_no, raw in enumerate(stream, 1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            fields = line.split("\t")
-            if len(fields) < 3:
-                raise NodeFileError(
-                    line_no, f"expected at least 3 fields, got {len(fields)}")
-            if len(fields) > 3 and not warned_extra:
-                warnings.warn(
-                    f"node file line {line_no}: ignoring "
-                    f"{len(fields) - 3} attribute column(s)",
-                    stacklevel=2)
-                warned_extra = True
-            try:
-                node_id = _parse_id(fields[0], "node id")
-                node_type = _parse_id(fields[2], "node type")
-            except ValueError as exc:
-                raise NodeFileError(line_no, str(exc)) from None
-            if node_id in table:
-                raise NodeFileError(line_no, f"duplicate node id {node_id}")
-            table[node_id] = (fields[1], node_type)
-    return table
+def _node_line_error(line: str) -> str:
+    """Why a node-file line that is not blank does not add a node."""
+    fields = line.split("\t")
+    if len(fields) < 3:
+        return f"expected at least 3 fields, got {len(fields)}"
+    try:
+        node_id = _parse_id(fields[0], "node id")
+        _parse_id(fields[2], "node type")
+    except ValueError as exc:
+        return str(exc)
+    return f"duplicate node id {node_id}"
+
+
+def read_node_file(source) -> NodeTable:
+    """Parse a node file into columns, in file order.
+
+    Raises :class:`NodeFileError` naming the first malformed line or
+    repeated id, and warns once about extra columns when the first line
+    with them comes no later than that.
+    """
+    text, chars, _, sep, first, last, line_start, line_end = _split_lines(source, "\t")
+    width = last - first + 1
+
+    # in a row of 3 or more fields the id spans chars[lo[0]:hi[0]] and the
+    # type chars[lo[1]:hi[1]], the name lying between them; both are one
+    # or more ASCII digits
+    rows = np.flatnonzero(width >= 3)
+    ends = sep[first[rows] + np.arange(3)[:, None]]
+    lo = np.stack((line_start[rows], ends[1] + 1))
+    hi = np.stack((ends[0], ends[2]))
+    digit = chars - 48 <= 9  # wraps below '0' in the unsigned dtype
+    stray = np.logical_or.reduceat(~digit, _interleave(lo.T.ravel(), hi.T.ravel()))
+    rows_ok = (hi > lo).all(axis=0) & ~stray[::2].reshape(-1, 2).any(axis=1)
+    good = rows[rows_ok]
+    lo = lo[:, rows_ok]
+    hi = hi[:, rows_ok]
+
+    # every other line is malformed unless blank
+    bad = np.ones(line_start.shape[0], dtype=bool)
+    bad[good] = False
+    suspect = np.flatnonzero(bad)
+    blank = suspect[_blank(chars, line_start[suspect], line_end[suspect])]
+    bad[blank] = False
+
+    # parse ids and types as read_link_file does, in one pass
+    keep = _span_mask(chars.shape[0], lo.T.ravel(), hi.T.ravel())
+    digits = ((chars - 32) * keep + 32).astype(np.uint8).tobytes()
+    values = np.empty(0, dtype=np.uint64)
+    if good.shape[0]:  # fromstring reads a string of spaces as [0]
+        values = np.fromstring(digits, dtype=np.uint64, sep=" ")
+    bad[good[np.flatnonzero(values > _MAX_ID) // 2]] = True
+    ids, types = values.view(np.int64).reshape(-1, 2).T.copy()
+
+    # a repeated id is an error on its first repeat; a stable sort puts
+    # each id's rows in file order, so every row after the first of a
+    # run repeats an earlier one
+    order = np.argsort(ids, kind="stable")
+    repeat = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if repeat.shape[0]:
+        bad[good[repeat.min()]] = True
+
+    failed = np.flatnonzero(bad)
+    wide = width > 3
+    wide[blank] = False
+    wide = np.flatnonzero(wide)
+    if wide.shape[0] and (not failed.shape[0] or wide[0] <= failed[0]):
+        i = int(wide[0])
+        warnings.warn(f"node file line {i + 1}: ignoring {int(width[i]) - 3} "
+                      "attribute column(s)", stacklevel=2)
+    if failed.shape[0]:
+        i = int(failed[0])
+        raise NodeFileError(i + 1, _node_line_error(text[line_start[i]:line_end[i]]))
+    # each name is cut out with the tab after it, which then splits them
+    names = _text(chars[_span_mask(chars.shape[0], hi[0] + 1, lo[1])]).split("\t")[:-1]
+    return NodeTable(ids, types, names)
 
 
 def write_link_file(g: HeteroGraph, dest, selected=None, delimiter: str = "\t") -> int:
@@ -293,13 +378,14 @@ def write_link_file(g: HeteroGraph, dest, selected=None, delimiter: str = "\t") 
 
 def write_node_file(dest, node_ids, node_types, names=None) -> int:
     """Write a node table; names default to ``n<id>``."""
-    node_ids = np.asarray(node_ids, dtype=np.int64)
-    node_types = np.asarray(node_types, dtype=np.int64)
+    ids = np.asarray(node_ids, dtype=np.int64).tolist()
+    types = np.asarray(node_types, dtype=np.int64).tolist()
+    if names is None:
+        names = [f"n{i}" for i in ids]
     with _opened(dest, "w") as stream:
-        for i in range(node_ids.shape[0]):
-            name = names[i] if names is not None else f"n{node_ids[i]}"
-            stream.write(f"{node_ids[i]}\t{name}\t{node_types[i]}\n")
-    return int(node_ids.shape[0])
+        stream.write("".join([f"{i}\t{name}\t{t}\n"
+                              for i, name, t in zip(ids, names, types)]))
+    return len(ids)
 
 
 def write_report(report: dict, dest) -> None:

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGraphError
 from .graph import IN, OUT, HeteroGraph
 from .sparsify import METHODS, PER_TYPE
 
@@ -23,13 +22,6 @@ class CoverageViolation:
         return {"node": self.node, "direction": self.direction,
                 "etype": self.etype, "required": self.required,
                 "actual": self.actual}
-
-
-def sparsification_ratio(g: HeteroGraph, selected) -> float:
-    """|H| / m."""
-    if g.m == 0:
-        raise EmptyGraphError("ratio undefined on an empty graph")
-    return float(g.edge_mask(selected).sum()) / g.m
 
 
 def coverage_report(g: HeteroGraph, selected, k: int,

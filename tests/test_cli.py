@@ -200,6 +200,17 @@ def test_node_file_ids_follow_link_grammar(tmp_path, capsys):
     assert run(["stats", "--links", str(links), "--nodes", str(nodes)]) == 0
 
 
+def test_empty_node_table_exits_two(star_file, tmp_path, capsys):
+    nodes = tmp_path / "node.dat"
+    nodes.write_text("")
+    links = ["--links", str(star_file), "--nodes", str(nodes)]
+    for argv in (["stats", *links],
+                 ["sparsify", *links, "--k", "1", "--out", str(tmp_path / "o.dat")],
+                 ["eval", *links]):
+        assert run(argv) == 2
+        assert _one_line_error(capsys) == "error: edge source 0 is not in the node table\n"
+
+
 def test_unwritable_outputs_exit_two(star_file, tmp_path, capsys):
     missing = tmp_path / "no" / "such"
     ok = str(tmp_path / "ok.dat")

@@ -23,7 +23,6 @@ from hgsparse import (
     generate,
     mrr,
     sample_negatives,
-    score_pair,
     score_pairs,
     sparsify,
     split_edges,
@@ -32,6 +31,12 @@ from hgsparse import (
 from hgsparse._rng import counter_words
 from hgsparse import evalproxy
 from hgsparse.evalproxy import _NEG_ATTEMPT_CAP, _negative_matrix
+
+
+def score_pair(view: TrainView, u: int, v: int, scorer: str) -> float:
+    """Score one (u, v) pair given with original node ids."""
+    ud, vd = view.graph.dense_ids([u, v])
+    return float(score_pairs(view, [ud], [vd], scorer)[0])
 
 
 @pytest.fixture

@@ -22,6 +22,11 @@ edge_lists = st.lists(
 )
 
 
+def edge_index(g, src: int, dst: int, etype: int) -> int:
+    """Edge id of one identity (src, dst, etype) given in original ids."""
+    return int(g.edge_ids([src], [dst], [etype])[0])
+
+
 def layout_buckets(g) -> dict:
     """The graph's layout in the form of ``dict_buckets``, side by side."""
     lay = g.layout
@@ -78,7 +83,7 @@ def test_stats_fields(g1):
 
 def test_edge_record_key():
     rec = EdgeRecord(1, 2, 0, 0.5)
-    assert rec.key == (1, 2, 0)
+    assert rec[:3] == (1, 2, 0)
     assert EdgeRecord(1, 2, 0).weight is None
 
 
@@ -96,9 +101,9 @@ def test_duplicate_keeps_first_weight():
 
 def test_mixed_weight_presence():
     g = build_graph([EdgeRecord(1, 2, 0, 2.5), (2, 3, 0)])
-    assert g.has_weights
-    assert g.weight[g.edge_index(1, 2, 0)] == 2.5
-    assert np.isnan(g.weight[g.edge_index(2, 3, 0)])  # no weight
+    assert g.weight is not None
+    assert g.weight[edge_index(g, 1, 2, 0)] == 2.5
+    assert np.isnan(g.weight[edge_index(g, 2, 3, 0)])  # no weight
 
 
 def test_non_finite_weight_rejected():
@@ -111,19 +116,30 @@ def test_undeclared_endpoint_rejected():
         build_graph([(1, 9, 0)], node_types={1: 0, 2: 0})
 
 
+def test_empty_node_table_rejects_every_id():
+    g = build_graph_arrays([], [], [], node_ids=[])
+    assert g.n == 0 and g.m == 0
+    with pytest.raises(UnknownNodeError, match="node 1 is not in the graph"):
+        g.dense_ids([1])
+    with pytest.raises(UnknownNodeError, match="edge source 4 is not in the node table"):
+        build_graph_arrays([4], [5], [0], node_ids=[])
+    with pytest.raises(UnknownNodeError, match="edge destination 5 is not in the node table"):
+        build_graph_arrays([4], [5], [0], node_ids=[4])
+
+
 def test_edge_index_and_ids(g1):
     for eid in range(g1.m):
-        assert g1.edge_index(*g1.edge_key(eid)) == eid
+        assert edge_index(g1, *g1.edge_key(eid)) == eid
     with pytest.raises(UnknownEdgeError):
-        g1.edge_index(2, 1, 0)
+        edge_index(g1, 2, 1, 0)
     ids = g1.edge_ids([1, 1], [4, 2], [1, 0])
-    assert list(ids) == [g1.edge_index(1, 4, 1), g1.edge_index(1, 2, 0)]
+    assert list(ids) == [edge_index(g1, 1, 4, 1), edge_index(g1, 1, 2, 0)]
     # the pair (1, 2) exists, but only with etype 0
     with pytest.raises(UnknownEdgeError):
         g1.edge_ids([1, 1], [4, 2], [1, 1])
     dense = g1.dense_ids([1, 1, 2])
     assert list(g1.dense_edge_ids(dense, g1.dense_ids([2, 2, 1]), np.array([0, 1, 0]))) == \
-        [g1.edge_index(1, 2, 0), -1, -1]
+        [edge_index(g1, 1, 2, 0), -1, -1]
 
 
 @pytest.mark.parametrize("seed", [1, 7, 18, 28])
@@ -207,6 +223,79 @@ def test_buckets_partition_edges(edges):
     assert lay.bkt_ptr[0] == 0 and lay.side_ptr[g.n] == g.m and lay.bkt_ptr[-1] == 2 * g.m
     assert sorted(lay.order[:g.m]) == list(range(g.m))
     assert sorted(lay.order[g.m:]) == list(range(g.m))
+
+
+def reference_build(src, dst, etype, weight, node_ids) -> dict:
+    """The arrays of the build that the one-sort build replaced.
+
+    A three-key lexsort gives the canonical order and two per-direction
+    lexsorts the bucket layout.  ``node_ids`` is ascending and holds
+    every endpoint.
+    """
+    n = node_ids.shape[0]
+    perm = np.lexsort((etype, np.searchsorted(node_ids, dst), np.searchsorted(node_ids, src)))
+    s = np.searchsorted(node_ids, src[perm])
+    d = np.searchsorted(node_ids, dst[perm])
+    e = etype[perm]
+    keep = np.ones(perm.shape[0], dtype=bool)
+    keep[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1]) | (e[1:] != e[:-1])
+    s, d, e = s[keep], d[keep], e[keep]
+    m = s.shape[0]
+    order = np.concatenate((np.lexsort((e, s)), np.lexsort((e, d))))
+    side = np.concatenate((s[order[:m]], d[order[m:]] + n))
+    et = e[order]
+    first = np.ones(2 * m, dtype=bool)
+    first[1:] = (side[1:] != side[:-1]) | (et[1:] != et[:-1])
+    starts = np.flatnonzero(first)
+    bkt_ptr = np.append(starts, 2 * m)
+    side_bkt_ptr = np.searchsorted(side[starts], np.arange(2 * n + 1))
+    return {
+        "src": s, "dst": d, "etype": e,
+        "weight": None if weight is None else weight[perm][keep],
+        "duplicates_dropped": perm.shape[0] - m,
+        "_pair_key": s * n + d, "_etype_ids": np.unique(e),
+        "order": order, "bkt_ptr": bkt_ptr, "bkt_etype": et[starts],
+        "side_bkt_ptr": side_bkt_ptr, "side_ptr": bkt_ptr[side_bkt_ptr],
+    }
+
+
+@st.composite
+def edge_tables(draw):
+    """Edge columns over sparse node ids, with repeats, self-loops and
+    pairs under several etypes, sorted or in any order, maybe empty."""
+    pool = sorted(draw(st.sets(st.integers(0, 2**63 - 1), min_size=1, max_size=12)))
+    edges = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool),
+                                    st.sampled_from([0, 1, 2, 7, 2**40]),
+                                    st.floats(-1e3, 1e3) | st.just(float("nan"))),
+                          max_size=60))
+    if draw(st.booleans()):
+        edges.sort()
+    src, dst, etype = (np.array([e[i] for e in edges], dtype=np.int64) for i in range(3))
+    weight = np.array([e[3] for e in edges], dtype=np.float64)
+    node_ids = np.array(draw(st.permutations(pool)), dtype=np.int64)
+    return src, dst, etype, weight if draw(st.booleans()) else None, node_ids
+
+
+@given(edge_tables())
+@settings(max_examples=300, deadline=None)
+def test_build_matches_three_key_reference(table):
+    src, dst, etype, weight, node_ids = table
+    declared = build_graph_arrays(src, dst, etype, weight=weight, node_ids=node_ids,
+                                  node_types=node_ids % 3)
+    assert declared.node_ids.tolist() == sorted(node_ids.tolist())
+    assert declared.node_types.tolist() == (declared.node_ids % 3).tolist()
+    inferred = build_graph_arrays(src, dst, etype, weight=weight)
+    assert inferred.node_ids.tolist() == sorted(set(src.tolist() + dst.tolist()))
+    for g in (declared, inferred):
+        want = reference_build(src, dst, etype, weight, g.node_ids)
+        assert g.duplicates_dropped == want.pop("duplicates_dropped")
+        for name, expected in want.items():
+            got = getattr(g.layout if hasattr(g.layout, name) else g, name)
+            if expected is None:
+                assert got is None
+                continue
+            assert got.dtype == expected.dtype, name
+            np.testing.assert_array_equal(got, expected, err_msg=name)
 
 
 def test_random_factory_respects_caps():

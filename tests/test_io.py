@@ -93,8 +93,14 @@ def test_digit_comment_prefix_is_rejected():
             LinkFileOptions(comment_prefix=prefix)
 
 
+def _nodes(table) -> tuple[list, list, list]:
+    for column in (table.ids, table.types):
+        assert column.dtype == np.int64 and column.shape == (len(table),)
+    return table.ids.tolist(), table.types.tolist(), table.names
+
+
 def test_node_file_basic():
-    assert read_node_file(io.StringIO("7\tgeneX\t0\n")) == {7: ("geneX", 0)}
+    assert _nodes(read_node_file(io.StringIO("7\tgeneX\t0\n"))) == ([7], [0], ["geneX"])
 
 
 def test_node_file_duplicate_id():
@@ -104,13 +110,13 @@ def test_node_file_duplicate_id():
 
 
 def test_node_file_empty():
-    assert read_node_file(io.StringIO("")) == {}
+    assert _nodes(read_node_file(io.StringIO(""))) == ([], [], [])
 
 
 def test_node_file_extra_columns_warn_once():
     with pytest.warns(UserWarning, match="attribute column"):
         got = read_node_file(io.StringIO("1\tx\t0\textra\n2\ty\t1\textra\n"))
-    assert got == {1: ("x", 0), 2: ("y", 1)}
+    assert _nodes(got) == ([1, 2], [0, 1], ["x", "y"])
 
 
 def test_node_file_short_line():
@@ -139,7 +145,7 @@ def test_node_file_ids_are_ascii_digits(line, message):
 def test_node_file_leading_zeros_and_crlf():
     # more leading zeros than int() takes digits
     text = f"{'0' * 5000}7\ta\t01\r\n{2**63 - 1}\tb\t0\r\n"
-    assert read_node_file(io.StringIO(text)) == {7: ("a", 1), 2**63 - 1: ("b", 0)}
+    assert _nodes(read_node_file(io.StringIO(text))) == ([7, 2**63 - 1], [1, 0], ["a", "b"])
 
 
 def test_write_all_edges_canonical(g1):
@@ -214,7 +220,33 @@ def test_write_node_file(tmp_path):
     assert path.read_text() == "3\ta\t1\n7\tb\t0\n"
     write_node_file(path, [3], [1])
     assert path.read_text() == "3\tn3\t1\n"
-    assert read_node_file(path) == {3: ("n3", 1)}
+    assert _nodes(read_node_file(path)) == ([3], [1], ["n3"])
+
+
+def _reference_write_nodes(dest, node_ids, node_types, names=None) -> int:
+    # the per-row writer that write_node_file replaced
+    node_ids = np.asarray(node_ids, dtype=np.int64)
+    node_types = np.asarray(node_types, dtype=np.int64)
+    for i in range(node_ids.shape[0]):
+        name = names[i] if names is not None else f"n{node_ids[i]}"
+        dest.write(f"{node_ids[i]}\t{name}\t{node_types[i]}\n")
+    return int(node_ids.shape[0])
+
+
+@pytest.mark.parametrize("with_names", [False, True])
+def test_node_writer_matches_per_row_reference(with_names):
+    rng = np.random.default_rng(3)
+    ids = np.concatenate(([0, 2**63 - 1], rng.integers(0, 2**62, size=200)))
+    types = rng.integers(0, 2**40, size=ids.shape[0])
+    names = None
+    if with_names:
+        names = [rng.choice(["", "gene", "é→", "a b", "x\ry"]) + str(i)
+                 for i in range(ids.shape[0])]
+    for count in (0, 1, ids.shape[0]):
+        new, old = io.StringIO(), io.StringIO()
+        args = (ids[:count], types[:count], names[:count] if names else None)
+        assert write_node_file(new, *args) == _reference_write_nodes(old, *args) == count
+        assert new.getvalue() == old.getvalue()
 
 
 def test_report_is_sorted_json(tmp_path):

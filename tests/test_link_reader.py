@@ -265,9 +265,11 @@ def test_node_file_fuzz(text):
             table = read_node_file(io.StringIO(text))
         except DataError:
             return
-    for node_id, (name, node_type) in table.items():
-        assert 0 <= node_id < 2**63 and 0 <= node_type < 2**63
-        assert isinstance(name, str)
+    assert table.ids.dtype == table.types.dtype == np.int64
+    assert table.ids.shape == table.types.shape == (len(table.names),)
+    assert (table.ids >= 0).all() and (table.types >= 0).all()
+    assert np.unique(table.ids).shape == table.ids.shape
+    assert all(isinstance(name, str) for name in table.names)
 
 
 spec_lines = st.lists(st.one_of(

@@ -1,39 +1,20 @@
-"""Verification helpers: ratio, coverage floors, isolation, per-type counts."""
+"""Verification helpers: coverage floors, isolation, per-type counts."""
 
 import hashlib
 import json
 
 import numpy as np
-import pytest
 
 from hgsparse import (
     ALL_TYPES,
     PER_TYPE,
-    EmptyGraphError,
     build_graph,
     coverage_report,
     generate,
     isolated_nodes,
     per_type_kept,
     pubmed_like_spec,
-    sparsification_ratio,
 )
-
-
-def test_ratio_full_selection(g1):
-    assert sparsification_ratio(g1, None) == 1.0
-    assert sparsification_ratio(g1, np.ones(3, dtype=bool)) == 1.0
-
-
-def test_ratio_bipartite_third(k33):
-    H = [(1, 4, 0), (2, 5, 0), (3, 6, 0)]
-    assert sparsification_ratio(k33, H) == pytest.approx(1 / 3)
-
-
-def test_ratio_empty_graph():
-    g = build_graph([], node_types={1: 0})
-    with pytest.raises(EmptyGraphError):
-        sparsification_ratio(g, None)
 
 
 def test_full_selection_never_violates(g1, k33):
