@@ -96,14 +96,17 @@ def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndar
 
 def _build_layout(src: np.ndarray, dst: np.ndarray, etype_rank: np.ndarray,
                   etype_ids: np.ndarray, n: int) -> BucketLayout:
-    """The buckets of a table in canonical order, etype_rank indexing etype_ids."""
+    """The buckets of a table in canonical order; etype_rank indexes etype_ids."""
     m = src.shape[0]
     t = etype_ids.shape[0]
-    # a bucket's key is side * t + etype rank.  Edge ids ascend with src
-    # and, among one dst's edges of one etype, with their distinct srcs,
-    # so stable sorts give each bucket's ids in ascending order: the out
-    # keys are nearly sorted already, and the in keys once the edges are
-    # ordered by (dst, src).  n * t < 2**63 as n * n does, t being at most m.
+    # A bucket's key is side * t + etype rank, and its edge ids ascend.
+    # The table is sorted by (src, dst, etype), so a stable sort of the
+    # out keys, which are nearly sorted already, keeps edge id order in
+    # each out bucket.  An in bucket's edges have distinct srcs, and their
+    # ids ascend with them: ordering the edges by (dst, src) first, however
+    # ties fall, then stably by in key, gives ascending ids too.  n * t
+    # cannot overflow, as t <= m and, like n, m < 2**31.5 in any graph that
+    # fits in memory.
     out_key = src * t + etype_rank
     out = np.argsort(out_key, kind="stable")
     by_dst = np.argsort(dst * n + src)
@@ -116,7 +119,7 @@ def _build_layout(src: np.ndarray, dst: np.ndarray, etype_rank: np.ndarray,
     first[m:m + 1] = True  # the first in-side bucket, whatever its key
     starts = np.flatnonzero(first)
     bkt_ptr = np.append(starts, 2 * m)
-    side = key[starts] // max(t, 1)
+    side = key[starts] // t
     side[np.searchsorted(starts, m):] += n
     side_bkt_ptr = np.zeros(2 * n + 1, dtype=np.int64)
     np.cumsum(np.bincount(side, minlength=2 * n), out=side_bkt_ptr[1:])

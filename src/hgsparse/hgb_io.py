@@ -35,7 +35,6 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -149,21 +148,15 @@ def _blank(chars: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     return ~np.logical_or.reduceat(nonspace, np.cumsum(lens) - lens)
 
 
-class _Lines(NamedTuple):
-    """A text cut into lines and fields by :func:`_split_lines`."""
+def _split_lines(source, delimiter: str) -> tuple:
+    """Read a whole text and find its lines and the ends of their fields.
 
-    text: str            # without trailing CRs, ending in a newline unless empty
-    chars: np.ndarray    # its code points
-    is_sep: np.ndarray   # True at each delimiter and newline
-    sep: np.ndarray      # the positions where is_sep holds
-    first: np.ndarray    # per line, the index into sep of its first field's end
-    last: np.ndarray     # per line, the index into sep of its newline
-    start: np.ndarray    # per line, the position of its first character
-    end: np.ndarray      # per line, the position of its newline
-
-
-def _split_lines(source, delimiter: str) -> _Lines:
-    """Read a whole text and find its lines and the fields' ends in them."""
+    Returns the text, without trailing CRs and ending in a newline unless
+    empty; its code points; the mask of delimiters and newlines and their
+    positions ``sep``; and per line, the index into ``sep`` of its first
+    field's end and of its newline, and the positions of its first
+    character and of its newline.
+    """
     with _opened(source, "r") as stream:
         text = stream.read()
     if "\r" in text:
@@ -179,7 +172,24 @@ def _split_lines(source, delimiter: str) -> _Lines:
     first = np.concatenate(([0], last + 1))[:-1]
     end = sep[last]
     start = np.concatenate(([0], end + 1))[:-1]
-    return _Lines(text, chars, is_sep, sep, first, last, start, end)
+    return text, chars, is_sep, sep, first, last, start, end
+
+
+def _parse_ids(chars: np.ndarray, keep: np.ndarray, good: np.ndarray,
+               bad: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` ids of each good row, spelled by the digits in ``keep``.
+
+    One pass parses them all, over a copy holding only those digits and
+    spaces elsewhere.  uint64 saturates above 2**64 - 1, so the range
+    check sees every overlong id; it marks a row with an id of 2**63 or
+    more in ``bad``.  Returns a (width, rows) int64 array.
+    """
+    values = np.empty(0, dtype=np.uint64)
+    if good.shape[0]:  # fromstring reads a string of spaces as [0]
+        digits = ((chars - 32) * keep + 32).astype(np.uint8).tobytes()
+        values = np.fromstring(digits, dtype=np.uint64, sep=" ")
+    bad[good[np.flatnonzero(values > _MAX_ID) // width]] = True
+    return values.view(np.int64).reshape(-1, width).T.copy()
 
 
 def _parse_id(field: str, what: str) -> int:
@@ -250,15 +260,8 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     suspect = np.flatnonzero(bad)
     bad[suspect[_blank(chars, line_start[suspect], line_end[suspect])]] = False
 
-    # parse all ids in one pass over a copy holding only their digits,
-    # spaces elsewhere; uint64 saturates above 2**64 - 1, so the range
-    # check sees every overlong id
     keep = _span_mask(chars.shape[0], start, ends[2]) & digit
-    digits = ((chars - 32) * keep + 32).astype(np.uint8).tobytes()
-    values = np.empty(0, dtype=np.uint64)
-    if good.shape[0]:  # fromstring reads a string of spaces as [0]
-        values = np.fromstring(digits, dtype=np.uint64, sep=" ")
-    bad[good[np.flatnonzero(values > _MAX_ID) // 3]] = True
+    src, dst, etype = _parse_ids(chars, keep, good, bad, 3)
 
     weight = None
     if opts.has_weight:
@@ -278,7 +281,6 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     if first.shape[0]:
         i = int(first[0])
         raise LinkFormatError(i + 1, _line_error(text[line_start[i]:line_end[i]], opts))
-    src, dst, etype = values.view(np.int64).reshape(-1, 3).T.copy()
     return LinkTable(src, dst, etype, weight)
 
 
@@ -307,14 +309,15 @@ def read_node_file(source) -> NodeTable:
 
     # in a row of 3 or more fields the id spans chars[lo[0]:hi[0]] and the
     # type chars[lo[1]:hi[1]], the name lying between them; both are one
-    # or more ASCII digits
+    # or more ASCII digits.  reduceat reads an empty span as the delimiter
+    # or newline after it, so an empty field holds a stray character too.
     rows = np.flatnonzero(width >= 3)
     ends = sep[first[rows] + np.arange(3)[:, None]]
     lo = np.stack((line_start[rows], ends[1] + 1))
     hi = np.stack((ends[0], ends[2]))
-    digit = chars - 48 <= 9  # wraps below '0' in the unsigned dtype
-    stray = np.logical_or.reduceat(~digit, _interleave(lo.T.ravel(), hi.T.ravel()))
-    rows_ok = (hi > lo).all(axis=0) & ~stray[::2].reshape(-1, 2).any(axis=1)
+    stray = np.logical_or.reduceat(chars - 48 > 9,  # wraps below '0' in the unsigned dtype
+                                   _interleave(lo.T.ravel(), hi.T.ravel()))
+    rows_ok = ~stray[::2].reshape(-1, 2).any(axis=1)
     good = rows[rows_ok]
     lo = lo[:, rows_ok]
     hi = hi[:, rows_ok]
@@ -326,14 +329,8 @@ def read_node_file(source) -> NodeTable:
     blank = suspect[_blank(chars, line_start[suspect], line_end[suspect])]
     bad[blank] = False
 
-    # parse ids and types as read_link_file does, in one pass
-    keep = _span_mask(chars.shape[0], lo.T.ravel(), hi.T.ravel())
-    digits = ((chars - 32) * keep + 32).astype(np.uint8).tobytes()
-    values = np.empty(0, dtype=np.uint64)
-    if good.shape[0]:  # fromstring reads a string of spaces as [0]
-        values = np.fromstring(digits, dtype=np.uint64, sep=" ")
-    bad[good[np.flatnonzero(values > _MAX_ID) // 2]] = True
-    ids, types = values.view(np.int64).reshape(-1, 2).T.copy()
+    ids, types = _parse_ids(chars, _span_mask(chars.shape[0], lo.T.ravel(), hi.T.ravel()),
+                            good, bad, 2)
 
     # a repeated id is an error on its first repeat; a stable sort puts
     # each id's rows in file order, so every row after the first of a

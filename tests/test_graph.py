@@ -119,12 +119,13 @@ def test_undeclared_endpoint_rejected():
 def test_empty_node_table_rejects_every_id():
     g = build_graph_arrays([], [], [], node_ids=[])
     assert g.n == 0 and g.m == 0
-    with pytest.raises(UnknownNodeError, match="node 1 is not in the graph"):
-        g.dense_ids([1])
-    with pytest.raises(UnknownNodeError, match="edge source 4 is not in the node table"):
-        build_graph_arrays([4], [5], [0], node_ids=[])
+    for node in (0, 1):
+        with pytest.raises(UnknownNodeError, match=f"node {node} is not in the graph"):
+            g.dense_ids([node])
+    with pytest.raises(UnknownNodeError, match="edge source 0 is not in the node table"):
+        build_graph_arrays([0], [5], [0], node_ids=[])
     with pytest.raises(UnknownNodeError, match="edge destination 5 is not in the node table"):
-        build_graph_arrays([4], [5], [0], node_ids=[4])
+        build_graph_arrays([0], [5], [0], node_ids=[0])
 
 
 def test_edge_index_and_ids(g1):
@@ -276,10 +277,20 @@ def edge_tables(draw):
     return src, dst, etype, weight if draw(st.booleans()) else None, node_ids
 
 
-@given(edge_tables())
-@settings(max_examples=300, deadline=None)
-def test_build_matches_three_key_reference(table):
-    src, dst, etype, weight, node_ids = table
+def _large_table(seed: int):
+    # thousands of edges over few nodes: long runs of equal sort keys
+    rng = np.random.default_rng(seed)
+    m = 6000
+    node_ids = rng.choice(2**62, size=40, replace=False)
+    src, dst = node_ids[rng.integers(0, 40, size=(2, m))]
+    etype = rng.choice([3, 2**50, 0], size=m)
+    if seed % 2:
+        order = np.lexsort((etype, dst, src))
+        src, dst, etype = src[order], dst[order], etype[order]
+    return src, dst, etype, rng.random(m), node_ids
+
+
+def _check_build(src, dst, etype, weight, node_ids):
     declared = build_graph_arrays(src, dst, etype, weight=weight, node_ids=node_ids,
                                   node_types=node_ids % 3)
     assert declared.node_ids.tolist() == sorted(node_ids.tolist())
@@ -296,6 +307,17 @@ def test_build_matches_three_key_reference(table):
                 continue
             assert got.dtype == expected.dtype, name
             np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+@given(edge_tables())
+@settings(max_examples=300, deadline=None)
+def test_build_matches_three_key_reference(table):
+    _check_build(*table)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_build_matches_three_key_reference_on_large_tables(seed):
+    _check_build(*_large_table(seed))
 
 
 def test_random_factory_respects_caps():
