@@ -381,7 +381,7 @@ def write_node_file(dest, node_ids, node_types, names=None) -> int:
         names = [f"n{i}" for i in ids]
     with _opened(dest, "w") as stream:
         stream.write("".join([f"{i}\t{name}\t{t}\n"
-                              for i, name, t in zip(ids, names, types)]))
+                              for i, name, t in zip(ids, names, types, strict=True)]))
     return len(ids)
 
 
