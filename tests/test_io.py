@@ -247,6 +247,8 @@ def test_node_writer_matches_per_row_reference(with_names):
         args = (ids[:count], types[:count], names[:count] if names else None)
         assert write_node_file(new, *args) == _reference_write_nodes(old, *args) == count
         assert new.getvalue() == old.getvalue()
+    with pytest.raises(ValueError):
+        write_node_file(io.StringIO(), ids[:2], types[:2], ["a"])
 
 
 def test_report_is_sorted_json(tmp_path):
