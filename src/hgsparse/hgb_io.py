@@ -175,8 +175,8 @@ def _split_lines(source, delimiter: str) -> tuple:
     return text, chars, is_sep, sep, first, last, start, end
 
 
-def _parse_ids(chars: np.ndarray, keep: np.ndarray, good: np.ndarray,
-               bad: np.ndarray, width: int) -> np.ndarray:
+def _id_columns(chars: np.ndarray, keep: np.ndarray, good: np.ndarray,
+                bad: np.ndarray, width: int) -> np.ndarray:
     """The ``width`` ids of each good row, spelled by the digits in ``keep``.
 
     One pass parses them all, over a copy holding only those digits and
@@ -261,7 +261,7 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     bad[suspect[_blank(chars, line_start[suspect], line_end[suspect])]] = False
 
     keep = _span_mask(chars.shape[0], start, ends[2]) & digit
-    src, dst, etype = _parse_ids(chars, keep, good, bad, 3)
+    src, dst, etype = _id_columns(chars, keep, good, bad, 3)
 
     weight = None
     if opts.has_weight:
@@ -329,8 +329,8 @@ def read_node_file(source) -> NodeTable:
     blank = suspect[_blank(chars, line_start[suspect], line_end[suspect])]
     bad[blank] = False
 
-    ids, types = _parse_ids(chars, _span_mask(chars.shape[0], lo.T.ravel(), hi.T.ravel()),
-                            good, bad, 2)
+    keep = _span_mask(chars.shape[0], lo.T.ravel(), hi.T.ravel())
+    ids, types = _id_columns(chars, keep, good, bad, 2)
 
     # a repeated id is an error on its first repeat; a stable sort puts
     # each id's rows in file order, so every row after the first of a
