@@ -58,7 +58,7 @@ class SparsifyParams:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0 <= self.seed < 2**64:
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
 
 

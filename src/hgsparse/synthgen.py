@@ -43,7 +43,7 @@ class GenSpec:
             raise GenSpecError("at least one node type is required")
         if any(s < 1 for s in self.node_type_sizes):
             raise GenSpecError("node type sizes must be positive")
-        if not 0 <= self.seed < 2**64:
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
             raise GenSpecError(f"seed must be in [0, 2**64), got {self.seed!r}")
         n_types = len(self.node_type_sizes)
         for i, e in enumerate(self.edge_types):

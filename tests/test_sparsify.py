@@ -282,6 +282,8 @@ def test_params_validation():
         SparsifyParams(k=1, seed=-1)
     with pytest.raises(ValueError):
         SparsifyParams(k=1, seed=1 << 64)
+    with pytest.raises(ValueError, match="seed must be in"):
+        SparsifyParams(k=1, seed=1.5)
 
 
 def test_empty_graph_rejected():

@@ -91,6 +91,8 @@ def test_spec_validation():
         GenSpec((4,), (EdgeTypeSpec(0, 0, 1, -0.5),))
     with pytest.raises(GenSpecError):
         GenSpec((4,), (EdgeTypeSpec(0, 0, 1),), seed=-1)
+    with pytest.raises(GenSpecError, match="seed must be in"):
+        GenSpec((4,), (EdgeTypeSpec(0, 0, 1),), seed=1.5)
 
 
 def test_parse_spec_file():
