@@ -88,7 +88,6 @@ class NodeTable:
 
     ids: np.ndarray     # int64, original node ids
     types: np.ndarray   # int64, node type ids
-    names: list[str]
 
     def __len__(self) -> int:
         return int(self.ids.shape[0])
@@ -308,7 +307,7 @@ def read_node_file(source) -> NodeTable:
     width = last - first + 1
 
     # in a row of 3 or more fields the id spans chars[lo[0]:hi[0]] and the
-    # type chars[lo[1]:hi[1]], the name lying between them; both are one
+    # type chars[lo[1]:hi[1]], the unread name lying between them; both are one
     # or more ASCII digits.  reduceat reads an empty span as the delimiter
     # or newline after it, so an empty field holds a stray character too.
     rows = np.flatnonzero(width >= 3)
@@ -351,9 +350,7 @@ def read_node_file(source) -> NodeTable:
     if failed.shape[0]:
         i = int(failed[0])
         raise NodeFileError(i + 1, _node_line_error(text[line_start[i]:line_end[i]]))
-    # each name is cut out with the tab after it, which then splits them
-    names = _text(chars[_span_mask(chars.shape[0], hi[0] + 1, lo[1])]).split("\t")[:-1]
-    return NodeTable(ids, types, names)
+    return NodeTable(ids, types)
 
 
 def write_link_file(g: HeteroGraph, dest, selected=None, delimiter: str = "\t") -> int:

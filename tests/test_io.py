@@ -93,14 +93,14 @@ def test_digit_comment_prefix_is_rejected():
             LinkFileOptions(comment_prefix=prefix)
 
 
-def _nodes(table) -> tuple[list, list, list]:
+def _nodes(table) -> tuple[list, list]:
     for column in (table.ids, table.types):
         assert column.dtype == np.int64 and column.shape == (len(table),)
-    return table.ids.tolist(), table.types.tolist(), table.names
+    return table.ids.tolist(), table.types.tolist()
 
 
 def test_node_file_basic():
-    assert _nodes(read_node_file(io.StringIO("7\tgeneX\t0\n"))) == ([7], [0], ["geneX"])
+    assert _nodes(read_node_file(io.StringIO("7\tgeneX\t0\n"))) == ([7], [0])
 
 
 def test_node_file_duplicate_id():
@@ -110,13 +110,13 @@ def test_node_file_duplicate_id():
 
 
 def test_node_file_empty():
-    assert _nodes(read_node_file(io.StringIO(""))) == ([], [], [])
+    assert _nodes(read_node_file(io.StringIO(""))) == ([], [])
 
 
 def test_node_file_extra_columns_warn_once():
     with pytest.warns(UserWarning, match="attribute column"):
         got = read_node_file(io.StringIO("1\tx\t0\textra\n2\ty\t1\textra\n"))
-    assert _nodes(got) == ([1, 2], [0, 1], ["x", "y"])
+    assert _nodes(got) == ([1, 2], [0, 1])
 
 
 def test_node_file_short_line():
@@ -145,7 +145,7 @@ def test_node_file_ids_are_ascii_digits(line, message):
 def test_node_file_leading_zeros_and_crlf():
     # more leading zeros than int() takes digits
     text = f"{'0' * 5000}7\ta\t01\r\n{2**63 - 1}\tb\t0\r\n"
-    assert _nodes(read_node_file(io.StringIO(text))) == ([7, 2**63 - 1], [1, 0], ["a", "b"])
+    assert _nodes(read_node_file(io.StringIO(text))) == ([7, 2**63 - 1], [1, 0])
 
 
 def test_write_all_edges_canonical(g1):
@@ -220,7 +220,7 @@ def test_write_node_file(tmp_path):
     assert path.read_text() == "3\ta\t1\n7\tb\t0\n"
     write_node_file(path, [3], [1])
     assert path.read_text() == "3\tn3\t1\n"
-    assert _nodes(read_node_file(path)) == ([3], [1], ["n3"])
+    assert _nodes(read_node_file(path)) == ([3], [1])
 
 
 def _reference_write_nodes(dest, node_ids, node_types, names=None) -> int:

@@ -266,10 +266,9 @@ def test_node_file_fuzz(text):
         except DataError:
             return
     assert table.ids.dtype == table.types.dtype == np.int64
-    assert table.ids.shape == table.types.shape == (len(table.names),)
+    assert table.ids.shape == table.types.shape == (len(table),)
     assert (table.ids >= 0).all() and (table.types >= 0).all()
     assert np.unique(table.ids).shape == table.ids.shape
-    assert all(isinstance(name, str) for name in table.names)
 
 
 spec_lines = st.lists(st.one_of(

@@ -1,7 +1,7 @@
 """read_node_file against the per-line loop it replaced.
 
 The reference reader below is that loop.  The columnar reader must
-return the same ids, types and names in file order, or raise the same
+return the same ids and types in file order, or raise the same
 error with the same line number and message, and warn about extra
 columns in the same way: once, naming the first such line, and only
 when that line comes no later than the error.
@@ -19,9 +19,9 @@ from hgsparse import DataError, NodeFileError, read_node_file
 from hgsparse.hgb_io import _opened, _parse_id
 
 
-def reference_read_node_file(source) -> dict[int, tuple[str, int]]:
-    """Parse a node file into {node_id: (name, node_type_id)}."""
-    table: dict[int, tuple[str, int]] = {}
+def reference_read_node_file(source) -> dict[int, int]:
+    """Parse a node file into {node_id: node_type_id}."""
+    table: dict[int, int] = {}
     warned_extra = False
     with _opened(source, "r") as stream:
         for line_no, raw in enumerate(stream, 1):
@@ -45,7 +45,7 @@ def reference_read_node_file(source) -> dict[int, tuple[str, int]]:
                 raise NodeFileError(line_no, str(exc)) from None
             if node_id in table:
                 raise NodeFileError(line_no, f"duplicate node id {node_id}")
-            table[node_id] = (fields[1], node_type)
+            table[node_id] = node_type
     return table
 
 
@@ -59,13 +59,11 @@ def _outcome(read, source):
             outcome = ("error", type(exc).__name__, getattr(exc, "line_no", None), str(exc))
         else:
             if isinstance(result, dict):
-                columns = (list(result), [t for _, t in result.values()],
-                           [name for name, _ in result.values()])
+                columns = (list(result), list(result.values()))
             else:
                 for column in (result.ids, result.types):
                     assert column.dtype == np.int64 and column.shape == (len(result),)
-                assert len(result.names) == len(result)
-                columns = (result.ids.tolist(), result.types.tolist(), result.names)
+                columns = (result.ids.tolist(), result.types.tolist())
             outcome = ("ok", *columns)
     return outcome, [(w.category, str(w.message), w.filename) for w in caught]
 
