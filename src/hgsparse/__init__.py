@@ -16,7 +16,7 @@ from .errors import (DataError, DegenerateSplitError, EmptyGraphError,
                      VerificationError)
 from .evalproxy import (ADAMIC_ADAR, COMMON_NEIGHBORS, SCORERS, EdgeSplit,
                         EvalReport, TrainView, auc, candidate_ranks, evaluate,
-                        mrr, sample_negatives, score_pairs, split_edges)
+                        mrr, score_pairs, split_edges)
 from .graph import (IN, OUT, EdgeRecord, GraphStats, HeteroGraph,
                     build_graph, build_graph_arrays)
 from .hgb_io import (LinkFileOptions, LinkTable, NodeTable, read_link_file,
@@ -47,7 +47,7 @@ __all__ = [
     "UnknownNodeError", "VerificationError", "auc", "build_graph",
     "build_graph_arrays", "candidate_ranks", "coverage_report", "evaluate",
     "generate", "isolated_nodes", "mrr", "parse_spec_file", "per_type_kept",
-    "pubmed_like_spec", "read_link_file", "read_node_file", "sample_negatives",
+    "pubmed_like_spec", "read_link_file", "read_node_file",
     "score_pairs", "sparsify", "split_edges", "substream_seed",
     "vertex_order", "write_link_file", "write_node_file", "write_report",
 ]

@@ -141,15 +141,6 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
     return out
 
 
-def sample_negatives(g: HeteroGraph, test_pos, per_pos: int,
-                     seed: int = 0) -> dict[tuple[int, int, int], list[tuple[int, int, int]]]:
-    """Map each positive identity to its per_pos corrupted identities."""
-    pos_ids = np.flatnonzero(g.edge_mask(test_pos))
-    matrix = g.node_ids[_negative_matrix(g, pos_ids, per_pos, seed)].tolist()
-    return {(s, d, t): [(s, w, t) for w in row]
-            for (s, d, t), row in zip(g.edge_keys(pos_ids), matrix)}
-
-
 class TrainView:
     """Undirected, type-agnostic, deduplicated CSR over a train edge set."""
 

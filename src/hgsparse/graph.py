@@ -196,9 +196,6 @@ class HeteroGraph:
                 int(self.node_ids[self.dst[edge_id]]),
                 int(self.etype[edge_id]))
 
-    def edge_keys(self, edge_ids) -> list[tuple[int, int, int]]:
-        return [self.edge_key(int(e)) for e in np.asarray(edge_ids, dtype=np.int64)]
-
     def edge_ids(self, src, dst, etype) -> np.ndarray:
         """Edge id of each (src, dst, etype) identity, given in original ids."""
         ids = self.dense_edge_ids(self.dense_ids(src), self.dense_ids(dst),

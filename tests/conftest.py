@@ -1,10 +1,11 @@
-"""Shared fixtures: small hand-built graphs, a seeded random-graph factory and
-dict-built buckets."""
+"""Shared fixtures: small hand-built graphs, a seeded random-graph factory,
+dict-built buckets and identity-keyed views of edge ids and negatives."""
 
 import numpy as np
 import pytest
 
 from hgsparse import HeteroGraph, build_graph, build_graph_arrays
+from hgsparse.evalproxy import _negative_matrix
 
 # Three-edge example used throughout: gene 1 links diseases 2, 3 via
 # etype 0 and chemical 4 via etype 1.
@@ -59,3 +60,20 @@ def dict_buckets(g: HeteroGraph) -> dict:
         buckets.setdefault(("out", s), {}).setdefault(t, []).append(e)
         buckets.setdefault(("in", d), {}).setdefault(t, []).append(e)
     return buckets
+
+
+def edge_keys(g: HeteroGraph, edge_ids) -> list[tuple[int, int, int]]:
+    """The (src, dst, etype) identity of each edge id, in original ids."""
+    return [g.edge_key(int(e)) for e in np.asarray(edge_ids, dtype=np.int64)]
+
+
+def sample_negatives(g: HeteroGraph, test_pos, per_pos: int,
+                     seed: int = 0) -> dict[tuple[int, int, int], list[tuple[int, int, int]]]:
+    """Map each positive identity to its per_pos corrupted identities.
+
+    The dict form of the negative matrix that ``evaluate`` draws.
+    """
+    pos_ids = np.flatnonzero(g.edge_mask(test_pos))
+    matrix = g.node_ids[_negative_matrix(g, pos_ids, per_pos, seed)].tolist()
+    return {(s, d, t): [(s, w, t) for w in row]
+            for (s, d, t), row in zip(edge_keys(g, pos_ids), matrix)}

@@ -22,7 +22,6 @@ from hgsparse import (
     evaluate,
     generate,
     mrr,
-    sample_negatives,
     score_pairs,
     sparsify,
     split_edges,
@@ -31,6 +30,8 @@ from hgsparse import (
 from hgsparse._rng import counter_words
 from hgsparse import evalproxy
 from hgsparse.evalproxy import _NEG_ATTEMPT_CAP, _negative_matrix
+
+from conftest import sample_negatives
 
 
 def score_pair(view: TrainView, u: int, v: int, scorer: str) -> float:

@@ -23,7 +23,7 @@ from hgsparse import (
 from hgsparse._rng import RandomStream
 from hgsparse.sparsify import sample_without_replacement
 
-from conftest import dict_buckets, make_random_graph
+from conftest import dict_buckets, edge_keys, make_random_graph
 
 
 def sparsify_node_direction(g, buckets, u: int, direction: str,
@@ -37,7 +37,7 @@ def sparsify_node_direction(g, buckets, u: int, direction: str,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     for _etype, ids in sorted(buckets.get((direction, u), {}).items()):
-        keys = g.edge_keys(ids)
+        keys = edge_keys(g, ids)
         if len(keys) < k:
             H.update(keys)
             continue
@@ -216,8 +216,8 @@ def test_sweep_matches_pure_reference(method, case, seed):
     if method == PER_TYPE:
         expected = _reference_per_type(g, k, seed)
     else:
-        expected = set(g.edge_keys(sorted(_reference_all_types(g, k, seed))))
-    assert set(g.edge_keys(res.edge_ids)) == expected
+        expected = set(edge_keys(g, sorted(_reference_all_types(g, k, seed))))
+    assert set(edge_keys(g, res.edge_ids)) == expected
 
 
 suite_params = st.tuples(
