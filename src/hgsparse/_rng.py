@@ -1,25 +1,11 @@
-"""Deterministic 64-bit random streams used by every sampling routine.
+"""The counter-keyed 64-bit random stream behind every random choice.
 
-The sweep draws from a sequential stream, :class:`RandomStream`:
-xorshift64 (shifts 13/7/17) seeded through a splitmix64 scramble, with
-bounded draws done by mask-and-reject so each value below the bound is
-equally likely.  Its state is a plain Python ``int``.
-
-Eval's split and negatives draw from a counter-keyed stream: the word at
-counter ``c`` of stream ``(seed, tag)`` is output ``c`` of a SplitMix64
-generator seeded at ``substream_seed(seed, tag)`` (Steele, Lea & Flood,
-OOPSLA 2014).  No word depends on another, so numpy computes them in
-batches (Salmon et al., SC 2011); counter to word is a bijection, so
-distinct counters of one stream never share a word.
-
-Stream-consumption rules of the sequential stream (the sweep's output
-depends on them, and the golden mask tests pin it):
-
-* ``randbelow(1)`` and ``randbelow(0)`` return 0 without advancing.
-* A shuffle of ``count`` positions consumes exactly ``count`` bounded
-  draws, one per position, even when a draw happens to be a self-swap.
-* Sampling everything from a pool (``count >= len(pool)``) consumes
-  nothing.
+The word at counter ``c`` of stream ``(seed, tag)`` is output ``c`` of a
+SplitMix64 generator seeded at ``substream_seed(seed, tag)`` (Steele, Lea
+& Flood, OOPSLA 2014).  No word depends on another, so numpy computes
+them in batches (Salmon et al., SC 2011); counter to word is a bijection,
+so distinct counters of one stream never share a word.  Each use keys
+its own tags.
 """
 
 from __future__ import annotations
@@ -92,52 +78,6 @@ def randbelow_array(keys, bounds) -> np.ndarray:
     return out
 
 
-def mix_seed(seed: int) -> int:
-    """Map a user seed to a nonzero xorshift64 state."""
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    state = splitmix64(seed)
-    # xorshift64 has a single fixed point at zero; steer away from it.
-    return state if state != 0 else _SPLITMIX_GAMMA
-
-
 def substream_seed(seed: int, tag: int) -> int:
     """Derive an independent seed for a labelled substream of ``seed``."""
     return splitmix64(splitmix64(seed & _MASK64) ^ (tag & _MASK64))
-
-
-class RandomStream:
-    """Tiny stateful wrapper over the xorshift64 stream."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int = 0):
-        self._state = mix_seed(seed)
-
-    @property
-    def state(self) -> int:
-        return self._state
-
-    def randbelow(self, bound: int) -> int:
-        """Uniform integer in ``[0, bound)``; 0 consumes no state when bound <= 1."""
-        if bound <= 1:
-            return 0
-        mask = (1 << (bound - 1).bit_length()) - 1
-        state = self._state
-        while True:
-            state ^= (state << 13) & _MASK64
-            state ^= state >> 7
-            state ^= (state << 17) & _MASK64
-            draw = state & mask
-            if draw < bound:
-                self._state = state
-                return draw
-
-    def shuffle_prefix(self, items: list, count: int) -> None:
-        """Fisher-Yates the first ``count`` slots of ``items`` in place."""
-        n = len(items)
-        if count > n:
-            raise ValueError(f"cannot shuffle {count} slots of a {n}-item list")
-        for i in range(count):
-            j = i + self.randbelow(n - i)
-            items[i], items[j] = items[j], items[i]

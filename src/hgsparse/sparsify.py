@@ -6,28 +6,33 @@ per vertex, edges only ever added to the kept set H.
 
 * ``per-type``: within each (node, direction, edge-type) bucket B, keep
   all of B when |B| <= k; otherwise top B's intersection with H up to k
-  by sampling uniformly without replacement from B - H.  Every bucket
-  ends with >= min(k, |B|) kept edges and |H| <= 2ktn.
+  with a uniform sample of B - H.  Every bucket ends with >= min(k, |B|)
+  kept edges and |H| <= 2ktn.
 * ``all-types``: per node-direction, first guarantee one kept edge in
   every nonempty bucket, then top up to k kept edges across all of the
   node-direction's edges regardless of type.  Every bucket stays
   covered and |H| <= 2*max(k, t)*n.
 
-Sampling pools are always in ascending edge-identity order before the
-partial shuffle, so a (graph, k, method, seed) tuple fully determines H.
+Every sample is a bottom-k sample, a uniform subset without replacement
+(Cohen & Kaplan, PODC 2007): edge e in direction d (0 out, 1 in) has in
+phase p the priority word ``3 * (2e + d) + p`` of the counter-keyed
+``(seed, _SWEEP_TAG)`` stream of :mod:`hgsparse._rng`, the phases being
+per-type top-up, all-types cover and all-types top-up.  A cover keeps
+its bucket's least word; a top-up keeps the free edges whose words have
+the least high 32 bits, ties in layout order (ascending edge id within a
+bucket).  An edge lies in one unit per direction, so no key decides two
+choices, and a (graph, k, method, seed) tuple fully determines H.
 
 The sweep visits units: a per-type bucket, or an all-types
 node-direction.  The unit of node u in direction d comes at time
 2*rank(u) + d, rank being the position of u in :func:`vertex_order`.  A
 unit is *order-free* when it keeps all of its edges whatever H holds on
 arrival: a per-type bucket of at most k edges, or a node-direction whose
-buckets each hold one edge.  Such a unit draws nothing from the random
-stream (every take-all step and every ``randbelow(1)`` is free), so the
-sweep keeps all of their edges in one numpy pass and walks only the other
-units, in time order, in Python.  An edge belongs to one unit per
-direction, so when a walked unit looks at an edge, the edge is in H iff
-an earlier walked unit picked it or its order-free unit came earlier.
-The stream is consumed draw for draw as by the one-unit-at-a-time sweep.
+buckets each hold one edge.  The sweep keeps all of their edges in one
+numpy pass and walks only the other units, in time order, in Python.  An
+edge belongs to one unit per direction, so when a walked unit looks at
+an edge, the edge is in H iff an earlier walked unit picked it or its
+order-free unit came earlier.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import RandomStream
+from ._rng import counter_words
 from .errors import EmptyGraphError
 from .graph import HeteroGraph
 
@@ -45,6 +50,8 @@ ALL_TYPES = "all-types"
 METHODS = (PER_TYPE, ALL_TYPES)
 
 _NEVER = np.iinfo(np.int64).max  # the time of an edge no order-free unit keeps
+_SWEEP_TAG = 2  # the sweep's stream; eval's split and negatives use tags 0 and 1
+_TOP_UP, _COVER, _SIDE_TOP_UP = 0, 1, 2  # the phase of a priority word
 
 
 @dataclass(frozen=True)
@@ -124,69 +131,79 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     # unit kept before their loop unit's time start out picked.
     units = np.flatnonzero(~free)
     if units.shape[0]:
-        # stable: the buckets of one side share its time and draw in bucket order
+        # stable: the buckets of one side share its time; they hold no common edge
         units = units[np.argsort(unit_time[units], kind="stable")]
         lens = lens[units]
-        edges = layout.order[_ranges(unit_ptr[units], lens)]
+        pos = _ranges(unit_ptr[units], lens)
+        edges = layout.order[pos]
         picked = set(edges[free_time[edges] < np.repeat(unit_time[units], lens)].tolist())
         bounds = np.cumsum(lens).tolist()
-        rng = RandomStream(params.seed)
+        # the counter of each entry, less its phase; out sides fill order[:m]
+        key = 3 * (2 * edges + (pos >= m))
         if per_type:
-            _sweep_buckets(edges.tolist(), bounds, params.k, picked, rng)
+            ordered = edges[_by_priority(params.seed, key + _TOP_UP, lens)]
+            _sweep_buckets(ordered.tolist(), bounds, params.k, picked)
         else:
             counts = side_bkts[units]
             sizes = (bkt_ptr[1:] - bkt_ptr[:-1])[_ranges(side_bkt_ptr[units], counts)]
+            # words are distinct, so each bucket has one least word
+            word = counter_words(params.seed, _SWEEP_TAG, key + _COVER)
+            least = word == np.repeat(np.minimum.reduceat(word, np.cumsum(sizes) - sizes),
+                                      sizes)
+            # only a side of fewer than k buckets can need a top-up
+            top_lens = np.where(counts < params.k, lens, 0)
+            top = np.repeat(counts < params.k, lens)
+            ordered = edges[top][_by_priority(params.seed, key[top] + _SIDE_TOP_UP, top_lens)]
             _sweep_sides(edges.tolist(), bounds, sizes.tolist(), counts.tolist(),
-                         params.k, picked, rng)
+                         edges[least].tolist(), ordered.tolist(),
+                         np.cumsum(top_lens).tolist(), params.k, picked)
         selected[np.fromiter(picked, dtype=np.int64, count=len(picked))] = True
     kept = int(selected.sum())
     return SparsifierResult(graph=g, params=params, mask=selected,
                             kept=kept, ratio=kept / g.m)
 
 
-def _sweep_buckets(edges: list, bounds: list, k: int, picked: set,
-                   rng: RandomStream) -> None:
-    """Top each per-type loop bucket up to k kept edges, in order."""
+def _by_priority(seed: int, counters: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The order that sorts each unit's run of entries by priority.
+
+    A priority is the high 32 bits of the entry's word; one stable sort of
+    ``unit << 32 | priority`` keeps layout order among equal priorities.
+    """
+    unit = np.repeat(np.arange(lens.shape[0], dtype=np.uint64), lens)
+    word = counter_words(seed, _SWEEP_TAG, counters)
+    return np.argsort(unit << np.uint64(32) | word >> np.uint64(32), kind="stable")
+
+
+def _sweep_buckets(ordered: list, bounds: list, k: int, picked: set) -> None:
+    """Top each per-type loop bucket up to k kept edges, least priority first."""
     lo = 0
     for hi in bounds:
-        pool = [e for e in edges[lo:hi] if e not in picked]
+        pool = [e for e in ordered[lo:hi] if e not in picked]
         need = k - (hi - lo - len(pool))
         if need > 0:
-            picked.update(sample_without_replacement(pool, min(need, len(pool)), rng))
+            picked.update(pool[:need])
         lo = hi
 
 
-def _sweep_sides(edges: list, bounds: list, sizes: list, counts: list, k: int,
-                 picked: set, rng: RandomStream) -> None:
-    """Cover each bucket of each all-types loop side, then top the side up to k."""
-    lo = b = 0
-    for hi, count in zip(bounds, counts):
+def _sweep_sides(edges: list, bounds: list, sizes: list, counts: list, least: list,
+                 ordered: list, top_bounds: list, k: int, picked: set) -> None:
+    """Cover each bucket of each all-types loop side, then top the side up to k.
+
+    ``edges`` holds the sides' buckets in layout order and ``least`` each
+    bucket's cover pick.  ``ordered`` holds by priority the edges of each
+    side of fewer than k buckets, and nothing of the others, whose
+    covered buckets already hold k kept edges.
+    """
+    lo = top_lo = b = 0
+    for hi, top_hi, count in zip(bounds, top_bounds, counts):
         start = lo
-        for size in sizes[b:b + count]:
-            bucket = edges[start:start + size]
-            if picked.isdisjoint(bucket):
-                picked.add(bucket[rng.randbelow(size)])
+        for size, pick in zip(sizes[b:b + count], least[b:b + count]):
+            if picked.isdisjoint(edges[start:start + size]):
+                picked.add(pick)
             start += size
         b += count
-        if count < k:  # else the covered buckets already hold k kept edges
-            pool = sorted(e for e in edges[lo:hi] if e not in picked)
-            need = k - (hi - lo - len(pool))
-            if need > 0:
-                picked.update(sample_without_replacement(pool, min(need, len(pool)), rng))
-        lo = hi
-
-
-def sample_without_replacement(pool, count: int, rng: RandomStream) -> list:
-    """Uniform ``count``-subset of ``pool`` via a partial Fisher-Yates.
-
-    ``pool`` must already be in canonical (ascending identity) order for
-    reproducible results.  Selecting the whole pool consumes no stream
-    state.
-    """
-    items = list(pool)
-    if not 0 <= count <= len(items):
-        raise ValueError(f"count must be in [0, {len(items)}], got {count}")
-    if count == len(items):
-        return items
-    rng.shuffle_prefix(items, count)
-    return items[:count]
+        pool = [e for e in ordered[top_lo:top_hi] if e not in picked]
+        need = k - (hi - lo - len(pool))
+        if need > 0:
+            picked.update(pool[:need])
+        lo, top_lo = hi, top_hi

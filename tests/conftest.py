@@ -47,6 +47,19 @@ def random_graph():
     return make_random_graph
 
 
+def covered_hub(size: int, k: int) -> HeteroGraph:
+    """A hub whose out-edges no bucket but the hub's own can keep.
+
+    Hub 0 links leaves 1..size under etype 0; these are edges 0..size-1.
+    Each leaf's in-bucket also holds k edges from nodes of degree one,
+    which the sweep keeps first.  With k < size - 1 every leaf comes
+    before the hub, so the hub's bucket is the sweep's only choice.
+    """
+    edges = [(0, v, 0) for v in range(1, size + 1)]
+    edges += [(1000 + 10 * v + j, v, 0) for v in range(1, size + 1) for j in range(k)]
+    return build_graph(edges)
+
+
 def dict_buckets(g: HeteroGraph) -> dict:
     """Every nonempty bucket of g, grouped with plain dicts from the edge table.
 

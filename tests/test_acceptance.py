@@ -32,10 +32,7 @@ from hgsparse import (
     sparsify,
     write_link_file,
 )
-from hgsparse._rng import RandomStream
-from hgsparse.sparsify import sample_without_replacement
-
-from conftest import make_random_graph
+from conftest import covered_hub, make_random_graph
 
 SUITE_GRAPHS = 1000
 SUITE_KS = (1, 2, 3, 5, 10)
@@ -192,13 +189,17 @@ def test_metric_oracles():
 
 
 def test_sampling_uniformity():
-    pool = ["a", "b", "c", "d", "e"]
-    counts = {x: 0 for x in pool}
-    for seed in range(10_000):
-        pick = sample_without_replacement(pool, 1, RandomStream(seed))[0]
-        counts[pick] += 1
-    freqs = {x: c / 10_000 for x, c in counts.items()}
-    ok = all(abs(f - 0.2) <= 0.02 for f in freqs.values())
-    _line("sampling uniformity: each of 5 pool elements drawn at 0.2 +/- 0.02 "
-          "over 10k fresh seeds", ok,
-          f"freqs {sorted(round(f, 4) for f in freqs.values())}")
+    # a 5-edge hub bucket at k=1 whose leaves are already covered: the
+    # sweep's own choice there, a per-type top-up or an all-types cover
+    g = covered_hub(5, 1)
+    freqs = {}
+    for method in (PER_TYPE, ALL_TYPES):
+        counts = np.zeros(5, dtype=np.int64)
+        for seed in range(10_000):
+            counts += sparsify(g, SparsifyParams(k=1, method=method, seed=seed)).mask[:5]
+        assert counts.sum() == 10_000  # one hub edge kept per seed
+        freqs[method] = counts / 10_000
+    ok = all(abs(f - 0.2) <= 0.02 for fs in freqs.values() for f in fs)
+    _line("sampling uniformity: each of a 5-edge bucket's edges kept at "
+          "0.2 +/- 0.02 over 10k seeds, both methods", ok,
+          f"freqs {({m: sorted(round(float(f), 4) for f in fs) for m, fs in freqs.items()})}")

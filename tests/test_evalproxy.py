@@ -339,17 +339,17 @@ GOLDEN_EVAL = {
         "f11632702237910afcd915435ce218288fdb944b052d07bcfa09549746b28a3e",
         "01821a133a92f5a49634507c469eeab6f93b48ece39d08668b446db9db4ec23e"),
     (COMMON_NEIGHBORS, 3): (
-        0.5095595460526315, 0.1324449104660124,
-        "409f5240446300389cf5b4ce9e36dc499ad3c1b34a2be365fe8fa0fd8a696860",
-        "6d36f6173a72a725eef4c1ab31a058b423ba75c606999c994d067956fea4726a"),
+        0.5100253305921053, 0.13354543234848332,
+        "8a2fe3b58bdcd24b2abab7ccaf11ccb6253077158731115cb9d45559b9dd3bb2",
+        "305473da27834b1c5c67294fa83ffb0cfdf26d5facc289680e452d6a4332e3cf"),
     (ADAMIC_ADAR, None): (
         0.5662123684210526, 0.2428596131092961,
         "f75f414f72a4555eefb04df2efcd2b38c45141ace5e2e095ff70383ce7d632be",
         "b1e29f929b0bfcecd48259f40ac12cb1e47a031d46ec2921e91afb37ff26757d"),
     (ADAMIC_ADAR, 3): (
-        0.5097657253289474, 0.13503608318218513,
-        "ad88771fda684b237d3ac51321b7bbd0d0f9220e8dd1003d6a67bc0864134503",
-        "18086b863384751f16302e809570dd77862de091a427f77d0ad0e936deb2cdf6"),
+        0.5102200115131579, 0.1358261738292248,
+        "0f3f75ea9a3b64bdbed9f038f840861e51a50cb074218fe974c0f7c28ce814d2",
+        "b64b8860a9675941199d8120de385b58a60090072b8421c772e5680d696121d8"),
 }
 
 # sha256 of the int64 dense-id negative matrix evaluate() draws above

@@ -1,94 +1,32 @@
-"""Deterministic behavior of the sequential and counter-keyed streams."""
+"""Deterministic behavior of the counter-keyed stream."""
 
 import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import pytest
 
-from hgsparse._rng import (RandomStream, counter_words, mix_seed, randbelow_array,
-                           splitmix64, splitmix64_array, substream_seed)
+from hgsparse._rng import (counter_words, randbelow_array, splitmix64, splitmix64_array,
+                           substream_seed)
 
 _GAMMA = 0x9E3779B97F4A7C15
 
 
 def test_same_seed_same_sequence():
-    a = RandomStream(123)
-    b = RandomStream(123)
-    assert [a.randbelow(10) for _ in range(50)] == [b.randbelow(10) for _ in range(50)]
+    assert np.array_equal(counter_words(123, 2, np.arange(50)),
+                          counter_words(123, 2, np.arange(50)))
 
 
 def test_different_seeds_diverge():
-    a = [RandomStream(1).randbelow(1 << 30) for _ in range(4)]
-    b = [RandomStream(2).randbelow(1 << 30) for _ in range(4)]
-    assert a != b
-
-
-def test_randbelow_small_bounds_consume_nothing():
-    rng = RandomStream(7)
-    before = rng.state
-    assert rng.randbelow(1) == 0
-    assert rng.randbelow(0) == 0
-    assert rng.state == before
-    # bound > 1 must advance the state
-    rng.randbelow(2)
-    assert rng.state != before
-
-
-def test_seed_validation():
-    with pytest.raises(ValueError):
-        mix_seed(-1)
-    with pytest.raises(ValueError):
-        mix_seed(1 << 64)
-    assert mix_seed(0) != 0
+    a = counter_words(1, 2, np.arange(4))
+    b = counter_words(2, 2, np.arange(4))
+    assert not (a == b).any()
 
 
 def test_substreams_are_distinct():
     seeds = {substream_seed(42, tag) for tag in range(8)}
     assert len(seeds) == 8
     assert substream_seed(42, 1) != 42
-
-
-@given(seed=st.integers(0, 2**64 - 1), bound=st.integers(1, 2**62),
-       draws=st.integers(1, 30))
-@settings(max_examples=200, deadline=None)
-def test_randbelow_in_range(seed, bound, draws):
-    rng = RandomStream(seed)
-    for _ in range(draws):
-        assert 0 <= rng.randbelow(bound) < bound
-
-
-def test_shuffle_prefix_consumption_contract():
-    """shuffle_prefix(items, c) consumes exactly one randbelow per position."""
-    items = list(range(8))
-    rng = RandomStream(55)
-    rng.shuffle_prefix(items, 3)
-
-    replay = RandomStream(55)
-    manual = list(range(8))
-    for i in range(3):
-        j = i + replay.randbelow(len(manual) - i)
-        manual[i], manual[j] = manual[j], manual[i]
-    assert items == manual
-    assert rng.state == replay.state
-
-
-def test_shuffle_prefix_full_pool_is_permutation():
-    items = list(range(9))
-    RandomStream(12).shuffle_prefix(items, 9)
-    assert sorted(items) == list(range(9))
-    with pytest.raises(ValueError):
-        RandomStream(0).shuffle_prefix([1, 2], 3)
-
-
-def test_randbelow_roughly_uniform():
-    rng = RandomStream(2024)
-    counts = np.bincount([rng.randbelow(4) for _ in range(8000)], minlength=4)
-    assert counts.min() > 1800 and counts.max() < 2200
-
-
-# ---- counter-keyed stream ----
 
 
 @given(values=st.lists(st.integers(0, 2**64 - 1), max_size=20))

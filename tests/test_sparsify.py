@@ -1,6 +1,8 @@
-"""Sampler hand-traces, sweep-vs-reference equivalence, and core invariants."""
+"""Sweep hand-traces, sweep-vs-reference equivalence, and core invariants."""
 
 import hashlib
+import sys
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -20,36 +22,66 @@ from hgsparse import (
     sparsify,
     vertex_order,
 )
-from hgsparse._rng import RandomStream
-from hgsparse.sparsify import sample_without_replacement
+from hgsparse._rng import splitmix64, substream_seed
+from hgsparse.sparsify import _SWEEP_TAG
 
-from conftest import dict_buckets, edge_keys, make_random_graph
+from conftest import covered_hub, dict_buckets, edge_keys, make_random_graph
+
+_GAMMA = 0x9E3779B97F4A7C15
+SPARSIFY_MODULE = sys.modules["hgsparse.sparsify"]  # hgsparse.sparsify is the function
 
 
-def sparsify_node_direction(g, buckets, u: int, direction: str,
-                            H: set, k: int, rng: RandomStream) -> set:
-    """One vertex-direction step of the per-type method, on identity triples.
+def sweep_word(seed: int):
+    """Word of counter c of the sweep's stream, computed one at a time."""
+    base = substream_seed(seed, _SWEEP_TAG)
+    return lambda c: splitmix64((base + c * _GAMMA) % 2**64)
 
-    Pure-Python reference for the sweep: updates H in place, consuming
-    the stream exactly as :func:`sparsify` does, and returns H.
-    ``buckets`` is :func:`conftest.dict_buckets` of g.
+
+def reference_node_direction(buckets: list, d: int, H: set, k: int, method: str,
+                             word) -> set:
+    """One node-direction step of the sweep, a sequential bottom-k reference.
+
+    ``buckets`` lists the edge-id lists of the node-direction's buckets
+    in ascending etype, ids ascending; d is 0 out or 1 in.  Edge e's word
+    in phase p is ``word(3 * (2e + d) + p)``.  A cover keeps the least
+    word; a top-up keeps the free edges whose words have the least high
+    32 bits, ties in this layout order.  Updates H in place and returns it.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    for _etype, ids in sorted(buckets.get((direction, u), {}).items()):
-        keys = edge_keys(g, ids)
-        if len(keys) < k:
-            H.update(keys)
-            continue
-        pool = [key for key in keys if key not in H]
-        need = k - (len(keys) - len(pool))
-        if need <= 0:
-            continue
+
+    def top_up(unit, phase):
+        pool = [e for e in unit if e not in H]
+        need = k - (len(unit) - len(pool))
         if need >= len(pool):
             H.update(pool)
-            continue
-        H.update(sample_without_replacement(pool, need, rng))
+        elif need > 0:  # sorted() is stable: equal priorities keep layout order
+            H.update(sorted(pool, key=lambda e: word(3 * (2 * e + d) + phase) >> 32)[:need])
+
+    if method == PER_TYPE:
+        for ids in buckets:
+            top_up(ids, 0)
+    else:
+        for ids in buckets:
+            if H.isdisjoint(ids):
+                H.add(min(ids, key=lambda e: word(3 * (2 * e + d) + 1)))
+        top_up([e for ids in buckets for e in ids], 2)
     return H
+
+
+def reference_sweep(g, k: int, method: str, word) -> set:
+    """Kept edge ids of the whole sweep, one node-direction at a time."""
+    H: set = set()
+    by_side = dict_buckets(g)
+    for u in g.node_ids[vertex_order(g)].tolist():
+        for d, direction in enumerate(("out", "in")):
+            buckets = [ids for _etype, ids in sorted(by_side.get((direction, u), {}).items())]
+            reference_node_direction(buckets, d, H, k, method, word)
+    return H
+
+
+def _no_word(*counter):
+    raise AssertionError(f"word {counter} drawn for a forced choice")
 
 
 def test_g1_k1_keeps_everything_per_type(g1):
@@ -67,19 +99,17 @@ def test_g1_k1_keeps_everything_all_types(g1):
 
 def test_node_direction_hand_trace(g1):
     # out-buckets of node 1 with type 0 already covered twice: x >= k skips
-    # type 0, and the size-1 type-1 bucket forces (1,4,1) in.
-    H = {(1, 2, 0), (1, 3, 0)}
-    rng = RandomStream(0)
-    before = rng.state
-    sparsify_node_direction(g1, dict_buckets(g1), 1, "out", H, 1, rng)
-    assert H == {(1, 2, 0), (1, 3, 0), (1, 4, 1)}
-    assert rng.state == before  # forced moves consume no stream
+    # type 0, and the size-1 type-1 bucket forces edge 2, (1,4,1), in.
+    buckets = dict_buckets(g1)
+    out_1 = [ids for _etype, ids in sorted(buckets["out", 1].items())]
+    assert edge_keys(g1, [e for ids in out_1 for e in ids]) == [(1, 2, 0), (1, 3, 0), (1, 4, 1)]
+    H = reference_node_direction(out_1, 0, {0, 1}, 1, PER_TYPE, _no_word)
+    assert H == {0, 1, 2}  # forced moves draw no word
 
 
 def test_node_direction_validates_k(g1):
     with pytest.raises(ValueError):
-        sparsify_node_direction(g1, dict_buckets(g1), 1, "out", set(), 0,
-                                RandomStream(0))
+        reference_node_direction([[0, 1]], 0, set(), 0, PER_TYPE, _no_word)
 
 
 def test_k33_bounds_and_coverage(k33):
@@ -90,74 +120,30 @@ def test_k33_bounds_and_coverage(k33):
         assert isolated_nodes(k33, res.mask) == set()
 
 
-def test_sample_without_replacement_examples():
-    rng = RandomStream(1)
-    assert set(sample_without_replacement(["e1", "e2", "e3"], 3, rng)) == \
-        {"e1", "e2", "e3"}
-    assert sample_without_replacement(["e1", "e2", "e3"], 0, rng) == []
-
-
 def test_sample_full_pool_consumes_nothing():
-    rng = RandomStream(5)
-    before = rng.state
-    sample_without_replacement([1, 2, 3, 4], 4, rng)
-    sample_without_replacement([], 0, rng)
-    assert rng.state == before
+    # every bucket holds one edge, so every unit keeps all of its edges
+    # under either method and the sweep draws no word at all
+    g = build_graph([(1, 2, 0), (1, 4, 1), (2, 3, 1), (3, 3, 0), (3, 1, 2)])
+    with mock.patch.object(SPARSIFY_MODULE, "counter_words", _no_word):
+        for method in (PER_TYPE, ALL_TYPES):
+            assert sparsify(g, SparsifyParams(k=1, method=method, seed=4)).ratio == 1.0
 
 
-def test_sample_count_validation():
-    with pytest.raises(ValueError):
-        sample_without_replacement([1, 2], 3, RandomStream(0))
-    with pytest.raises(ValueError):
-        sample_without_replacement([1, 2], -1, RandomStream(0))
-
-
-@given(seed=st.integers(0, 2**32), count=st.integers(0, 6))
+@given(seed=st.integers(0, 2**64 - 1), count=st.integers(1, 5))
 @settings(max_examples=100, deadline=None)
 def test_sample_is_subset_and_deterministic(seed, count):
-    pool = list(range(6))
-    got = sample_without_replacement(pool, count, RandomStream(seed))
-    assert len(got) == count
-    assert len(set(got)) == count
-    assert set(got) <= set(pool)
-    assert got == sample_without_replacement(pool, count, RandomStream(seed))
+    # the hub's out-bucket of 7 keeps the count edges of least priority
+    g = covered_hub(7, count)
+    got = np.flatnonzero(sparsify(g, SparsifyParams(k=count, seed=seed)).mask[:7])
+    assert np.array_equal(
+        got, np.flatnonzero(sparsify(g, SparsifyParams(k=count, seed=seed)).mask[:7]))
+    word = sweep_word(seed)  # out-direction, top-up phase: counter 6e
+    assert got.tolist() == sorted(sorted(range(7), key=lambda e: word(6 * e) >> 32)[:count])
 
 
 def test_vertex_order_by_degree_then_id():
     g = build_graph([(1, 2, 0), (1, 3, 0), (1, 4, 0), (5, 1, 0)])
     assert g.node_ids[vertex_order(g)].tolist() == [2, 3, 4, 5, 1]
-
-
-def _reference_per_type(g, k, seed):
-    H = set()
-    rng = RandomStream(seed)
-    buckets = dict_buckets(g)
-    for u in g.node_ids[vertex_order(g)].tolist():
-        sparsify_node_direction(g, buckets, u, "out", H, k, rng)
-        sparsify_node_direction(g, buckets, u, "in", H, k, rng)
-    return H
-
-
-def _reference_all_types(g, k, seed):
-    # the all-types sweep one node-direction at a time: cover every
-    # bucket, then top the node-direction up to k from the ascending-id pool
-    H = set()
-    rng = RandomStream(seed)
-    by_side = dict_buckets(g)
-    for u in g.node_ids[vertex_order(g)].tolist():
-        for direction in ("out", "in"):
-            buckets = sorted(by_side.get((direction, u), {}).items())
-            for _etype, ids in buckets:
-                if not any(e in H for e in ids):
-                    H.add(ids[rng.randbelow(len(ids))])
-            pool = sorted(e for _etype, ids in buckets for e in ids if e not in H)
-            need = k - (sum(len(ids) for _e, ids in buckets) - len(pool))
-            if need >= len(pool):
-                H.update(pool)
-            elif need > 0:
-                rng.shuffle_prefix(pool, need)
-                H.update(pool[:need])
-    return H
 
 
 @st.composite
@@ -213,11 +199,25 @@ sweep_cases = st.one_of(
 def test_sweep_matches_pure_reference(method, case, seed):
     g, k = case
     res = sparsify(g, SparsifyParams(k=k, method=method, seed=seed))
-    if method == PER_TYPE:
-        expected = _reference_per_type(g, k, seed)
-    else:
-        expected = set(edge_keys(g, sorted(_reference_all_types(g, k, seed))))
-    assert set(edge_keys(g, res.edge_ids)) == expected
+    assert set(res.edge_ids.tolist()) == reference_sweep(g, k, method, sweep_word(seed))
+
+
+def _coarse_words(seed, tag, counters):
+    """Distinct words whose high 32 bits take 3 values: many priority ties."""
+    c = np.asarray(counters, dtype=np.uint64)
+    return (c * np.uint64(7) % np.uint64(3)) << np.uint64(32) | c
+
+
+@pytest.mark.parametrize("method", [PER_TYPE, ALL_TYPES])
+@given(case=sweep_cases)
+@settings(max_examples=100, deadline=None)
+def test_sweep_tie_rule_matches_reference(method, case):
+    # equal priorities keep layout order, ascending edge id within a bucket
+    g, k = case
+    with mock.patch.object(SPARSIFY_MODULE, "counter_words", _coarse_words):
+        res = sparsify(g, SparsifyParams(k=k, method=method))
+    coarse = lambda c: int(_coarse_words(0, 0, [c])[0])  # noqa: E731
+    assert set(res.edge_ids.tolist()) == reference_sweep(g, k, method, coarse)
 
 
 suite_params = st.tuples(
@@ -306,19 +306,19 @@ def test_result_edge_ids_match_mask(g1):
 # any digest changes which edges the sweep keeps and must be deliberate.
 
 GOLDEN_MASKS = {
-    (5, PER_TYPE): "48e79dd8b23649849230005c27c07d2a17c23c59d9a1f7623ebfd0f0ddb0e5f5",
-    (5, ALL_TYPES): "4154e25a42b5f9b98ac92b6312faffbcc8873e1f29af8eef0daf2ca719b9aaab",
-    (7, PER_TYPE): "ffc6003075144ab94e563191a3331edc68db4ff1e4acbab3b0f17e4cf1ff4773",
-    (7, ALL_TYPES): "63afe96fb713ee352c064f2b6f24e6f9c2c71cf3a22ec76b9e42e8d6a3381567",
-    (13, PER_TYPE): "2f8c807bd4df6a3d7e4213c6f5cbf4d27a8293f991c375579fa8fe92565f7362",
-    (13, ALL_TYPES): "fe83ac064c3b00561688f9a028be71958fe07552ddfc0bfdbb10901fbb2b94aa",
-    (28, PER_TYPE): "76648ccbfdf3001001bdb64a56b579e7cb4f077a30781c69e26b3ae8a9bd52b4",
-    (28, ALL_TYPES): "ea5a1b9dc4f73eb2c56f409add4c4f9151e3c28165710628a54f3599853b4ed3",
+    (5, PER_TYPE): "308291e657a7e5a54c340dd02cee1e947927adeda66fb291e98c6cbd0570fc0b",
+    (5, ALL_TYPES): "f19d28e2ffe3d5c0dea492f62c5477af4db97f570d23644191386db61e538cc8",
+    (7, PER_TYPE): "e0b1139fd7fd7b516a1d15d962950627f1f53ec18bccd40f378f89d45b78d0f6",
+    (7, ALL_TYPES): "314a1f546187bf0dd9e466782bef6ce6134b77435ec26d2545921cc21baa51de",
+    (13, PER_TYPE): "97e9e0fcbbbfec8bc239f9aea2785c334d152811dec2a46afc97f144ff8b1151",
+    (13, ALL_TYPES): "b0abda8bc756db4454b83f6a843fdefafea444b45192f1ac302f33d4f5ce2568",
+    (28, PER_TYPE): "bcec440a22b274906e328a30740104f9a17101d9a67e6d0d5e601c68d20081d9",
+    (28, ALL_TYPES): "86835c6a3238e2599a888fe57fb43dc6867a0ade472394a22f204bb0afb834b4",
 }
 
 GOLDEN_PUBMED_MASKS = {
-    PER_TYPE: (149780, "ae40000951bfeb6bebb4e8c3dbc288897a4e800194f271a804e534041d7ea0d2"),
-    ALL_TYPES: (115858, "0096dc7b177a3a0c4ec038b054a86aa99e5e357d6e93c9968af0471d9539087b"),
+    PER_TYPE: (149736, "b1e409b3d770c727ae0d8ee45467999e1e02a09907ca75cb30899c77a7f210d6"),
+    ALL_TYPES: (115877, "6bf5c4d4f48a3d1e7fcaf657c6366edb480349864f915ffd6b4830d5ef618e1c"),
 }
 
 
