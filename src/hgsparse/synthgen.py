@@ -7,7 +7,10 @@ probability proportional to rank^(-alpha) over a fixed node ordering
 are rejected and redrawn, so each edge type delivers exactly its
 requested count of distinct edges, or fails loudly: immediately when
 the count exceeds |src population| * |dst population|, or after a
-100 * count draw budget when duplicates keep colliding.
+100 * count draw budget when duplicates keep colliding.  Draw i of an
+edge type's src (dst) endpoint is a float made from word i of its own
+counter-keyed stream of :mod:`hgsparse._rng`, so the output depends on
+the spec alone, not on the numpy version.
 """
 
 from __future__ import annotations
@@ -16,8 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rng import counter_words
 from .errors import GenSpecError, InfeasibleSpecError, RetryCapError
 from .graph import HeteroGraph, build_graph_arrays
+
+# edge type i draws its srcs from stream tag 3 + 2i and its dsts from
+# 4 + 2i, clear of the tags 0-2 of eval and the sweep
+_FIRST_TAG = 3
 
 
 @dataclass(frozen=True)
@@ -68,6 +76,12 @@ def _rank_cdf(size: int, alpha: float) -> np.ndarray:
     return cdf
 
 
+def _uniform(seed: int, tag: int, first: int, count: int) -> np.ndarray:
+    """Floats in [0, 1) from words first, first + 1, ... of a stream."""
+    word = counter_words(seed, tag, np.arange(first, first + count))
+    return (word >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 def generate(spec: GenSpec) -> HeteroGraph:
     """Build the graph a spec describes; deterministic per spec.seed."""
     n = sum(spec.node_type_sizes)
@@ -78,7 +92,6 @@ def generate(spec: GenSpec) -> HeteroGraph:
         raise GenSpecError(f"cannot allocate a table of {n} nodes") from None
     offsets = np.concatenate(([0], np.cumsum(sizes)))
 
-    rng = np.random.default_rng(spec.seed)
     all_src: list[np.ndarray] = []
     all_dst: list[np.ndarray] = []
     all_etype: list[np.ndarray] = []
@@ -102,8 +115,11 @@ def generate(spec: GenSpec) -> HeteroGraph:
                 raise RetryCapError(
                     f"edge type {etype_id}: exceeded {cap} draws with only "
                     f"{len(accepted)} of {e.count} distinct edges")
-            us = np.searchsorted(src_cdf, rng.random(batch), side="right")
-            vs = np.searchsorted(dst_cdf, rng.random(batch), side="right")
+            tag = _FIRST_TAG + 2 * etype_id
+            us = np.searchsorted(src_cdf, _uniform(spec.seed, tag, draws_used, batch),
+                                 side="right")
+            vs = np.searchsorted(dst_cdf, _uniform(spec.seed, tag + 1, draws_used, batch),
+                                 side="right")
             draws_used += batch
             # accept in draw order so batching matches one-at-a-time redraws
             for key in (us * d_size + vs).tolist():

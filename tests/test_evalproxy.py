@@ -335,25 +335,25 @@ def test_evaluate_adamic_adar(proxy_graph):
 
 GOLDEN_EVAL = {
     (COMMON_NEIGHBORS, None): (
-        0.5658291282894737, 0.23324266430192214,
-        "f11632702237910afcd915435ce218288fdb944b052d07bcfa09549746b28a3e",
-        "01821a133a92f5a49634507c469eeab6f93b48ece39d08668b446db9db4ec23e"),
+        0.570291365131579, 0.23983032283503644,
+        "ad70b247eba466bc4ed2ec89c8b97e48aa557ad66d632cc86c4dd7a79579b8f0",
+        "6c87c984cec4ec0c7bc923304bd949215d193e94f4fc8267b50f1fdceb02fd7d"),
     (COMMON_NEIGHBORS, 3): (
-        0.5100253305921053, 0.13354543234848332,
-        "8a2fe3b58bdcd24b2abab7ccaf11ccb6253077158731115cb9d45559b9dd3bb2",
-        "305473da27834b1c5c67294fa83ffb0cfdf26d5facc289680e452d6a4332e3cf"),
+        0.5089787154605263, 0.13175360982027023,
+        "1277d0f1ce7d5b4dd193125b74c5c61595fcda90b782ba8f772f3d8e40f9ed3b",
+        "47a2a73b750318385470e61e3bb69f100b47be5e7fea51583b137a119b26fa06"),
     (ADAMIC_ADAR, None): (
-        0.5662123684210526, 0.2428596131092961,
-        "f75f414f72a4555eefb04df2efcd2b38c45141ace5e2e095ff70383ce7d632be",
-        "b1e29f929b0bfcecd48259f40ac12cb1e47a031d46ec2921e91afb37ff26757d"),
+        0.5708266513157895, 0.24924040853809945,
+        "38cdb54b0eb549f01af6e087cebcd0f32a1b74c56faf71a9f986ee45a351f303",
+        "8ecc75a39941f04503a4345debcaec4a7d32d459ee1b411587879d776686faa1"),
     (ADAMIC_ADAR, 3): (
-        0.5102200115131579, 0.1358261738292248,
-        "0f3f75ea9a3b64bdbed9f038f840861e51a50cb074218fe974c0f7c28ce814d2",
-        "b64b8860a9675941199d8120de385b58a60090072b8421c772e5680d696121d8"),
+        0.509250802631579, 0.13625351061392105,
+        "0305d34acbb2725a3d007f470eb655559084766f7b93aeaa0314d45291c96fe5",
+        "7080bb0ae5d4fb320934975ffb038a40f61e30a2532c87fb95e6149ad8cab213"),
 }
 
 # sha256 of the int64 dense-id negative matrix evaluate() draws above
-GOLDEN_NEGATIVES = "d62b3c55b9f4843b54b93ad78a2d32911a009c5cf3bbc87009de6a2d3e48c28e"
+GOLDEN_NEGATIVES = "0ce16f1bcc1013d5af6f600daf39d4a7b81f5c60e0680be2e65fc15615f44ccd"
 
 
 @pytest.fixture(scope="module")

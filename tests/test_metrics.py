@@ -79,11 +79,11 @@ def test_per_type_kept(g1):
 # in both directions; and of stats() and degrees() on the same graph.
 
 GOLDEN_PUBMED_COVERAGE = {
-    PER_TYPE: (109732, "aebb72c1dde6f81075a0105c82f43d377ff89a817f8caae758df7a311dddc484"),
-    ALL_TYPES: (88855, "7081336ccb11248f21d68c7f2cd44ffd49d386de220db9c2014e159a8d175318"),
+    PER_TYPE: (109625, "fc74a928ea6c5a358f077d207bd020b36e5fe199c0b655496613f407d5c5fe3f"),
+    ALL_TYPES: (88708, "fdc6751825cc6a6a6a3cb4b7017f278350390d69ae2b46fde6e091b0f3fd1312"),
 }
-GOLDEN_PUBMED_STATS = "7320495ea491bd3a8596dae089291ccaa5d4822e26e28b5b88744b0236337e1e"
-GOLDEN_PUBMED_DEGREES = "ed377f05fdfebaa9253bbc9901a28e0e71b256806b95a42cb6af239cce7d8472"
+GOLDEN_PUBMED_STATS = "0dab6edaae52a4d2555b5d7fe9104910d85d760d4c0411cb3461d6ec4641c2e6"
+GOLDEN_PUBMED_DEGREES = "fd2159af92d49e66d6c1ccdf708f768f2e759eecbab4ed22264e47cdda8dba18"
 
 
 def _json_sha(obj) -> str:

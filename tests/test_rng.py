@@ -1,11 +1,14 @@
-"""Deterministic behavior of the counter-keyed stream."""
+"""Deterministic behavior of the counter-keyed stream, the only one in use."""
 
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hgsparse
 from hgsparse._rng import (counter_words, randbelow_array, splitmix64, splitmix64_array,
                            substream_seed)
 
@@ -83,3 +86,31 @@ def test_randbelow_array_roughly_uniform():
     draws = randbelow_array(counter_words(2024, 0, np.arange(8000)), 6)
     counts = np.bincount(draws, minlength=6)
     assert counts.min() > 1200 and counts.max() < 1480
+
+
+def _random_sources(tree: ast.AST) -> list[int]:
+    """Lines that import ``random`` or name ``numpy.random``, however spelt."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(name.split(".")[0] == "random" or name.startswith("np.random")
+               or name.startswith("numpy.random") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_one_random_stream():
+    # every random choice in the package reads hgsparse._rng's stream
+    assert _random_sources(ast.parse(
+        "import random\nfrom numpy import random\nnp.random.default_rng(0)\n")) == [1, 2, 3]
+    package = Path(hgsparse.__file__).parent
+    offenders = {path.name: lines for path in sorted(package.glob("*.py"))
+                 if (lines := _random_sources(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert offenders == {}

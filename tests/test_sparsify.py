@@ -317,8 +317,8 @@ GOLDEN_MASKS = {
 }
 
 GOLDEN_PUBMED_MASKS = {
-    PER_TYPE: (149736, "b1e409b3d770c727ae0d8ee45467999e1e02a09907ca75cb30899c77a7f210d6"),
-    ALL_TYPES: (115877, "6bf5c4d4f48a3d1e7fcaf657c6366edb480349864f915ffd6b4830d5ef618e1c"),
+    PER_TYPE: (149595, "3a5f8cc0196a78c8041c9126d41c0211be646e95df73c7287a0a11d9fcd3add6"),
+    ALL_TYPES: (116038, "7d271d8c347bc20f6fd3d13a8f70161cf07d87e6b952454768f9b7ad739c5b47"),
 }
 
 

@@ -1,5 +1,6 @@
-"""Seeded generator: exact counts, feasibility guards, and skew control."""
+"""Seeded generator: exact counts, feasibility guards, skew control and pins."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -143,3 +144,35 @@ def test_pubmed_like_shape():
     assert stats.n == 63109 and stats.m == 236458
     assert stats.edges_per_node == pytest.approx(3.7, abs=0.1)
     assert stats.edge_type_count == 10
+
+
+# ---- golden pins of the generator's output ----
+#
+# sha256 of the int64 src, dst and etype columns (dense ids, canonical
+# order) of two generated graphs.  The generator draws from the
+# counter-keyed stream, so these hold whatever the numpy version; a change
+# of any digest changes every graph built from a spec and must be deliberate.
+
+GOLDEN_GENERATED = {
+    "pubmed_like_spec(0)": (
+        "787a5ac2f418009a0738ddf4dbe50df2380f4444bbe99a36101e0a3b2c944f15",
+        "85b1f73a43a42a648661dfac7449d953106fd1247886f1aeb9b38fc82afd42cc",
+        "7dca5f92d2f7d90a8bce68163b282ecb73b2e15c089546175db51e4cdc5261be"),
+    "two types": (
+        "4625ec5df4fe3f1a9c83edd06fc5839d4da9c226f64846329cccf8ee993a2724",
+        "f70fca57a1be8191eb5c031926e0e43e774e9a42bd844f718c9409bd2a350076",
+        "86bef4115383c1d3e5eb32887fb6b195b3686034a8566cf85fc3392b671926fd"),
+}
+GOLDEN_SPECS = {
+    "pubmed_like_spec(0)": lambda: pubmed_like_spec(0),
+    "two types": lambda: GenSpec((30, 20), (EdgeTypeSpec(0, 1, 50, 0.5),
+                                            EdgeTypeSpec(1, 0, 80, 1.0)), seed=9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GENERATED))
+def test_generate_golden(name):
+    g = generate(GOLDEN_SPECS[name]())
+    digests = tuple(hashlib.sha256(np.ascontiguousarray(column, dtype=np.int64).tobytes())
+                    .hexdigest() for column in (g.src, g.dst, g.etype))
+    assert digests == GOLDEN_GENERATED[name]
