@@ -131,8 +131,9 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     # unit kept before their loop unit's time start out picked.
     units = np.flatnonzero(~free)
     if units.shape[0]:
-        # stable: the buckets of one side share its time; they hold no common edge
-        units = units[np.argsort(unit_time[units], kind="stable")]
+        # the buckets of one side share its time but no edge, so their
+        # order gives the same H
+        units = units[np.argsort(unit_time[units])]
         lens = lens[units]
         pos = _ranges(unit_ptr[units], lens)
         edges = layout.order[pos]
@@ -151,8 +152,9 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
             least = word == np.repeat(np.minimum.reduceat(word, np.cumsum(sizes) - sizes),
                                       sizes)
             # only a side of fewer than k buckets can need a top-up
-            top_lens = np.where(counts < params.k, lens, 0)
-            top = np.repeat(counts < params.k, lens)
+            short = counts < params.k
+            top_lens = np.where(short, lens, 0)
+            top = np.repeat(short, lens)
             ordered = edges[top][_by_priority(params.seed, key[top] + _SIDE_TOP_UP, top_lens)]
             _sweep_sides(edges.tolist(), bounds, sizes.tolist(), counts.tolist(),
                          edges[least].tolist(), ordered.tolist(),
@@ -168,6 +170,7 @@ def _by_priority(seed: int, counters: np.ndarray, lens: np.ndarray) -> np.ndarra
 
     A priority is the high 32 bits of the entry's word; one stable sort of
     ``unit << 32 | priority`` keeps layout order among equal priorities.
+    A loop unit holds two or more of the 2m entries, so unit < 2**32.
     """
     unit = np.repeat(np.arange(lens.shape[0], dtype=np.uint64), lens)
     word = counter_words(seed, _SWEEP_TAG, counters)
