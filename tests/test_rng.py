@@ -16,8 +16,11 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 def test_same_seed_same_sequence():
-    assert np.array_equal(counter_words(123, 2, np.arange(50)),
-                          counter_words(123, 2, np.arange(50)))
+    # a word depends on its counter alone, however the counters are batched
+    whole = counter_words(123, 2, np.arange(50))
+    assert np.array_equal(whole, np.concatenate(
+        [counter_words(123, 2, np.arange(lo, lo + 10)) for lo in range(0, 50, 10)]))
+    assert np.array_equal(whole[[7, 3]], counter_words(123, 2, [7, 3]))
 
 
 def test_different_seeds_diverge():
