@@ -3,12 +3,16 @@
 import ast
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 import hgsparse
+from hgsparse import (EdgeTypeSpec, GenSpec, GenSpecError, SparsifyParams, generate,
+                      sparsify)
 from hgsparse._rng import (counter_words, randbelow_array, splitmix64, splitmix64_array,
                            substream_seed)
 
@@ -89,6 +93,50 @@ def test_randbelow_array_roughly_uniform():
     draws = randbelow_array(counter_words(2024, 0, np.arange(8000)), 6)
     counts = np.bincount(draws, minlength=6)
     assert counts.min() > 1200 and counts.max() < 1480
+
+
+def _no_word(values):
+    raise AssertionError("word drawn")
+
+
+def test_randbelow_small_bounds_consume_nothing():
+    keys = counter_words(7, 0, np.arange(4))
+    with mock.patch.object(hgsparse._rng, "splitmix64_array", _no_word):
+        assert randbelow_array(keys, [1, 0, -3, 1]).tolist() == [0] * 4
+        # bound > 1 must draw a word
+        with pytest.raises(AssertionError, match="word drawn"):
+            randbelow_array(keys, [1, 2, 0, 1])
+    # a small bound leaves the other keys' draws as they were
+    mixed = randbelow_array(keys, [1, 9, 0, 9])
+    assert mixed[[1, 3]].tolist() == randbelow_array(keys[[1, 3]], 9).tolist()
+
+
+def test_seed_validation():
+    # seeds enter the stream through SparsifyParams and GenSpec, on [0, 2**64)
+    types = (EdgeTypeSpec(0, 0, 6),)
+    for bad in (-1, 1 << 64, 1.5):
+        with pytest.raises(ValueError, match="seed must be in"):
+            SparsifyParams(k=1, seed=bad)
+        with pytest.raises(GenSpecError, match="seed must be in"):
+            GenSpec((5,), types, seed=bad)
+    for seed in (0, 2**64 - 1):
+        g = generate(GenSpec((5,), types, seed=seed))
+        assert sparsify(g, SparsifyParams(k=1, seed=seed)).kept >= 1
+    assert substream_seed(0, 0) != 0
+
+
+@given(seed=st.integers(0, 2**64 - 1), bound=st.integers(1, 2**62),
+       draws=st.integers(1, 30))
+@settings(max_examples=200, deadline=None)
+def test_randbelow_in_range(seed, bound, draws):
+    got = randbelow_array(counter_words(seed, 0, np.arange(draws)), bound)
+    assert ((0 <= got) & (got < bound)).all()
+
+
+def test_randbelow_roughly_uniform():
+    draws = randbelow_array(counter_words(2024, 0, np.arange(8000)), 4)
+    counts = np.bincount(draws, minlength=4)
+    assert counts.min() > 1800 and counts.max() < 2200
 
 
 def _random_sources(tree: ast.AST) -> list[int]:

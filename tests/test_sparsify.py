@@ -120,6 +120,17 @@ def test_k33_bounds_and_coverage(k33):
         assert isolated_nodes(k33, res.mask) == set()
 
 
+def test_sample_without_replacement_examples(g1):
+    # a unit keeps all of its free pool when it needs all of it, and none
+    # of it when already covered k times, which draws no word
+    for method in (PER_TYPE, ALL_TYPES):
+        assert reference_node_direction([[0, 1, 2]], 0, set(), 3, method,
+                                        sweep_word(9)) == {0, 1, 2}
+        assert reference_node_direction([[0, 1, 2]], 1, {1}, 1, method, _no_word) == {1}
+    with mock.patch.object(SPARSIFY_MODULE, "counter_words", _no_word):
+        assert sparsify(g1, SparsifyParams(k=3, seed=9)).ratio == 1.0
+
+
 def test_sample_full_pool_consumes_nothing():
     # every bucket holds one edge, so every unit keeps all of its edges
     # under either method and the sweep draws no word at all
