@@ -16,12 +16,16 @@ Formats (UTF-8):
   skipped, and an id may appear once
 * report: a JSON object, keys sorted, written with a trailing newline
 
-Both readers are columnar: :func:`read_link_file` and
+Readers and writers are columnar.  :func:`read_link_file` and
 :func:`read_node_file` cut the whole text into lines and fields with
 one shared set of numpy passes over its code points, check the id
 fields and parse them all with one ``np.fromstring`` call, and return a
 :class:`LinkTable` or a :class:`NodeTable` of columns.  Python looks at
 one line only: the first bad one, to explain it in the error.
+:func:`write_link_file` and :func:`write_node_file` cut the decimal
+digits of their int columns into one uint8 buffer, splice in the text
+columns (weights, node names) by their byte lengths, and hand the
+stream the whole text in one write.
 
 Link output is in canonical (src, dst, etype) ascending order with
 original node ids, so two selections diff cleanly.
@@ -30,7 +34,6 @@ original node ids, so two selections diff cleanly.
 from __future__ import annotations
 
 import json
-import math
 import re
 import warnings
 from contextlib import contextmanager
@@ -42,6 +45,8 @@ from .errors import DataError, LinkFormatError, NodeFileError
 from .graph import HeteroGraph
 
 _MAX_ID = 2**63 - 1  # ids are stored as int64
+# 10, 100, ..., 10**19: a value has one digit more than it has of these below it
+_POW10 = np.array([10**j for j in range(1, 20)], dtype=np.uint64)
 # A line's trailing CRs are not part of it.  A file read by path has none
 # left after universal-newline decoding; a text stream may keep them.
 _TRAILING_CR = re.compile(r"\r+(?=\n|\Z)")
@@ -353,33 +358,130 @@ def read_node_file(source) -> NodeTable:
     return NodeTable(ids, types)
 
 
+def _int_rows(rows: int, columns: list[tuple[str, np.ndarray]], tail: str = ""
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` rows of int64 columns in decimal, each after its lead, then ``tail``.
+
+    Returns each row's byte count and the bytes row by row.  One uint8
+    matrix holds the rows: a column's lead, then its digits right-aligned
+    in as many places as its longest value needs; reading the matrix row
+    by row past each value's padding gives the text.
+    """
+    tail_bytes = np.frombuffer(tail.encode(), dtype=np.uint8)
+    cells = []  # per column: lead bytes, values, magnitudes, digits of the largest, sign place
+    for lead, values in columns:
+        mag = np.abs(values).view(np.uint64)  # np.abs(-2**63) is 2**63 in uint64
+        top = int(mag.max(initial=0))
+        if top < 2**32:
+            mag = mag.astype(np.uint32)  # uint32 division is faster
+        sign = int(values.shape[0] > 0 and values.min() < 0)
+        cells.append((np.frombuffer(lead.encode(), dtype=np.uint8), values, mag,
+                      len(str(top)), sign))
+    width = sum(lead.shape[0] + sign + digits for lead, _, _, digits, sign in cells)
+    text = np.empty((rows, width + tail_bytes.shape[0]), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    lens = np.full(rows, tail_bytes.shape[0], dtype=np.int64)
+    at = 0
+    for lead, values, mag, digits, sign in cells:
+        text[:, at:at + lead.shape[0]] = lead
+        at += lead.shape[0] + sign + digits  # the column ends at ``at``
+        count = np.ones(rows, dtype=np.int64)  # each value's digits and sign
+        for k in range(1, digits):
+            shown = mag >= 10**k  # place k, counted from the units, pads a smaller value
+            keep[:, at - 1 - k] = shown
+            count += shown
+        for k in range(digits):
+            quotient = mag // 10
+            text[:, at - 1 - k] = mag - quotient * 10 + 48  # '0'
+            mag = quotient
+        if sign:
+            keep[:, at - 1 - digits] = False
+            neg = np.flatnonzero(values < 0)
+            count[neg] += 1
+            place = at - count[neg]
+            text[neg, place] = 45  # '-'
+            keep[neg, place] = True
+        lens += lead.shape[0] + count
+    text[:, at:] = tail_bytes
+    return lens, text[keep]
+
+
+def _text_rows(strings: list[str], lead: str, present: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Each string after ``lead``: UTF-8 byte counts, and the bytes row by row.
+
+    ``strings`` holds the rows where ``present`` is True; the other rows
+    get nothing, not even the lead.
+    """
+    text = lead + lead.join(strings) if strings else ""
+    counts = map(len, strings) if text.isascii() else (len(s.encode()) for s in strings)
+    lens = np.fromiter(counts, dtype=np.int64, count=len(strings)) + len(lead.encode())
+    if present is not None:
+        lens, given = np.zeros(present.shape[0], dtype=np.int64), lens
+        lens[present] = given
+    return lens, np.frombuffer(text.encode(), dtype=np.uint8)
+
+
+def _join_rows(pieces: list[tuple[np.ndarray, np.ndarray]]) -> str:
+    """The text whose rows are ``pieces`` end to end.
+
+    A piece is a byte count per row and its bytes row by row, as
+    :func:`_int_rows` and :func:`_text_rows` give; each is spliced into
+    one buffer at its offset in every row.
+    """
+    if len(pieces) == 1:
+        return pieces[0][1].tobytes().decode()
+    lens = sum(count for count, _ in pieces)
+    ends = np.cumsum(lens)
+    out = np.empty(int(ends[-1]) if ends.shape[0] else 0, dtype=np.uint8)
+    at = ends - lens
+    for count, data in pieces:
+        out[_span_mask(out.shape[0], at, at + count)] = data
+        at += count
+    return out.tobytes().decode()
+
+
 def write_link_file(g: HeteroGraph, dest, selected=None, delimiter: str = "\t") -> int:
-    """Write kept edges in canonical order; returns the line count."""
-    mask = g.edge_mask(selected)
-    ids = np.flatnonzero(mask)
-    src = g.node_ids[g.src[ids]].tolist()
-    dst = g.node_ids[g.dst[ids]].tolist()
-    etype = g.etype[ids].tolist()
-    tails = [""] * len(src)
-    if g.weight is not None:
-        tails = ["" if math.isnan(w) else f"{delimiter}{float(w)!r}"
-                 for w in g.weight[ids].tolist()]
+    """Write kept edges in canonical order; returns the line count.
+
+    A weight is written as ``repr(float(w))``; a NaN weight, an edge
+    built without one, gets no weight column.
+    """
+    ids = np.flatnonzero(g.edge_mask(selected))
+    rows = ids.shape[0]
+    columns = [("", g.node_ids[g.src[ids]]), (delimiter, g.node_ids[g.dst[ids]]),
+               (delimiter, g.etype[ids])]
+    if g.weight is None:
+        pieces = [_int_rows(rows, columns, "\n")]
+    else:
+        weight = g.weight[ids]
+        present = ~np.isnan(weight)
+        pieces = [_int_rows(rows, columns),
+                  _text_rows(list(map(repr, weight[present].tolist())), delimiter, present),
+                  _int_rows(rows, [], "\n")]
     with _opened(dest, "w") as stream:
-        stream.write("".join([f"{s}{delimiter}{d}{delimiter}{t}{tail}\n"
-                              for s, d, t, tail in zip(src, dst, etype, tails)]))
-    return len(src)
+        stream.write(_join_rows(pieces))
+    return rows
 
 
 def write_node_file(dest, node_ids, node_types, names=None) -> int:
     """Write a node table; names default to ``n<id>``."""
-    ids = np.asarray(node_ids, dtype=np.int64).tolist()
-    types = np.asarray(node_types, dtype=np.int64).tolist()
+    ids = np.asarray(node_ids, dtype=np.int64)
+    types = np.asarray(node_types, dtype=np.int64)
+    rows = ids.shape[0]
+    if types.shape != ids.shape:
+        raise ValueError("node_types must align with node_ids")
     if names is None:
-        names = [f"n{i}" for i in ids]
+        pieces = [_int_rows(rows, [("", ids), ("\tn", ids), ("\t", types)], "\n")]
+    else:
+        names = list(map(str, names))
+        if len(names) != rows:
+            raise ValueError("names must align with node_ids")
+        pieces = [_int_rows(rows, [("", ids)]), _text_rows(names, "\t"),
+                  _int_rows(rows, [("\t", types)], "\n")]
     with _opened(dest, "w") as stream:
-        stream.write("".join([f"{i}\t{name}\t{t}\n"
-                              for i, name, t in zip(ids, names, types, strict=True)]))
-    return len(ids)
+        stream.write(_join_rows(pieces))
+    return rows
 
 
 def write_report(report: dict, dest) -> None:

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgsparse import (
     LinkFileOptions,
@@ -202,6 +204,66 @@ def test_writer_matches_per_row_reference(seed):
         assert (write_link_file(g, new, selected, delimiter)
                 == _reference_write(g, old, selected, delimiter))
         assert new.getvalue() == old.getvalue()
+
+
+# every digit count a value can have, at both ends: 0, 9, 10, 99, 100, ...
+_DIGIT_BOUNDARIES = sorted({0, 9, 10, 2**63 - 1}
+                           | {10**j - 1 for j in range(2, 19)} | {10**j for j in range(2, 19)})
+
+
+def test_writer_matches_reference_at_digit_boundaries():
+    ids = np.array(_DIGIT_BOUNDARIES, dtype=np.int64)
+    rev = ids[::-1].copy()
+    for weight in (None, np.linspace(-1, 1, ids.shape[0])):
+        g = build_graph_arrays(ids, rev, np.roll(ids, 3), weight=weight)
+        # all edges, none, and each single edge
+        selections = [None, np.zeros(g.m, dtype=bool)] + [[i] for i in range(g.m)]
+        for selected in selections:
+            new, old = io.StringIO(), io.StringIO()
+            assert (write_link_file(g, new, selected)
+                    == _reference_write(g, old, selected))
+            assert new.getvalue() == old.getvalue()
+    assert write_link_file(g, io.StringIO(), np.zeros(g.m, dtype=bool)) == 0
+
+
+def test_node_writer_matches_reference_at_digit_boundaries():
+    ids = np.array(_DIGIT_BOUNDARIES + [-1, -9, -10, -(2**63 - 1), -2**63], dtype=np.int64)
+    types = ids[::-1].copy()
+    for names in (None, [f"v{i}" for i in range(ids.shape[0])]):
+        for rows in (slice(0, 0), slice(0, 1), slice(-1, None), slice(None)):
+            new, old = io.StringIO(), io.StringIO()
+            args = (ids[rows], types[rows], names[rows] if names else None)
+            assert write_node_file(new, *args) == _reference_write_nodes(old, *args)
+            assert new.getvalue() == old.getvalue()
+
+
+_node_ids = st.one_of(st.integers(0, 50), st.integers(0, 2**63 - 1),
+                      st.sampled_from(_DIGIT_BOUNDARIES))
+
+
+@given(edges=st.lists(st.tuples(_node_ids, _node_ids, _node_ids), max_size=40),
+       weights=st.one_of(st.none(), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                             min_size=40, max_size=40)),
+       keep=st.lists(st.booleans(), min_size=40, max_size=40),
+       delimiter=st.sampled_from(["\t", ",", " ", "→"]))
+@settings(max_examples=200, deadline=None)
+def test_write_read_build_round_trip(edges, weights, keep, delimiter):
+    weight = None if weights is None else np.array(weights[:len(edges)])
+    g = build_graph_arrays(*np.array(edges, dtype=np.int64).reshape(-1, 3).T, weight=weight)
+    mask = np.array(keep[:g.m], dtype=bool)
+    out = io.StringIO()
+    assert write_link_file(g, out, mask, delimiter) == int(mask.sum())
+    opts = LinkFileOptions(has_weight=weight is not None, delimiter=delimiter)
+    table = read_link_file(io.StringIO(out.getvalue()), opts)
+    back = build_graph_arrays(table.src, table.dst, table.etype, weight=table.weight,
+                              node_ids=g.node_ids)
+    for name in ("src", "dst", "etype"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(g, name)[mask])
+    if weight is None:
+        assert back.weight is None
+    else:  # repr gives back every bit, the sign of -0.0 included
+        np.testing.assert_array_equal(back.weight.view(np.int64),
+                                      g.weight[mask].view(np.int64))
 
 
 def test_roundtrip_is_byte_stable(tmp_path):
