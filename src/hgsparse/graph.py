@@ -11,7 +11,9 @@ deterministic and matches ascending identity order.
 
 Node ids from input files are remapped to a dense 0..n-1 range at build
 time (ascending original id, so the remap is monotone); original ids
-are kept for all user-facing output.
+are kept for all user-facing output.  The remap first looks for each id
+at its offset from the smallest, where every id of a contiguous node
+table sits, and binary-searches only the ids not found there.
 """
 
 from __future__ import annotations
@@ -82,15 +84,27 @@ def _as_int64(values, name: str) -> np.ndarray:
 def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
     """The index of each of ``ids`` in the ascending ``sorted_ids``.
 
-    Raises :class:`UnknownNodeError`, ``missing`` formatted with the first
-    id that is not there.
+    Each id is first looked for at its offset from the first id, clipped
+    into range, which finds every id of a contiguous table; only the ids
+    not found there are searched for.  Raises :class:`UnknownNodeError`,
+    ``missing`` formatted with the first id, in input order, that is not
+    there.
     """
     n = sorted_ids.shape[0]
-    pos = np.searchsorted(sorted_ids, ids)
-    # the appended entry makes pos == n a valid index whatever its value
-    found = (pos < n) & (np.append(sorted_ids, 0)[pos] == ids)
-    if not found.all():
-        raise UnknownNodeError(missing.format(int(ids[np.argmin(found)])))
+    if not n:
+        if ids.shape[0]:
+            raise UnknownNodeError(missing.format(int(ids[0])))
+        return np.zeros(0, dtype=np.int64)
+    # in uint64 an id below the first wraps to a large offset, clipped to n - 1
+    pos = np.minimum(ids.view(np.uint64) - sorted_ids[:1].view(np.uint64), n - 1)
+    pos = pos.view(np.int64)
+    miss = np.flatnonzero(sorted_ids[pos] != ids)
+    if miss.shape[0]:
+        found = np.searchsorted(sorted_ids, ids[miss])
+        hit = sorted_ids[np.minimum(found, n - 1)] == ids[miss]
+        if not hit.all():
+            raise UnknownNodeError(missing.format(int(ids[miss[np.argmin(hit)]])))
+        pos[miss] = found
     return pos
 
 
@@ -171,10 +185,14 @@ class HeteroGraph:
     # ---- node id mapping ----
 
     def dense_id(self, u: int) -> int:
-        pos = int(np.searchsorted(self.node_ids, u))
-        if pos >= self.n or self.node_ids[pos] != u:
-            raise UnknownNodeError(f"node {u} is not in the graph")
-        return pos
+        missing = "node {} is not in the graph"
+        try:
+            key = np.array([u], dtype=np.int64)
+        except OverflowError:  # beyond int64, so no node's id
+            raise UnknownNodeError(missing.format(u)) from None
+        if key[0] != u:  # a fraction
+            raise UnknownNodeError(missing.format(u))
+        return int(_positions(self.node_ids, key, missing)[0])
 
     def dense_ids(self, us) -> np.ndarray:
         return _positions(self.node_ids, _as_int64(us, "node ids"),

@@ -14,6 +14,8 @@ from hgsparse import (
     build_graph_arrays,
 )
 
+from hgsparse.graph import _positions
+
 from conftest import G1_EDGES, G1_TYPES, dict_buckets, edge_keys, make_random_graph
 
 edge_lists = st.lists(
@@ -181,6 +183,89 @@ def test_dense_id_roundtrip():
     assert list(g.dense_ids([10, 3])) == [2, 0]
     with pytest.raises(UnknownNodeError):
         g.dense_id(99)
+
+
+_INT64 = (-2**63, 2**63 - 1)
+
+
+@st.composite
+def lookups(draw):
+    """A node table and ids to look up in it, some of them absent.
+
+    Tables are contiguous, gapped, single-node or empty, starting at 0, at
+    a small id, around 10**12 or at 2**63 - 41, so the last id of a
+    40-node table is close to the largest int64.  Queries mix table ids
+    with ids just below the first, just above the last, near 2**63 and
+    anywhere in int64.
+    """
+    first = draw(st.sampled_from([0, 5, 10**12 - 3, 2**63 - 41]))
+    kind = draw(st.sampled_from(["contiguous", "gapped", "single", "empty"]))
+    if kind == "contiguous":
+        offsets = range(draw(st.integers(1, 40)))
+    elif kind == "gapped":
+        offsets = sorted(draw(st.sets(st.integers(0, 40), min_size=2)) | {0})
+    else:
+        offsets = [0] if kind == "single" else []
+    table = np.array([first + o for o in offsets], dtype=np.int64)
+    near = [first - 1, first, first + 40, first + 41, 2**63 - 2, 2**63 - 1, 0, -1, -2**63]
+    near = [i for i in near if _INT64[0] <= i <= _INT64[1]]
+    present = st.sampled_from(table.tolist()) if table.shape[0] else st.nothing()
+    anywhere = st.one_of(present, st.sampled_from(near), st.integers(*_INT64))
+    found = st.lists(present, max_size=30) if table.shape[0] else st.just([])
+    ids = draw(st.one_of(found, st.lists(anywhere, max_size=30)))
+    return table, np.array(ids, dtype=np.int64)
+
+
+def _reference_positions(table, ids):
+    """Plain binary search: the positions, or the first absent id in input order."""
+    pos = np.searchsorted(table, ids)
+    found = [p < table.shape[0] and table[p] == i for p, i in zip(pos.tolist(), ids.tolist())]
+    missing = [i for i, ok in zip(ids.tolist(), found) if not ok]
+    return pos.tolist(), (missing[0] if missing else None)
+
+
+@given(lookups())
+@settings(max_examples=400, deadline=None)
+def test_positions_match_binary_search(lookup):
+    table, ids = lookup
+    want, missing = _reference_positions(table, ids)
+    g = build_graph_arrays([], [], [], node_ids=table)
+    if missing is None:
+        assert _positions(table, ids, "{}").tolist() == want
+        assert g.dense_ids(ids).tolist() == want
+        assert [g.dense_id(i) for i in ids.tolist()] == want
+        return
+    with pytest.raises(UnknownNodeError, match=f"^absent {missing}$"):
+        _positions(table, ids, "absent {}")
+    with pytest.raises(UnknownNodeError, match=f"^node {missing} is not in the graph$"):
+        g.dense_ids(ids)
+    with pytest.raises(UnknownNodeError, match=f"^node {missing} is not in the graph$"):
+        for i in ids.tolist():
+            g.dense_id(i)
+
+
+@given(lookups())
+@settings(max_examples=300, deadline=None)
+def test_build_names_first_missing_endpoint(lookup):
+    table, ids = lookup
+    ids = ids[ids >= 0]  # the build rejects negative ids before looking any up
+    half = ids.shape[0] // 2
+    src, dst = ids[:half], ids[half:2 * half]
+    etype = np.zeros(half, dtype=np.int64)
+    src_missing = _reference_positions(table, src)[1]
+    dst_missing = _reference_positions(table, dst)[1]
+    if src_missing is not None:
+        with pytest.raises(UnknownNodeError,
+                           match=f"^edge source {src_missing} is not in the node table$"):
+            build_graph_arrays(src, dst, etype, node_ids=table)
+    elif dst_missing is not None:
+        with pytest.raises(UnknownNodeError,
+                           match=f"^edge destination {dst_missing} is not in the node table$"):
+            build_graph_arrays(src, dst, etype, node_ids=table)
+    else:
+        g = build_graph_arrays(src, dst, etype, node_ids=table)
+        assert sorted(zip(g.node_ids[g.src].tolist(), g.node_ids[g.dst].tolist())) == \
+            sorted(set(zip(src.tolist(), dst.tolist())))
 
 
 def test_canonical_edge_order(g1):
