@@ -36,6 +36,10 @@ class EdgeTypeSpec:
     alpha: float = 0.0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer))
+
+
 @dataclass(frozen=True)
 class GenSpec:
     node_type_sizes: tuple[int, ...]
@@ -49,12 +53,17 @@ class GenSpec:
                                  for e in self.edge_types))
         if not self.node_type_sizes:
             raise GenSpecError("at least one node type is required")
+        if not all(map(_is_int, self.node_type_sizes)):
+            raise GenSpecError(f"node type sizes must be integers, got {self.node_type_sizes!r}")
         if any(s < 1 for s in self.node_type_sizes):
             raise GenSpecError("node type sizes must be positive")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise GenSpecError(f"seed must be in [0, 2**64), got {self.seed!r}")
         n_types = len(self.node_type_sizes)
         for i, e in enumerate(self.edge_types):
+            if not all(map(_is_int, (e.src_type, e.dst_type, e.count))):
+                raise GenSpecError(f"edge type {i}: endpoint types and count must be "
+                                   f"integers, got {e!r}")
             if e.count < 1:
                 raise GenSpecError(f"edge type {i}: count must be >= 1")
             if not (0 <= e.src_type < n_types and 0 <= e.dst_type < n_types):

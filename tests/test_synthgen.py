@@ -94,6 +94,13 @@ def test_spec_validation():
         GenSpec((4,), (EdgeTypeSpec(0, 0, 1),), seed=-1)
     with pytest.raises(GenSpecError, match="seed must be in"):
         GenSpec((4,), (EdgeTypeSpec(0, 0, 1),), seed=1.5)
+    # non-integers that numpy would otherwise reject deep inside generate
+    with pytest.raises(GenSpecError, match="must be integers"):
+        GenSpec((4,), (EdgeTypeSpec(0, 0, 2.5),))
+    with pytest.raises(GenSpecError, match="must be integers"):
+        GenSpec((4.5,), (EdgeTypeSpec(0, 0, 2),))
+    with pytest.raises(GenSpecError, match="must be integers"):
+        GenSpec((4,), (EdgeTypeSpec(0.0, 0, 2),))
 
 
 def test_parse_spec_file():
