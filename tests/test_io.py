@@ -223,7 +223,6 @@ def test_writer_matches_reference_at_digit_boundaries():
             assert (write_link_file(g, new, selected)
                     == _reference_write(g, old, selected))
             assert new.getvalue() == old.getvalue()
-    assert write_link_file(g, io.StringIO(), np.zeros(g.m, dtype=bool)) == 0
 
 
 def test_node_writer_matches_reference_at_digit_boundaries():
