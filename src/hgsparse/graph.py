@@ -74,11 +74,26 @@ class GraphStats:
         }
 
 
-def _as_int64(values, name: str) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=np.int64)
+def _as_int64(values, name: str, unknown: str | None = None) -> np.ndarray:
+    """``values`` as a 1-d int64 array.
+
+    The first value that is not a whole number in int64's range, which a
+    cast would truncate or wrap, raises ValueError, or UnknownNodeError
+    with ``unknown`` formatted with the value when that is given.
+    """
+    arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
-    return arr
+    if not np.can_cast(arr.dtype, np.int64):  # floats, uint64, objects
+        for v in arr.tolist():
+            try:
+                whole = v == int(v) and -2**63 <= v < 2**63
+            except (TypeError, ValueError, OverflowError):  # None, nan, inf
+                whole = False
+            if not whole:
+                raise (UnknownNodeError(unknown.format(repr(v))) if unknown else
+                       ValueError(f"{name} holds {v!r}, not an integer in int64's range"))
+    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
@@ -185,18 +200,16 @@ class HeteroGraph:
     # ---- node id mapping ----
 
     def dense_id(self, u: int) -> int:
-        missing = "node {} is not in the graph"
-        try:
-            key = np.array([u], dtype=np.int64)
-        except OverflowError:  # beyond int64, so no node's id
-            raise UnknownNodeError(missing.format(u)) from None
-        if key[0] != u:  # a fraction
-            raise UnknownNodeError(missing.format(u))
-        return int(_positions(self.node_ids, key, missing)[0])
+        return int(self.dense_ids([u])[0])
 
     def dense_ids(self, us) -> np.ndarray:
-        return _positions(self.node_ids, _as_int64(us, "node ids"),
-                          "node {} is not in the graph")
+        """Dense index of each original node id.
+
+        UnknownNodeError names the first id that is not an integer, or
+        else the first that is not in the node table.
+        """
+        missing = "node {} is not in the graph"
+        return _positions(self.node_ids, _as_int64(us, "node ids", missing), missing)
 
     # ---- adjacency queries ----
 

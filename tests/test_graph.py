@@ -185,6 +185,27 @@ def test_dense_id_roundtrip():
         g.dense_id(99)
 
 
+def test_non_integer_ids_are_not_truncated():
+    # a cast to int64 would take 2.5 and 2.7 to node 2 and wrap 2**63 to -2**63
+    g = build_graph([(0, 2, 0), (5, 2, 0)])
+    for ids, bad in (([2.5], "2.5"), (np.array([1.0, 2.7]), "2.7"), ([5, 2**64], str(2**64)),
+                     ([float("nan")], "nan"), (np.array([2**63], dtype=np.uint64), str(2**63))):
+        with pytest.raises(UnknownNodeError, match=f"^node {bad} is not in the graph$"):
+            g.dense_ids(ids)
+    with pytest.raises(UnknownNodeError, match=r"^node 2\.5 is not in the graph$"):
+        g.dense_id(2.5)
+    assert g.dense_ids([2.0, np.float64(5)]).tolist() == [1, 2]
+    assert g.dense_id(2.0) == 1
+    for src, dst, etype, name in ((np.array([1.5]), [2], [0], "src"), ([1], [2.5], [0], "dst"),
+                                  ([1], [2], [0.5], "etype"), ([2**63], [2], [0], "src")):
+        with pytest.raises(ValueError, match=f"^{name} holds "):
+            build_graph_arrays(src, dst, etype)
+    with pytest.raises(ValueError, match="^node_ids holds 2.5"):
+        build_graph_arrays([1], [2], [0], node_ids=[1, 2, 2.5])
+    g = build_graph_arrays([1.0], np.array([2.0]), [0])
+    assert (g.node_ids.tolist(), g.dst.tolist()) == ([1, 2], [1])
+
+
 _INT64 = (-2**63, 2**63 - 1)
 
 
