@@ -42,8 +42,6 @@ _SPLIT_TAG, _NEGATIVE_TAG = 0, 1  # counter-keyed stream tags
 class EdgeSplit:
     train_ids: np.ndarray
     test_pos_ids: np.ndarray
-    holdout_fraction: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -73,12 +71,7 @@ def split_edges(g: HeteroGraph, holdout_fraction: float, seed: int = 0) -> EdgeS
     # the test_count smallest words; they are distinct, so nothing ties
     keys = counter_words(seed, _SPLIT_TAG, np.arange(g.m))
     test = keys <= np.partition(keys, test_count - 1)[test_count - 1]
-    return EdgeSplit(
-        train_ids=np.flatnonzero(~test),
-        test_pos_ids=np.flatnonzero(test),
-        holdout_fraction=holdout_fraction,
-        seed=seed,
-    )
+    return EdgeSplit(train_ids=np.flatnonzero(~test), test_pos_ids=np.flatnonzero(test))
 
 
 def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
