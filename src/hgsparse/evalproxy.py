@@ -8,8 +8,8 @@ same candidate sets.  Sparsification, when requested, is applied to the
 train portion only, so full-graph and sparsified runs share identical
 test sets and negatives and their metrics are directly comparable.
 The split and the negatives draw from the counter-keyed stream of
-:mod:`hgsparse._rng`, each draw keyed by (seed, tag, index, attempt), so
-both run as batched numpy in either execution mode.
+:mod:`hgsparse._rng` as batched numpy, one word per edge or negative;
+a negative is a uniform rank among its positive's free destinations.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ SCORERS = (COMMON_NEIGHBORS, ADAMIC_ADAR)
 # expanded neighbor entries scored at once; bounds score_pairs' temporaries
 _SCORE_CHUNK = 1 << 14
 
-# rejection attempts per negative draw before switching to an exact scan
-_NEG_ATTEMPT_CAP = 64
 # negative-matrix entries drawn at once; bounds _negative_matrix's temporaries
 _NEG_CHUNK = 1 << 14
 _SPLIT_TAG, _NEGATIVE_TAG = 0, 1  # counter-keyed stream tags
@@ -78,14 +76,13 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
                      seed: int) -> np.ndarray:
     """Dense dst ids, shape (len(pos_ids), per_pos).
 
-    Destination corruption: for positive (u, v, t), candidates are drawn
-    uniformly from v's node-type population, rejecting w with (u, w, t)
-    already an edge of g; duplicates across the per_pos draws are fine.
-    Attempt a of entry e = i * per_pos + j is keyed by counter
-    e * (cap + 1) + a; open entries are drawn together, a chunk at a time.
-    After cap rejections an entry draws from an exact scan of its
-    positive's valid destinations (a = cap), so dense neighborhoods stay
-    uniform.
+    Destination corruption: for positive (u, v, t), v's free destinations
+    are the nodes w of v's node type with (u, w, t) not an edge of g.
+    Entry e = i * per_pos + j draws r uniformly below its positive's free
+    count from counter e of the stream and takes the r-th free
+    destination in dense id order, so every free destination is equally
+    likely; duplicates across the per_pos draws are fine.  Entries are
+    drawn a chunk at a time.
     """
     if per_pos < 1:
         raise ValueError(f"per_pos must be >= 1, got {per_pos}")
@@ -96,41 +93,38 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
         raise NegativeSamplingError(
             f"cannot hold {per_pos} negatives for each of "
             f"{pos_ids.shape[0]} positives") from None
-    pos_src = g.src[pos_ids]
-    pos_etype = g.etype[pos_ids]
     # node types are arbitrary ints below 2**63; rank them densely
     _, type_rank = np.unique(g.node_types, return_inverse=True)
     pop_nodes = np.argsort(type_rank, kind="stable")
     pop_ptr = np.concatenate(([0], np.cumsum(np.bincount(type_rank))))
-    pop_lo = pop_ptr[type_rank[g.dst[pos_ids]]]
-    pop_size = pop_ptr[type_rank[g.dst[pos_ids]] + 1] - pop_lo
+    slot = np.argsort(pop_nodes)  # each node's index in pop_nodes
+    # key each edge by its out bucket, (src, etype), and its dst's slot
+    bucket = np.empty(g.m, dtype=np.int64)
+    bucket[g.layout.order[:g.m]] = np.searchsorted(g.layout.bkt_ptr, np.arange(g.m),
+                                                   side="right") - 1
+    keys = np.sort(bucket * g.n + slot[g.dst])
+    # a positive's taken slots are keys[first:first + taken], the keys in
+    # [base, base + size) of its bucket and its dst's population
+    lo = pop_ptr[type_rank[g.dst[pos_ids]]]
+    size = pop_ptr[type_rank[g.dst[pos_ids]] + 1] - lo
+    base = bucket[pos_ids] * g.n + lo
+    first = np.searchsorted(keys, base)
+    free = size - (np.searchsorted(keys, base + size) - first)
+    if (free == 0).any():
+        raise NegativeSamplingError(
+            f"positive {g.edge_key(int(pos_ids[np.argmax(free == 0)]))} has no "
+            f"type-compatible non-edge destination")
+    # With local taken slots x_0 < x_1 < ..., free slot r is r plus the
+    # count of j with x_j - j <= r.  keys - arange never decreases; the
+    # keys below a positive's all pass that test and those above it none.
+    shifted = keys - np.arange(g.m)
     flat = out.reshape(-1)
-    stride = _NEG_ATTEMPT_CAP + 1
     for start in range(0, flat.shape[0], _NEG_CHUNK):
-        todo = np.arange(start, min(start + _NEG_CHUNK, flat.shape[0]))
-        for attempt in range(_NEG_ATTEMPT_CAP):
-            if not todo.size:
-                break
-            row = todo // per_pos
-            draw = randbelow_array(
-                counter_words(seed, _NEGATIVE_TAG, todo * stride + attempt), pop_size[row])
-            cand = pop_nodes[pop_lo[row] + draw]
-            taken = g.dense_edge_ids(pos_src[row], cand, pos_etype[row]) >= 0
-            flat[todo[~taken]] = cand[~taken]
-            todo = todo[taken]
-        rows = todo // per_pos
-        for i in np.unique(rows).tolist():
-            pop = pop_nodes[pop_lo[i]:pop_lo[i] + pop_size[i]]
-            valid = pop[g.dense_edge_ids(np.full(pop.shape, pos_src[i]), pop,
-                                         np.full(pop.shape, pos_etype[i])) < 0]
-            if not valid.size:
-                raise NegativeSamplingError(
-                    f"positive {g.edge_key(int(pos_ids[i]))} has no "
-                    f"type-compatible non-edge destination")
-            mine = todo[rows == i]
-            flat[mine] = valid[randbelow_array(
-                counter_words(seed, _NEGATIVE_TAG, mine * stride + _NEG_ATTEMPT_CAP),
-                valid.shape[0])]
+        entry = np.arange(start, min(start + _NEG_CHUNK, flat.shape[0]))
+        row = entry // per_pos
+        r = randbelow_array(counter_words(seed, _NEGATIVE_TAG, entry), free[row])
+        r += np.searchsorted(shifted, base[row] - first[row] + r, side="right") - first[row]
+        flat[entry] = pop_nodes[lo[row] + r]
     return out
 
 

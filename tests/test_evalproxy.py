@@ -2,9 +2,13 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hgsparse import (
     ADAMIC_ADAR,
@@ -18,6 +22,7 @@ from hgsparse import (
     TrainView,
     auc,
     build_graph,
+    build_graph_arrays,
     candidate_ranks,
     evaluate,
     generate,
@@ -27,9 +32,9 @@ from hgsparse import (
     split_edges,
     substream_seed,
 )
-from hgsparse._rng import counter_words
+from hgsparse._rng import counter_words, randbelow_array
 from hgsparse import evalproxy
-from hgsparse.evalproxy import _NEG_ATTEMPT_CAP, _negative_matrix
+from hgsparse.evalproxy import _negative_matrix
 
 from conftest import sample_negatives
 
@@ -155,7 +160,7 @@ def test_negative_exhaustion_names_lowest_failing_positive():
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_negative_matrix_independent_of_chunk(monkeypatch, chunk):
-    # destination 399 or 400 for (0, 1, 0), mostly via the exact scan;
+    # destination 399 or 400 for (0, 1, 0), its only free ones;
     # (2, 3, 0) and (2, 4, 0) have no valid destination at all
     edges = [(0, w, 0) for w in range(1, 399)] + [(2, 3, 0), (2, 4, 0)]
     types = {0: 0, 2: 0} | {w: 1 for w in range(1, 401)} | {3: 2, 4: 2}
@@ -168,36 +173,97 @@ def test_negative_matrix_independent_of_chunk(monkeypatch, chunk):
         _negative_matrix(g, np.array([0, g.m - 2, g.m - 1]), 9, seed=4)
 
 
-def test_negatives_uniform_on_rejection_path():
-    # 5 valid destinations among 10; each of 10k seeds draws one negative
+def test_negatives_uniform_on_sparse_neighbourhood():
+    # 5 free destinations among 10; each of 10k seeds draws one negative
     edges = [(0, w, 0) for w in range(10, 15)]
     types = {0: 0} | {w: 1 for w in range(10, 20)}
     g = build_graph(edges, node_types=types)
     pos = np.array([0])
     draws = [int(_negative_matrix(g, pos, 1, seed)[0, 0]) for seed in range(10_000)]
-    freqs = np.bincount(draws, minlength=g.n)[g.dense_ids(range(15, 20))] / 10_000
-    assert freqs.sum() == 1.0
-    assert np.all(np.abs(freqs - 0.2) <= 0.02), freqs
+    counts = np.bincount(draws, minlength=g.n)[g.dense_ids(range(15, 20))]
+    assert counts.sum() == 10_000
+    assert np.all(np.abs(counts / 10_000 - 0.2) <= 0.02), counts
 
 
-def test_negatives_uniform_on_exact_scan_fallback(monkeypatch):
-    # 398 of 400 destinations are linked, so most draws exhaust the
-    # rejection cap ((398/400)**64 ~ 0.73) and come from the exact scan
+def test_negatives_uniform_on_dense_neighbourhood():
+    # 398 of 400 destinations are linked, so each draw has two to choose from
     edges = [(0, w, 0) for w in range(1, 399)]
     types = {0: 0} | {w: 1 for w in range(1, 401)}
     g = build_graph(edges, node_types=types)
-    attempts = []
-
-    def spy(seed, tag, counters):
-        attempts.extend((np.asarray(counters) % (_NEG_ATTEMPT_CAP + 1)).tolist())
-        return counter_words(seed, tag, counters)
-
-    monkeypatch.setattr(evalproxy, "counter_words", spy)
     draws = _negative_matrix(g, np.array([0]), 10_000, seed=17).ravel()
-    assert attempts.count(_NEG_ATTEMPT_CAP) > 5_000  # fallback draws
-    freqs = np.bincount(draws, minlength=g.n)[g.dense_ids([399, 400])] / draws.size
-    assert freqs.sum() == 1.0
-    assert np.all(np.abs(freqs - 0.5) <= 0.02), freqs
+    counts = np.bincount(draws, minlength=g.n)[g.dense_ids([399, 400])]
+    assert counts.sum() == draws.size
+    assert np.all(np.abs(counts / draws.size - 0.5) <= 0.02), counts
+
+
+def reference_negatives(g, pos_ids, per_pos: int, seed: int) -> np.ndarray:
+    """Per-row scan: entry e = i * per_pos + j is free destination r of
+    row i, in ascending dense id, with r drawn from counter e of tag 1."""
+    edges = set(zip(g.src.tolist(), g.dst.tolist(), g.etype.tolist()))
+    out = np.empty((len(pos_ids), per_pos), dtype=np.int64)
+    for i, e in enumerate(pos_ids):
+        u, v, t = int(g.src[e]), int(g.dst[e]), int(g.etype[e])
+        free = [w for w in range(g.n)
+                if g.node_types[w] == g.node_types[v] and (u, w, t) not in edges]
+        if not free:
+            raise NegativeSamplingError(
+                f"positive {g.edge_key(e)} has no type-compatible non-edge destination")
+        entry = np.arange(i * per_pos, (i + 1) * per_pos)
+        out[i] = np.array(free)[randbelow_array(counter_words(seed, 1, entry), len(free))]
+    return out
+
+
+_TYPE_VALUES = (0, 3, 2**40, 2**62)
+
+
+@st.composite
+def negative_cases(draw):
+    """A small typed graph and positives among its edges.
+
+    Any etype links any node types, so a bucket's destinations span
+    several populations, and on so few nodes self-loops, positives that
+    share a bucket and repeated positives are common.  One source is
+    linked under one etype to every node of one population but one, or
+    to all of them, and up to two of those edges join the positives.
+    """
+    n = draw(st.integers(1, 14))
+    types = draw(st.lists(st.sampled_from(_TYPE_VALUES), min_size=n, max_size=n))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.integers(0, 2)), min_size=1, max_size=24))
+    u, t, v = draw(node), draw(st.integers(0, 2)), draw(node)
+    pop = [w for w in range(n) if types[w] == types[v]]
+    spare = draw(st.integers(0, len(pop)))  # len(pop) spares none
+    fan = [(u, w, t) for i, w in enumerate(pop) if i != spare]
+    src, dst, etype = np.array(edges + fan).T
+    g = build_graph_arrays(src, dst, etype, node_ids=np.arange(n), node_types=types)
+    pos = draw(st.lists(st.integers(0, g.m - 1), min_size=1, max_size=8))
+    if fan:
+        fan_ids = g.edge_ids(*np.array(fan).T).tolist()
+        pos += draw(st.lists(st.sampled_from(fan_ids), max_size=2))
+    return g, np.array(pos, dtype=np.int64)
+
+
+def _one_free_slot_case():
+    # bucket (0, etype 0) reaches types 2**40 and 2**62, holds a self-loop
+    # and leaves one free slot in each population, as does bucket (5, 0)
+    types = [2**40, 2**62, 2**62, 2**62, 2**40, 5]
+    edges = [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 1, 1), (5, 4, 0)]
+    g = build_graph_arrays(*np.array(edges).T, node_ids=np.arange(6), node_types=types)
+    return g, np.arange(g.m)
+
+
+@given(negative_cases(), st.integers(1, 5), st.integers(0, 2**64 - 1))
+@example(_one_free_slot_case(), 4, 0)
+@settings(max_examples=400, deadline=None)
+def test_negative_matrix_matches_per_row_scan(case, per_pos, seed):
+    g, pos = case
+    try:
+        want = reference_negatives(g, pos, per_pos, seed)
+    except NegativeSamplingError as exc:
+        with pytest.raises(NegativeSamplingError, match=f"^{re.escape(str(exc))}$"):
+            _negative_matrix(g, pos, per_pos, seed)
+        return
+    assert _negative_matrix(g, pos, per_pos, seed).tolist() == want.tolist()
 
 
 def test_common_neighbors_path():
@@ -335,25 +401,25 @@ def test_evaluate_adamic_adar(proxy_graph):
 
 GOLDEN_EVAL = {
     (COMMON_NEIGHBORS, None): (
-        0.570291365131579, 0.23983032283503644,
+        0.5704410328947368, 0.24156456964756096,
         "ad70b247eba466bc4ed2ec89c8b97e48aa557ad66d632cc86c4dd7a79579b8f0",
-        "6c87c984cec4ec0c7bc923304bd949215d193e94f4fc8267b50f1fdceb02fd7d"),
+        "a4af7f2f0e8aaf86f8db0949f10ef597f281a20507d313b3a232342ba23faa5f"),
     (COMMON_NEIGHBORS, 3): (
-        0.5089787154605263, 0.13175360982027023,
+        0.5089496661184211, 0.13190677466740613,
         "1277d0f1ce7d5b4dd193125b74c5c61595fcda90b782ba8f772f3d8e40f9ed3b",
-        "47a2a73b750318385470e61e3bb69f100b47be5e7fea51583b137a119b26fa06"),
+        "5ff52aab5f9f85c85dbbfc28e1be632f83333f6dedef3d39df5420759eac7712"),
     (ADAMIC_ADAR, None): (
-        0.5708266513157895, 0.24924040853809945,
+        0.5710943223684211, 0.25169039752687744,
         "38cdb54b0eb549f01af6e087cebcd0f32a1b74c56faf71a9f986ee45a351f303",
-        "8ecc75a39941f04503a4345debcaec4a7d32d459ee1b411587879d776686faa1"),
+        "68b32d5392cf802de5c4c45d5e1ba8edc3e8fb1e704391bf2fac9ef557b2665a"),
     (ADAMIC_ADAR, 3): (
-        0.509250802631579, 0.13625351061392105,
+        0.5092034177631579, 0.13674597921286066,
         "0305d34acbb2725a3d007f470eb655559084766f7b93aeaa0314d45291c96fe5",
-        "7080bb0ae5d4fb320934975ffb038a40f61e30a2532c87fb95e6149ad8cab213"),
+        "6c032696ce1a73cbd0a1d7a8670bcfc300e3794b6970eca9785e64bf9bed36e3"),
 }
 
 # sha256 of the int64 dense-id negative matrix evaluate() draws above
-GOLDEN_NEGATIVES = "0ce16f1bcc1013d5af6f600daf39d4a7b81f5c60e0680be2e65fc15615f44ccd"
+GOLDEN_NEGATIVES = "abe092c845142fd259405f47585a9ff6c7bf1786cb3a17a7e432f5c9d4961f9a"
 
 
 @pytest.fixture(scope="module")
