@@ -67,7 +67,6 @@ def isolated_nodes(g: HeteroGraph, selected) -> set[int]:
 def per_type_kept(g: HeteroGraph, selected) -> dict[int, int]:
     """Kept-edge count for every edge type present in g."""
     mask = g.edge_mask(selected)
-    if g.t == 0:
-        return {}
-    counts = np.bincount(g.etype[mask], minlength=int(g.etype_ids[-1]) + 1)
-    return {int(t): int(counts[t]) for t in g.etype_ids}
+    # count by the rank of each type, which stays below t whatever the values
+    counts = np.bincount(np.searchsorted(g.etype_ids, g.etype[mask]), minlength=g.t)
+    return dict(zip(g.etype_ids.tolist(), counts.tolist()))

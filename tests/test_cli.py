@@ -167,6 +167,35 @@ def test_ids_beyond_int64_exit_two(tmp_path, capsys):
     assert run(["stats", "--links", str(links)]) == 0
 
 
+HUGE_ETYPE = 2**62
+
+
+@pytest.fixture
+def huge_etype_file(tmp_path):
+    # per-type counts go by each type's rank, not by its value
+    path = tmp_path / "huge.dat"
+    path.write_text(f"1\t2\t{HUGE_ETYPE}\n1\t3\t{HUGE_ETYPE}\n2\t3\t0\n")
+    return path
+
+
+def test_sparsify_report_with_huge_edge_type(huge_etype_file, tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert run(["sparsify", "--links", str(huge_etype_file), "--k", "1",
+                "--out", str(tmp_path / "sparse.dat"), "--report", str(report),
+                "--deterministic"]) == 0
+    assert json.loads(report.read_text())["per_type_kept"] == {"0": 1, str(HUGE_ETYPE): 2}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_verify_report_with_huge_edge_type(huge_etype_file, tmp_path, capsys):
+    report = tmp_path / "v.json"
+    assert run(["verify", "--links", str(huge_etype_file), "--sparse",
+                str(huge_etype_file), "--k", "1", "--report", str(report),
+                "--deterministic"]) == 0
+    assert json.loads(report.read_text())["per_type_kept"] == {"0": 1, str(HUGE_ETYPE): 2}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_stats_output(star_file, tmp_path, capsys):
     report = tmp_path / "stats.json"
     assert run(["stats", "--links", str(star_file), "--report", str(report),
