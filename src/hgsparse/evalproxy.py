@@ -157,11 +157,6 @@ class TrainView:
             ([0], np.cumsum(np.bincount(a, minlength=g.n)))).astype(np.int64)
         return cls(g, ptr, np.ascontiguousarray(b, dtype=np.int64))
 
-    def neighbors(self, u: int) -> np.ndarray:
-        """Dense neighbor ids of original node u, ascending."""
-        ud = self.graph.dense_id(u)
-        return self.nbrs[self.ptr[ud]:self.ptr[ud + 1]].copy()
-
 
 def score_pairs(view: TrainView, us_dense, vs_dense, scorer: str) -> np.ndarray:
     """Heuristic scores for parallel dense-id pair arrays.

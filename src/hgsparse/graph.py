@@ -199,9 +199,6 @@ class HeteroGraph:
 
     # ---- node id mapping ----
 
-    def dense_id(self, u: int) -> int:
-        return int(self.dense_ids([u])[0])
-
     def dense_ids(self, us) -> np.ndarray:
         """Dense index of each original node id.
 

@@ -1,10 +1,11 @@
 """Shared fixtures: small hand-built graphs, a seeded random-graph factory,
-dict-built buckets and identity-keyed views of edge ids and negatives."""
+dict-built buckets, dense-id and neighbor lookups, and identity-keyed views
+of edge ids and negatives."""
 
 import numpy as np
 import pytest
 
-from hgsparse import HeteroGraph, build_graph, build_graph_arrays
+from hgsparse import HeteroGraph, TrainView, build_graph, build_graph_arrays
 from hgsparse.evalproxy import _negative_matrix
 
 # Three-edge example used throughout: gene 1 links diseases 2, 3 via
@@ -73,6 +74,17 @@ def dict_buckets(g: HeteroGraph) -> dict:
         buckets.setdefault(("out", s), {}).setdefault(t, []).append(e)
         buckets.setdefault(("in", d), {}).setdefault(t, []).append(e)
     return buckets
+
+
+def dense_id(g: HeteroGraph, u) -> int:
+    """Dense index of original node id u."""
+    return int(g.dense_ids([u])[0])
+
+
+def neighbors(view: TrainView, u) -> np.ndarray:
+    """Dense neighbor ids of original node u in a train view, ascending."""
+    ud = dense_id(view.graph, u)
+    return view.nbrs[view.ptr[ud]:view.ptr[ud + 1]].copy()
 
 
 def edge_keys(g: HeteroGraph, edge_ids) -> list[tuple[int, int, int]]:

@@ -36,7 +36,7 @@ from hgsparse._rng import counter_words, randbelow_array
 from hgsparse import evalproxy
 from hgsparse.evalproxy import _negative_matrix
 
-from conftest import sample_negatives
+from conftest import dense_id, neighbors, sample_negatives
 
 
 def score_pair(view: TrainView, u: int, v: int, scorer: str) -> float:
@@ -278,7 +278,7 @@ def test_view_is_undirected_and_type_agnostic():
     # shared neighbor
     g = build_graph([(1, 2, 0), (2, 1, 1), (3, 2, 0)])
     view = TrainView.from_graph(g)
-    assert list(view.neighbors(2)) == [g.dense_id(1), g.dense_id(3)]
+    assert list(neighbors(view, 2)) == [dense_id(g, 1), dense_id(g, 3)]
     assert score_pair(view, 1, 3, COMMON_NEIGHBORS) == 1.0
 
 
@@ -296,8 +296,8 @@ def test_adamic_adar_weights_by_hub_degree():
 
 def test_view_respects_selection(g1):
     view = TrainView.from_graph(g1, selected=[(1, 2, 0)])
-    assert list(view.neighbors(3)) == []
-    assert list(view.neighbors(1)) == [g1.dense_id(2)]
+    assert list(neighbors(view, 3)) == []
+    assert list(neighbors(view, 1)) == [dense_id(g1, 2)]
     assert score_pair(view, 1, 2, COMMON_NEIGHBORS) == 0.0
 
 

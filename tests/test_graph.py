@@ -16,7 +16,8 @@ from hgsparse import (
 
 from hgsparse.graph import _positions
 
-from conftest import G1_EDGES, G1_TYPES, dict_buckets, edge_keys, make_random_graph
+from conftest import (G1_EDGES, G1_TYPES, dense_id, dict_buckets, edge_keys,
+                      make_random_graph)
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 5)),
@@ -60,13 +61,13 @@ def test_g1_bucket_contents(g1):
 
 def test_g1_degrees(g1):
     assert list(g1.degrees()) == [3, 1, 1, 1]
-    assert g1.degrees()[g1.dense_id(2)] == 1
+    assert g1.degrees()[dense_id(g1, 2)] == 1
 
 
 def test_node_buckets_partition_direction(g1):
     # node 1's out side holds its two buckets and nothing else
     lay = g1.layout
-    side = g1.dense_id(1)
+    side = dense_id(g1, 1)
     assert list(lay.bkt_etype[lay.side_bkt_ptr[side]:lay.side_bkt_ptr[side + 1]]) == [0, 1]
     assert sorted(lay.order[lay.side_ptr[side]:lay.side_ptr[side + 1]]) == [0, 1, 2]
 
@@ -171,7 +172,7 @@ def test_subgraph_keeps_node_table(g1):
     sub = g1.subgraph([(1, 2, 0)])
     assert sub.n == g1.n
     assert sub.m == 1
-    assert sub.degrees()[sub.dense_id(3)] == 0
+    assert sub.degrees()[dense_id(sub, 3)] == 0
     assert list(sub.node_ids) == list(g1.node_ids)
 
 
@@ -179,10 +180,10 @@ def test_dense_id_roundtrip():
     g = build_graph([(10, 7, 0), (7, 3, 1)])
     # dense ids follow ascending original id
     assert list(g.node_ids) == [3, 7, 10]
-    assert g.dense_id(7) == 1
+    assert dense_id(g, 7) == 1
     assert list(g.dense_ids([10, 3])) == [2, 0]
     with pytest.raises(UnknownNodeError):
-        g.dense_id(99)
+        dense_id(g, 99)
 
 
 def test_non_integer_ids_are_not_truncated():
@@ -193,9 +194,9 @@ def test_non_integer_ids_are_not_truncated():
         with pytest.raises(UnknownNodeError, match=f"^node {bad} is not in the graph$"):
             g.dense_ids(ids)
     with pytest.raises(UnknownNodeError, match=r"^node 2\.5 is not in the graph$"):
-        g.dense_id(2.5)
+        dense_id(g, 2.5)
     assert g.dense_ids([2.0, np.float64(5)]).tolist() == [1, 2]
-    assert g.dense_id(2.0) == 1
+    assert dense_id(g, 2.0) == 1
     for src, dst, etype, name in ((np.array([1.5]), [2], [0], "src"), ([1], [2.5], [0], "dst"),
                                   ([1], [2], [0.5], "etype"), ([2**63], [2], [0], "src")):
         with pytest.raises(ValueError, match=f"^{name} holds "):
@@ -254,7 +255,7 @@ def test_positions_match_binary_search(lookup):
     if missing is None:
         assert _positions(table, ids, "{}").tolist() == want
         assert g.dense_ids(ids).tolist() == want
-        assert [g.dense_id(i) for i in ids.tolist()] == want
+        assert [dense_id(g, i) for i in ids.tolist()] == want
         return
     with pytest.raises(UnknownNodeError, match=f"^absent {missing}$"):
         _positions(table, ids, "absent {}")
@@ -262,7 +263,7 @@ def test_positions_match_binary_search(lookup):
         g.dense_ids(ids)
     with pytest.raises(UnknownNodeError, match=f"^node {missing} is not in the graph$"):
         for i in ids.tolist():
-            g.dense_id(i)
+            dense_id(g, i)
 
 
 @given(lookups())

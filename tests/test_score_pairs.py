@@ -6,6 +6,7 @@ The vectorised scorer must return the same float64 bytes, including the
 Adamic-Adar sums, on every input.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 
 from hgsparse import ADAMIC_ADAR, COMMON_NEIGHBORS, SCORERS, TrainView, build_graph, score_pairs
 from hgsparse import evalproxy
+
+from conftest import dense_id
 
 # ptr/nbrs: CSR of the undirected, type-agnostic, deduplicated train
 # view; nbrs ascending within each row.
@@ -110,7 +113,7 @@ def test_expands_either_side_and_covers_edge_cases():
     edges += [(6, 8, 0), (8, 7, 1), (6, 10, 0), (10, 7, 0), (10, 11, 0), (9, 9, 0)]
     g = build_graph(edges)
     view = TrainView.from_graph(g, [e for e in edges if e != (9, 9, 0)])
-    d = g.dense_id
+    d = functools.partial(dense_id, g)
     deg = np.diff(view.ptr)
     pairs = [(1, 0), (0, 1),  # lower degree on us, then on vs
              (6, 7), (7, 6),  # equal degrees
