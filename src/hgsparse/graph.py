@@ -14,6 +14,10 @@ time (ascending original id, so the remap is monotone); original ids
 are kept for all user-facing output.  The remap first looks for each id
 at its offset from the smallest, where every id of a contiguous node
 table sits, and binary-searches only the ids not found there.
+
+The sweep's order and the sizes that the sparsifiers and the coverage
+checks read depend on the graph alone; :class:`SweepArrays` holds them,
+built on first use and kept, read-only, beside the layout.
 """
 
 from __future__ import annotations
@@ -50,6 +54,29 @@ class BucketLayout:
     bkt_etype: np.ndarray     # edge type of bucket b
     side_bkt_ptr: np.ndarray  # side s owns buckets side_bkt_ptr[s]:side_bkt_ptr[s+1]
     side_ptr: np.ndarray      # side s owns order[side_ptr[s]:side_ptr[s+1]]
+
+
+@dataclass(frozen=True, eq=False)
+class SweepArrays:
+    """The graph's sweep order and sizes; every array is read-only.
+
+    Node u's side in direction d (0 out, 1 in) comes at time 2*rank(u) + d,
+    rank being u's place in ascending (total degree, node id) order; the
+    times of the 2n sides are a permutation of 0..2n-1.  A bucket takes its
+    side's time.  Sizes and degrees are int64; times, orders and positions
+    are int32 in any graph of fewer than about a billion edges.
+    """
+
+    degrees: np.ndarray       # total degree of each node
+    side_time: np.ndarray     # time of side s
+    side_by_time: np.ndarray  # the sides in time order; [::2] is the vertex order
+    side_bkts: np.ndarray     # bucket count of side s
+    side_size: np.ndarray     # entry count of side s
+    bkt_size: np.ndarray      # entry count of bucket b
+    bkt_time: np.ndarray      # time of bucket b's side
+    bkt_by_time: np.ndarray   # the buckets, grouped by side in time order
+    pos_bkt: np.ndarray       # the bucket of layout position p
+    twin: np.ndarray          # the position of p's edge in the other direction
 
 
 @dataclass(frozen=True)
@@ -123,6 +150,12 @@ def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndar
     return pos
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``arange(s, s + n)`` for each pair of ``starts`` and ``lens``, concatenated."""
+    offsets = lens.cumsum() - lens
+    return (starts - offsets).repeat(lens) + np.arange(lens.sum())
+
+
 def _build_layout(src: np.ndarray, dst: np.ndarray, etype_rank: np.ndarray,
                   etype_ids: np.ndarray, n: int) -> BucketLayout:
     """The buckets of a table in canonical order; etype_rank indexes etype_ids."""
@@ -156,11 +189,50 @@ def _build_layout(src: np.ndarray, dst: np.ndarray, etype_rank: np.ndarray,
                         side_bkt_ptr, bkt_ptr[side_bkt_ptr])
 
 
+def _build_sweep_arrays(layout: BucketLayout, n: int) -> SweepArrays:
+    """The sweep arrays of a layout over n nodes."""
+    order = layout.order
+    m = order.shape[0] // 2
+    # times, orders and positions fit in int32 below about a billion edges
+    index = np.int32 if 2 * max(n, m) <= np.iinfo(np.int32).max else np.int64
+    side_bkts = np.diff(layout.side_bkt_ptr)
+    side_size = np.diff(layout.side_ptr)
+    bkt_size = np.diff(layout.bkt_ptr)
+    degrees = side_size[:n] + side_size[n:]
+    side_time = np.empty(2 * n, dtype=index)
+    # a stable sort of the degrees breaks ties by ascending node id
+    side_time[np.argsort(degrees, kind="stable")] = np.arange(0, 2 * n, 2)
+    side_time[n:] = side_time[:n] + 1
+    side_by_time = np.empty(2 * n, dtype=index)
+    side_by_time[side_time] = np.arange(2 * n)
+    out_at = np.empty(m, dtype=index)  # the position of each edge's out entry
+    out_at[order[:m]] = np.arange(m)
+    in_at = np.empty(m, dtype=index)
+    in_at[order[m:]] = np.arange(m, 2 * m)
+    arrays = SweepArrays(
+        degrees=degrees,
+        side_time=side_time,
+        side_by_time=side_by_time,
+        side_bkts=side_bkts,
+        side_size=side_size,
+        bkt_size=bkt_size,
+        bkt_time=side_time.repeat(side_bkts),
+        bkt_by_time=_ranges(layout.side_bkt_ptr[side_by_time],
+                            side_bkts[side_by_time]).astype(index),
+        pos_bkt=np.arange(bkt_size.shape[0], dtype=index).repeat(bkt_size),
+        twin=np.concatenate((in_at[order[:m]], out_at[order[m:]])),
+    )
+    for array in vars(arrays).values():
+        array.flags.writeable = False
+    return arrays
+
+
 class HeteroGraph:
     """Use :func:`build_graph` or :func:`build_graph_arrays` to construct."""
 
     __slots__ = ("node_ids", "node_types", "src", "dst", "etype", "weight",
-                 "duplicates_dropped", "layout", "_etype_ids", "_pair_key")
+                 "duplicates_dropped", "layout", "_sweep_arrays", "_etype_ids",
+                 "_pair_key")
 
     def __init__(self, node_ids, node_types, src, dst, etype, weight,
                  duplicates_dropped, layout, etype_ids, pair_key):
@@ -172,6 +244,7 @@ class HeteroGraph:
         self.weight = weight
         self.duplicates_dropped = duplicates_dropped
         self.layout = layout
+        self._sweep_arrays = None
         self._etype_ids = etype_ids
         # src * n + dst; it ascends with each pair's etypes in one run
         self._pair_key = pair_key
@@ -197,6 +270,13 @@ class HeteroGraph:
     def __repr__(self) -> str:
         return f"HeteroGraph(n={self.n}, m={self.m}, t={self.t})"
 
+    @property
+    def sweep_arrays(self) -> SweepArrays:
+        """The sweep order and sizes, built on first use."""
+        if self._sweep_arrays is None:
+            self._sweep_arrays = _build_sweep_arrays(self.layout, self.n)
+        return self._sweep_arrays
+
     # ---- node id mapping ----
 
     def dense_ids(self, us) -> np.ndarray:
@@ -213,9 +293,10 @@ class HeteroGraph:
     def degrees(self) -> np.ndarray:
         """Total degree of every node, dense order.
 
-        Out + in, a self-loop counting once per direction.
+        Out + in, a self-loop counting once per direction.  The array is
+        read-only.
         """
-        return np.diff(self.layout.side_ptr).reshape(2, self.n).sum(axis=0)
+        return self.sweep_arrays.degrees
 
     # ---- edge identity lookups ----
 

@@ -41,10 +41,10 @@ def coverage_report(g: HeteroGraph, selected, k: int,
     if g.m == 0:
         return []
     layout = g.layout
-    sizes = np.diff(layout.bkt_ptr)
-    kept = np.add.reduceat(mask[layout.order].astype(np.int64), layout.bkt_ptr[:-1])
-    required = np.minimum(k, sizes) if method == PER_TYPE else np.ones_like(sizes)
-    bad = np.flatnonzero(kept < required)
+    sizes = g.sweep_arrays.bkt_size
+    kept = np.add.reduceat(mask[layout.order], layout.bkt_ptr[:-1])
+    required = np.minimum(min(k, g.m), sizes) if method == PER_TYPE else np.ones_like(sizes)
+    bad = (kept < required).nonzero()[0]
     # bucket b belongs to side d * n + u, the last side starting at or before b
     side = np.searchsorted(layout.side_bkt_ptr, bad, side="right") - 1
     inward, node = np.divmod(side, g.n)

@@ -23,16 +23,28 @@ the least high 32 bits, ties in layout order (ascending edge id within a
 bucket).  An edge lies in one unit per direction, so no key decides two
 choices, and a (graph, k, method, seed) tuple fully determines H.
 
-The sweep visits units: a per-type bucket, or an all-types
-node-direction.  The unit of node u in direction d comes at time
+The sweep visits units: a per-type bucket, or an all-types side (a
+node-direction).  The unit of node u in direction d comes at time
 2*rank(u) + d, rank being the position of u in :func:`vertex_order`.  A
 unit is *order-free* when it keeps all of its edges whatever H holds on
-arrival: a per-type bucket of at most k edges, or a node-direction whose
-buckets each hold one edge.  The sweep keeps all of their edges in one
-numpy pass and walks only the other units, in time order, in Python.  An
-edge belongs to one unit per direction, so when a walked unit looks at
-an edge, the edge is in H iff an earlier walked unit picked it or its
-order-free unit came earlier.
+arrival: a per-type bucket of at most k edges, or a side whose buckets
+each hold one edge.  One numpy pass keeps their edges; one Python loop
+walks the other units, the loop units, in time order.
+
+The loop visits only candidate entries.  A top-up takes the first
+``k - kept`` free entries in priority order; at most ``kept`` of the
+unit's first k entries are in H, so every pick lies among them.  A
+unit's candidates are thus its k least-priority entries and, for
+all-types, each bucket's cover edge, and a unit costs O(k + its bucket
+count).  An edge has one entry per direction, so whether it is in H when
+a unit looks at it depends only on the unit holding its other entry: it
+is *held* when that unit is order-free and came earlier, and it is
+picked when that unit is a loop unit that came earlier and picked it.
+Each loop unit's kept count starts at its held entries, counted in
+numpy, and a pick raises the count of the unit of the edge's other entry
+when that unit comes later.  The vertex order, the times, the sizes and
+each position's bucket and twin depend on the graph alone and come from
+:attr:`HeteroGraph.sweep_arrays`, built once per graph.
 """
 
 from __future__ import annotations
@@ -43,13 +55,12 @@ import numpy as np
 
 from ._rng import counter_words
 from .errors import EmptyGraphError
-from .graph import HeteroGraph
+from .graph import HeteroGraph, _ranges
 
 PER_TYPE = "per-type"
 ALL_TYPES = "all-types"
 METHODS = (PER_TYPE, ALL_TYPES)
 
-_NEVER = np.iinfo(np.int64).max  # the time of an edge no order-free unit keeps
 _SWEEP_TAG = 2  # the sweep's stream; eval's split and negatives use tags 0 and 1
 _TOP_UP, _COVER, _SIDE_TOP_UP = 0, 1, 2  # the phase of a priority word
 
@@ -84,129 +95,172 @@ class SparsifierResult:
 
 def vertex_order(g: HeteroGraph) -> np.ndarray:
     """Dense node ids in ascending (total degree, node id) order."""
-    return np.lexsort((np.arange(g.n), g.degrees())).astype(np.int64)
-
-
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``arange(s, s + n)`` for each pair of ``starts`` and ``lens``, concatenated."""
-    offsets = np.cumsum(lens) - lens
-    return np.repeat(starts - offsets, lens) + np.arange(lens.sum())
+    return g.sweep_arrays.side_by_time[::2].astype(np.int64)
 
 
 def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     """Run whichever method ``params`` names."""
     if g.m == 0:
         raise EmptyGraphError("cannot sparsify a graph with no edges")
-    per_type = params.method == PER_TYPE
+    a = g.sweep_arrays
     layout = g.layout
-    m = g.m
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[vertex_order(g)] = np.arange(g.n)
-
-    # a node-direction ("side") of node u has time 2*rank(u) + d
-    side_time = np.concatenate((2 * rank, 2 * rank + 1))
-    side_bkt_ptr = layout.side_bkt_ptr
-    side_bkts = side_bkt_ptr[1:] - side_bkt_ptr[:-1]
-    bkt_ptr = layout.bkt_ptr
+    k = min(int(params.k), g.m)  # no unit holds more than m edges
+    per_type = params.method == PER_TYPE
     if per_type:  # a unit is a bucket
-        unit_ptr = bkt_ptr
-        unit_time = np.repeat(side_time, side_bkts)
+        loop = a.bkt_size > k
+        units = a.bkt_by_time[loop[a.bkt_by_time]]
+        lens = a.bkt_size[units]
+        pos = _ranges(layout.bkt_ptr[units], lens)
+        unit_time = a.bkt_time[units]
     else:  # a unit is a side
-        unit_ptr = layout.side_ptr
-        unit_time = side_time
-    lens = unit_ptr[1:] - unit_ptr[:-1]
-    free = lens <= params.k if per_type else lens == side_bkts
-
-    # stage 1: keep every edge of the order-free units, noting for each
-    # edge the earliest time such a unit kept it
-    kept_at = np.repeat(np.where(free, unit_time, _NEVER), lens)
-    out_order, in_order = layout.order[:m], layout.order[m:]
-    free_time = np.empty(m, dtype=np.int64)
-    free_time[out_order] = kept_at[:m]
-    free_time[in_order] = np.minimum(free_time[in_order], kept_at[m:])
-    selected = free_time != _NEVER
-
-    # stage 2: the other units in time order.  An edge is kept at time T
-    # once an earlier unit picked it, so the edges that an order-free
-    # unit kept before their loop unit's time start out picked.
-    units = np.flatnonzero(~free)
+        side_loop = a.side_size != a.side_bkts
+        loop = side_loop.repeat(a.side_bkts)
+        units = a.side_by_time[side_loop[a.side_by_time]]
+        lens = a.side_size[units]
+        pos = _ranges(layout.side_ptr[units], lens)
+        unit_time = a.side_time[units]
+    selected = np.ones(g.m, dtype=bool)
     if units.shape[0]:
-        # the buckets of one side share its time but no edge, so their
-        # order gives the same H
-        units = units[np.argsort(unit_time[units])]
-        lens = lens[units]
-        pos = _ranges(unit_ptr[units], lens)
-        edges = layout.order[pos]
-        picked = set(edges[free_time[edges] < np.repeat(unit_time[units], lens)].tolist())
-        bounds = np.cumsum(lens).tolist()
-        # the counter of each entry, less its phase; out sides fill order[:m]
-        key = 3 * (2 * edges + (pos >= m))
-        if per_type:
-            ordered = edges[_by_priority(params.seed, key + _TOP_UP, lens)]
-            _sweep_buckets(ordered.tolist(), bounds, params.k, picked)
-        else:
-            counts = side_bkts[units]
-            sizes = (bkt_ptr[1:] - bkt_ptr[:-1])[_ranges(side_bkt_ptr[units], counts)]
-            # words are distinct, so each bucket has one least word
-            word = counter_words(params.seed, _SWEEP_TAG, key + _COVER)
-            least = word == np.repeat(np.minimum.reduceat(word, np.cumsum(sizes) - sizes),
-                                      sizes)
-            # only a side of fewer than k buckets can need a top-up
-            short = counts < params.k
-            top_lens = np.where(short, lens, 0)
-            top = np.repeat(short, lens)
-            ordered = edges[top][_by_priority(params.seed, key[top] + _SIDE_TOP_UP, top_lens)]
-            _sweep_sides(edges.tolist(), bounds, sizes.tolist(), counts.tolist(),
-                         edges[least].tolist(), ordered.tolist(),
-                         np.cumsum(top_lens).tolist(), params.k, picked)
-        selected[np.fromiter(picked, dtype=np.int64, count=len(picked))] = True
+        # pos holds the loop units' entries, unit by unit in time order.  An
+        # edge's other entry lies in bucket tb; when that bucket is
+        # order-free, it keeps the edge, before this unit (held) or after.
+        tb = a.pos_bkt[a.twin[pos]]
+        twin_loop = loop[tb]
+        selected[layout.order[pos[twin_loop]]] = False
+        held = ~twin_loop & (a.bkt_time[tb] < unit_time.repeat(lens))
+        walk = _walk_buckets if per_type else _walk_sides
+        selected |= walk(g, units, lens, pos, tb, held, loop, k, params.seed)
     kept = int(selected.sum())
     return SparsifierResult(graph=g, params=params, mask=selected,
                             kept=kept, ratio=kept / g.m)
 
 
-def _by_priority(seed: int, counters: np.ndarray, lens: np.ndarray) -> np.ndarray:
+def _by_priority(word: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The order that sorts each unit's run of entries by priority.
 
     A priority is the high 32 bits of the entry's word; one stable sort of
     ``unit << 32 | priority`` keeps layout order among equal priorities.
     A loop unit holds two or more of the 2m entries, so unit < 2**32.
     """
-    unit = np.repeat(np.arange(lens.shape[0], dtype=np.uint64), lens)
-    word = counter_words(seed, _SWEEP_TAG, counters)
+    unit = np.arange(lens.shape[0], dtype=np.uint64).repeat(lens)
     return np.argsort(unit << np.uint64(32) | word >> np.uint64(32), kind="stable")
 
 
-def _sweep_buckets(ordered: list, bounds: list, k: int, picked: set) -> None:
-    """Top each per-type loop bucket up to k kept edges, least priority first."""
-    lo = 0
-    for hi in bounds:
-        pool = [e for e in ordered[lo:hi] if e not in picked]
-        need = k - (hi - lo - len(pool))
-        if need > 0:
-            picked.update(pool[:need])
-        lo = hi
+def _later(slot: np.ndarray, own: np.ndarray, twin: np.ndarray) -> list:
+    """For each candidate, the kept count that its pick raises, or -1.
+
+    ``slot`` numbers the walked counts in time order, by bucket; ``own``
+    and ``twin`` are the buckets of each candidate's entry and of its
+    edge's other entry.  A pick raises the other entry's count when the
+    loop reaches that bucket later.
+    """
+    other = slot[twin]
+    return np.where(other > slot[own], other, -1).tolist()
 
 
-def _sweep_sides(edges: list, bounds: list, sizes: list, counts: list, least: list,
-                 ordered: list, top_bounds: list, k: int, picked: set) -> None:
+def _walk_buckets(g, units, lens, pos, tb, held, loop, k, seed) -> np.ndarray:
+    """Top each per-type loop bucket up to k kept edges, least priority first.
+
+    A bucket picks its first ``k - kept`` free entries in priority order,
+    all among its first k.  Returns a mask of the picked edges and of the
+    held ones among the candidates.
+    """
+    order = g.layout.order
+    starts = lens.cumsum() - lens
+    kept = np.add.reduceat(held, starts)
+    walked = kept < k  # the others already hold k kept edges
+    key = 3 * (2 * order[pos] + (pos >= g.m))
+    ranked = _by_priority(counter_words(seed, _SWEEP_TAG, key + _TOP_UP), lens)
+    cand = ranked[(starts[walked, None] + np.arange(k)).ravel()]
+    count = int(np.count_nonzero(walked))
+    slot = np.full(loop.shape[0], -1)
+    slot[units[walked]] = np.arange(count)
+    later = _later(slot, units[walked].repeat(k), tb[cand])
+    edges = order[pos[cand]]
+    taken = _taken(g.m, edges[held[cand]])
+    edges = edges.tolist()
+    kept = kept[walked].tolist()
+    for i in range(count):
+        need = k - kept[i]
+        j = i * k
+        while need > 0:
+            e = edges[j]
+            if not taken[e]:
+                taken[e] = 1
+                t = later[j]
+                if t >= 0:
+                    kept[t] += 1
+                need -= 1
+            j += 1
+    return np.frombuffer(taken, dtype=bool)
+
+
+def _walk_sides(g, units, lens, pos, tb, held, loop, k, seed) -> np.ndarray:
     """Cover each bucket of each all-types loop side, then top the side up to k.
 
-    ``edges`` holds the sides' buckets in layout order and ``least`` each
-    bucket's cover pick.  ``ordered`` holds by priority the edges of each
-    side of fewer than k buckets, and nothing of the others, whose
-    covered buckets already hold k kept edges.
+    A side covers each bucket that holds no kept edge with the bucket's
+    least cover word.  A side of fewer than k buckets then picks its first
+    ``k - kept`` free entries in top-up priority order, all among its first
+    k.  Returns a mask of the picked edges and of the held ones among the
+    candidates.
     """
-    lo = top_lo = b = 0
-    for hi, top_hi, count in zip(bounds, top_bounds, counts):
-        start = lo
-        for size, pick in zip(sizes[b:b + count], least[b:b + count]):
-            if picked.isdisjoint(edges[start:start + size]):
-                picked.add(pick)
-            start += size
-        b += count
-        pool = [e for e in ordered[top_lo:top_hi] if e not in picked]
-        need = k - (hi - lo - len(pool))
-        if need > 0:
-            picked.update(pool[:need])
-        lo, top_lo = hi, top_hi
+    a, order = g.sweep_arrays, g.layout.order
+    counts = a.side_bkts[units]
+    bkts = a.bkt_by_time[loop[a.bkt_by_time]]  # the buckets of the units
+    sizes = a.bkt_size[bkts]
+    bkt_starts = sizes.cumsum() - sizes
+    kept = np.add.reduceat(held, bkt_starts)
+    short = (counts < k) & (np.add.reduceat(kept, counts.cumsum() - counts) < k)
+    key = 3 * (2 * order[pos] + (pos >= g.m))
+    top = short.repeat(lens)
+    word = counter_words(seed, _SWEEP_TAG,
+                         np.concatenate((key + _COVER, key[top] + _SIDE_TOP_UP)))
+    cover_word, word = word[:key.shape[0]], word[key.shape[0]:]
+    # words are distinct, so each bucket has one least word
+    least = (cover_word == np.minimum.reduceat(cover_word, bkt_starts).repeat(sizes)).nonzero()[0]
+    top_lens = lens[short]
+    ranked = top.nonzero()[0][_by_priority(word, top_lens)]
+    top_count = np.minimum(lens, k) * short
+    fill = ranked[_ranges(top_lens.cumsum() - top_lens, top_count[short])]
+    cand = np.concatenate((least, fill))
+    slot = np.full(loop.shape[0], -1)
+    slot[bkts] = np.arange(bkts.shape[0])
+    later = _later(slot, a.pos_bkt[pos[cand]], tb[cand])
+    edges = order[pos[cand]]
+    taken = _taken(g.m, edges[least.shape[0]:][held[fill]])
+    edges = edges.tolist()
+    bkt_bounds = counts.cumsum().tolist()
+    top_bounds = (least.shape[0] + top_count.cumsum()).tolist()
+    kept = kept.tolist()
+    lo, j = 0, least.shape[0]
+    for bhi, hi in zip(bkt_bounds, top_bounds):
+        have = 0
+        for b in range(lo, bhi):  # one cover candidate per bucket
+            if kept[b]:
+                have += kept[b]
+            else:
+                taken[edges[b]] = 1
+                t = later[b]
+                if t >= 0:
+                    kept[t] += 1
+                have += 1
+        lo = bhi
+        need = k - have
+        while need > 0 and j < hi:
+            e = edges[j]
+            if not taken[e]:
+                taken[e] = 1
+                t = later[j]
+                if t >= 0:
+                    kept[t] += 1
+                need -= 1
+            j += 1
+        j = hi
+    return np.frombuffer(taken, dtype=bool)
+
+
+def _taken(m: int, held: np.ndarray) -> bytearray:
+    """One byte per edge, set for the held edges: they are kept, never free."""
+    taken = np.zeros(m, dtype=np.uint8)
+    taken[held] = 1
+    return bytearray(taken)

@@ -416,6 +416,37 @@ def _check_build(src, dst, etype, weight, node_ids):
             np.testing.assert_array_equal(got, expected, err_msg=name)
 
 
+@given(edges=edge_lists)
+@settings(max_examples=120, deadline=None)
+def test_sweep_arrays_match_their_definitions(edges):
+    g = build_graph(edges)
+    a, lay, n, m = g.sweep_arrays, g.layout, g.n, g.m
+    assert g.sweep_arrays is a  # built once
+    for name, array in vars(a).items():
+        assert not array.flags.writeable, name
+    degree = [0] * n
+    for u in g.src.tolist() + g.dst.tolist():
+        degree[u] += 1
+    assert a.degrees.tolist() == degree
+    by_degree = sorted(range(n), key=lambda u: (degree[u], u))
+    assert a.side_by_time.tolist() == [s for u in by_degree for s in (u, n + u)]
+    assert a.side_time[a.side_by_time].tolist() == list(range(2 * n))
+    sides = range(2 * n)
+    assert a.side_bkts.tolist() == [lay.side_bkt_ptr[s + 1] - lay.side_bkt_ptr[s] for s in sides]
+    assert a.side_size.tolist() == [lay.side_ptr[s + 1] - lay.side_ptr[s] for s in sides]
+    bucket_side = [s for s in sides for _ in range(a.side_bkts[s])]
+    assert a.bkt_time.tolist() == [a.side_time[s] for s in bucket_side]
+    assert a.bkt_by_time.tolist() == [b for s in a.side_by_time.tolist()
+                                      for b in range(lay.side_bkt_ptr[s],
+                                                     lay.side_bkt_ptr[s + 1])]
+    for b in range(a.bkt_size.shape[0]):
+        assert a.bkt_size[b] == lay.bkt_ptr[b + 1] - lay.bkt_ptr[b]
+        assert (a.pos_bkt[lay.bkt_ptr[b]:lay.bkt_ptr[b + 1]] == b).all()
+    # an edge's two entries point at each other, one in each direction
+    assert (lay.order[a.twin] == lay.order).all()
+    assert ((a.twin >= m) == (np.arange(2 * m) < m)).all()
+
+
 @given(edge_tables())
 @settings(max_examples=300, deadline=None)
 def test_build_matches_three_key_reference(table):

@@ -11,10 +11,12 @@ import pytest
 
 from hgsparse import (
     ALL_TYPES,
+    METHODS,
     PER_TYPE,
     EmptyGraphError,
     SparsifyParams,
     build_graph,
+    build_graph_arrays,
     coverage_report,
     generate,
     isolated_nodes,
@@ -69,14 +71,22 @@ def reference_node_direction(buckets: list, d: int, H: set, k: int, method: str,
     return H
 
 
-def reference_sweep(g, k: int, method: str, word) -> set:
-    """Kept edge ids of the whole sweep, one node-direction at a time."""
+def reference_sweep(g, k: int, method: str, word, steps: list | None = None) -> set:
+    """Kept edge ids of the whole sweep, one node-direction at a time.
+
+    When ``steps`` is a list, each node-direction appends to it its
+    direction, its buckets and the set of edges it added to H.
+    """
     H: set = set()
     by_side = dict_buckets(g)
     for u in g.node_ids[vertex_order(g)].tolist():
         for d, direction in enumerate(("out", "in")):
             buckets = [ids for _etype, ids in sorted(by_side.get((direction, u), {}).items())]
+            if steps is not None:
+                kept = {e for ids in buckets for e in ids if e in H}
             reference_node_direction(buckets, d, H, k, method, word)
+            if steps is not None:
+                steps.append((d, buckets, {e for ids in buckets for e in ids if e in H} - kept))
     return H
 
 
@@ -196,11 +206,68 @@ def split_edge_graphs(draw):
     return g, k
 
 
+def _zigzag(i: int, j: int, etype: int) -> tuple:
+    """The edge between chain nodes i and j, from whichever of them is even.
+
+    Even chain nodes link out to both neighbors, so node i's unit of one
+    direction (out for even i, in for odd) holds its edges to i - 1 and
+    i + 1: it shares an edge with the unit before it and one with the unit
+    after it.
+    """
+    return (i, j, etype) if i % 2 == 0 else (j, i, etype)
+
+
+@st.composite
+def rising_paths(draw):
+    """A zigzag path whose degrees rise along it: one long chain of loop units.
+
+    Path node i also links, in its chain direction and under the type of
+    its edge to i + 1, to the first k + i // 2 of a pool of hubs.  So its
+    buckets are sampled, the sweep meets the path nodes in path order and
+    the hubs last.  With one edge type the chain runs the whole path.
+    """
+    k = draw(st.integers(1, 3))
+    length = draw(st.integers(2 * k + 4, 24))
+    hubs = range(1000, 1000 + k + length // 2)
+    etypes = st.integers(0, draw(st.integers(0, 2)))
+    edges = set()
+    for i in range(length):
+        etype = draw(etypes)
+        edges.add(_zigzag(i, i + 1, etype))
+        edges.update(_zigzag(i, hub, etype) for hub in hubs[:k + i // 2])
+    return build_graph(sorted(edges)), k
+
+
+@st.composite
+def hub_chains(draw):
+    """A zigzag chain of hubs, each linked to the next under several edge types.
+
+    Hub i also links, in its chain direction, to i + 1 leaves of a small
+    shared pool under each of its types, so its degree rises along the
+    chain and its buckets and sides are sampled.  Some links also run the
+    other way.
+    """
+    k = draw(st.integers(1, 3))
+    t = draw(st.integers(2, 4))
+    length = draw(st.integers(3, 12))
+    leaves = st.integers(100, 100 + draw(st.integers(2, 8)))
+    edges = set()
+    for i in range(length):
+        for etype in draw(st.sets(st.integers(0, t - 1), min_size=1)):
+            edges.add(_zigzag(i, i + 1, etype))
+            if draw(st.booleans()):
+                edges.add(_zigzag(i + 1, i, etype))
+            edges.update(_zigzag(i, draw(leaves), etype) for _ in range(i + 1))
+    return build_graph(sorted(edges)), k
+
+
 sweep_cases = st.one_of(
     split_edge_graphs(),
     st.tuples(st.integers(0, 2**16).map(
         lambda seed: make_random_graph(seed, max_n=40, max_t=5, max_m=200)),
         st.sampled_from([1, 2, 4])),
+    rising_paths(),
+    hub_chains(),
 )
 
 
@@ -211,6 +278,46 @@ def test_sweep_matches_pure_reference(method, case, seed):
     g, k = case
     res = sparsify(g, SparsifyParams(k=k, method=method, seed=seed))
     assert set(res.edge_ids.tolist()) == reference_sweep(g, k, method, sweep_word(seed))
+
+
+def _least(entries: list, d: int, phase: int, k: int, word) -> list:
+    """The k entries of least priority in the given phase, ties in list order."""
+    return sorted(entries, key=lambda e: word(3 * (2 * e + d) + phase) >> 32)[:k]
+
+
+@pytest.mark.parametrize("method", [PER_TYPE, ALL_TYPES])
+@given(case=sweep_cases, seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_reference_picks_are_candidates(method, case, seed):
+    # every edge that a step adds is among its unit's k least-priority
+    # entries or is a bucket's cover edge, so the sweep looks at no other
+    g, k = case
+    word = sweep_word(seed)
+    steps: list = []
+    reference_sweep(g, k, method, word, steps)
+    for d, buckets, added in steps:
+        if method == PER_TYPE:
+            allowed = {e for ids in buckets for e in _least(ids, d, 0, k, word)}
+        else:
+            allowed = set(_least([e for ids in buckets for e in ids], d, 2, k, word))
+            allowed.update(min(ids, key=lambda e: word(3 * (2 * e + d) + 1))
+                           for ids in buckets)
+        assert added <= allowed
+
+
+@given(case=sweep_cases,
+       calls=st.lists(st.tuples(st.integers(1, 5), st.sampled_from(METHODS),
+                                st.integers(0, 3)), min_size=2, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_cached_arrays_carry_no_state_between_calls(case, calls):
+    # calls on one graph share its cached arrays; each must match the
+    # same call on a copy built afresh
+    g, _k = case
+    for k, method, seed in calls:
+        params = SparsifyParams(k=k, method=method, seed=seed)
+        fresh = build_graph_arrays(g.node_ids[g.src], g.node_ids[g.dst], g.etype,
+                                   node_ids=g.node_ids, node_types=g.node_types)
+        assert np.array_equal(sparsify(g, params).mask, sparsify(fresh, params).mask)
 
 
 def _coarse_words(seed, tag, counters):
@@ -280,6 +387,16 @@ def test_mean_ratio_nondecreasing_in_k():
     assert means[-1] <= 1.0
 
 
+def test_k_beyond_int64_keeps_everything():
+    # k at or above every unit's size keeps every edge, even past int64
+    g = build_graph([(1, 2, 0), (1, 3, 0), (1, 3, 1), (2, 3, 0)])
+    for k in (2**63 - 1, 2**64 - 1, np.uint64(2**64 - 1)):
+        for method in METHODS:
+            res = sparsify(g, SparsifyParams(k=k, method=method))
+            assert res.ratio == 1.0
+            assert coverage_report(g, res.mask, k, method) == []
+
+
 def test_methods_dispatch_and_guards(g1):
     assert sparsify(g1, SparsifyParams(k=1, method=ALL_TYPES)).kept == 3
 
@@ -345,8 +462,25 @@ def test_sparsify_mask_golden(gseed, method):
     assert _mask_sha(res.mask) == GOLDEN_MASKS[(gseed, method)]
 
 
-def test_sparsify_mask_golden_pubmed_like():
-    g = generate(pubmed_like_spec(0))
+@pytest.fixture(scope="module")
+def pubmed_graph():
+    return generate(pubmed_like_spec(0))
+
+
+def test_sparsify_mask_golden_pubmed_like(pubmed_graph):
+    g = pubmed_graph
     for method, (kept, digest) in GOLDEN_PUBMED_MASKS.items():
         res = sparsify(g, SparsifyParams(k=3, method=method, seed=0))
         assert (res.kept, _mask_sha(res.mask)) == (kept, digest)
+
+
+# The per-graph arrays that sparsify caches, in bytes per edge: two int32
+# arrays over the 2m layout positions, and int32 or int64 arrays over the
+# buckets, sides and nodes.  pubmed_like_spec(0) needs about 39.
+SWEEP_ARRAYS_BYTES_PER_EDGE = 44
+
+
+def test_sweep_arrays_stay_compact(pubmed_graph):
+    g = pubmed_graph
+    total = sum(array.nbytes for array in vars(g.sweep_arrays).values())
+    assert total <= SWEEP_ARRAYS_BYTES_PER_EDGE * g.m
