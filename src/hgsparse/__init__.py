@@ -17,8 +17,8 @@ from .errors import (DataError, DegenerateSplitError, EmptyGraphError,
 from .evalproxy import (ADAMIC_ADAR, COMMON_NEIGHBORS, SCORERS, EdgeSplit,
                         EvalReport, TrainView, auc, candidate_ranks, evaluate,
                         mrr, score_pairs, split_edges)
-from .graph import (IN, OUT, EdgeRecord, GraphStats, HeteroGraph,
-                    build_graph, build_graph_arrays)
+from .graph import (IN, OUT, GraphStats, HeteroGraph, build_graph,
+                    build_graph_arrays)
 from .hgb_io import (LinkFileOptions, LinkTable, NodeTable, read_link_file,
                      read_node_file, write_link_file, write_node_file,
                      write_report)
@@ -38,11 +38,11 @@ NUMBA_ENABLED = False
 __all__ = [
     "ADAMIC_ADAR", "ALL_TYPES", "COMMON_NEIGHBORS", "IN", "METHODS",
     "NUMBA_ENABLED", "OUT", "PER_TYPE", "SCORERS",
-    "CoverageViolation", "DataError", "DegenerateSplitError", "EdgeRecord",
-    "EdgeSplit", "EdgeTypeSpec", "EmptyGraphError", "EvalReport", "GenSpec",
-    "GenSpecError", "GraphStats", "HeteroGraph", "InfeasibleSpecError",
-    "LinkFileOptions", "LinkFormatError", "LinkTable", "NegativeSamplingError",
-    "NodeFileError", "NodeTable", "NonFiniteWeightError", "RetryCapError",
+    "CoverageViolation", "DataError", "DegenerateSplitError", "EdgeSplit",
+    "EdgeTypeSpec", "EmptyGraphError", "EvalReport", "GenSpec", "GenSpecError",
+    "GraphStats", "HeteroGraph", "InfeasibleSpecError", "LinkFileOptions",
+    "LinkFormatError", "LinkTable", "NegativeSamplingError", "NodeFileError",
+    "NodeTable", "NonFiniteWeightError", "RetryCapError",
     "SparsifierResult", "SparsifyParams", "TrainView", "UnknownEdgeError",
     "UnknownNodeError", "VerificationError", "auc", "build_graph",
     "build_graph_arrays", "candidate_ranks", "coverage_report", "evaluate",

@@ -14,16 +14,12 @@ time (ascending original id, so the remap is monotone); original ids
 are kept for all user-facing output.  The remap first looks for each id
 at its offset from the smallest, where every id of a contiguous node
 table sits, and binary-searches only the ids not found there.
-
-The sweep's order and the sizes that the sparsifiers and the coverage
-checks read depend on the graph alone; :class:`SweepArrays` holds them,
-built on first use and kept, read-only, beside the layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -31,13 +27,6 @@ from .errors import NonFiniteWeightError, UnknownEdgeError, UnknownNodeError
 
 OUT = "out"
 IN = "in"
-
-
-class EdgeRecord(NamedTuple):
-    src: int
-    dst: int
-    etype: int
-    weight: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,29 +43,6 @@ class BucketLayout:
     bkt_etype: np.ndarray     # edge type of bucket b
     side_bkt_ptr: np.ndarray  # side s owns buckets side_bkt_ptr[s]:side_bkt_ptr[s+1]
     side_ptr: np.ndarray      # side s owns order[side_ptr[s]:side_ptr[s+1]]
-
-
-@dataclass(frozen=True, eq=False)
-class SweepArrays:
-    """The graph's sweep order and sizes; every array is read-only.
-
-    Node u's side in direction d (0 out, 1 in) comes at time 2*rank(u) + d,
-    rank being u's place in ascending (total degree, node id) order; the
-    times of the 2n sides are a permutation of 0..2n-1.  A bucket takes its
-    side's time.  Sizes and degrees are int64; times, orders and positions
-    are int32 in any graph of fewer than about a billion edges.
-    """
-
-    degrees: np.ndarray       # total degree of each node
-    side_time: np.ndarray     # time of side s
-    side_by_time: np.ndarray  # the sides in time order; [::2] is the vertex order
-    side_bkts: np.ndarray     # bucket count of side s
-    side_size: np.ndarray     # entry count of side s
-    bkt_size: np.ndarray      # entry count of bucket b
-    bkt_time: np.ndarray      # time of bucket b's side
-    bkt_by_time: np.ndarray   # the buckets, grouped by side in time order
-    pos_bkt: np.ndarray       # the bucket of layout position p
-    twin: np.ndarray          # the position of p's edge in the other direction
 
 
 @dataclass(frozen=True)
@@ -150,12 +116,6 @@ def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndar
     return pos
 
 
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``arange(s, s + n)`` for each pair of ``starts`` and ``lens``, concatenated."""
-    offsets = lens.cumsum() - lens
-    return (starts - offsets).repeat(lens) + np.arange(lens.sum())
-
-
 def _build_layout(src: np.ndarray, dst: np.ndarray, etype_rank: np.ndarray,
                   etype_ids: np.ndarray, n: int) -> BucketLayout:
     """The buckets of a table in canonical order; etype_rank indexes etype_ids."""
@@ -189,53 +149,15 @@ def _build_layout(src: np.ndarray, dst: np.ndarray, etype_rank: np.ndarray,
                         side_bkt_ptr, bkt_ptr[side_bkt_ptr])
 
 
-def _build_sweep_arrays(layout: BucketLayout, n: int) -> SweepArrays:
-    """The sweep arrays of a layout over n nodes."""
-    order = layout.order
-    m = order.shape[0] // 2
-    # times, orders and positions fit in int32 below about a billion edges
-    index = np.int32 if 2 * max(n, m) <= np.iinfo(np.int32).max else np.int64
-    side_bkts = np.diff(layout.side_bkt_ptr)
-    side_size = np.diff(layout.side_ptr)
-    bkt_size = np.diff(layout.bkt_ptr)
-    degrees = side_size[:n] + side_size[n:]
-    side_time = np.empty(2 * n, dtype=index)
-    # a stable sort of the degrees breaks ties by ascending node id
-    side_time[np.argsort(degrees, kind="stable")] = np.arange(0, 2 * n, 2)
-    side_time[n:] = side_time[:n] + 1
-    side_by_time = np.empty(2 * n, dtype=index)
-    side_by_time[side_time] = np.arange(2 * n)
-    out_at = np.empty(m, dtype=index)  # the position of each edge's out entry
-    out_at[order[:m]] = np.arange(m)
-    in_at = np.empty(m, dtype=index)
-    in_at[order[m:]] = np.arange(m, 2 * m)
-    arrays = SweepArrays(
-        degrees=degrees,
-        side_time=side_time,
-        side_by_time=side_by_time,
-        side_bkts=side_bkts,
-        side_size=side_size,
-        bkt_size=bkt_size,
-        bkt_time=side_time.repeat(side_bkts),
-        bkt_by_time=_ranges(layout.side_bkt_ptr[side_by_time],
-                            side_bkts[side_by_time]).astype(index),
-        pos_bkt=np.arange(bkt_size.shape[0], dtype=index).repeat(bkt_size),
-        twin=np.concatenate((in_at[order[:m]], out_at[order[m:]])),
-    )
-    for array in vars(arrays).values():
-        array.flags.writeable = False
-    return arrays
-
-
 class HeteroGraph:
     """Use :func:`build_graph` or :func:`build_graph_arrays` to construct."""
 
     __slots__ = ("node_ids", "node_types", "src", "dst", "etype", "weight",
-                 "duplicates_dropped", "layout", "_sweep_arrays", "_etype_ids",
-                 "_pair_key")
+                 "duplicates_dropped", "layout", "etype_ids", "sweep_cache",
+                 "_degrees", "_pair_key")
 
     def __init__(self, node_ids, node_types, src, dst, etype, weight,
-                 duplicates_dropped, layout, etype_ids, pair_key):
+                 duplicates_dropped, layout, etype_ids, degrees, pair_key):
         self.node_ids = node_ids
         self.node_types = node_types
         self.src = src
@@ -244,8 +166,10 @@ class HeteroGraph:
         self.weight = weight
         self.duplicates_dropped = duplicates_dropped
         self.layout = layout
-        self._sweep_arrays = None
-        self._etype_ids = etype_ids
+        self.etype_ids = etype_ids  # the distinct edge types, ascending
+        # the sweep's per-graph arrays; :mod:`hgsparse.sparsify` fills it on first use
+        self.sweep_cache = None
+        self._degrees = degrees
         # src * n + dst; it ascends with each pair's etypes in one run
         self._pair_key = pair_key
 
@@ -261,21 +185,10 @@ class HeteroGraph:
 
     @property
     def t(self) -> int:
-        return int(self._etype_ids.shape[0])
-
-    @property
-    def etype_ids(self) -> np.ndarray:
-        return self._etype_ids
+        return int(self.etype_ids.shape[0])
 
     def __repr__(self) -> str:
         return f"HeteroGraph(n={self.n}, m={self.m}, t={self.t})"
-
-    @property
-    def sweep_arrays(self) -> SweepArrays:
-        """The sweep order and sizes, built on first use."""
-        if self._sweep_arrays is None:
-            self._sweep_arrays = _build_sweep_arrays(self.layout, self.n)
-        return self._sweep_arrays
 
     # ---- node id mapping ----
 
@@ -296,7 +209,7 @@ class HeteroGraph:
         Out + in, a self-loop counting once per direction.  The array is
         read-only.
         """
-        return self.sweep_arrays.degrees
+        return self._degrees
 
     # ---- edge identity lookups ----
 
@@ -333,30 +246,17 @@ class HeteroGraph:
     # ---- edge selections ----
 
     def edge_mask(self, selected=None) -> np.ndarray:
-        """Normalize an edge selection to a boolean mask over edge ids.
+        """A selection as a new boolean mask over edge ids.
 
-        Accepts None (all edges), a boolean mask, an array/sequence of
-        edge ids, or an iterable of identity triples / EdgeRecords.
+        A selection is None, for all edges, or a boolean mask of length m.
         """
         if selected is None:
             return np.ones(self.m, dtype=bool)
-        if isinstance(selected, np.ndarray) and selected.dtype == bool:
-            if selected.shape != (self.m,):
-                raise ValueError(f"mask length {selected.shape} != m={self.m}")
-            return selected.copy()
-        items = list(selected)
-        mask = np.zeros(self.m, dtype=bool)
-        if not items:
-            return mask
-        if all(isinstance(x, (int, np.integer)) for x in items):
-            ids = _as_int64(items, "edge ids")
-            if ids.size and (ids.min() < 0 or ids.max() >= self.m):
-                raise ValueError("edge id out of range")
-            mask[ids] = True
-            return mask
-        triples = np.array([(x[0], x[1], x[2]) for x in items], dtype=np.int64)
-        mask[self.edge_ids(triples[:, 0], triples[:, 1], triples[:, 2])] = True
-        return mask
+        if not (isinstance(selected, np.ndarray) and selected.dtype == bool):
+            raise ValueError("a selection must be None or a boolean mask over the edges")
+        if selected.shape != (self.m,):
+            raise ValueError(f"mask length {selected.shape} != m={self.m}")
+        return selected.copy()
 
     def subgraph(self, selected) -> "HeteroGraph":
         """Graph over the same node table keeping only the selected edges."""
@@ -452,14 +352,17 @@ def build_graph_arrays(src, dst, etype, weight=None,
     if weight is not None:
         weight = weight[perm]
     etype_ids, etype_rank = np.unique(etype, return_inverse=True)
+    layout = _build_layout(src, dst, etype_rank, etype_ids, n)
+    side_size = np.diff(layout.side_ptr)
+    degrees = side_size[:n] + side_size[n:]
+    degrees.flags.writeable = False
     return HeteroGraph(node_ids, node_types, src, dst, etype, weight,
-                       int(keep.shape[0] - perm.shape[0]),
-                       _build_layout(src, dst, etype_rank, etype_ids, n),
-                       etype_ids, pair)
+                       int(keep.shape[0] - perm.shape[0]), layout, etype_ids,
+                       degrees, pair)
 
 
 def build_graph(edges: Iterable, node_types: Mapping[int, int] | None = None) -> HeteroGraph:
-    """Build a graph from EdgeRecords or (src, dst, etype[, weight]) tuples.
+    """Build a graph from (src, dst, etype[, weight]) tuples.
 
     ``node_types`` optionally declares the full node table as a mapping
     node id -> node type id; endpoints must then be declared.

@@ -23,9 +23,9 @@ fields and parse them all with one ``np.fromstring`` call, and return a
 :class:`LinkTable` or a :class:`NodeTable` of columns.  Python looks at
 one line only: the first bad one, to explain it in the error.
 :func:`write_link_file` and :func:`write_node_file` cut the decimal
-digits of their int columns into one uint8 buffer, splice in the text
-columns (weights, node names) by their byte lengths, and hand the
-stream the whole text in one write.
+digits of their int columns into one uint8 buffer, splice in the weight
+column by its byte lengths, and hand the stream the whole text in one
+write.
 
 Link output is in canonical (src, dst, etype) ascending order with
 original node ids, so two selections diff cleanly.
@@ -404,7 +404,7 @@ def _int_rows(rows: int, columns: list[tuple[str, np.ndarray]], tail: str = ""
     return lens, text[keep]
 
 
-def _text_rows(strings: list[str], lead: str, present: np.ndarray | None = None
+def _text_rows(strings: list[str], lead: str, present: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Each string after ``lead``: UTF-8 byte counts, and the bytes row by row.
 
@@ -413,10 +413,8 @@ def _text_rows(strings: list[str], lead: str, present: np.ndarray | None = None
     """
     text = lead + lead.join(strings) if strings else ""
     counts = map(len, strings) if text.isascii() else (len(s.encode()) for s in strings)
-    lens = np.fromiter(counts, dtype=np.int64, count=len(strings)) + len(lead.encode())
-    if present is not None:
-        lens, given = np.zeros(present.shape[0], dtype=np.int64), lens
-        lens[present] = given
+    lens = np.zeros(present.shape[0], dtype=np.int64)
+    lens[present] = np.fromiter(counts, dtype=np.int64, count=len(strings)) + len(lead.encode())
     return lens, np.frombuffer(text.encode(), dtype=np.uint8)
 
 
@@ -462,23 +460,16 @@ def write_link_file(g: HeteroGraph, dest, selected=None, delimiter: str = "\t") 
     return rows
 
 
-def write_node_file(dest, node_ids, node_types, names=None) -> int:
-    """Write a node table; names default to ``n<id>``."""
+def write_node_file(dest, node_ids, node_types) -> int:
+    """Write a node table, naming node ``<id>`` ``n<id>``."""
     ids = np.asarray(node_ids, dtype=np.int64)
     types = np.asarray(node_types, dtype=np.int64)
     rows = ids.shape[0]
     if types.shape != ids.shape:
         raise ValueError("node_types must align with node_ids")
-    if names is None:
-        pieces = [_int_rows(rows, [("", ids), ("\tn", ids), ("\t", types)], "\n")]
-    else:
-        names = list(map(str, names))
-        if len(names) != rows:
-            raise ValueError("names must align with node_ids")
-        pieces = [_int_rows(rows, [("", ids)]), _text_rows(names, "\t"),
-                  _int_rows(rows, [("\t", types)], "\n")]
     with _opened(dest, "w") as stream:
-        stream.write(_join_rows(pieces))
+        stream.write(_join_rows([_int_rows(rows, [("", ids), ("\tn", ids), ("\t", types)],
+                                           "\n")]))
     return rows
 
 

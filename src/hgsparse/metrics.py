@@ -41,7 +41,7 @@ def coverage_report(g: HeteroGraph, selected, k: int,
     if g.m == 0:
         return []
     layout = g.layout
-    sizes = g.sweep_arrays.bkt_size
+    sizes = np.diff(layout.bkt_ptr)
     kept = np.add.reduceat(mask[layout.order], layout.bkt_ptr[:-1])
     required = np.minimum(min(k, g.m), sizes) if method == PER_TYPE else np.ones_like(sizes)
     bad = (kept < required).nonzero()[0]

@@ -42,9 +42,14 @@ is *held* when that unit is order-free and came earlier, and it is
 picked when that unit is a loop unit that came earlier and picked it.
 Each loop unit's kept count starts at its held entries, counted in
 numpy, and a pick raises the count of the unit of the edge's other entry
-when that unit comes later.  The vertex order, the times, the sizes and
-each position's bucket and twin depend on the graph alone and come from
-:attr:`HeteroGraph.sweep_arrays`, built once per graph.
+when that unit comes later.
+
+The vertex order, the times, the sizes and each position's bucket and
+twin depend on the graph alone.  :class:`SweepArrays` holds them; the
+first :func:`sparsify` or :func:`vertex_order` call on a graph builds
+them and keeps them in the graph's ``sweep_cache`` slot, where later
+calls find them.  Nothing else builds them: the coverage checks and the
+graph summary read the layout's pointers.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import numpy as np
 
 from ._rng import counter_words
 from .errors import EmptyGraphError
-from .graph import HeteroGraph, _ranges
+from .graph import HeteroGraph
 
 PER_TYPE = "per-type"
 ALL_TYPES = "all-types"
@@ -82,27 +87,92 @@ class SparsifyParams:
 
 @dataclass
 class SparsifierResult:
-    graph: HeteroGraph
     params: SparsifyParams
     mask: np.ndarray = field(repr=False)  # bool over edge ids
     kept: int
     ratio: float
 
-    @property
-    def edge_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.mask)
+
+@dataclass(frozen=True, eq=False)
+class SweepArrays:
+    """The graph's sweep order and sizes; every array is read-only.
+
+    Node u's side in direction d (0 out, 1 in) comes at time 2*rank(u) + d,
+    rank being u's place in ascending (total degree, node id) order; the
+    times of the 2n sides are a permutation of 0..2n-1.  A bucket takes its
+    side's time.  Sizes are int64; times, orders and positions are int32 in
+    any graph of fewer than about a billion edges.
+    """
+
+    side_time: np.ndarray     # time of side s
+    side_by_time: np.ndarray  # the sides in time order; [::2] is the vertex order
+    side_bkts: np.ndarray     # bucket count of side s
+    side_size: np.ndarray     # entry count of side s
+    bkt_size: np.ndarray      # entry count of bucket b
+    bkt_time: np.ndarray      # time of bucket b's side
+    bkt_by_time: np.ndarray   # the buckets, grouped by side in time order
+    pos_bkt: np.ndarray       # the bucket of layout position p
+    twin: np.ndarray          # the position of p's edge in the other direction
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``arange(s, s + n)`` for each pair of ``starts`` and ``lens``, concatenated."""
+    offsets = lens.cumsum() - lens
+    return (starts - offsets).repeat(lens) + np.arange(lens.sum())
+
+
+def _build_sweep_arrays(g: HeteroGraph) -> SweepArrays:
+    """The sweep arrays of a graph."""
+    layout, n, m = g.layout, g.n, g.m
+    order = layout.order
+    # times, orders and positions fit in int32 below about a billion edges
+    index = np.int32 if 2 * max(n, m) <= np.iinfo(np.int32).max else np.int64
+    side_bkts = np.diff(layout.side_bkt_ptr)
+    bkt_size = np.diff(layout.bkt_ptr)
+    side_time = np.empty(2 * n, dtype=index)
+    # a stable sort of the degrees breaks ties by ascending node id
+    side_time[np.argsort(g.degrees(), kind="stable")] = np.arange(0, 2 * n, 2)
+    side_time[n:] = side_time[:n] + 1
+    side_by_time = np.empty(2 * n, dtype=index)
+    side_by_time[side_time] = np.arange(2 * n)
+    out_at = np.empty(m, dtype=index)  # the position of each edge's out entry
+    out_at[order[:m]] = np.arange(m)
+    in_at = np.empty(m, dtype=index)
+    in_at[order[m:]] = np.arange(m, 2 * m)
+    arrays = SweepArrays(
+        side_time=side_time,
+        side_by_time=side_by_time,
+        side_bkts=side_bkts,
+        side_size=np.diff(layout.side_ptr),
+        bkt_size=bkt_size,
+        bkt_time=side_time.repeat(side_bkts),
+        bkt_by_time=_ranges(layout.side_bkt_ptr[side_by_time],
+                            side_bkts[side_by_time]).astype(index),
+        pos_bkt=np.arange(bkt_size.shape[0], dtype=index).repeat(bkt_size),
+        twin=np.concatenate((in_at[order[:m]], out_at[order[m:]])),
+    )
+    for array in vars(arrays).values():
+        array.flags.writeable = False
+    return arrays
+
+
+def _sweep_arrays(g: HeteroGraph) -> SweepArrays:
+    """The graph's sweep arrays, built on the first call and kept on the graph."""
+    if g.sweep_cache is None:
+        g.sweep_cache = _build_sweep_arrays(g)
+    return g.sweep_cache
 
 
 def vertex_order(g: HeteroGraph) -> np.ndarray:
     """Dense node ids in ascending (total degree, node id) order."""
-    return g.sweep_arrays.side_by_time[::2].astype(np.int64)
+    return _sweep_arrays(g).side_by_time[::2].astype(np.int64)
 
 
 def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     """Run whichever method ``params`` names."""
     if g.m == 0:
         raise EmptyGraphError("cannot sparsify a graph with no edges")
-    a = g.sweep_arrays
+    a = _sweep_arrays(g)
     layout = g.layout
     k = min(int(params.k), g.m)  # no unit holds more than m edges
     per_type = params.method == PER_TYPE
@@ -131,8 +201,7 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
         walk = _walk_buckets if per_type else _walk_sides
         selected |= walk(g, units, lens, pos, tb, held, loop, k, params.seed)
     kept = int(selected.sum())
-    return SparsifierResult(graph=g, params=params, mask=selected,
-                            kept=kept, ratio=kept / g.m)
+    return SparsifierResult(params=params, mask=selected, kept=kept, ratio=kept / g.m)
 
 
 def _by_priority(word: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -204,7 +273,7 @@ def _walk_sides(g, units, lens, pos, tb, held, loop, k, seed) -> np.ndarray:
     k.  Returns a mask of the picked edges and of the held ones among the
     candidates.
     """
-    a, order = g.sweep_arrays, g.layout.order
+    a, order = _sweep_arrays(g), g.layout.order
     counts = a.side_bkts[units]
     bkts = a.bkt_by_time[loop[a.bkt_by_time]]  # the buckets of the units
     sizes = a.bkt_size[bkts]

@@ -73,10 +73,6 @@ class GenSpec:
             if not (np.isfinite(e.alpha) and e.alpha >= 0):
                 raise GenSpecError(f"edge type {i}: alpha must be finite and >= 0")
 
-    @property
-    def total_edges(self) -> int:
-        return sum(e.count for e in self.edge_types)
-
 
 def _rank_cdf(size: int, alpha: float) -> np.ndarray:
     weights = np.arange(1, size + 1, dtype=np.float64) ** -alpha
@@ -125,10 +121,14 @@ def generate(spec: GenSpec) -> HeteroGraph:
                     f"edge type {etype_id}: exceeded {cap} draws with only "
                     f"{len(accepted)} of {e.count} distinct edges")
             tag = _FIRST_TAG + 2 * etype_id
-            us = np.searchsorted(src_cdf, _uniform(spec.seed, tag, draws_used, batch),
-                                 side="right")
-            vs = np.searchsorted(dst_cdf, _uniform(spec.seed, tag + 1, draws_used, batch),
-                                 side="right")
+            try:  # numpy refuses a batch it cannot allocate before taking memory
+                us = np.searchsorted(src_cdf, _uniform(spec.seed, tag, draws_used, batch),
+                                     side="right")
+                vs = np.searchsorted(dst_cdf, _uniform(spec.seed, tag + 1, draws_used, batch),
+                                     side="right")
+            except (ValueError, MemoryError):
+                raise GenSpecError(f"edge type {etype_id}: cannot allocate {batch} draws "
+                                   f"for {e.count} edges") from None
             draws_used += batch
             # accept in draw order so batching matches one-at-a-time redraws
             for key in (us * d_size + vs).tolist():

@@ -1,12 +1,23 @@
 """Shared fixtures: small hand-built graphs, a seeded random-graph factory,
-dict-built buckets, dense-id and neighbor lookups, and identity-keyed views
-of edge ids and negatives."""
+dict-built buckets, dense-id and neighbor lookups, edge records, masks of
+edge identities, and identity-keyed views of edge ids and negatives."""
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from hgsparse import HeteroGraph, TrainView, build_graph, build_graph_arrays
 from hgsparse.evalproxy import _negative_matrix
+
+class EdgeRecord(NamedTuple):
+    """One link-file record; ``build_graph`` takes these like plain tuples."""
+
+    src: int
+    dst: int
+    etype: int
+    weight: float | None = None
+
 
 # Three-edge example used throughout: gene 1 links diseases 2, 3 via
 # etype 0 and chemical 4 via etype 1.
@@ -87,6 +98,14 @@ def neighbors(view: TrainView, u) -> np.ndarray:
     return view.nbrs[view.ptr[ud]:view.ptr[ud + 1]].copy()
 
 
+def mask_of(g: HeteroGraph, triples) -> np.ndarray:
+    """The edge mask of g that selects the given (src, dst, etype) identities."""
+    triples = np.array([tuple(x[:3]) for x in triples], dtype=np.int64).reshape(-1, 3)
+    mask = np.zeros(g.m, dtype=bool)
+    mask[g.edge_ids(*triples.T)] = True
+    return mask
+
+
 def edge_keys(g: HeteroGraph, edge_ids) -> list[tuple[int, int, int]]:
     """The (src, dst, etype) identity of each edge id, in original ids."""
     return [g.edge_key(int(e)) for e in np.asarray(edge_ids, dtype=np.int64)]
@@ -98,7 +117,7 @@ def sample_negatives(g: HeteroGraph, test_pos, per_pos: int,
 
     The dict form of the negative matrix that ``evaluate`` draws.
     """
-    pos_ids = np.flatnonzero(g.edge_mask(test_pos))
+    pos_ids = np.flatnonzero(mask_of(g, test_pos))
     matrix = g.node_ids[_negative_matrix(g, pos_ids, per_pos, seed)].tolist()
     return {(s, d, t): [(s, w, t) for w in row]
             for (s, d, t), row in zip(edge_keys(g, pos_ids), matrix)}

@@ -1,8 +1,10 @@
 """End-to-end command tests: exit codes, file outputs, report contents."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -327,6 +329,34 @@ def test_generate_unallocatable_size_exits_two(tmp_path, capsys):
                 "--out", str(tmp_path / "x.dat")]) == 2
     assert str(2**62) in _one_line_error(capsys)
     assert not (tmp_path / "x.dat").exists()
+
+
+# Runs the CLI on argv[1:] with at most 4 GiB of address space.  The limit
+# acts on this child process only; it makes an allocation fail at once even
+# on a host that would overcommit memory to it.
+_LIMITED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from hgsparse.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+def test_generate_unallocatable_edge_count_exits_two(tmp_path):
+    # 10**12 edges fit between two populations of 2 million nodes, but
+    # their draws do not fit in memory
+    out = tmp_path / "g.dat"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_RUN, "generate", "--node-types", "2000000 2000000",
+         "--edge", "0:1:1000000000000", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: edge type 0: cannot allocate ")
+    assert not out.exists()
 
 
 def test_verify_accepts_own_output(chain_file, tmp_path, capsys):

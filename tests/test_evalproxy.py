@@ -36,7 +36,7 @@ from hgsparse._rng import counter_words, randbelow_array
 from hgsparse import evalproxy
 from hgsparse.evalproxy import _negative_matrix
 
-from conftest import dense_id, neighbors, sample_negatives
+from conftest import dense_id, mask_of, neighbors, sample_negatives
 
 
 def score_pair(view: TrainView, u: int, v: int, scorer: str) -> float:
@@ -295,7 +295,7 @@ def test_adamic_adar_weights_by_hub_degree():
 
 
 def test_view_respects_selection(g1):
-    view = TrainView.from_graph(g1, selected=[(1, 2, 0)])
+    view = TrainView.from_graph(g1, selected=mask_of(g1, [(1, 2, 0)]))
     assert list(neighbors(view, 3)) == []
     assert list(neighbors(view, 1)) == [dense_id(g1, 2)]
     assert score_pair(view, 1, 2, COMMON_NEIGHBORS) == 0.0

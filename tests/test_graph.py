@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import pytest
 
 from hgsparse import (
-    EdgeRecord,
     NonFiniteWeightError,
     UnknownEdgeError,
     UnknownNodeError,
@@ -16,8 +15,8 @@ from hgsparse import (
 
 from hgsparse.graph import _positions
 
-from conftest import (G1_EDGES, G1_TYPES, dense_id, dict_buckets, edge_keys,
-                      make_random_graph)
+from conftest import (G1_EDGES, G1_TYPES, EdgeRecord, dense_id, dict_buckets, edge_keys,
+                      make_random_graph, mask_of)
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 5)),
@@ -82,12 +81,6 @@ def test_stats_fields(g1):
     assert g1.stats() == s
     d = s.to_dict()
     assert d["per_edge_type"] == {"0": 2, "1": 1}
-
-
-def test_edge_record_key():
-    rec = EdgeRecord(1, 2, 0, 0.5)
-    assert rec[:3] == (1, 2, 0)
-    assert EdgeRecord(1, 2, 0).weight is None
 
 
 def test_duplicate_edges_dropped():
@@ -162,14 +155,22 @@ def test_dense_edge_ids_match_a_set_lookup(seed):
 
 def test_edge_mask_forms(g1):
     assert g1.edge_mask(None).all()
-    assert list(g1.edge_mask([(1, 4, 1)])) == [False, False, True]
-    by_id = g1.edge_mask(np.array([0, 2]))
-    assert list(by_id) == [True, False, True]
-    assert list(g1.edge_mask(by_id)) == list(by_id)
+    mask = np.array([True, False, True])
+    copy = g1.edge_mask(mask)
+    assert list(copy) == list(mask) and copy is not mask
+    with pytest.raises(ValueError, match="mask length"):
+        g1.edge_mask(np.ones(2, dtype=bool))
+
+
+def test_edge_mask_rejects_ids_and_triples(g1):
+    # a selection is None or a bool mask; ids and identities are not read as one
+    for selected in (np.array([0, 2]), [0, 2], [(1, 4, 1)], [], [True, False, True]):
+        with pytest.raises(ValueError, match="None or a boolean mask"):
+            g1.edge_mask(selected)
 
 
 def test_subgraph_keeps_node_table(g1):
-    sub = g1.subgraph([(1, 2, 0)])
+    sub = g1.subgraph(mask_of(g1, [(1, 2, 0)]))
     assert sub.n == g1.n
     assert sub.m == 1
     assert sub.degrees()[dense_id(sub, 3)] == 0
@@ -361,7 +362,7 @@ def reference_build(src, dst, etype, weight, node_ids) -> dict:
         "src": s, "dst": d, "etype": e,
         "weight": None if weight is None else weight[perm][keep],
         "duplicates_dropped": perm.shape[0] - m,
-        "_pair_key": s * n + d, "_etype_ids": np.unique(e),
+        "_pair_key": s * n + d, "etype_ids": np.unique(e),
         "order": order, "bkt_ptr": bkt_ptr, "bkt_etype": et[starts],
         "side_bkt_ptr": side_bkt_ptr, "side_ptr": bkt_ptr[side_bkt_ptr],
     }
@@ -414,37 +415,6 @@ def _check_build(src, dst, etype, weight, node_ids):
                 continue
             assert got.dtype == expected.dtype, name
             np.testing.assert_array_equal(got, expected, err_msg=name)
-
-
-@given(edges=edge_lists)
-@settings(max_examples=120, deadline=None)
-def test_sweep_arrays_match_their_definitions(edges):
-    g = build_graph(edges)
-    a, lay, n, m = g.sweep_arrays, g.layout, g.n, g.m
-    assert g.sweep_arrays is a  # built once
-    for name, array in vars(a).items():
-        assert not array.flags.writeable, name
-    degree = [0] * n
-    for u in g.src.tolist() + g.dst.tolist():
-        degree[u] += 1
-    assert a.degrees.tolist() == degree
-    by_degree = sorted(range(n), key=lambda u: (degree[u], u))
-    assert a.side_by_time.tolist() == [s for u in by_degree for s in (u, n + u)]
-    assert a.side_time[a.side_by_time].tolist() == list(range(2 * n))
-    sides = range(2 * n)
-    assert a.side_bkts.tolist() == [lay.side_bkt_ptr[s + 1] - lay.side_bkt_ptr[s] for s in sides]
-    assert a.side_size.tolist() == [lay.side_ptr[s + 1] - lay.side_ptr[s] for s in sides]
-    bucket_side = [s for s in sides for _ in range(a.side_bkts[s])]
-    assert a.bkt_time.tolist() == [a.side_time[s] for s in bucket_side]
-    assert a.bkt_by_time.tolist() == [b for s in a.side_by_time.tolist()
-                                      for b in range(lay.side_bkt_ptr[s],
-                                                     lay.side_bkt_ptr[s + 1])]
-    for b in range(a.bkt_size.shape[0]):
-        assert a.bkt_size[b] == lay.bkt_ptr[b + 1] - lay.bkt_ptr[b]
-        assert (a.pos_bkt[lay.bkt_ptr[b]:lay.bkt_ptr[b + 1]] == b).all()
-    # an edge's two entries point at each other, one in each direction
-    assert (lay.order[a.twin] == lay.order).all()
-    assert ((a.twin >= m) == (np.arange(2 * m) < m)).all()
 
 
 @given(edge_tables())

@@ -1,0 +1,43 @@
+"""No module of the package imports a name that it never uses."""
+
+import ast
+from pathlib import Path
+
+import hgsparse
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names that ``tree`` imports and never mentions.
+
+    A name counts as used wherever it is read, also inside a string
+    annotation.  ``from __future__`` imports are not names.
+    """
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AnnAssign)):
+            hint = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(hint, ast.Constant) and isinstance(hint.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(hint.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_unused_imports():
+    assert _unused_imports(ast.parse(
+        "from __future__ import annotations\n"
+        "from typing import Iterable, NamedTuple\n"
+        "import numpy as np\nimport os.path\n"
+        "def f(x: 'Iterable[int]') -> int:\n    return np.size(x)\n")) == ["NamedTuple", "os"]
+    package = Path(hgsparse.__file__).parent
+    offenders = {path.name: unused for path in sorted(package.glob("*.py"))
+                 if path.name != "__init__.py"
+                 and (unused := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert offenders == {}

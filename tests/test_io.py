@@ -158,7 +158,7 @@ def test_write_all_edges_canonical(g1):
 
 def test_write_subset(g1):
     out = io.StringIO()
-    assert write_link_file(g1, out, selected=[(1, 4, 1)]) == 1
+    assert write_link_file(g1, out, selected=np.array([False, False, True])) == 1
     assert out.getvalue() == "1\t4\t1\n"
 
 
@@ -217,7 +217,7 @@ def test_writer_matches_reference_at_digit_boundaries():
     for weight in (None, np.linspace(-1, 1, ids.shape[0])):
         g = build_graph_arrays(ids, rev, np.roll(ids, 3), weight=weight)
         # all edges, none, and each single edge
-        selections = [None, np.zeros(g.m, dtype=bool)] + [[i] for i in range(g.m)]
+        selections = [None, np.zeros(g.m, dtype=bool)] + list(np.eye(g.m, dtype=bool))
         for selected in selections:
             new, old = io.StringIO(), io.StringIO()
             assert (write_link_file(g, new, selected)
@@ -228,12 +228,11 @@ def test_writer_matches_reference_at_digit_boundaries():
 def test_node_writer_matches_reference_at_digit_boundaries():
     ids = np.array(_DIGIT_BOUNDARIES + [-1, -9, -10, -(2**63 - 1), -2**63], dtype=np.int64)
     types = ids[::-1].copy()
-    for names in (None, [f"v{i}" for i in range(ids.shape[0])]):
-        for rows in (slice(0, 0), slice(0, 1), slice(-1, None), slice(None)):
-            new, old = io.StringIO(), io.StringIO()
-            args = (ids[rows], types[rows], names[rows] if names else None)
-            assert write_node_file(new, *args) == _reference_write_nodes(old, *args)
-            assert new.getvalue() == old.getvalue()
+    for rows in (slice(0, 0), slice(0, 1), slice(-1, None), slice(None)):
+        new, old = io.StringIO(), io.StringIO()
+        args = (ids[rows], types[rows])
+        assert write_node_file(new, *args) == _reference_write_nodes(old, *args)
+        assert new.getvalue() == old.getvalue()
 
 
 _node_ids = st.one_of(st.integers(0, 50), st.integers(0, 2**63 - 1),
@@ -277,39 +276,33 @@ def test_roundtrip_is_byte_stable(tmp_path):
 
 def test_write_node_file(tmp_path):
     path = tmp_path / "node.dat"
-    write_node_file(path, [3, 7], [1, 0], names=["a", "b"])
-    assert path.read_text() == "3\ta\t1\n7\tb\t0\n"
+    write_node_file(path, [3, 7], [1, 0])
+    assert path.read_text() == "3\tn3\t1\n7\tn7\t0\n"
     write_node_file(path, [3], [1])
     assert path.read_text() == "3\tn3\t1\n"
     assert _nodes(read_node_file(path)) == ([3], [1])
 
 
-def _reference_write_nodes(dest, node_ids, node_types, names=None) -> int:
+def _reference_write_nodes(dest, node_ids, node_types) -> int:
     # the per-row writer that write_node_file replaced
     node_ids = np.asarray(node_ids, dtype=np.int64)
     node_types = np.asarray(node_types, dtype=np.int64)
     for i in range(node_ids.shape[0]):
-        name = names[i] if names is not None else f"n{node_ids[i]}"
-        dest.write(f"{node_ids[i]}\t{name}\t{node_types[i]}\n")
+        dest.write(f"{node_ids[i]}\tn{node_ids[i]}\t{node_types[i]}\n")
     return int(node_ids.shape[0])
 
 
-@pytest.mark.parametrize("with_names", [False, True])
-def test_node_writer_matches_per_row_reference(with_names):
+def test_node_writer_matches_per_row_reference():
     rng = np.random.default_rng(3)
     ids = np.concatenate(([0, 2**63 - 1], rng.integers(0, 2**62, size=200)))
     types = rng.integers(0, 2**40, size=ids.shape[0])
-    names = None
-    if with_names:
-        names = [rng.choice(["", "gene", "é→", "a b", "x\ry"]) + str(i)
-                 for i in range(ids.shape[0])]
     for count in (0, 1, ids.shape[0]):
         new, old = io.StringIO(), io.StringIO()
-        args = (ids[:count], types[:count], names[:count] if names else None)
+        args = (ids[:count], types[:count])
         assert write_node_file(new, *args) == _reference_write_nodes(old, *args) == count
         assert new.getvalue() == old.getvalue()
     with pytest.raises(ValueError):
-        write_node_file(io.StringIO(), ids[:2], types[:2], ["a"])
+        write_node_file(io.StringIO(), ids[:2], types[:1])
 
 
 def test_report_is_sorted_json(tmp_path):

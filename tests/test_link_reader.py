@@ -21,9 +21,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hgsparse import (DataError, EdgeRecord, LinkFileOptions, LinkFormatError,
+from hgsparse import (DataError, LinkFileOptions, LinkFormatError,
                       parse_spec_file, read_link_file, read_node_file)
 from hgsparse.hgb_io import _IS_SPACE, _opened
+
+from conftest import EdgeRecord
 
 
 def _parse_id(field: str, what: str, line_no: int) -> int:

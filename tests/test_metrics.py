@@ -16,6 +16,8 @@ from hgsparse import (
     pubmed_like_spec,
 )
 
+from conftest import mask_of
+
 
 def test_full_selection_never_violates(g1, k33):
     for g in (g1, k33):
@@ -36,13 +38,13 @@ def test_empty_selection_flags_every_bucket(g1):
 
 def test_per_type_floor_tracks_bucket_size(g1):
     # k=2 demands both edges of the size-2 bucket out(1, etype 0)
-    report = coverage_report(g1, [(1, 2, 0), (1, 4, 1)], 2)
+    report = coverage_report(g1, mask_of(g1, [(1, 2, 0), (1, 4, 1)]), 2)
     assert [(v.node, v.direction, v.etype, v.required, v.actual)
             for v in report] == [(1, "out", 0, 2, 1), (3, "in", 0, 1, 0)]
 
 
 def test_all_types_floor_is_one(g1):
-    H = [(1, 2, 0), (1, 4, 1)]
+    H = mask_of(g1, [(1, 2, 0), (1, 4, 1)])
     report = coverage_report(g1, H, 2, method=ALL_TYPES)
     assert [(v.node, v.direction, v.etype) for v in report] == [(3, "in", 0)]
     assert report[0].required == 1
@@ -55,7 +57,7 @@ def test_violation_to_dict(g1):
 
 
 def test_isolated_nodes_examples(g1):
-    assert isolated_nodes(g1, [(1, 2, 0)]) == {3, 4}
+    assert isolated_nodes(g1, mask_of(g1, [(1, 2, 0)])) == {3, 4}
     assert isolated_nodes(g1, None) == set()
     assert isolated_nodes(g1, np.zeros(3, dtype=bool)) == {1, 2, 3, 4}
 
@@ -68,7 +70,7 @@ def test_isolated_ignores_already_isolated():
 
 def test_per_type_kept(g1):
     assert per_type_kept(g1, None) == {0: 2, 1: 1}
-    assert per_type_kept(g1, [(1, 4, 1)]) == {0: 0, 1: 1}
+    assert per_type_kept(g1, mask_of(g1, [(1, 4, 1)])) == {0: 0, 1: 1}
 
 
 # ---- golden pins of the coverage check and the graph summary ----

@@ -15,7 +15,7 @@ import pytest
 from hgsparse import ADAMIC_ADAR, COMMON_NEIGHBORS, SCORERS, TrainView, build_graph, score_pairs
 from hgsparse import evalproxy
 
-from conftest import dense_id
+from conftest import dense_id, mask_of
 
 # ptr/nbrs: CSR of the undirected, type-agnostic, deduplicated train
 # view; nbrs ascending within each row.
@@ -112,7 +112,7 @@ def test_expands_either_side_and_covers_edge_cases():
     edges = [(0, leaf, 0) for leaf in range(1, 6)]
     edges += [(6, 8, 0), (8, 7, 1), (6, 10, 0), (10, 7, 0), (10, 11, 0), (9, 9, 0)]
     g = build_graph(edges)
-    view = TrainView.from_graph(g, [e for e in edges if e != (9, 9, 0)])
+    view = TrainView.from_graph(g, mask_of(g, [e for e in edges if e != (9, 9, 0)]))
     d = functools.partial(dense_id, g)
     deg = np.diff(view.ptr)
     pairs = [(1, 0), (0, 1),  # lower degree on us, then on vs

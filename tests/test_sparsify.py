@@ -20,12 +20,13 @@ from hgsparse import (
     coverage_report,
     generate,
     isolated_nodes,
+    per_type_kept,
     pubmed_like_spec,
     sparsify,
     vertex_order,
 )
 from hgsparse._rng import splitmix64, substream_seed
-from hgsparse.sparsify import _SWEEP_TAG
+from hgsparse.sparsify import _SWEEP_TAG, _sweep_arrays
 
 from conftest import covered_hub, dict_buckets, edge_keys, make_random_graph
 
@@ -277,7 +278,8 @@ sweep_cases = st.one_of(
 def test_sweep_matches_pure_reference(method, case, seed):
     g, k = case
     res = sparsify(g, SparsifyParams(k=k, method=method, seed=seed))
-    assert set(res.edge_ids.tolist()) == reference_sweep(g, k, method, sweep_word(seed))
+    assert set(np.flatnonzero(res.mask).tolist()) == reference_sweep(g, k, method,
+                                                                     sweep_word(seed))
 
 
 def _least(entries: list, d: int, phase: int, k: int, word) -> list:
@@ -303,6 +305,54 @@ def test_reference_picks_are_candidates(method, case, seed):
             allowed.update(min(ids, key=lambda e: word(3 * (2 * e + d) + 1))
                            for ids in buckets)
         assert added <= allowed
+
+
+@given(edges=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 5)),
+                      min_size=1, max_size=120))
+@settings(max_examples=120, deadline=None)
+def test_sweep_arrays_match_their_definitions(edges):
+    g = build_graph(edges)
+    a, lay, n, m = _sweep_arrays(g), g.layout, g.n, g.m
+    assert _sweep_arrays(g) is a is g.sweep_cache  # built once
+    for name, array in vars(a).items():
+        assert not array.flags.writeable, name
+    degree = [0] * n
+    for u in g.src.tolist() + g.dst.tolist():
+        degree[u] += 1
+    assert g.degrees().tolist() == degree
+    assert not g.degrees().flags.writeable
+    by_degree = sorted(range(n), key=lambda u: (degree[u], u))
+    assert a.side_by_time.tolist() == [s for u in by_degree for s in (u, n + u)]
+    assert a.side_time[a.side_by_time].tolist() == list(range(2 * n))
+    sides = range(2 * n)
+    assert a.side_bkts.tolist() == [lay.side_bkt_ptr[s + 1] - lay.side_bkt_ptr[s] for s in sides]
+    assert a.side_size.tolist() == [lay.side_ptr[s + 1] - lay.side_ptr[s] for s in sides]
+    bucket_side = [s for s in sides for _ in range(a.side_bkts[s])]
+    assert a.bkt_time.tolist() == [a.side_time[s] for s in bucket_side]
+    assert a.bkt_by_time.tolist() == [b for s in a.side_by_time.tolist()
+                                      for b in range(lay.side_bkt_ptr[s],
+                                                     lay.side_bkt_ptr[s + 1])]
+    for b in range(a.bkt_size.shape[0]):
+        assert a.bkt_size[b] == lay.bkt_ptr[b + 1] - lay.bkt_ptr[b]
+        assert (a.pos_bkt[lay.bkt_ptr[b]:lay.bkt_ptr[b + 1]] == b).all()
+    # an edge's two entries point at each other, one in each direction
+    assert (lay.order[a.twin] == lay.order).all()
+    assert ((a.twin >= m) == (np.arange(2 * m) < m)).all()
+
+
+def test_only_the_sweep_builds_its_arrays():
+    # the checks that verify and stats run read the layout, not the sweep's arrays
+    g = make_random_graph(5)
+    mask = np.arange(g.m) % 3 == 0
+    for method in METHODS:
+        coverage_report(g, mask, 2, method)
+    isolated_nodes(g, mask)
+    per_type_kept(g, mask)
+    g.degrees()
+    g.stats()
+    assert g.sweep_cache is None
+    sparsify(g, SparsifyParams(k=2))
+    assert isinstance(g.sweep_cache, SPARSIFY_MODULE.SweepArrays)
 
 
 @given(case=sweep_cases,
@@ -335,7 +385,7 @@ def test_sweep_tie_rule_matches_reference(method, case):
     with mock.patch.object(SPARSIFY_MODULE, "counter_words", _coarse_words):
         res = sparsify(g, SparsifyParams(k=k, method=method))
     coarse = lambda c: int(_coarse_words(0, 0, [c])[0])  # noqa: E731
-    assert set(res.edge_ids.tolist()) == reference_sweep(g, k, method, coarse)
+    assert set(np.flatnonzero(res.mask).tolist()) == reference_sweep(g, k, method, coarse)
 
 
 suite_params = st.tuples(
@@ -422,7 +472,9 @@ def test_empty_graph_rejected():
 
 def test_result_edge_ids_match_mask(g1):
     res = sparsify(g1, SparsifyParams(k=1, seed=3))
-    assert list(res.edge_ids) == list(np.flatnonzero(res.mask))
+    assert res.mask.dtype == bool and res.mask.shape == (g1.m,)
+    assert res.kept == np.flatnonzero(res.mask).shape[0]
+    assert res.ratio == res.kept / g1.m
     assert res.params.k == 1
 
 
@@ -476,11 +528,11 @@ def test_sparsify_mask_golden_pubmed_like(pubmed_graph):
 
 # The per-graph arrays that sparsify caches, in bytes per edge: two int32
 # arrays over the 2m layout positions, and int32 or int64 arrays over the
-# buckets, sides and nodes.  pubmed_like_spec(0) needs about 39.
+# buckets and sides.  pubmed_like_spec(0) needs about 37.
 SWEEP_ARRAYS_BYTES_PER_EDGE = 44
 
 
 def test_sweep_arrays_stay_compact(pubmed_graph):
     g = pubmed_graph
-    total = sum(array.nbytes for array in vars(g.sweep_arrays).values())
+    total = sum(array.nbytes for array in vars(_sweep_arrays(g)).values())
     assert total <= SWEEP_ARRAYS_BYTES_PER_EDGE * g.m
