@@ -10,6 +10,7 @@ import pytest
 from hgsparse import HeteroGraph, TrainView, build_graph, build_graph_arrays
 from hgsparse.evalproxy import _negative_matrix
 
+
 class EdgeRecord(NamedTuple):
     """One link-file record; ``build_graph`` takes these like plain tuples."""
 

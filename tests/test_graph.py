@@ -15,8 +15,8 @@ from hgsparse import (
 
 from hgsparse.graph import _positions
 
-from conftest import (G1_EDGES, G1_TYPES, EdgeRecord, dense_id, dict_buckets, edge_keys,
-                      make_random_graph, mask_of)
+from conftest import (G1_EDGES, G1_TYPES, EdgeRecord, dense_id, dict_buckets,
+                      edge_keys, make_random_graph, mask_of)
 
 edge_lists = st.lists(
     st.tuples(st.integers(0, 30), st.integers(0, 30), st.integers(0, 5)),

@@ -278,8 +278,8 @@ sweep_cases = st.one_of(
 def test_sweep_matches_pure_reference(method, case, seed):
     g, k = case
     res = sparsify(g, SparsifyParams(k=k, method=method, seed=seed))
-    assert set(np.flatnonzero(res.mask).tolist()) == reference_sweep(g, k, method,
-                                                                     sweep_word(seed))
+    kept = set(np.flatnonzero(res.mask).tolist())
+    assert kept == reference_sweep(g, k, method, sweep_word(seed))
 
 
 def _least(entries: list, d: int, phase: int, k: int, word) -> list:
