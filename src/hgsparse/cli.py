@@ -214,7 +214,8 @@ def generate_cmd(spec_path, node_types_opt, edge_opts, seed, out, nodes_out,
 @_input_options
 @click.option("--sparse", required=True,
               type=click.Path(exists=True, dir_okay=False),
-              help="sparsifier output to check against the full graph")
+              help="sparsifier output to check against the full graph "
+                   "(tab-delimited, as sparsify writes it)")
 @click.option("--k", required=True, type=_K_RANGE)
 @click.option("--method", type=click.Choice(METHODS), default=PER_TYPE,
               show_default=True)
@@ -224,7 +225,8 @@ def verify_cmd(links, nodes, weighted, delimiter, comment_prefix,
                sparse, k, method, report_path, deterministic):
     """Check a sparse edge file against the guarantees of a method."""
     g = _load_graph(links, nodes, weighted, delimiter, comment_prefix)
-    opts = _link_options(weighted, delimiter, comment_prefix)
+    # the sparse file is read as sparsify writes it: tab-delimited
+    opts = _link_options(weighted, "\t", comment_prefix)
     kept = _read_links(sparse, opts)
     mask = np.zeros(g.m, dtype=bool)
     try:
@@ -295,6 +297,9 @@ def run(argv=None) -> int:
         return int(exc.exit_code)
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
+        return 1
+    except click.UsageError as exc:  # one line, without click's usage block
+        click.echo(f"Error: {exc.format_message()}", err=True)
         return 1
     except click.ClickException as exc:
         exc.show()

@@ -2,7 +2,9 @@
 
 Edges are stored in one canonical table sorted ascending by
 (src, dst, etype) over dense node indices; an edge's identity is that
-triple and its edge id is its row in the table.  One
+triple and its edge id is its row in the table.  An input already in
+that order without repeats, as every link file hgsparse writes is, is
+taken as it is; any other is sorted and its duplicates dropped.  One
 :class:`BucketLayout` groups the edge ids of both directions by side:
 side u is node u's out-direction and side n + u its in-direction, all
 out sides first.  Inside a side the buckets follow ascending etype, and
@@ -337,27 +339,36 @@ def build_graph_arrays(src, dst, etype, weight=None,
 
     # canonical order: ascending (src, dst, etype), input order among
     # duplicates; n * n < 2**63 for any graph that fits in memory, so the
-    # pair key cannot overflow
+    # pair key cannot overflow.  A table already strictly ascending, as
+    # every file hgsparse writes is, has no duplicate and keeps its order;
+    # its etype and weight are copied, so the graph shares no caller array.
+    m_in = src.shape[0]
     pair = src * n + dst
-    perm = np.lexsort((etype, pair))
-    pair = pair[perm]
-    etype = etype[perm]
-    keep = np.ones(perm.shape[0], dtype=bool)
-    keep[1:] = (pair[1:] != pair[:-1]) | (etype[1:] != etype[:-1])
-    perm = perm[keep]
-    pair = pair[keep]
-    etype = etype[keep]
-    src = src[perm]
-    dst = dst[perm]
-    if weight is not None:
-        weight = weight[perm]
+    step = pair[1:] - pair[:-1]
+    if ((step > 0) | ((step == 0) & (etype[1:] > etype[:-1]))).all():
+        etype = etype.copy()
+        if weight is not None:
+            weight = weight.copy()
+    else:
+        perm = np.lexsort((etype, pair))
+        pair = pair[perm]
+        etype = etype[perm]
+        keep = np.ones(perm.shape[0], dtype=bool)
+        keep[1:] = (pair[1:] != pair[:-1]) | (etype[1:] != etype[:-1])
+        perm = perm[keep]
+        pair = pair[keep]
+        etype = etype[keep]
+        src = src[perm]
+        dst = dst[perm]
+        if weight is not None:
+            weight = weight[perm]
     etype_ids, etype_rank = np.unique(etype, return_inverse=True)
     layout = _build_layout(src, dst, etype_rank, etype_ids, n)
     side_size = np.diff(layout.side_ptr)
     degrees = side_size[:n] + side_size[n:]
     degrees.flags.writeable = False
     return HeteroGraph(node_ids, node_types, src, dst, etype, weight,
-                       int(keep.shape[0] - perm.shape[0]), layout, etype_ids,
+                       m_in - pair.shape[0], layout, etype_ids,
                        degrees, pair)
 
 

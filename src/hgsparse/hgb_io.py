@@ -18,10 +18,17 @@ Formats (UTF-8):
 
 Readers and writers are columnar.  :func:`read_link_file` and
 :func:`read_node_file` cut the whole text into lines and fields with
-one shared set of numpy passes over its code points, check the id
-fields and parse them all with one ``np.fromstring`` call, and return a
-:class:`LinkTable` or a :class:`NodeTable` of columns.  Python looks at
-one line only: the first bad one, to explain it in the error.
+one shared set of numpy passes over its code points and return a
+:class:`LinkTable` or a :class:`NodeTable` of columns.  They check by
+exception: the positions of characters that an id or type field may
+not hold and of empty fields are mapped to their lines with
+``searchsorted``; those lines and the ones of the wrong width are the
+only ones checked further, for being blank.  A node name is free text
+and is not checked.  One ``np.fromstring`` call parses every id from a
+copy of the text that keeps the rows' id digits and has spaces
+elsewhere.  Past a few passes over the text, the work follows the
+faulty and skipped lines, not the rows.  Python looks at one line
+only: the first bad one, to explain it in the error.
 :func:`write_link_file` and :func:`write_node_file` cut the decimal
 digits of their int columns into one uint8 buffer, splice in the weight
 column by its byte lengths, and hand the stream the whole text in one
@@ -125,28 +132,33 @@ def _text(chars: np.ndarray) -> str:
     return chars.tobytes().decode("utf-32-le", "surrogatepass")
 
 
-def _interleave(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The bounds lo[0], hi[0], lo[1], hi[1], ... of ascending spans [lo, hi)."""
-    bounds = np.empty(2 * lo.shape[0], dtype=np.int64)
-    bounds[0::2] = lo
-    bounds[1::2] = hi
-    return bounds
-
-
 def _span_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Length-n mask that is True on the ascending, disjoint spans [lo, hi)."""
-    bounds = np.concatenate(([0], _interleave(lo, hi), [n]))
+    bounds = np.empty(2 * lo.shape[0] + 2, dtype=np.int64)
+    bounds[0] = 0
+    bounds[1:-1:2] = lo
+    bounds[2:-1:2] = hi
+    bounds[-1] = n
     inside = np.zeros(bounds.shape[0] - 1, dtype=bool)
     inside[1::2] = True
     return np.repeat(inside, bounds[1:] - bounds[:-1])
+
+
+def _span_positions(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The positions in the ascending spans [lo, hi), in order.
+
+    Unlike :func:`_span_mask`, the cost follows the spans' length, not the text's.
+    """
+    lens = hi - lo
+    ends = np.cumsum(lens)
+    return np.repeat(lo - (ends - lens), lens) + np.arange(ends[-1] if lens.shape[0] else 0)
 
 
 def _blank(chars: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """Whether each line ``chars[start:end]`` is empty or whitespace only."""
     # each span takes its line's newline too, a space, so none is empty
     lens = end + 1 - start
-    nonspace = ~_IS_SPACE.take(chars[_span_mask(chars.shape[0], start, end + 1)],
-                               mode="clip")
+    nonspace = ~_IS_SPACE.take(chars[_span_positions(start, end + 1)], mode="clip")
     return ~np.logical_or.reduceat(nonspace, np.cumsum(lens) - lens)
 
 
@@ -177,19 +189,20 @@ def _split_lines(source, delimiter: str) -> tuple:
     return text, chars, is_sep, sep, first, last, start, end
 
 
-def _id_columns(chars: np.ndarray, keep: np.ndarray, good: np.ndarray,
-                bad: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` ids of each good row, spelled by the digits in ``keep``.
+def _id_columns(digits: np.ndarray, good: np.ndarray, bad: np.ndarray,
+                width: int) -> np.ndarray:
+    """The ``width`` ids of each good row, parsed from their ``digits``.
 
-    One pass parses them all, over a copy holding only those digits and
-    spaces elsewhere.  uint64 saturates above 2**64 - 1, so the range
-    check sees every overlong id; it marks a row with an id of 2**63 or
-    more in ``bad``.  Returns a (width, rows) int64 array.
+    ``digits`` holds the ASCII digits of the good rows' ids and spaces
+    elsewhere; one pass parses them all.  uint64 saturates above
+    2**64 - 1, so the range check sees every overlong id; it marks a row
+    with an id of 2**63 or more in ``bad``.  Returns a (width, rows)
+    int64 array.
     """
     values = np.empty(0, dtype=np.uint64)
     if good.shape[0]:  # fromstring reads a string of spaces as [0]
-        digits = ((chars - 32) * keep + 32).astype(np.uint8).tobytes()
-        values = np.fromstring(digits, dtype=np.uint64, sep=" ")
+        values = np.fromstring(digits.astype(np.uint8, copy=False).tobytes(),
+                               dtype=np.uint64, sep=" ")
     bad[good[np.flatnonzero(values > _MAX_ID) // width]] = True
     return values.view(np.int64).reshape(-1, width).T.copy()
 
@@ -241,35 +254,44 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     else:
         comment = chars[line_start] == ord(opts.comment_prefix)
 
-    # in a row of the right width, ids src, dst, etype end at ends[0],
-    # ends[1], ends[2] and span chars[start:ends[2]] with the delimiters
-    # between them; each id is one or more ASCII digits
+    # a row is a line of the right width whose first three fields, the
+    # ids src, dst and etype, are each one or more ASCII digits.  Only the
+    # faults are mapped to lines: the characters that are neither digits
+    # nor separators and the separators that end an empty field.
     width = 4 if opts.has_weight else 3
-    rows = np.flatnonzero((line_last - line_first + 1 == width) & ~comment)
-    start = line_start[rows]
-    ends = sep[line_first[rows] + np.arange(3)[:, None]]
     digit = chars - 48 <= 9  # wraps below '0' in the unsigned dtype
-    stray = np.logical_or.reduceat(~(digit | is_sep), _interleave(start, ends[2]))
-    rows_ok = ((ends[0] > start) & (ends[1] > ends[0] + 1) & (ends[2] > ends[1] + 1)
-               & ~stray[::2])
-    good = rows[rows_ok]
-    start = start[rows_ok]
-    ends = ends[:, rows_ok]
+    fault = ~(digit | is_sep)
+    fault[1:] |= is_sep[1:] & is_sep[:-1]
+    fault[:1] |= is_sep[:1]
+    if opts.has_weight:
+        # a weight, the rest of a line after its third field, may hold any
+        # character, and its digits are not an id's; its newline separates
+        # it from the next weight
+        in_weight = _span_mask(chars.shape[0],
+                               sep[np.minimum(line_first + 2, line_last)] + 1, line_end + 1)
+        in_ids = ~in_weight
+        fault &= in_ids
+        digit &= in_ids
+    bad = line_last - line_first + 1 != width
+    bad[np.searchsorted(line_end, np.flatnonzero(fault))] = True
+    skip = bad | comment
+    good = np.flatnonzero(~skip)
+
+    # the digits of the good rows' ids, spaces elsewhere
+    digits = (chars - 32) * digit + 32
+    skipped = np.flatnonzero(skip)
+    skipped_chars = _span_positions(line_start[skipped], line_end[skipped] + 1)
+    digits[skipped_chars] = 32
 
     # every other line that is not a comment is malformed unless blank
-    bad = ~comment
-    bad[good] = False
+    bad &= ~comment
     suspect = np.flatnonzero(bad)
     bad[suspect[_blank(chars, line_start[suspect], line_end[suspect])]] = False
 
-    keep = _span_mask(chars.shape[0], start, ends[2]) & digit
-    src, dst, etype = _id_columns(chars, keep, good, bad, 3)
-
     weight = None
     if opts.has_weight:
-        # the weight is the rest of the row; its newline separates the fields
-        keep = _span_mask(chars.shape[0], ends[2] + 1, line_end[good] + 1)
-        fields = _text(chars[keep]).split("\n")[:-1]
+        in_weight[skipped_chars] = False
+        fields = _text(chars[in_weight]).split("\n")[:-1]
         parsed: list[float] = []
         try:
             parsed.extend(map(float, fields))
@@ -278,6 +300,7 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
             bad[good[len(parsed)]] = True
         weight = np.array(parsed, dtype=np.float64)
         bad[good[:weight.shape[0]][~np.isfinite(weight)]] = True
+    src, dst, etype = _id_columns(digits, good, bad, 3)
 
     first = np.flatnonzero(bad)
     if first.shape[0]:
@@ -309,30 +332,29 @@ def read_node_file(source) -> NodeTable:
     text, chars, _, sep, first, last, line_start, line_end = _split_lines(source, "\t")
     width = last - first + 1
 
-    # in a row of 3 or more fields the id spans chars[lo[0]:hi[0]] and the
-    # type chars[lo[1]:hi[1]], the unread name lying between them; both are one
-    # or more ASCII digits.  reduceat reads an empty span as the delimiter
-    # or newline after it, so an empty field holds a stray character too.
+    # in a row of 3 or more fields the id and the type, fields 0 and 2,
+    # are each one or more ASCII digits; the name between them is free
+    # text.  Only the faults in those two fields are mapped to lines.
     rows = np.flatnonzero(width >= 3)
     ends = sep[first[rows] + np.arange(3)[:, None]]
-    lo = np.stack((line_start[rows], ends[1] + 1))
-    hi = np.stack((ends[0], ends[2]))
-    stray = np.logical_or.reduceat(chars - 48 > 9,  # wraps below '0' in the unsigned dtype
-                                   _interleave(lo.T.ravel(), hi.T.ravel()))
-    rows_ok = ~stray[::2].reshape(-1, 2).any(axis=1)
-    good = rows[rows_ok]
-    lo = lo[:, rows_ok]
-    hi = hi[:, rows_ok]
+    lo = np.stack((line_start[rows], ends[1] + 1), axis=1).ravel()
+    hi = np.stack((ends[0], ends[2]), axis=1).ravel()
+    keep = _span_mask(chars.shape[0], lo, hi)
+    stray = np.flatnonzero(keep > (chars - 48 <= 9))  # wraps below '0' in the unsigned dtype
+    bad = width < 3
+    bad[np.searchsorted(line_end, stray)] = True
+    bad[rows[(lo == hi).reshape(-1, 2).any(axis=1)]] = True  # an empty id or type
+    good = np.flatnonzero(~bad)
+    suspect = np.flatnonzero(bad)
+
+    # the id and type digits of the good rows, spaces elsewhere
+    digits = (chars - 32) * keep + 32
+    digits[_span_positions(line_start[suspect], line_end[suspect])] = 32
 
     # every other line is malformed unless blank
-    bad = np.ones(line_start.shape[0], dtype=bool)
-    bad[good] = False
-    suspect = np.flatnonzero(bad)
     blank = suspect[_blank(chars, line_start[suspect], line_end[suspect])]
     bad[blank] = False
-
-    keep = _span_mask(chars.shape[0], lo.T.ravel(), hi.T.ravel())
-    ids, types = _id_columns(chars, keep, good, bad, 2)
+    ids, types = _id_columns(digits, good, bad, 2)
 
     # a repeated id is an error on its first repeat; a stable sort puts
     # each id's rows in file order, so every row after the first of a

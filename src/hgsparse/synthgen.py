@@ -107,8 +107,12 @@ def generate(spec: GenSpec) -> HeteroGraph:
             raise InfeasibleSpecError(
                 f"edge type {etype_id}: {e.count} distinct edges requested "
                 f"but populations allow only {s_size * d_size}")
-        src_cdf = _rank_cdf(s_size, e.alpha)
-        dst_cdf = _rank_cdf(d_size, e.alpha)
+        try:
+            src_cdf = _rank_cdf(s_size, e.alpha)
+            dst_cdf = _rank_cdf(d_size, e.alpha)
+        except (ValueError, MemoryError):
+            raise GenSpecError(f"edge type {etype_id}: cannot allocate rank weights for "
+                               f"populations of {s_size} and {d_size} nodes") from None
         accepted: list[int] = []
         seen: set[int] = set()
         draws_used = 0

@@ -99,6 +99,19 @@ def test_usage_errors_exit_one(star_file, tmp_path):
     assert run(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "--links", "/nonexistent"],
+     "Invalid value for '--links': File '/nonexistent' does not exist."),
+    (["sparsify", "--links", "{links}", "--k", "0", "--out", "x.dat"],
+     "Invalid value for '--k': 0 is not in the range 1<=x<=9223372036854775807."),
+    (["sparsify", "--links", "{links}", "--k", "1"], "Missing option '--out'."),
+    (["no-such-command"], "No such command 'no-such-command'."),
+])
+def test_usage_errors_print_one_line(star_file, capsys, argv, message):
+    assert run([arg.format(links=star_file) for arg in argv]) == 1
+    assert capsys.readouterr() == ("", f"Error: {message}\n")
+
+
 def test_malformed_input_exits_two(tmp_path):
     bad = tmp_path / "bad.dat"
     bad.write_text("1\t2\n")
@@ -279,6 +292,17 @@ def test_weighted_and_delimiter_flags(tmp_path):
     assert out.read_text() == "1\t2\t0\t0.5\n2\t3\t0\t1.25\n"
 
 
+def test_verify_reads_sparse_output_of_any_delimiter(tmp_path):
+    # sparsify writes tabs whatever --delimiter says; verify, given the
+    # same flags, reads the sparse file as written
+    src = tmp_path / "w.txt"
+    src.write_text("1→2→0→0.5\n2→3→0→-0.0\n")
+    out = tmp_path / "w_sparse.dat"
+    flags = ["--links", str(src), "--weighted", "--delimiter", "→", "--k", "1"]
+    assert run(["sparsify", *flags, "--out", str(out)]) == 0
+    assert run(["verify", *flags, "--sparse", str(out)]) == 0
+
+
 def test_generate_from_flags(tmp_path, capsys):
     out = tmp_path / "gen.dat"
     nodes_out = tmp_path / "gen_nodes.dat"
@@ -331,31 +355,47 @@ def test_generate_unallocatable_size_exits_two(tmp_path, capsys):
     assert not (tmp_path / "x.dat").exists()
 
 
-# Runs the CLI on argv[1:] with at most 4 GiB of address space.  The limit
-# acts on this child process only; it makes an allocation fail at once even
-# on a host that would overcommit memory to it.
+# Runs the CLI on argv[2:] with at most argv[1] bytes of address space.
+# The limit acts on this child process only; it makes an allocation fail
+# at once even on a host that would overcommit memory to it.
 _LIMITED_RUN = """
 import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from hgsparse.cli import run
-sys.exit(run(sys.argv[1:]))
+sys.exit(run(sys.argv[2:]))
 """
+
+
+def _run_limited(limit: int, argv: list[str]) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", _LIMITED_RUN, str(limit), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_generate_unallocatable_edge_count_exits_two(tmp_path):
     # 10**12 edges fit between two populations of 2 million nodes, but
     # their draws do not fit in memory
     out = tmp_path / "g.dat"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-c", _LIMITED_RUN, "generate", "--node-types", "2000000 2000000",
-         "--edge", "0:1:1000000000000", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_limited(4 << 30, ["generate", "--node-types", "2000000 2000000",
+                                  "--edge", "0:1:1000000000000", "--out", str(out)])
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: edge type 0: cannot allocate ")
+    assert not out.exists()
+
+
+def test_generate_unallocatable_rank_weights_exit_two(tmp_path):
+    # the 40-million-node table fits in 768 MiB, but the rank weights of
+    # that population, built beside it, do not
+    out = tmp_path / "g.dat"
+    proc = _run_limited(768 << 20, ["generate", "--node-types", "40000000 1",
+                                    "--edge", "0:1:1", "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: edge type 0: cannot allocate rank weights ")
     assert not out.exists()
 
 

@@ -1,9 +1,12 @@
-"""Property test of the CLI: small link files through sparsify, verify and stats.
+"""Property tests of the CLI: small link files through sparsify, verify and stats.
 
 Every input maps to a documented exit code with at most one line on
 stderr, never to exit 4, and a sparsify output that the command accepted
-passes verify.  Ids and types come from the values where int32, int63
-and int64 handling can break: 0, 2**31, 2**62 and 2**63 - 1.
+passes verify.  In the first property, ids and types come from the
+values where int32, int63 and int64 handling can break: 0, 2**31, 2**62
+and 2**63 - 1.  The second draws the file dialects the reader accepts
+or rejects: ids past int64 and uint64, weights, blank and comment lines
+and a non-ASCII delimiter.
 """
 
 import contextlib
@@ -77,6 +80,67 @@ def test_cli_exit_codes_on_small_link_files(text, k, method):
             outcomes.append(_run(["verify", "--links", links, "--sparse", sparse, *flags]))
         outcomes.append(_run(["verify", "--links", links, "--sparse", links, *flags]))
         outcomes.append(_run(["stats", "--links", links, "--report", report]))
+    for code, err in outcomes:
+        assert code in (0, 1, 2, 3), err
+        assert err.count("\n") <= 1, err
+    if sparsified:
+        assert outcomes[1][0] == 0, outcomes[1][1]
+
+
+# ids and types where the columnar reader's range check and digit copy
+# can break: past int64, past uint64, and 20 digits with leading zeros
+EDGE_IDS = ("0", "1", "2", str(2**63 - 1), str(2**63), str(2**64),
+            "0" * 19 + "1", "0" * 10 + "1234567890")
+WEIGHTS = ("nan", "inf", "1e308", "-0.0", "0.5")
+BLANKS = ("", " ", "\t", " \t ")
+
+
+@st.composite
+def dialect_texts(draw) -> tuple[str, list[str]]:
+    """A link file and its reading flags: weights, blank and comment lines, delimiters.
+
+    Edges repeat and mostly use small ids, so some files sparsify; a
+    comment line is only skipped when the flags name ``#``.
+    """
+    weighted = draw(st.booleans())
+    delimiter = draw(st.sampled_from(["\t", "→"]))
+    comment = draw(st.booleans())
+    small = st.sampled_from(EDGE_IDS[:3])
+    field = st.one_of(small, small, st.sampled_from(EDGE_IDS))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["edge"] * 4 + ["blank", "comment"]))
+        if kind == "edge":
+            fields = [draw(field) for _ in range(3)]
+            if weighted:
+                fields.append(draw(st.sampled_from(WEIGHTS)))
+            lines.append(delimiter.join(fields))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(BLANKS)))
+        else:
+            lines.append("# " + draw(st.sampled_from(EDGE_IDS)))
+    lines += lines[:draw(st.integers(0, len(lines)))]  # duplicates
+    flags = ["--delimiter", delimiter]
+    if weighted:
+        flags.append("--weighted")
+    if comment:
+        flags += ["--comment-prefix", "#"]
+    return "".join(line + "\n" for line in lines), flags
+
+
+@given(case=dialect_texts())
+@settings(max_examples=200, deadline=None)
+def test_cli_exit_codes_on_link_file_dialects(case):
+    text, flags = case
+    with tempfile.TemporaryDirectory() as tmp, address_space(1 << 30):
+        links, sparse = (str(Path(tmp, name)) for name in ("link.dat", "sparse.dat"))
+        Path(links).write_bytes(text.encode())
+        common = ["--links", links, *flags, "--k", "1"]
+        outcomes = [_run(["sparsify", *common, "--out", sparse])]
+        sparsified = outcomes[0][0] == 0
+        if sparsified:
+            outcomes.append(_run(["verify", *common, "--sparse", sparse]))
+        outcomes.append(_run(["stats", "--links", links, *flags]))
     for code, err in outcomes:
         assert code in (0, 1, 2, 3), err
         assert err.count("\n") <= 1, err

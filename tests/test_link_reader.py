@@ -211,6 +211,25 @@ def test_matches_reference_on_edge_cases(text):
         _agree(text, opts)
 
 
+# one defect far down a 200k-line file: the columnar reader finds a bad
+# line from its few exception positions, never by looking at every row
+FAR_LINE = 199_990
+
+
+@pytest.mark.parametrize("defect, comment_prefix", [
+    ("12\t3x\t0", None),          # a stray character in an id
+    ("12\t\t0", None),            # an empty field
+    ("12\t3", None),               # a wrong field count
+    (f"12\t{2**63}\t0", None),     # an id past int64
+    (" \t \t ", None),             # a whitespace-only line, skipped
+    ("#12\t3\t0", "#"),           # a comment line, skipped
+])
+def test_matches_reference_on_a_far_defect(defect, comment_prefix):
+    lines = [f"{i}\t{i * 7 % 1000}\t{i % 5}" for i in range(200_000)]
+    lines[FAR_LINE - 1] = defect
+    _agree("\n".join(lines) + "\n", LinkFileOptions(comment_prefix=comment_prefix))
+
+
 @pytest.mark.parametrize("delimiter", ["\n", "\r"])
 def test_line_break_delimiter_is_rejected(delimiter):
     # a line break can never separate fields: every line would be one field

@@ -171,7 +171,20 @@ def test_matches_reference_on_disk(tmp_path, data):
     "1\t\t0\n2\té→\t1\n",
     "1\ta\t\n",
     "\t1\ta\t0\n",
+    "1\ta\t0\n\x1c\t\t\x1c\n2\tb\t1\n",       # blank lines whose id and type fields
+    "1\ta\t0\n\u3000\t\t\x0b\n2\tb\t1\n",     # hold whitespace that is not a space
 ])
 def test_matches_reference_on_edge_cases(text):
     _agree(text)
 
+
+
+@pytest.mark.parametrize("defect", [
+    "17\tn17\t0",    # a duplicate of line 18's id, far from it
+    "199989\tn\t0x",  # a type that is not digits
+])
+def test_matches_reference_on_a_far_defect(defect):
+    # one defect far down a 200k-line file, whose names hold digits
+    lines = [f"{i}\tn{i}\t{i % 4}" for i in range(200_000)]
+    lines[199_989] = defect
+    _agree("\n".join(lines) + "\n")
