@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
 inconsistent inputs, or an output path that cannot be written), 3
 verification failure, 4 internal error (a fault in hgsparse itself).
-Every failure prints one line on stderr and no traceback.
+Every failure, and every warning, prints one line on stderr and no
+traceback.
 """
 
 from __future__ import annotations
 
 import sys
+import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -74,9 +76,14 @@ def _load_graph(links, nodes, weighted, delimiter, comment_prefix) -> HeteroGrap
     node_ids = node_types = None
     if nodes:
         try:
-            node_table = read_node_file(nodes)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                node_table = read_node_file(nodes)
         except NodeFileError as exc:
             raise DataError(f"{nodes}: {exc}") from None
+        finally:  # one line each, before any error
+            for warning in caught:
+                click.echo(f"warning: {nodes}: {warning.message}", err=True)
         node_ids, node_types = node_table.ids, node_table.types
     return build_graph_arrays(table.src, table.dst, table.etype, weight=table.weight,
                               node_ids=node_ids, node_types=node_types)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._rng import counter_words, randbelow_array, substream_seed
 from .errors import DegenerateSplitError, NegativeSamplingError
-from .graph import HeteroGraph
+from .graph import HeteroGraph, _ranges
 from .sparsify import SparsifyParams, sparsify
 
 COMMON_NEIGHBORS = "common-neighbors"
@@ -191,9 +191,7 @@ def score_pairs(view: TrainView, us_dense, vs_dense, scorer: str) -> np.ndarray:
         swap = deg[v] < deg[u]
         expand = np.where(swap, v, u)
         pair = np.repeat(np.arange(hi - lo), c)
-        # each entry's index in view.nbrs: its row start plus its rank in the row
-        pos = np.arange(ends[hi - 1] - start) + np.repeat(
-            view.ptr[expand] - (ends[lo:hi] - c - start), c)
+        pos = _ranges(view.ptr[expand], c)  # each entry's index in view.nbrs
         nbr = view.nbrs[pos]
         key = np.where(swap, u, v)[pair] * view.graph.n + nbr
         found = np.searchsorted(view.keys, key)

@@ -91,6 +91,12 @@ def _as_int64(values, name: str, unknown: str | None = None) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``arange(s, s + n)`` for each pair of ``starts`` and ``lens``, concatenated."""
+    offsets = lens.cumsum() - lens
+    return (starts - offsets).repeat(lens) + np.arange(lens.sum())
+
+
 def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
     """The index of each of ``ids`` in the ascending ``sorted_ids``.
 
@@ -239,7 +245,7 @@ class HeteroGraph:
         lo = np.searchsorted(pair, key, side="left")
         run = np.searchsorted(pair, key, side="right") - lo
         owner = np.repeat(np.arange(key.shape[0]), run)
-        pos = np.arange(owner.shape[0]) + np.repeat(lo - (np.cumsum(run) - run), run)
+        pos = _ranges(lo, run)
         hit = self.etype[pos] == etype[owner]
         ids = np.full(key.shape[0], -1, dtype=np.int64)
         ids[owner[hit]] = pos[hit]

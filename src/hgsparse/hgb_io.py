@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, LinkFormatError, NodeFileError
-from .graph import HeteroGraph
+from .graph import HeteroGraph, _ranges
 
 _MAX_ID = 2**63 - 1  # ids are stored as int64
 # A line's trailing CRs are not part of it.  A file read by path has none
@@ -144,21 +144,11 @@ def _span_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(inside, bounds[1:] - bounds[:-1])
 
 
-def _span_positions(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The positions in the ascending spans [lo, hi), in order.
-
-    Unlike :func:`_span_mask`, the cost follows the spans' length, not the text's.
-    """
-    lens = hi - lo
-    ends = np.cumsum(lens)
-    return np.repeat(lo - (ends - lens), lens) + np.arange(ends[-1] if lens.shape[0] else 0)
-
-
 def _blank(chars: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """Whether each line ``chars[start:end]`` is empty or whitespace only."""
     # each span takes its line's newline too, a space, so none is empty
     lens = end + 1 - start
-    nonspace = ~_IS_SPACE.take(chars[_span_positions(start, end + 1)], mode="clip")
+    nonspace = ~_IS_SPACE.take(chars[_ranges(start, lens)], mode="clip")
     return ~np.logical_or.reduceat(nonspace, np.cumsum(lens) - lens)
 
 
@@ -279,8 +269,8 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
 
     # the digits of the good rows' ids, spaces elsewhere
     digits = (chars - 32) * digit + 32
-    skipped = np.flatnonzero(skip)
-    skipped_chars = _span_positions(line_start[skipped], line_end[skipped] + 1)
+    skip_start = line_start[skip]
+    skipped_chars = _ranges(skip_start, line_end[skip] + 1 - skip_start)
     digits[skipped_chars] = 32
 
     # every other line that is not a comment is malformed unless blank
@@ -349,7 +339,8 @@ def read_node_file(source) -> NodeTable:
 
     # the id and type digits of the good rows, spaces elsewhere
     digits = (chars - 32) * keep + 32
-    digits[_span_positions(line_start[suspect], line_end[suspect])] = 32
+    suspect_start = line_start[suspect]
+    digits[_ranges(suspect_start, line_end[suspect] - suspect_start)] = 32
 
     # every other line is malformed unless blank
     blank = suspect[_blank(chars, line_start[suspect], line_end[suspect])]

@@ -25,24 +25,28 @@ choices, and a (graph, k, method, seed) tuple fully determines H.
 
 The sweep visits units: a per-type bucket, or an all-types side (a
 node-direction).  The unit of node u in direction d comes at time
-2*rank(u) + d, rank being the position of u in :func:`vertex_order`.  A
-unit is *order-free* when it keeps all of its edges whatever H holds on
-arrival: a per-type bucket of at most k edges, or a side whose buckets
-each hold one edge.  One numpy pass keeps their edges; one Python loop
-walks the other units, the loop units, in time order.
+2*rank(u) + d, rank being the position of u in :func:`vertex_order`.
+One walk serves both methods: a unit first covers each of its buckets
+that holds no kept edge (all-types only), then tops up to k kept edges.
+A unit is *order-free*, keeping all of its edges whatever H holds on
+arrival, when it has at most max(k, c) entries, c being its cover count
+(its bucket count for all-types, 0 for per-type): its top-up needs at
+least as many edges as it has free, or each of its buckets holds one
+edge and is covered.  One numpy pass keeps the order-free units' edges;
+one Python loop walks the other units, the loop units, in time order.
 
-The loop visits only candidate entries.  A top-up takes the first
-``k - kept`` free entries in priority order; at most ``kept`` of the
-unit's first k entries are in H, so every pick lies among them.  A
-unit's candidates are thus its k least-priority entries and, for
-all-types, each bucket's cover edge, and a unit costs O(k + its bucket
-count).  An edge has one entry per direction, so whether it is in H when
-a unit looks at it depends only on the unit holding its other entry: it
-is *held* when that unit is order-free and came earlier, and it is
-picked when that unit is a loop unit that came earlier and picked it.
-Each loop unit's kept count starts at its held entries, counted in
-numpy, and a pick raises the count of the unit of the edge's other entry
-when that unit comes later.
+The loop visits only candidate entries.  A loop unit holds more than k
+entries.  A top-up takes the first ``k - kept`` free entries in priority
+order; at most ``kept`` of the unit's first k entries are in H, so every
+pick lies among them.  A unit's candidates are thus its k least-priority
+entries and, for all-types, each bucket's cover edge, and a unit costs
+O(k + its bucket count).  An edge has one entry per direction, so
+whether it is in H when a unit looks at it depends only on the unit
+holding its other entry: it is *held* when that unit is order-free and
+came earlier, and it is picked when that unit is a loop unit that came
+earlier and picked it.  Each loop bucket's kept count starts at its held
+entries, counted in numpy, and a pick raises the count of the bucket of
+the edge's other entry when the loop reaches that bucket later.
 
 The vertex order, the times, the sizes and each position's bucket and
 twin depend on the graph alone.  :class:`SweepArrays` holds them; the
@@ -60,7 +64,7 @@ import numpy as np
 
 from ._rng import counter_words
 from .errors import EmptyGraphError
-from .graph import HeteroGraph
+from .graph import HeteroGraph, _ranges
 
 PER_TYPE = "per-type"
 ALL_TYPES = "all-types"
@@ -115,12 +119,6 @@ class SweepArrays:
     twin: np.ndarray          # the position of p's edge in the other direction
 
 
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``arange(s, s + n)`` for each pair of ``starts`` and ``lens``, concatenated."""
-    offsets = lens.cumsum() - lens
-    return (starts - offsets).repeat(lens) + np.arange(lens.sum())
-
-
 def _build_sweep_arrays(g: HeteroGraph) -> SweepArrays:
     """The sweep arrays of a graph."""
     layout, n, m = g.layout, g.n, g.m
@@ -172,34 +170,33 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     """Run whichever method ``params`` names."""
     if g.m == 0:
         raise EmptyGraphError("cannot sparsify a graph with no edges")
-    a = _sweep_arrays(g)
-    layout = g.layout
+    a, layout = _sweep_arrays(g), g.layout
     k = min(int(params.k), g.m)  # no unit holds more than m edges
-    per_type = params.method == PER_TYPE
-    if per_type:  # a unit is a bucket
-        loop = a.bkt_size > k
-        units = a.bkt_by_time[loop[a.bkt_by_time]]
-        lens = a.bkt_size[units]
-        pos = _ranges(layout.bkt_ptr[units], lens)
-        unit_time = a.bkt_time[units]
-    else:  # a unit is a side
-        side_loop = a.side_size != a.side_bkts
-        loop = side_loop.repeat(a.side_bkts)
-        units = a.side_by_time[side_loop[a.side_by_time]]
-        lens = a.side_size[units]
-        pos = _ranges(layout.side_ptr[units], lens)
-        unit_time = a.side_time[units]
+    # a unit's order, entries and time, what it covers and its top-up phase;
+    # a unit of more than max(k, its cover count) entries is a loop unit
+    if params.method == PER_TYPE:  # a bucket, which covers nothing
+        loop = unit_loop = a.bkt_size > k
+        by_time, size, time, ptr = a.bkt_by_time, a.bkt_size, a.bkt_time, layout.bkt_ptr
+        covers, phase = None, _TOP_UP
+    else:  # a side, which covers each of its buckets
+        unit_loop = a.side_size > np.maximum(a.side_bkts, k)
+        loop = unit_loop.repeat(a.side_bkts)
+        by_time, size, time, ptr = a.side_by_time, a.side_size, a.side_time, layout.side_ptr
+        covers, phase = a.side_bkts, _SIDE_TOP_UP
+    units = by_time[unit_loop[by_time]]
     selected = np.ones(g.m, dtype=bool)
     if units.shape[0]:
+        lens = size[units]
+        pos = _ranges(ptr[units], lens)
         # pos holds the loop units' entries, unit by unit in time order.  An
         # edge's other entry lies in bucket tb; when that bucket is
         # order-free, it keeps the edge, before this unit (held) or after.
         tb = a.pos_bkt[a.twin[pos]]
         twin_loop = loop[tb]
         selected[layout.order[pos[twin_loop]]] = False
-        held = ~twin_loop & (a.bkt_time[tb] < unit_time.repeat(lens))
-        walk = _walk_buckets if per_type else _walk_sides
-        selected |= walk(g, units, lens, pos, tb, held, loop, k, params.seed)
+        held = ~twin_loop & (a.bkt_time[tb] < time[units].repeat(lens))
+        covers = None if covers is None else covers[units]
+        selected |= _walk(g, pos, lens, covers, tb, held, loop, k, phase, params.seed)
     kept = int(selected.sum())
     return SparsifierResult(params=params, mask=selected, kept=kept, ratio=kept / g.m)
 
@@ -209,49 +206,74 @@ def _by_priority(word: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
     A priority is the high 32 bits of the entry's word; one stable sort of
     ``unit << 32 | priority`` keeps layout order among equal priorities.
-    A loop unit holds two or more of the 2m entries, so unit < 2**32.
+    A loop unit holds more than k >= 1 of the 2m entries, so unit < 2**32.
     """
     unit = np.arange(lens.shape[0], dtype=np.uint64).repeat(lens)
     return np.argsort(unit << np.uint64(32) | word >> np.uint64(32), kind="stable")
 
 
-def _later(slot: np.ndarray, own: np.ndarray, twin: np.ndarray) -> list:
-    """For each candidate, the kept count that its pick raises, or -1.
+def _walk(g, pos, lens, covers, tb, held, loop, k, phase, seed) -> np.ndarray:
+    """Walk the loop units in time order: cover their buckets, then top up to k.
 
-    ``slot`` numbers the walked counts in time order, by bucket; ``own``
-    and ``twin`` are the buckets of each candidate's entry and of its
-    edge's other entry.  A pick raises the other entry's count when the
-    loop reaches that bucket later.
+    ``covers`` holds each unit's bucket count when the units cover their
+    buckets (all-types) and is None when they cover nothing.  A covering
+    unit keeps, in each bucket that holds no kept edge, the entry of least
+    cover word.  A unit that then holds fewer than k kept edges picks its
+    first ``k - kept`` free entries in ``phase`` priority order, all among
+    its first k.  Returns a mask of the picked edges and of the held ones
+    among the candidates.
     """
-    other = slot[twin]
-    return np.where(other > slot[own], other, -1).tolist()
-
-
-def _walk_buckets(g, units, lens, pos, tb, held, loop, k, seed) -> np.ndarray:
-    """Top each per-type loop bucket up to k kept edges, least priority first.
-
-    A bucket picks its first ``k - kept`` free entries in priority order,
-    all among its first k.  Returns a mask of the picked edges and of the
-    held ones among the candidates.
-    """
-    order = g.layout.order
-    starts = lens.cumsum() - lens
-    kept = np.add.reduceat(held, starts)
-    walked = kept < k  # the others already hold k kept edges
+    a, order = _sweep_arrays(g), g.layout.order
+    bkts = a.bkt_by_time[loop[a.bkt_by_time]]  # the loop units' buckets, in time order
+    sizes = a.bkt_size[bkts]
+    bkt_starts = sizes.cumsum() - sizes
+    kept = np.add.reduceat(held, bkt_starts)  # per bucket
     key = 3 * (2 * order[pos] + (pos >= g.m))
-    ranked = _by_priority(counter_words(seed, _SWEEP_TAG, key + _TOP_UP), lens)
-    cand = ranked[(starts[walked, None] + np.arange(k)).ravel()]
-    count = int(np.count_nonzero(walked))
+    if covers is None:  # a unit is one bucket; walk those that top up
+        top_up = kept < k
+        bkts, kept = bkts[top_up], kept[top_up]
+        count = bkts.shape[0]
+        bounds, tops = range(1, count + 1), range(0, k * count, k)
+        least = np.empty(0, dtype=np.intp)
+    else:  # walk every side; one that covers k or more buckets keeps k edges
+        bounds = covers.cumsum()
+        top_up = (covers < k) & (np.add.reduceat(kept, bounds - covers) < k)
+        bounds = bounds.tolist()
+        word = counter_words(seed, _SWEEP_TAG, key + _COVER)
+        # words are distinct, so each bucket has one least word
+        least = (word == np.minimum.reduceat(word, bkt_starts).repeat(sizes)).nonzero()[0]
+        tops = (least.shape[0] + k * (top_up.cumsum() - top_up)).tolist()
+    top = top_up.repeat(lens)
+    top_lens = lens[top_up]
+    ranked = top.nonzero()[0][_by_priority(
+        counter_words(seed, _SWEEP_TAG, key[top] + phase), top_lens)]
+    cand = np.concatenate((least, ranked[((top_lens.cumsum() - top_lens)[:, None]
+                                          + np.arange(k)).ravel()]))
     slot = np.full(loop.shape[0], -1)
-    slot[units[walked]] = np.arange(count)
-    later = _later(slot, units[walked].repeat(k), tb[cand])
+    slot[bkts] = np.arange(bkts.shape[0])
+    # a pick raises the kept count of its edge's other bucket when the walk
+    # reaches that bucket later
+    other = slot[tb[cand]]
+    later = np.where(other > slot[a.pos_bkt[pos[cand]]], other, -1).tolist()
     edges = order[pos[cand]]
-    taken = _taken(g.m, edges[held[cand]])
-    edges = edges.tolist()
-    kept = kept[walked].tolist()
-    for i in range(count):
-        need = k - kept[i]
-        j = i * k
+    taken = np.zeros(g.m, dtype=np.uint8)  # one byte per edge
+    taken[edges[held[cand]]] = 1  # held edges are kept, never free
+    taken, edges, kept = bytearray(taken), edges.tolist(), kept.tolist()
+    cover = covers is not None
+    lo = 0
+    for hi, j in zip(bounds, tops):
+        have = 0
+        for b in range(lo, hi):
+            if kept[b]:
+                have += kept[b]
+            elif cover:  # b is also the index of the bucket's cover candidate
+                taken[edges[b]] = 1
+                t = later[b]
+                if t >= 0:
+                    kept[t] += 1
+                have += 1
+        lo = hi
+        need = k - have
         while need > 0:
             e = edges[j]
             if not taken[e]:
@@ -262,74 +284,3 @@ def _walk_buckets(g, units, lens, pos, tb, held, loop, k, seed) -> np.ndarray:
                 need -= 1
             j += 1
     return np.frombuffer(taken, dtype=bool)
-
-
-def _walk_sides(g, units, lens, pos, tb, held, loop, k, seed) -> np.ndarray:
-    """Cover each bucket of each all-types loop side, then top the side up to k.
-
-    A side covers each bucket that holds no kept edge with the bucket's
-    least cover word.  A side of fewer than k buckets then picks its first
-    ``k - kept`` free entries in top-up priority order, all among its first
-    k.  Returns a mask of the picked edges and of the held ones among the
-    candidates.
-    """
-    a, order = _sweep_arrays(g), g.layout.order
-    counts = a.side_bkts[units]
-    bkts = a.bkt_by_time[loop[a.bkt_by_time]]  # the buckets of the units
-    sizes = a.bkt_size[bkts]
-    bkt_starts = sizes.cumsum() - sizes
-    kept = np.add.reduceat(held, bkt_starts)
-    short = (counts < k) & (np.add.reduceat(kept, counts.cumsum() - counts) < k)
-    key = 3 * (2 * order[pos] + (pos >= g.m))
-    top = short.repeat(lens)
-    word = counter_words(seed, _SWEEP_TAG,
-                         np.concatenate((key + _COVER, key[top] + _SIDE_TOP_UP)))
-    cover_word, word = word[:key.shape[0]], word[key.shape[0]:]
-    # words are distinct, so each bucket has one least word
-    least = (cover_word == np.minimum.reduceat(cover_word, bkt_starts).repeat(sizes)).nonzero()[0]
-    top_lens = lens[short]
-    ranked = top.nonzero()[0][_by_priority(word, top_lens)]
-    top_count = np.minimum(lens, k) * short
-    fill = ranked[_ranges(top_lens.cumsum() - top_lens, top_count[short])]
-    cand = np.concatenate((least, fill))
-    slot = np.full(loop.shape[0], -1)
-    slot[bkts] = np.arange(bkts.shape[0])
-    later = _later(slot, a.pos_bkt[pos[cand]], tb[cand])
-    edges = order[pos[cand]]
-    taken = _taken(g.m, edges[least.shape[0]:][held[fill]])
-    edges = edges.tolist()
-    bkt_bounds = counts.cumsum().tolist()
-    top_bounds = (least.shape[0] + top_count.cumsum()).tolist()
-    kept = kept.tolist()
-    lo, j = 0, least.shape[0]
-    for bhi, hi in zip(bkt_bounds, top_bounds):
-        have = 0
-        for b in range(lo, bhi):  # one cover candidate per bucket
-            if kept[b]:
-                have += kept[b]
-            else:
-                taken[edges[b]] = 1
-                t = later[b]
-                if t >= 0:
-                    kept[t] += 1
-                have += 1
-        lo = bhi
-        need = k - have
-        while need > 0 and j < hi:
-            e = edges[j]
-            if not taken[e]:
-                taken[e] = 1
-                t = later[j]
-                if t >= 0:
-                    kept[t] += 1
-                need -= 1
-            j += 1
-        j = hi
-    return np.frombuffer(taken, dtype=bool)
-
-
-def _taken(m: int, held: np.ndarray) -> bytearray:
-    """One byte per edge, set for the held edges: they are kept, never free."""
-    taken = np.zeros(m, dtype=np.uint8)
-    taken[held] = 1
-    return bytearray(taken)

@@ -244,6 +244,27 @@ def test_node_file_ids_follow_link_grammar(tmp_path, capsys):
     assert run(["stats", "--links", str(links), "--nodes", str(nodes)]) == 0
 
 
+def test_node_file_warning_prints_one_line(tmp_path, capsys):
+    links = tmp_path / "link.dat"
+    links.write_text("1\t2\t0\n")
+    nodes = tmp_path / "node.dat"
+    nodes.write_text("1\ta\t0\tx\n2\tb\t0\n")
+    assert run(["stats", "--links", str(links), "--nodes", str(nodes)]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {nodes}: node file line 1: ignoring 1 attribute column(s)\n")
+
+
+def test_node_file_warning_then_error_print_one_line_each(tmp_path, capsys):
+    links = tmp_path / "link.dat"
+    links.write_text("1\t2\t0\n")
+    nodes = tmp_path / "node.dat"
+    nodes.write_text("1\ta\t0\tx\n1\tb\t0\n2\tb\t0\n")
+    assert run(["stats", "--links", str(links), "--nodes", str(nodes)]) == 2
+    assert capsys.readouterr().err == (
+        f"warning: {nodes}: node file line 1: ignoring 1 attribute column(s)\n"
+        f"error: {nodes}: line 2: duplicate node id 1\n")
+
+
 def test_empty_node_table_exits_two(star_file, tmp_path, capsys):
     nodes = tmp_path / "node.dat"
     nodes.write_text("")

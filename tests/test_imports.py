@@ -41,3 +41,38 @@ def test_no_unused_imports():
                  if path.name != "__init__.py"
                  and (unused := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
     assert offenders == {}
+
+
+def _private_names(stmt: ast.stmt) -> list[str]:
+    """The private functions and constants that a module-level statement defines."""
+    if isinstance(stmt, ast.FunctionDef):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        return []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _unread_privates(trees: list[ast.Module]) -> list[str]:
+    """The private module-level names that no statement but their own reads."""
+    defined, read = set(), set()
+    for tree in trees:
+        for stmt in tree.body:
+            own = _private_names(stmt)
+            defined.update(own)
+            read.update(node.id for node in ast.walk(stmt)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        and node.id not in own)
+    return sorted(defined - read)
+
+
+def test_no_dead_private_helpers():
+    assert _unread_privates([ast.parse(
+        "_A, _B = 1, 2\n_C: int = _A\n"
+        "def _f():\n    return _f()\n"
+        "def g():\n    return _C\n"), ast.parse("def _h():\n    return _B\n")]) == ["_f", "_h"]
+    package = Path(hgsparse.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+    assert _unread_privates(trees) == []

@@ -262,6 +262,34 @@ def hub_chains(draw):
     return build_graph(sorted(edges)), k
 
 
+@st.composite
+def small_sides(draw):
+    """An all-types side of at most k entries whose buckets hold several edges.
+
+    Node 0 links out to one to three targets under each of up to three
+    edge types, two or more under one of them, and k runs from its bucket
+    count to its size.  Feeders fill each target's in-bucket past k, so
+    it is a loop unit under either method, and the targets alternate
+    between degrees below and above node 0's: their units come before
+    and after node 0's out-side.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+        lambda sizes: max(sizes) > 1))
+    count, side = len(sizes), sum(sizes)
+    k = draw(st.one_of(st.sampled_from((count, side)), st.integers(count, side)))
+    leaves = k + 3  # node 0's degree, side + k + 3, lies between the targets'
+    first = draw(st.booleans())
+    edges = {(200 + i, 0, draw(st.integers(0, count - 1))) for i in range(leaves)}
+    target = 1
+    for etype, size in enumerate(sizes):
+        for _ in range(size):
+            feeders = k + 1 if (target % 2 == 0) == first else side + leaves
+            edges.add((0, target, etype))
+            edges.update((100 + f, target, etype) for f in range(feeders))
+            target += 1
+    return build_graph(sorted(edges)), k
+
+
 sweep_cases = st.one_of(
     split_edge_graphs(),
     st.tuples(st.integers(0, 2**16).map(
@@ -269,6 +297,7 @@ sweep_cases = st.one_of(
         st.sampled_from([1, 2, 4])),
     rising_paths(),
     hub_chains(),
+    small_sides(),
 )
 
 
