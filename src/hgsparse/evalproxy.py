@@ -10,6 +10,10 @@ test sets and negatives and their metrics are directly comparable.
 The split and the negatives draw from the counter-keyed stream of
 :mod:`hgsparse._rng` as batched numpy, one word per edge or negative;
 a negative is a uniform rank among its positive's free destinations.
+Scoring expands each pair's lower-degree neighbor row and tests each
+entry against a bitmask of the other endpoint's row: the pairs go in
+order of that endpoint, and 64 such rows at a time share one n-long
+``uint64`` word array, one bit per row.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from ._rng import counter_words, randbelow_array, substream_seed
 from .errors import DegenerateSplitError, NegativeSamplingError
-from .graph import HeteroGraph, _ranges
+from .graph import HeteroGraph, _as_int64, _ranges
 from .sparsify import SparsifyParams, sparsify
 
 COMMON_NEIGHBORS = "common-neighbors"
@@ -30,6 +34,7 @@ SCORERS = (COMMON_NEIGHBORS, ADAMIC_ADAR)
 
 # expanded neighbor entries scored at once; bounds score_pairs' temporaries
 _SCORE_CHUNK = 1 << 14
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit r of a marks word
 
 # negative-matrix entries drawn at once; bounds _negative_matrix's temporaries
 _NEG_CHUNK = 1 << 14
@@ -131,15 +136,12 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
 class TrainView:
     """Undirected, type-agnostic, deduplicated CSR over a train edge set."""
 
-    __slots__ = ("graph", "ptr", "nbrs", "keys")
+    __slots__ = ("graph", "ptr", "nbrs")
 
     def __init__(self, graph: HeteroGraph, ptr: np.ndarray, nbrs: np.ndarray):
         self.graph = graph
         self.ptr = ptr
         self.nbrs = nbrs
-        # row * n + nbr per entry, ascending because rows and each row's nbrs are
-        rows = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(ptr))
-        self.keys = rows * graph.n + nbrs
 
     @classmethod
     def from_graph(cls, g: HeteroGraph, selected=None) -> "TrainView":
@@ -162,17 +164,26 @@ def score_pairs(view: TrainView, us_dense, vs_dense, scorer: str) -> np.ndarray:
     """Heuristic scores for parallel dense-id pair arrays.
 
     Each pair expands the neighbor row of its lower-degree endpoint (``us``
-    on a tie) and looks every ``other * n + nbr`` key up in ``view.keys``.
-    Hits are summed per pair in ascending neighbor order, the order of a
-    sorted-list merge, so Adamic-Adar float sums are reproducible.
+    on a tie) and tests every entry for membership in the row of the other
+    endpoint.  Pairs go in order of that other endpoint, whose distinct
+    nodes are taken 64 at a time: the r-th node of a block sets bit r of
+    ``marks[x]`` for each of its neighbors x, so an entry's test is one
+    bit of one word, and only the marked words are cleared before the
+    next block.  Hits are summed per pair in ascending neighbor order, the
+    order of a sorted-list merge, so Adamic-Adar float sums are
+    reproducible.  Raises ValueError unless ``us`` and ``vs`` are equally
+    long 1-d arrays of whole dense ids in [0, n).
     """
     if scorer not in SCORERS:
         raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
-    us = np.asarray(us_dense, dtype=np.int64)
-    vs = np.asarray(vs_dense, dtype=np.int64)
+    us = _as_int64(us_dense, "us")
+    vs = _as_int64(vs_dense, "vs")
+    n = view.graph.n
+    if us.shape != vs.shape:
+        raise ValueError(f"us and vs differ in length: {us.shape[0]} and {vs.shape[0]}")
+    if us.size and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= n):
+        raise ValueError(f"pair ids must be dense ids in [0, {n})")
     out = np.zeros(us.shape[0], dtype=np.float64)
-    if view.keys.size == 0:
-        return out
     deg = np.diff(view.ptr)
     weight = None
     if scorer == ADAMIC_ADAR:
@@ -181,24 +192,38 @@ def score_pairs(view: TrainView, us_dense, vs_dense, scorer: str) -> np.ndarray:
         distinct = np.unique(deg)
         table = [1.0 / math.log(d) if d > 1 else 0.0 for d in distinct.tolist()]
         weight = np.array(table, dtype=np.float64)[np.searchsorted(distinct, deg)]
-    counts = np.minimum(deg[us], deg[vs])
-    ends = np.cumsum(counts)
-    lo = 0
-    while lo < us.shape[0]:
-        start = ends[lo] - counts[lo]
-        hi = max(int(np.searchsorted(ends, start + _SCORE_CHUNK, side="right")), lo + 1)
-        u, v, c = us[lo:hi], vs[lo:hi], counts[lo:hi]
-        swap = deg[v] < deg[u]
-        expand = np.where(swap, v, u)
-        pair = np.repeat(np.arange(hi - lo), c)
-        pos = _ranges(view.ptr[expand], c)  # each entry's index in view.nbrs
-        nbr = view.nbrs[pos]
-        key = np.where(swap, u, v)[pair] * view.graph.n + nbr
-        found = np.searchsorted(view.keys, key)
-        hit = view.keys[np.minimum(found, view.keys.size - 1)] == key
-        out[lo:hi] = np.bincount(pair[hit], minlength=hi - lo,
-                                 weights=None if weight is None else weight[nbr[hit]])
-        lo = hi
+    swap = deg[vs] < deg[us]
+    expand = np.where(swap, vs, us)
+    other = np.where(swap, us, vs)
+    # a pair whose expanded row is empty scores 0; the rest go by other, in
+    # any order among equal others, as each pair's sum is its own
+    live = np.flatnonzero(deg[expand])
+    live = live[np.argsort(other[live])]
+    expand, other = expand[live], other[live]
+    ends = np.cumsum(deg[expand])
+    first = np.ones(live.shape[0], dtype=bool)  # the first pair of each distinct other
+    first[1:] = other[1:] != other[:-1]
+    rows = other[first]  # ascending
+    block_lo = np.append(first.nonzero()[0][::64], live.shape[0]).tolist()
+    marks = np.zeros(n, dtype=np.uint64)
+    for b, (lo, block_hi) in enumerate(zip(block_lo, block_lo[1:])):
+        nodes = rows[64 * b:64 * b + 64]
+        marked = view.nbrs[_ranges(view.ptr[nodes], deg[nodes])]
+        np.bitwise_or.at(marks, marked, _BITS[:nodes.shape[0]].repeat(deg[nodes]))
+        while lo < block_hi:
+            start = ends[lo] - deg[expand[lo]]
+            hi = min(max(int(np.searchsorted(ends, start + _SCORE_CHUNK, side="right")),
+                         lo + 1), block_hi)
+            c = deg[expand[lo:hi]]
+            pair = np.repeat(np.arange(hi - lo), c)
+            nbr = view.nbrs[_ranges(view.ptr[expand[lo:hi]], c)]
+            bit = _BITS[np.searchsorted(nodes, other[lo:hi])]  # each pair's row in the block
+            hit = (marks[nbr] & bit.repeat(c)) != 0
+            out[live[lo:hi]] = np.bincount(
+                pair[hit], minlength=hi - lo,
+                weights=None if weight is None else weight[nbr[hit]])
+            lo = hi
+        marks[marked] = 0
     return out
 
 

@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from hgsparse import ADAMIC_ADAR, COMMON_NEIGHBORS, SCORERS, TrainView, build_graph, score_pairs
+from hgsparse import (ADAMIC_ADAR, COMMON_NEIGHBORS, SCORERS, TrainView, build_graph,
+                      build_graph_arrays, score_pairs)
 from hgsparse import evalproxy
 
 from conftest import dense_id, mask_of
@@ -145,3 +146,92 @@ def test_no_pairs_and_unknown_scorer(random_graph):
     assert score_pairs(view, [], [], COMMON_NEIGHBORS).shape == (0,)
     with pytest.raises(ValueError):
         score_pairs(view, [0], [0], "jaccard")
+
+
+def _looked_up(view, us, vs):
+    """The endpoint each pair looks its entries up in, for pairs with any entry."""
+    deg = np.diff(view.ptr)
+    other = np.where(deg[vs] < deg[us], us, vs)
+    return other[np.minimum(deg[us], deg[vs]) > 0]
+
+
+def _uniform_graph(seed, n, m):
+    rng = np.random.default_rng(seed)
+    return build_graph_arrays(rng.integers(0, n, size=m), rng.integers(0, n, size=m),
+                              rng.integers(0, 3, size=m), node_ids=np.arange(n),
+                              node_types=np.zeros(n, dtype=np.int64))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_three_or_more_blocks_of_looked_up_rows(seed):
+    g = _uniform_graph(seed, 400, 2400)
+    rng = np.random.default_rng(seed)
+    view = TrainView.from_graph(g, rng.random(g.m) < 0.8)
+    us, vs = _pairs(view, rng, 3000)
+    assert np.unique(_looked_up(view, us, vs)).shape[0] > 130  # three blocks of 64
+    _assert_same_bytes(view, us, vs)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 33])
+def test_chunk_ends_inside_a_block(monkeypatch, chunk):
+    # hub 0 reaches 1..80; each spoke also links its two successors, so
+    # pairs (spoke, hub) share neighbours and looked-up rows fill a block
+    edges = [(0, v, 0) for v in range(1, 81)]
+    edges += [(v, v % 80 + 1, 1) for v in range(1, 81)]
+    edges += [(v, (v + 1) % 80 + 1, 2) for v in range(1, 81)]
+    g = build_graph(edges)
+    view = TrainView.from_graph(g)
+    deg = np.diff(view.ptr)
+    hub = dense_id(g, 0)
+    spokes = np.array([dense_id(g, v) for v in range(1, 81)])
+    rng = np.random.default_rng(chunk)
+    us = np.concatenate((spokes, rng.permutation(spokes), spokes[::3]))
+    vs = np.concatenate((np.full(80, hub), rng.permutation(spokes), np.full(27, hub)))
+    looked_up = _looked_up(view, us, vs)
+    assert (looked_up == hub).sum() > 100
+    assert deg[spokes].sum() > 10 * chunk  # the hub's pairs span several chunks
+    assert np.unique(looked_up).shape[0] > 1  # and share their block
+    monkeypatch.setattr(evalproxy, "_SCORE_CHUNK", chunk)
+    _assert_same_bytes(view, us, vs)
+
+
+def test_zero_degree_endpoints_beside_marked_rows():
+    g = _uniform_graph(11, 300, 500)
+    rng = np.random.default_rng(11)
+    keep = rng.random(g.m) < 0.5
+    view = TrainView.from_graph(g, keep)
+    deg = np.diff(view.ptr)
+    empty, full = np.flatnonzero(deg == 0), np.flatnonzero(deg > 0)
+    assert empty.shape[0] > 10 and full.shape[0] > 130
+    # pairs with a zero-degree endpoint, on either side or both, shuffled
+    # among pairs whose looked-up rows fill three blocks
+    us = np.concatenate((full, rng.choice(empty, 100), full, rng.choice(empty, 100)))
+    vs = np.concatenate((rng.permutation(full), rng.choice(full, 100),
+                         rng.choice(empty, full.shape[0]), rng.choice(empty, 100)))
+    order = rng.permutation(us.shape[0])
+    _assert_same_bytes(view, us[order], vs[order])
+    scores = score_pairs(view, us, vs, COMMON_NEIGHBORS)
+    assert not scores[(deg[us] == 0) | (deg[vs] == 0)].any()
+
+
+@pytest.mark.parametrize("us, vs", [
+    ([0, 1, 2], [1]),  # numpy would broadcast these
+    ([0], [1, 2]),
+    ([[0, 1]], [[1, 2]]),  # not 1-d
+    ([-1], [0]),  # would wrap to the last node
+    ([0], [-5]),
+    ([0], [10**6]),
+    ([0.5], [1]),  # would truncate to 0
+])
+def test_rejects_mismatched_or_out_of_range_ids(random_graph, us, vs):
+    view = TrainView.from_graph(random_graph(1))
+    with pytest.raises(ValueError):
+        score_pairs(view, us, vs, COMMON_NEIGHBORS)
+
+
+def test_rejects_the_first_id_past_the_view(random_graph):
+    view = TrainView.from_graph(random_graph(1))
+    n = view.graph.n
+    assert score_pairs(view, [n - 1], [0], ADAMIC_ADAR).shape == (1,)
+    with pytest.raises(ValueError):
+        score_pairs(view, [0, n], [0, 0], ADAMIC_ADAR)
