@@ -32,9 +32,14 @@ _GAMMA_U64 = np.uint64(_SPLITMIX_GAMMA)
 
 def splitmix64_array(values) -> np.ndarray:
     """:func:`splitmix64` of every element, as a new 1-d ``uint64`` array."""
+    return _mix(np.array(values, dtype=np.uint64, ndmin=1))
+
+
+def _mix(value: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` of every element of a ``uint64`` array, in place."""
     # only arrays meet the uint64 constants: numpy wraps array arithmetic
     # silently but warns on overflow of scalar uint64 arithmetic
-    value = np.array(values, dtype=np.uint64, ndmin=1) + _GAMMA_U64
+    value += _GAMMA_U64
     value ^= value >> np.uint64(30)
     value *= np.uint64(0xBF58476D1CE4E5B9)
     value ^= value >> np.uint64(27)
@@ -48,8 +53,10 @@ def counter_words(seed: int, tag: int, counters) -> np.ndarray:
 
     Word ``c`` is ``splitmix64(substream_seed(seed, tag) + c * gamma)``.
     """
-    base = np.uint64(substream_seed(seed, tag))
-    return splitmix64_array(np.array(counters, dtype=np.uint64, ndmin=1) * _GAMMA_U64 + base)
+    value = np.array(counters, dtype=np.uint64, ndmin=1)
+    value *= _GAMMA_U64
+    value += np.uint64(substream_seed(seed, tag))
+    return _mix(value)
 
 
 def randbelow_array(keys, bounds) -> np.ndarray:

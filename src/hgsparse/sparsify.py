@@ -195,8 +195,13 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
         twin_loop = loop[tb]
         selected[layout.order[pos[twin_loop]]] = False
         held = ~twin_loop & (a.bkt_time[tb] < time[units].repeat(lens))
-        covers = None if covers is None else covers[units]
-        selected |= _walk(g, pos, lens, covers, tb, held, loop, k, phase, params.seed)
+        if covers is None:  # the loop units are the loop buckets
+            bkts, sizes = units, lens
+        else:
+            bkts = a.bkt_by_time[loop[a.bkt_by_time]]
+            sizes, covers = a.bkt_size[bkts], covers[units]
+        selected |= _walk(g, pos, lens, bkts, sizes, covers, tb, held, k, phase,
+                          params.seed)
     kept = int(selected.sum())
     return SparsifierResult(params=params, mask=selected, kept=kept, ratio=kept / g.m)
 
@@ -212,20 +217,19 @@ def _by_priority(word: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.argsort(unit << np.uint64(32) | word >> np.uint64(32), kind="stable")
 
 
-def _walk(g, pos, lens, covers, tb, held, loop, k, phase, seed) -> np.ndarray:
+def _walk(g, pos, lens, bkts, sizes, covers, tb, held, k, phase, seed) -> np.ndarray:
     """Walk the loop units in time order: cover their buckets, then top up to k.
 
-    ``covers`` holds each unit's bucket count when the units cover their
-    buckets (all-types) and is None when they cover nothing.  A covering
-    unit keeps, in each bucket that holds no kept edge, the entry of least
-    cover word.  A unit that then holds fewer than k kept edges picks its
-    first ``k - kept`` free entries in ``phase`` priority order, all among
-    its first k.  Returns a mask of the picked edges and of the held ones
-    among the candidates.
+    ``bkts`` holds the loop units' buckets in time order and ``sizes``
+    their entry counts.  ``covers`` holds each unit's bucket count when
+    the units cover their buckets (all-types) and is None when they cover
+    nothing.  A covering unit keeps, in each bucket that holds no kept
+    edge, the entry of least cover word.  A unit that then holds fewer
+    than k kept edges picks its first ``k - kept`` free entries in
+    ``phase`` priority order, all among its first k.  Returns a mask of
+    the picked edges and of the held ones among the candidates.
     """
     a, order = _sweep_arrays(g), g.layout.order
-    bkts = a.bkt_by_time[loop[a.bkt_by_time]]  # the loop units' buckets, in time order
-    sizes = a.bkt_size[bkts]
     bkt_starts = sizes.cumsum() - sizes
     kept = np.add.reduceat(held, bkt_starts)  # per bucket
     key = 3 * (2 * order[pos] + (pos >= g.m))
@@ -234,22 +238,28 @@ def _walk(g, pos, lens, covers, tb, held, loop, k, phase, seed) -> np.ndarray:
         bkts, kept = bkts[top_up], kept[top_up]
         count = bkts.shape[0]
         bounds, tops = range(1, count + 1), range(0, k * count, k)
-        least = np.empty(0, dtype=np.intp)
+        cover_keys = key[:0]
     else:  # walk every side; one that covers k or more buckets keeps k edges
         bounds = covers.cumsum()
         top_up = (covers < k) & (np.add.reduceat(kept, bounds - covers) < k)
         bounds = bounds.tolist()
-        word = counter_words(seed, _SWEEP_TAG, key + _COVER)
-        # words are distinct, so each bucket has one least word
-        least = (word == np.minimum.reduceat(word, bkt_starts).repeat(sizes)).nonzero()[0]
-        tops = (least.shape[0] + k * (top_up.cumsum() - top_up)).tolist()
+        # each bucket has one cover candidate, ahead of the top-up ones
+        tops = (bkts.shape[0] + k * (top_up.cumsum() - top_up)).tolist()
+        cover_keys = key + _COVER
     top = top_up.repeat(lens)
     top_lens = lens[top_up]
-    ranked = top.nonzero()[0][_by_priority(
-        counter_words(seed, _SWEEP_TAG, key[top] + phase), top_lens)]
+    # one draw gives the cover words, if any, then the top-up words
+    word = counter_words(seed, _SWEEP_TAG, np.concatenate((cover_keys, key[top] + phase)))
+    ranked = top.nonzero()[0][_by_priority(word[cover_keys.shape[0]:], top_lens)]
+    least = np.empty(0, dtype=np.intp)
+    if covers is not None:
+        word = word[:cover_keys.shape[0]]
+        # words are distinct, so each bucket has one least word
+        least = (word == np.minimum.reduceat(word, bkt_starts).repeat(sizes)).nonzero()[0]
+    del word  # both phases' words; free them before the loop's lists are built
     cand = np.concatenate((least, ranked[((top_lens.cumsum() - top_lens)[:, None]
                                           + np.arange(k)).ravel()]))
-    slot = np.full(loop.shape[0], -1)
+    slot = np.full(a.bkt_size.shape[0], -1)
     slot[bkts] = np.arange(bkts.shape[0])
     # a pick raises the kept count of its edge's other bucket when the walk
     # reaches that bucket later
