@@ -1,12 +1,13 @@
-"""Property tests of the CLI: small link files through sparsify, verify and stats.
+"""Property tests of the CLI: small link files through sparsify, verify, stats and eval.
 
 Every input maps to a documented exit code with at most one line on
 stderr, never to exit 4, and a sparsify output that the command accepted
-passes verify.  In the first property, ids and types come from the
-values where int32, int63 and int64 handling can break: 0, 2**31, 2**62
-and 2**63 - 1.  The second draws the file dialects the reader accepts
-or rejects: ids past int64 and uint64, weights, blank and comment lines
-and a non-ASCII delimiter.
+passes verify.  In the first and third properties, ids and types come
+from the values where int32, int63 and int64 handling can break: 0,
+2**31, 2**62 and 2**63 - 1.  The second draws the file dialects the
+reader accepts or rejects: ids past int64 and uint64, weights, blank and
+comment lines and a non-ASCII delimiter.  The third runs eval with its
+flags at the ends of their ranges.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgsparse import METHODS
+from hgsparse import METHODS, SCORERS
 from hgsparse.cli import run
 
 VALUES = (0, 2**31, 2**62, 2**63 - 1)
@@ -146,3 +147,21 @@ def test_cli_exit_codes_on_link_file_dialects(case):
         assert err.count("\n") <= 1, err
     if sparsified:
         assert outcomes[1][0] == 0, outcomes[1][1]
+
+
+@given(text=link_texts(), holdout=st.sampled_from(["0.01", "0.5", "0.99"]),
+       k=st.sampled_from([None, 1, 2**63 - 1]), method=st.sampled_from(METHODS),
+       scorer=st.sampled_from(SCORERS), per_pos=st.sampled_from([1, 19]),
+       seed=st.sampled_from([0, 2**64 - 1]))
+@settings(max_examples=150, deadline=None)
+def test_cli_exit_codes_on_eval(text, holdout, k, method, scorer, per_pos, seed):
+    with tempfile.TemporaryDirectory() as tmp, address_space(1 << 30):
+        links, report = (str(Path(tmp, name)) for name in ("link.dat", "r.json"))
+        Path(links).write_bytes(text.encode())
+        flags = ["--holdout", holdout, "--scorer", scorer, "--seed", str(seed),
+                 "--negatives-per-positive", str(per_pos), "--report", report]
+        if k is not None:
+            flags += ["--k", str(k), "--method", method]
+        code, err = _run(["eval", "--links", links, *flags])
+    assert code in (0, 1, 2, 3), err
+    assert err.count("\n") <= 1, err
