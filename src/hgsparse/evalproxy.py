@@ -227,12 +227,22 @@ def score_pairs(view: TrainView, us_dense, vs_dense, scorer: str) -> np.ndarray:
     return out
 
 
+def _check_not_nan(*scores: np.ndarray) -> None:
+    # NaN compares false with everything, so it has no rank
+    if any(np.isnan(s).any() for s in scores):
+        raise ValueError("scores must not be NaN")
+
+
 def auc(pos_scores, neg_scores) -> float:
-    """P(pos > neg) + 0.5 * P(pos = neg) over all pairs, via tied rank sums."""
+    """P(pos > neg) + 0.5 * P(pos = neg) over all pairs, via tied rank sums.
+
+    Raises ValueError on an empty side or a NaN score.
+    """
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
     if pos.size == 0 or neg.size == 0:
         raise ValueError("auc needs at least one positive and one negative score")
+    _check_not_nan(pos, neg)
     scores = np.concatenate((pos, neg))
     order = np.argsort(scores, kind="mergesort")
     ordered = scores[order]
@@ -250,12 +260,14 @@ def auc(pos_scores, neg_scores) -> float:
 def candidate_ranks(pos_scores, neg_score_matrix) -> np.ndarray:
     """1-based rank of each positive among itself and its own negatives.
 
-    Ties take the average of the best and worst compatible rank.
+    Ties take the average of the best and worst compatible rank.  Raises
+    ValueError on a NaN score.
     """
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_score_matrix, dtype=np.float64)
     if neg.ndim != 2 or neg.shape[0] != pos.shape[0]:
         raise ValueError("neg_score_matrix must be (len(pos_scores), per_pos)")
+    _check_not_nan(pos, neg)
     beaten_by = (neg > pos[:, None]).sum(axis=1)
     beaten_or_tied = (neg >= pos[:, None]).sum(axis=1)
     return 0.5 * (beaten_by + beaten_or_tied) + 1.0
@@ -266,8 +278,8 @@ def mrr(ranks) -> float:
     arr = np.asarray(ranks, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("mrr needs at least one rank")
-    if (arr < 1.0).any():
-        raise ValueError("ranks must be >= 1")
+    if not (arr >= 1.0).all():  # NaN fails this too
+        raise ValueError("ranks must be >= 1, not NaN")
     return float(np.mean(1.0 / arr))
 
 

@@ -336,6 +336,21 @@ def test_candidate_ranks_tie_rule():
     assert list(ranks) == [1.0, 1.5, 2.0]
 
 
+def test_nan_scores_and_ranks_rejected():
+    nan = float("nan")
+    for pos, neg in (([nan], [nan]), ([nan], [0.5]), ([0.5], [1.0, nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            auc(pos, neg)
+    for pos, neg in (([nan], [[1.0]]), ([1.0, 0.0], [[0.0], [nan]])):
+        with pytest.raises(ValueError, match="NaN"):
+            candidate_ranks(pos, np.array(neg))
+    with pytest.raises(ValueError, match="NaN"):
+        mrr([1.0, nan])
+    # infinities still rank
+    assert auc([math.inf], [-math.inf, math.inf]) == 0.75
+    assert list(candidate_ranks([math.inf], np.array([[math.inf]]))) == [1.5]
+
+
 def test_mrr_examples():
     assert mrr([1, 1, 1]) == 1.0
     assert mrr([1, 2]) == 0.75
