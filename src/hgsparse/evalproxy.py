@@ -234,8 +234,11 @@ def _check_not_nan(*scores: np.ndarray) -> None:
 
 
 def auc(pos_scores, neg_scores) -> float:
-    """P(pos > neg) + 0.5 * P(pos = neg) over all pairs, via tied rank sums.
+    """P(pos > neg) + 0.5 * P(pos = neg) over all pairs.
 
+    Each positive counts the negatives below it, from both ends of its
+    run in the sorted negatives, so ties count a half each.  The sum is
+    an exact integer, the same numerator a tie-averaged rank sum gives.
     Raises ValueError on an empty side or a NaN score.
     """
     pos = np.asarray(pos_scores, dtype=np.float64)
@@ -243,18 +246,10 @@ def auc(pos_scores, neg_scores) -> float:
     if pos.size == 0 or neg.size == 0:
         raise ValueError("auc needs at least one positive and one negative score")
     _check_not_nan(pos, neg)
-    scores = np.concatenate((pos, neg))
-    order = np.argsort(scores, kind="mergesort")
-    ordered = scores[order]
-    starts = np.concatenate(([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1))
-    ends = np.concatenate((starts[1:], [ordered.size]))
-    # average 1-based rank of each tie group
-    group_ranks = (starts + ends + 1) / 2.0
-    ranks = np.empty(ordered.size, dtype=np.float64)
-    ranks[order] = np.repeat(group_ranks, ends - starts)
-    pos_rank_sum = ranks[:pos.size].sum()
-    return float((pos_rank_sum - pos.size * (pos.size + 1) / 2.0)
-                 / (pos.size * float(neg.size)))
+    neg = np.sort(neg)
+    wins = (np.searchsorted(neg, pos, side="left").sum()
+            + np.searchsorted(neg, pos, side="right").sum())
+    return float(wins / 2.0 / (pos.size * neg.size))
 
 
 def candidate_ranks(pos_scores, neg_score_matrix) -> np.ndarray:
