@@ -145,19 +145,24 @@ class TrainView:
 
     @classmethod
     def from_graph(cls, g: HeteroGraph, selected=None) -> "TrainView":
+        """The view over the selected edges of g (all of them for None).
+
+        Both directions of every edge go in as one key ``a * n + b``, which
+        cannot overflow as ``n * n < 2**63``; one sort orders them by
+        ``(a, b)``, repeats are dropped, and ``divmod`` splits the rest
+        back into rows and neighbors.
+        """
         mask = g.edge_mask(selected)
-        a = np.concatenate((g.src[mask], g.dst[mask]))
-        b = np.concatenate((g.dst[mask], g.src[mask]))
-        order = np.lexsort((b, a))
-        a = a[order]
-        b = b[order]
-        if a.size:
-            keep = np.concatenate(([True], (a[1:] != a[:-1]) | (b[1:] != b[:-1])))
-            a = a[keep]
-            b = b[keep]
-        ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(a, minlength=g.n)))).astype(np.int64)
-        return cls(g, ptr, np.ascontiguousarray(b, dtype=np.int64))
+        n = g.n
+        keys = np.sort(np.concatenate((g._pair_key[mask], g.dst[mask] * n + g.src[mask])))
+        if keys.size:
+            keep = np.empty(keys.shape[0], dtype=bool)
+            keep[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            keys = keys[keep]
+        a, b = np.divmod(keys, n)
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=n)))).astype(np.int64)
+        return cls(g, ptr, b)
 
 
 def score_pairs(view: TrainView, us_dense, vs_dense, scorer: str) -> np.ndarray:
