@@ -104,9 +104,11 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
     pop_ptr = np.concatenate(([0], np.cumsum(np.bincount(type_rank))))
     slot = np.argsort(pop_nodes)  # each node's index in pop_nodes
     # key each edge by its out bucket, (src, etype), and its dst's slot
+    # the out buckets come first in the layout and fill order[:m]
+    out_buckets = int(g.layout.side_bkt_ptr[g.n])
     bucket = np.empty(g.m, dtype=np.int64)
-    bucket[g.layout.order[:g.m]] = np.searchsorted(g.layout.bkt_ptr, np.arange(g.m),
-                                                   side="right") - 1
+    bucket[g.layout.order[:g.m]] = np.repeat(np.arange(out_buckets),
+                                             np.diff(g.layout.bkt_ptr[:out_buckets + 1]))
     keys = np.sort(bucket * g.n + slot[g.dst])
     # a positive's taken slots are keys[first:first + taken], the keys in
     # [base, base + size) of its bucket and its dst's population
