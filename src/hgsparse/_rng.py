@@ -59,29 +59,46 @@ def counter_words(seed: int, tag: int, counters) -> np.ndarray:
     return _mix(value)
 
 
-def randbelow_array(keys, bounds) -> np.ndarray:
-    """Uniform int64 in ``[0, bound)`` per key, exact by mask-and-reject.
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
 
-    Key ``k`` takes the first of ``splitmix64(k + r * gamma)``, r = 0, 1, ...,
-    whose masked value is below its bound; each round re-hashes only the
-    entries rejected so far.  A bound <= 1 gives 0.
+
+def randbelow_array(keys, bounds) -> np.ndarray:
+    """Uniform int64 in ``[0, bound)`` per key, exact by multiply-shift.
+
+    Key ``k`` reads the words ``w = splitmix64(k + r * gamma)``, r = 0, 1,
+    ..., and takes the high 64 bits of the 128-bit ``w * bound`` from the
+    first word whose low 64 bits are not below ``(2**64 - bound) % bound``
+    (Lemire, ACM TOMACS 2019).  Each value then has exactly
+    ``2**64 // bound`` accepted words, and a word rejects with probability
+    under ``bound / 2**64``.  The product is built from 32-bit halves, so
+    it is exact for every bound below ``2**63``.  A bound <= 1 gives 0
+    and reads no word.
     """
     keys = np.array(keys, dtype=np.uint64, ndmin=1)
     bounds = np.broadcast_to(np.asarray(bounds, dtype=np.int64), keys.shape)
     out = np.zeros(keys.shape, dtype=np.int64)
     todo = np.flatnonzero(bounds > 1)
     bound = bounds[todo].astype(np.uint64)
-    mask = bound - np.uint64(1)
-    for shift in (1, 2, 4, 8, 16, 32):
-        mask |= mask >> np.uint64(shift)
-    word = keys[todo]
+    key = keys[todo]
     while todo.size:
-        draw = splitmix64_array(word) & mask
-        hit = draw < bound
-        out[todo[hit]] = draw[hit]
-        miss = ~hit
-        todo, bound, mask = todo[miss], bound[miss], mask[miss]
-        word = word[miss] + _GAMMA_U64
+        word = splitmix64_array(key)
+        b_lo, b_hi = bound & _LOW32, bound >> _32
+        w_lo, w_hi = word & _LOW32, word >> _32
+        cross = w_lo * b_hi
+        mid = (w_lo * b_lo) >> _32
+        mid += cross & _LOW32
+        mid += w_hi * b_lo
+        high = w_hi * b_hi
+        high += cross >> _32
+        high += mid >> _32
+        out[todo] = high  # a rejected entry is overwritten by a later round
+        word *= bound  # the low 64 bits of the product
+        # the threshold is below bound, so a low word >= bound accepts at once
+        near = np.flatnonzero(word < bound)
+        b = bound[near]
+        redraw = near[word[near] < (np.uint64(0) - b) % b]
+        todo, bound, key = todo[redraw], bound[redraw], key[redraw] + _GAMMA_U64
     return out
 
 

@@ -79,14 +79,42 @@ def test_randbelow_array_in_range_without_overflow_warnings(seed, bounds):
     assert all(0 <= d < b for d, b in zip(draws.tolist(), bounds))
 
 
-def test_randbelow_array_takes_first_word_below_bound():
-    # bound 5 masks with 7; about 3 keys in 8 reject their first word
-    keys = counter_words(11, 0, np.arange(64))
-    want = []
-    for key in keys.tolist():
-        words = (splitmix64((key + r * _GAMMA) % 2**64) & 7 for r in range(64))
-        want.append(next(w for w in words if w < 5))
-    assert randbelow_array(keys, 5).tolist() == want
+def _reference_randbelow(key: int, bound: int) -> int:
+    """Lemire's multiply-shift draw in Python integers: the high word of
+    ``w * bound`` from the first word whose low word is not below the
+    threshold, the words read at ``key + r * gamma``."""
+    threshold = (2**64 - bound) % bound
+    r = 0
+    while (splitmix64((key + r * _GAMMA) % 2**64) * bound) % 2**64 < threshold:
+        r += 1
+    return (splitmix64((key + r * _GAMMA) % 2**64) * bound) >> 64
+
+
+# a carry between the 32-bit halves at 2**32 +- 1; a third of the first
+# words reject just above 2**64 / 3; the largest bounds use every bit
+DRAW_BOUNDS = (2, 5, 2**32 - 1, 2**32, 2**32 + 1, 2**64 // 3 + 1, 2**63 - 2, 2**63 - 1)
+
+
+def test_randbelow_array_matches_multiply_shift_reference():
+    keys = counter_words(11, 0, np.arange(64 * len(DRAW_BOUNDS)))
+    bounds = np.repeat(DRAW_BOUNDS, 64)
+    want = [_reference_randbelow(k, b) for k, b in zip(keys.tolist(), bounds.tolist())]
+    assert randbelow_array(keys, bounds).tolist() == want
+    # the redraw path runs: first words rejected at 2**64 // 3 + 1
+    bound = 2**64 // 3 + 1
+    rejected = sum((splitmix64(k) * bound) % 2**64 < (2**64 - bound) % bound
+                   for k in keys[:64].tolist())
+    assert 10 <= rejected <= 40
+
+
+@given(seed=st.integers(0, 2**64 - 1),
+       bounds=st.lists(st.one_of(st.integers(2, 2**63 - 1), st.sampled_from(DRAW_BOUNDS)),
+                       min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_randbelow_array_matches_reference_on_any_bound(seed, bounds):
+    keys = counter_words(seed, 0, np.arange(len(bounds)))
+    want = [_reference_randbelow(k, b) for k, b in zip(keys.tolist(), bounds)]
+    assert randbelow_array(keys, bounds).tolist() == want
 
 
 def test_randbelow_array_roughly_uniform():
