@@ -91,6 +91,8 @@ def generate(spec: GenSpec) -> HeteroGraph:
     """Build the graph a spec describes; deterministic per spec.seed."""
     n = sum(spec.node_type_sizes)
     try:
+        if n >= 2**63:  # np.repeat sums the sizes in int64; a wrapped sum overruns its output
+            raise OverflowError
         sizes = np.asarray(spec.node_type_sizes, dtype=np.int64)
         node_types = np.repeat(np.arange(sizes.shape[0], dtype=np.int64), sizes)
     except (OverflowError, ValueError, MemoryError):

@@ -70,6 +70,13 @@ def test_infeasible_count():
         generate(GenSpec((4,), (EdgeTypeSpec(0, 0, 20),)))
 
 
+def test_node_table_past_int64_is_refused():
+    # these sizes sum to 2**64 + 1, which int64 arithmetic wraps to 1
+    for sizes in ((2**63 - 1, 3, 2**63 - 1), (2**63 - 1, 1), (2**63 - 1,)):
+        with pytest.raises(GenSpecError, match=f"cannot allocate a table of {sum(sizes)} "):
+            generate(GenSpec(sizes, (EdgeTypeSpec(1 % len(sizes), 0, 1),)))
+
+
 def test_redraw_cap_trips_on_near_complete_skew():
     # demanding all 16 cells under alpha=4 needs far more than the
     # redraw budget allows
