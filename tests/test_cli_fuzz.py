@@ -7,7 +7,8 @@ from the values where int32, int63 and int64 handling can break: 0,
 2**31, 2**62 and 2**63 - 1.  The second draws the file dialects the
 reader accepts or rejects: ids past int64 and uint64, weights, blank and
 comment lines and a non-ASCII delimiter.  The third runs eval with its
-flags at the ends of their ranges.
+flags at the ends of their ranges, and the fourth runs generate with
+sizes, alphas and counts at the ends of theirs.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import resource
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgsparse import METHODS, SCORERS
@@ -165,3 +166,67 @@ def test_cli_exit_codes_on_eval(text, holdout, k, method, scorer, per_pos, seed)
         code, err = _run(["eval", "--links", links, *flags])
     assert code in (0, 1, 2, 3), err
     assert err.count("\n") <= 1, err
+
+
+# each spec holds at most one kind of fault, and most hold none
+FAULTS = (None, None, None, "size", "type", "count", "alpha")
+
+
+@st.composite
+def generate_specs(draw) -> tuple[list[str], str | None]:
+    """generate's flags, or a spec file's text and no flags.
+
+    Node type sizes are 1 to 3, counts 1 or the pair count of their
+    populations, and alphas 0, 0.5 or 1e308, unless the spec's fault
+    makes some sizes 2**63 - 1, an endpoint type undeclared, a count
+    above the pair count or 2**63 - 1, or an alpha nan or inf.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "size":  # two or more can wrap an int64 sum
+        for i in draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1)):
+            sizes[i] = 2**63 - 1
+    seed = draw(st.sampled_from([0, 2**64 - 1]))
+    edges = []
+    for _ in range(draw(st.integers(1, 3))):
+        src, dst = (draw(st.integers(0, len(sizes) - 1)) for _ in range(2))
+        count = draw(st.sampled_from([1, sizes[src] * sizes[dst]]))
+        edges.append([src, dst, count, draw(st.sampled_from(["0", "0.5", "1e308"]))])
+    edge = draw(st.sampled_from(edges))
+    if fault == "type":
+        edge[draw(st.integers(0, 1))] = len(sizes)
+    elif fault == "count":
+        edge[2] = draw(st.sampled_from([sizes[edge[0]] * sizes[edge[1]] + 1, 2**63 - 1]))
+    elif fault == "alpha":
+        edge[3] = draw(st.sampled_from(["nan", "inf"]))
+    if draw(st.booleans()):
+        text = f"node_types = {' '.join(map(str, sizes))}\nseed = {seed}\n"
+        text += "".join(f"edges {s} {d} {c} {a}\n" for s, d, c, a in edges)
+        return [], text
+    flags = ["--node-types", ",".join(map(str, sizes)), "--seed", str(seed)]
+    for s, d, c, a in edges:
+        flags += ["--edge", f"{s}:{d}:{c}:{a}"]
+    return flags, None
+
+
+@given(case=generate_specs())
+@example(case=(["--node-types", f"{2**63 - 1},3,{2**63 - 1}", "--edge", "1:1:1"], None))
+@settings(max_examples=100, deadline=None)
+def test_cli_exit_codes_on_generate(case):
+    flags, spec = case
+    with tempfile.TemporaryDirectory() as tmp, address_space(1 << 30):
+        out, nodes, report, spec_path = (str(Path(tmp, name)) for name in
+                                         ("g.dat", "node.dat", "r.json", "spec.txt"))
+        if spec is not None:
+            Path(spec_path).write_text(spec)
+            flags = ["--spec", spec_path]
+        outcomes = [_run(["generate", *flags, "--out", out, "--nodes-out", nodes,
+                          "--report", report])]
+        generated = outcomes[0][0] == 0
+        if generated:
+            outcomes.append(_run(["stats", "--links", out, "--nodes", nodes]))
+    for code, err in outcomes:
+        assert code in (0, 1, 2, 3), err
+        assert err.count("\n") <= 1, err
+    if generated:
+        assert outcomes[1][0] == 0, outcomes[1][1]
