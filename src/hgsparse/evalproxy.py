@@ -9,11 +9,15 @@ train portion only, so full-graph and sparsified runs share identical
 test sets and negatives and their metrics are directly comparable.
 The split and the negatives draw from the counter-keyed stream of
 :mod:`hgsparse._rng` as batched numpy, one word per edge or negative;
-a negative is a uniform rank among its positive's free destinations.
-Scoring expands each pair's lower-degree neighbor row and tests each
-entry against a bitmask of the other endpoint's row: the pairs go in
-order of that endpoint, and 64 such rows at a time share one n-long
-``uint64`` word array, one bit per row.
+a negative is a uniform rank among its positive's free destinations,
+the high word of its word times the free count (multiply-shift, with a
+redraw from the next word in about one case in 2**64 / count).  The
+train view is one sort of packed pair keys.  Scoring expands each
+pair's lower-degree neighbor row and tests each entry against a bitmask
+of the other endpoint's row: the pairs go in order of that endpoint,
+and 64 such rows at a time share one n-long ``uint64`` word array, one
+bit per row.  AUC sorts the negatives and counts those below each
+positive by binary search.
 """
 
 from __future__ import annotations
@@ -84,10 +88,12 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
     Destination corruption: for positive (u, v, t), v's free destinations
     are the nodes w of v's node type with (u, w, t) not an edge of g.
     Entry e = i * per_pos + j draws r uniformly below its positive's free
-    count from counter e of the stream and takes the r-th free
-    destination in dense id order, so every free destination is equally
-    likely; duplicates across the per_pos draws are fine.  Entries are
-    drawn a chunk at a time.
+    count from counter e of the stream, by :func:`randbelow_array`'s
+    multiply-shift, and takes the r-th free destination in dense id
+    order, so every free destination is equally likely; duplicates
+    across the per_pos draws are fine.  Entries are drawn a chunk at a
+    time.  The taken destinations are counted and skipped by binary
+    search over the edges keyed by out bucket and destination slot.
     """
     if per_pos < 1:
         raise ValueError(f"per_pos must be >= 1, got {per_pos}")
@@ -103,7 +109,7 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
     pop_nodes = np.argsort(type_rank, kind="stable")
     pop_ptr = np.concatenate(([0], np.cumsum(np.bincount(type_rank))))
     slot = np.argsort(pop_nodes)  # each node's index in pop_nodes
-    # key each edge by its out bucket, (src, etype), and its dst's slot
+    # key each edge by its out bucket, (src, etype), and its dst's slot;
     # the out buckets come first in the layout and fill order[:m]
     out_buckets = int(g.layout.side_bkt_ptr[g.n])
     bucket = np.empty(g.m, dtype=np.int64)
