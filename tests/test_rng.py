@@ -1,6 +1,7 @@
 """Deterministic behavior of the counter-keyed stream, the only one in use."""
 
 import ast
+import itertools
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -84,10 +85,10 @@ def _reference_randbelow(key: int, bound: int) -> int:
     ``w * bound`` from the first word whose low word is not below the
     threshold, the words read at ``key + r * gamma``."""
     threshold = (2**64 - bound) % bound
-    r = 0
-    while (splitmix64((key + r * _GAMMA) % 2**64) * bound) % 2**64 < threshold:
-        r += 1
-    return (splitmix64((key + r * _GAMMA) % 2**64) * bound) >> 64
+    for r in itertools.count():
+        product = splitmix64((key + r * _GAMMA) % 2**64) * bound
+        if product % 2**64 >= threshold:
+            return product >> 64
 
 
 # a carry between the 32-bit halves at 2**32 +- 1; a third of the first

@@ -71,7 +71,7 @@ def test_infeasible_count():
 
 
 def test_node_table_past_int64_is_refused():
-    # these sizes sum to 2**64 + 1, which int64 arithmetic wraps to 1
+    # the first sizes sum to 2**64 + 1, which int64 arithmetic wraps to 1
     for sizes in ((2**63 - 1, 3, 2**63 - 1), (2**63 - 1, 1), (2**63 - 1,)):
         with pytest.raises(GenSpecError, match=f"cannot allocate a table of {sum(sizes)} "):
             generate(GenSpec(sizes, (EdgeTypeSpec(1 % len(sizes), 0, 1),)))
