@@ -18,17 +18,20 @@ Formats (UTF-8):
 
 Readers and writers are columnar.  :func:`read_link_file` and
 :func:`read_node_file` cut the whole text into lines and fields with
-one shared set of numpy passes over its code points and return a
-:class:`LinkTable` or a :class:`NodeTable` of columns.  They check by
-exception: the positions of characters that an id or type field may
-not hold and of empty fields are mapped to their lines with
-``searchsorted``; those lines and the ones of the wrong width are the
-only ones checked further, for being blank.  A node name is free text
-and is not checked.  One ``np.fromstring`` call parses every id from a
-copy of the text that keeps the rows' id digits and has spaces
-elsewhere.  Past a few passes over the text, the work follows the
-faulty and skipped lines, not the rows.  Python looks at one line
-only: the first bad one, to explain it in the error.
+numpy passes over its code points and hand them to one row core,
+``_rows``, with a mask of the free-text characters: a weighted link
+file's weight tail, or a node file's name field and attribute tail.
+The core checks by exception for both readers: the positions of
+characters outside free text that are neither digits nor separators,
+and of separators that end an empty field, are mapped to their lines
+with ``searchsorted``; those lines and the ones of the wrong width are
+the only ones checked further, for being blank.  One ``np.fromstring``
+call parses every id from a copy of the text that keeps the rows' id
+digits and has spaces elsewhere.  Past a few passes over the text, the
+work follows the faulty and skipped lines, not the rows.  The readers
+add only what differs: width rules, the weight parse, the repeated-id
+check and the attribute warning.  Python looks at one line only: the
+first bad one, to explain it in the error.
 :func:`write_link_file` and :func:`write_node_file` cut the decimal
 digits of their int columns into one uint8 buffer, splice in the weight
 column by its byte lengths, and hand the stream the whole text in one
@@ -144,14 +147,6 @@ def _span_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(inside, bounds[1:] - bounds[:-1])
 
 
-def _blank(chars: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Whether each line ``chars[start:end]`` is empty or whitespace only."""
-    # each span takes its line's newline too, a space, so none is empty
-    lens = end + 1 - start
-    nonspace = ~_IS_SPACE.take(chars[_ranges(start, lens)], mode="clip")
-    return ~np.logical_or.reduceat(nonspace, np.cumsum(lens) - lens)
-
-
 def _split_lines(source, delimiter: str) -> tuple:
     """Read a whole text and find its lines and the ends of their fields.
 
@@ -179,22 +174,59 @@ def _split_lines(source, delimiter: str) -> tuple:
     return text, chars, is_sep, sep, first, last, start, end
 
 
-def _id_columns(digits: np.ndarray, good: np.ndarray, bad: np.ndarray,
-                width: int) -> np.ndarray:
-    """The ``width`` ids of each good row, parsed from their ``digits``.
+def _rows(lines: tuple, bad: np.ndarray, skip: np.ndarray, free: np.ndarray | None,
+          ids_per_row: int) -> tuple:
+    """Check and parse the id fields of the lines that :func:`_split_lines` cut.
 
-    ``digits`` holds the ASCII digits of the good rows' ids and spaces
-    elsewhere; one pass parses them all.  uint64 saturates above
-    2**64 - 1, so the range check sees every overlong id; it marks a row
-    with an id of 2**63 or more in ``bad``.  Returns a (width, rows)
-    int64 array.
+    A row is a line that is not already ``bad`` (of the wrong width) or
+    in ``skip`` (a comment), and whose characters outside the ``free``
+    text are ``ids_per_row`` ids of one or more ASCII digits and the
+    separators after them.  Only the faults are mapped to lines: the
+    characters outside free text that are neither digits nor separators
+    and the separators that end an empty field.  Each other line that is
+    not skipped turns ``bad`` unless it is blank, and so does a row with
+    an id of 2**63 or more; ``free`` keeps only the rows' characters.
+
+    Returns the rows' line indices, the blank lines' indices and the
+    rows' ids as an (ids_per_row, rows) int64 array.
     """
+    _, chars, is_sep, _, _, _, start, end = lines
+    digit = chars - 48 <= 9  # wraps below '0' in the unsigned dtype
+    fault = ~(digit | is_sep)
+    fault[1:] |= is_sep[1:] & is_sep[:-1]
+    fault[:1] |= is_sep[:1]
+    if free is not None:
+        fault &= ~free
+        digit &= ~free
+    bad[np.searchsorted(end, np.flatnonzero(fault))] = True
+    skipped = bad | skip
+    good = np.flatnonzero(~skipped)
+
+    # the digits of the rows' ids, spaces elsewhere
+    digits = (chars - 32) * digit + 32
+    skip_start = start[skipped]
+    skipped_chars = _ranges(skip_start, end[skipped] + 1 - skip_start)
+    digits[skipped_chars] = 32
+    if free is not None:
+        free[skipped_chars] = False
+
+    # a faulty line is malformed unless skipped or blank; each span takes
+    # its line's newline too, a space, so none is empty
+    bad &= ~skip
+    suspect = np.flatnonzero(bad)
+    lens = end[suspect] + 1 - start[suspect]
+    nonspace = ~_IS_SPACE.take(chars[_ranges(start[suspect], lens)], mode="clip")
+    blank = suspect[~np.logical_or.reduceat(nonspace, np.cumsum(lens) - lens)]
+    bad[blank] = False
+
+    # one pass parses every id; uint64 saturates above 2**64 - 1, so the
+    # range check sees every overlong one
     values = np.empty(0, dtype=np.uint64)
     if good.shape[0]:  # fromstring reads a string of spaces as [0]
         values = np.fromstring(digits.astype(np.uint8, copy=False).tobytes(),
                                dtype=np.uint64, sep=" ")
-    bad[good[np.flatnonzero(values > _MAX_ID) // width]] = True
-    return values.view(np.int64).reshape(-1, width).T.copy()
+    bad[good[np.flatnonzero(values > _MAX_ID) // ids_per_row]] = True
+    return good, blank, values.view(np.int64).reshape(-1, ids_per_row).T.copy()
 
 
 def _parse_id(field: str, what: str) -> int:
@@ -237,50 +269,24 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
 
     Raises :class:`LinkFormatError` naming the first malformed line.
     """
-    (text, chars, is_sep, sep,
-     line_first, line_last, line_start, line_end) = _split_lines(source, opts.delimiter)
+    lines = _split_lines(source, opts.delimiter)
+    text, chars, _, sep, line_first, line_last, line_start, line_end = lines
     if opts.comment_prefix is None:
         comment = np.zeros(line_end.shape[0], dtype=bool)
     else:
         comment = chars[line_start] == ord(opts.comment_prefix)
-
-    # a row is a line of the right width whose first three fields, the
-    # ids src, dst and etype, are each one or more ASCII digits.  Only the
-    # faults are mapped to lines: the characters that are neither digits
-    # nor separators and the separators that end an empty field.
-    width = 4 if opts.has_weight else 3
-    digit = chars - 48 <= 9  # wraps below '0' in the unsigned dtype
-    fault = ~(digit | is_sep)
-    fault[1:] |= is_sep[1:] & is_sep[:-1]
-    fault[:1] |= is_sep[:1]
+    # a row's first three fields are the ids src, dst and etype
+    bad = line_last - line_first + 1 != (4 if opts.has_weight else 3)
+    in_weight = None
     if opts.has_weight:
-        # a weight, the rest of a line after its third field, may hold any
-        # character, and its digits are not an id's; its newline separates
-        # it from the next weight
+        # a weight, the rest of a line after its third field, is free
+        # text; its newline separates it from the next weight
         in_weight = _span_mask(chars.shape[0],
                                sep[np.minimum(line_first + 2, line_last)] + 1, line_end + 1)
-        in_ids = ~in_weight
-        fault &= in_ids
-        digit &= in_ids
-    bad = line_last - line_first + 1 != width
-    bad[np.searchsorted(line_end, np.flatnonzero(fault))] = True
-    skip = bad | comment
-    good = np.flatnonzero(~skip)
-
-    # the digits of the good rows' ids, spaces elsewhere
-    digits = (chars - 32) * digit + 32
-    skip_start = line_start[skip]
-    skipped_chars = _ranges(skip_start, line_end[skip] + 1 - skip_start)
-    digits[skipped_chars] = 32
-
-    # every other line that is not a comment is malformed unless blank
-    bad &= ~comment
-    suspect = np.flatnonzero(bad)
-    bad[suspect[_blank(chars, line_start[suspect], line_end[suspect])]] = False
+    good, _, (src, dst, etype) = _rows(lines, bad, comment, in_weight, 3)
 
     weight = None
     if opts.has_weight:
-        in_weight[skipped_chars] = False
         fields = _text(chars[in_weight]).split("\n")[:-1]
         parsed: list[float] = []
         try:
@@ -290,7 +296,6 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
             bad[good[len(parsed)]] = True
         weight = np.array(parsed, dtype=np.float64)
         bad[good[:weight.shape[0]][~np.isfinite(weight)]] = True
-    src, dst, etype = _id_columns(digits, good, bad, 3)
 
     first = np.flatnonzero(bad)
     if first.shape[0]:
@@ -319,33 +324,17 @@ def read_node_file(source) -> NodeTable:
     repeated id, and warns once about extra columns when the first line
     with them comes no later than that.
     """
-    text, chars, _, sep, first, last, line_start, line_end = _split_lines(source, "\t")
+    lines = _split_lines(source, "\t")
+    text, chars, _, sep, first, last, line_start, line_end = lines
     width = last - first + 1
-
-    # in a row of 3 or more fields the id and the type, fields 0 and 2,
-    # are each one or more ASCII digits; the name between them is free
-    # text.  Only the faults in those two fields are mapped to lines.
-    rows = np.flatnonzero(width >= 3)
-    ends = sep[first[rows] + np.arange(3)[:, None]]
-    lo = np.stack((line_start[rows], ends[1] + 1), axis=1).ravel()
-    hi = np.stack((ends[0], ends[2]), axis=1).ravel()
-    keep = _span_mask(chars.shape[0], lo, hi)
-    stray = np.flatnonzero(keep > (chars - 48 <= 9))  # wraps below '0' in the unsigned dtype
+    # a row has 3 or more fields: the id, a name, the type and attribute
+    # columns.  The name, with the tab that ends it, and the attribute
+    # columns are free text; on a shorter line the spans stop at its end.
+    ends = sep[np.minimum(first + np.arange(3)[:, None], last)] + 1
+    free = _span_mask(chars.shape[0], np.stack((ends[0], ends[2]), axis=1).ravel(),
+                      np.stack((ends[1], line_end + 1), axis=1).ravel())
     bad = width < 3
-    bad[np.searchsorted(line_end, stray)] = True
-    bad[rows[(lo == hi).reshape(-1, 2).any(axis=1)]] = True  # an empty id or type
-    good = np.flatnonzero(~bad)
-    suspect = np.flatnonzero(bad)
-
-    # the id and type digits of the good rows, spaces elsewhere
-    digits = (chars - 32) * keep + 32
-    suspect_start = line_start[suspect]
-    digits[_ranges(suspect_start, line_end[suspect] - suspect_start)] = 32
-
-    # every other line is malformed unless blank
-    blank = suspect[_blank(chars, line_start[suspect], line_end[suspect])]
-    bad[blank] = False
-    ids, types = _id_columns(digits, good, bad, 2)
+    good, blank, (ids, types) = _rows(lines, bad, np.zeros_like(bad), free, 2)
 
     # a repeated id is an error on its first repeat; a stable sort puts
     # each id's rows in file order, so every row after the first of a
