@@ -439,23 +439,23 @@ def _join_rows(pieces: list[tuple[np.ndarray, np.ndarray]]) -> str:
     return out.tobytes().decode()
 
 
-def write_link_file(g: HeteroGraph, dest, selected=None, delimiter: str = "\t") -> int:
-    """Write kept edges in canonical order; returns the line count.
+def write_link_file(g: HeteroGraph, dest, selected=None) -> int:
+    """Write kept edges tab-separated in canonical order; returns the line count.
 
     A weight is written as ``repr(float(w))``; a NaN weight, an edge
     built without one, gets no weight column.
     """
     ids = np.flatnonzero(g.edge_mask(selected))
     rows = ids.shape[0]
-    columns = [("", g.node_ids[g.src[ids]]), (delimiter, g.node_ids[g.dst[ids]]),
-               (delimiter, g.etype[ids])]
+    columns = [("", g.node_ids[g.src[ids]]), ("\t", g.node_ids[g.dst[ids]]),
+               ("\t", g.etype[ids])]
     if g.weight is None:
         pieces = [_int_rows(rows, columns, "\n")]
     else:
         weight = g.weight[ids]
         present = ~np.isnan(weight)
         pieces = [_int_rows(rows, columns),
-                  _text_rows(list(map(repr, weight[present].tolist())), delimiter, present),
+                  _text_rows(list(map(repr, weight[present].tolist())), "\t", present),
                   _int_rows(rows, [], "\n")]
     with _opened(dest, "w") as stream:
         stream.write(_join_rows(pieces))

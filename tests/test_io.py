@@ -173,7 +173,7 @@ def _graph(table):
     return build_graph_arrays(table.src, table.dst, table.etype, weight=table.weight)
 
 
-def _reference_write(g, dest, selected=None, delimiter="\t") -> int:
+def _reference_write(g, dest, selected=None) -> int:
     # the per-row writer that write_link_file replaced
     mask = g.edge_mask(selected)
     ids = np.flatnonzero(mask)
@@ -182,9 +182,9 @@ def _reference_write(g, dest, selected=None, delimiter="\t") -> int:
     etype = g.etype[ids]
     weights = g.weight[ids] if g.weight is not None else None
     for i in range(ids.shape[0]):
-        line = f"{src[i]}{delimiter}{dst[i]}{delimiter}{etype[i]}"
+        line = f"{src[i]}\t{dst[i]}\t{etype[i]}"
         if weights is not None and not np.isnan(weights[i]):
-            line += f"{delimiter}{float(weights[i])!r}"
+            line += f"\t{float(weights[i])!r}"
         dest.write(line + "\n")
     return int(ids.shape[0])
 
@@ -199,11 +199,9 @@ def test_writer_matches_per_row_reference(seed):
                            base + rng.integers(0, 40, size=m), rng.integers(0, 5, size=m),
                            weight=weight if seed else None)
     selected = rng.random(g.m) < 0.5
-    for delimiter in ("\t", ",", "→"):
-        new, old = io.StringIO(), io.StringIO()
-        assert (write_link_file(g, new, selected, delimiter)
-                == _reference_write(g, old, selected, delimiter))
-        assert new.getvalue() == old.getvalue()
+    new, old = io.StringIO(), io.StringIO()
+    assert write_link_file(g, new, selected) == _reference_write(g, old, selected)
+    assert new.getvalue() == old.getvalue()
 
 
 # every digit count a value can have, at both ends: 0, 9, 10, 99, 100, ...
@@ -242,16 +240,15 @@ _node_ids = st.one_of(st.integers(0, 50), st.integers(0, 2**63 - 1),
 @given(edges=st.lists(st.tuples(_node_ids, _node_ids, _node_ids), max_size=40),
        weights=st.one_of(st.none(), st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                              min_size=40, max_size=40)),
-       keep=st.lists(st.booleans(), min_size=40, max_size=40),
-       delimiter=st.sampled_from(["\t", ",", " ", "→"]))
+       keep=st.lists(st.booleans(), min_size=40, max_size=40))
 @settings(max_examples=200, deadline=None)
-def test_write_read_build_round_trip(edges, weights, keep, delimiter):
+def test_write_read_build_round_trip(edges, weights, keep):
     weight = None if weights is None else np.array(weights[:len(edges)])
     g = build_graph_arrays(*np.array(edges, dtype=np.int64).reshape(-1, 3).T, weight=weight)
     mask = np.array(keep[:g.m], dtype=bool)
     out = io.StringIO()
-    assert write_link_file(g, out, mask, delimiter) == int(mask.sum())
-    opts = LinkFileOptions(has_weight=weight is not None, delimiter=delimiter)
+    assert write_link_file(g, out, mask) == int(mask.sum())
+    opts = LinkFileOptions(has_weight=weight is not None)
     table = read_link_file(io.StringIO(out.getvalue()), opts)
     back = build_graph_arrays(table.src, table.dst, table.etype, weight=table.weight,
                               node_ids=g.node_ids)
