@@ -22,6 +22,7 @@ import numpy as np
 from ._rng import counter_words
 from .errors import GenSpecError, InfeasibleSpecError, RetryCapError
 from .graph import HeteroGraph, build_graph_arrays
+from .hgb_io import _opened
 
 # edge type i draws its srcs from stream tag 3 + 2i and its dsts from
 # 4 + 2i, clear of the tags 0-2 of eval and the sweep
@@ -164,14 +165,8 @@ def parse_spec_file(source) -> GenSpec:
     one ``edges <src_type> <dst_type> <count> <alpha>`` per edge type.
     Blank lines and ``#`` comments are skipped.
     """
-    try:
-        if hasattr(source, "read"):
-            lines = source.read().splitlines()
-        else:
-            with open(source, encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-    except UnicodeDecodeError:
-        raise GenSpecError(f"{getattr(source, 'name', source)}: not UTF-8 text") from None
+    with _opened(source, "r") as stream:
+        lines = stream.read().splitlines()
     sizes: list[int] | None = None
     seed = 0
     entries: list[EdgeTypeSpec] = []

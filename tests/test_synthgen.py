@@ -2,11 +2,13 @@
 
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
 
 from hgsparse import (
+    DataError,
     EdgeTypeSpec,
     GenSpec,
     GenSpecError,
@@ -132,6 +134,13 @@ def test_parse_spec_file_from_path(tmp_path):
     path = tmp_path / "g.spec"
     path.write_text("node_types = 5\nedges 0 0 3 0\n")
     assert total_edges(parse_spec_file(path)) == 3
+
+
+def test_unreadable_spec_path_is_a_data_error(tmp_path):
+    # like a link file's, so the CLI exits 2 and names the path
+    for path in (str(tmp_path / "missing.spec"), str(tmp_path)):
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: "):
+            parse_spec_file(path)
 
 
 def test_parse_errors_carry_line_numbers():
