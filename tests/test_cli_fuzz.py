@@ -7,8 +7,9 @@ from the values where int32, int63 and int64 handling can break: 0,
 2**31, 2**62 and 2**63 - 1.  The second draws the file dialects the
 reader accepts or rejects: ids past int64 and uint64, weights, blank and
 comment lines and a non-ASCII delimiter.  The third runs eval with its
-flags at the ends of their ranges, and the fourth runs generate with
-sizes, alphas and counts at the ends of theirs.
+flags at the ends of their ranges, the fourth runs generate with
+sizes, alphas and counts at the ends of theirs, and the fifth gives
+sparsify, verify, stats and eval a node file.
 """
 
 import contextlib
@@ -229,4 +230,70 @@ def test_cli_exit_codes_on_generate(case):
         assert code in (0, 1, 2, 3), err
         assert err.count("\n") <= 1, err
     if generated:
+        assert outcomes[1][0] == 0, outcomes[1][1]
+
+
+# a node file holds at most one fault, and most hold none; a bad id or
+# type is past int64 or uint64, empty, signed or non-ASCII
+NODE_FAULTS = (None, None, None, "id", "type", "repeat", "missing")
+NODE_FIELDS = (str(2**63), str(2**64), "", "-1", "+2", "١", "é")
+NAMES = ("", "n1", "7", "é→")
+WIDE_BLANKS = ("", " ", "\t\t\t", " \t\u3000\t\t ")
+
+
+@st.composite
+def node_cases(draw) -> tuple[str, str]:
+    """A link file over ids 0-2 and a node file of ids 0-2 and 2**63 - 1.
+
+    Names may be empty, a line may have extra columns, and wide blank
+    lines fall between the lines.  The fault, if any, puts a value of
+    NODE_FIELDS in an id or a type, repeats an id, or drops a link
+    endpoint from the table.
+    """
+    names = st.sampled_from(NAMES)
+    types = st.sampled_from(["0", "1", str(2**63 - 1)])
+    rows = [[node, draw(names), draw(types), *draw(st.lists(names, max_size=2))]
+            for node in ("0", "1", "2", str(2**63 - 1))]
+    fault = draw(st.sampled_from(NODE_FAULTS))
+    if fault in ("id", "type"):
+        rows[draw(st.integers(0, 3))][0 if fault == "id" else 2] = draw(
+            st.sampled_from(NODE_FIELDS))
+    elif fault == "repeat":
+        rows.append([draw(st.sampled_from(rows))[0], draw(names), draw(types)])
+    elif fault == "missing":
+        del rows[draw(st.integers(0, 2))]
+    lines = ["\t".join(row) for row in draw(st.permutations(rows))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(WIDE_BLANKS)))
+    edges = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+                          min_size=2, max_size=8))
+    return ("".join(f"{s}\t{d}\t{t}\n" for s, d, t in edges),
+            "".join(line + "\n" for line in lines))
+
+
+@given(case=node_cases())
+@example(case=("0\t1\t0\n", f"0\tn\t{2**63}\n{2**64}\t\t1\t\tx\n \t\t\t\n1\tn\t0\n"))
+@example(case=("0\t1\t0\n", "\tn\t0\n-1\tn\t0\n١\tn\t0\n1\t\t0\n"))
+@example(case=("0\t1\t0\n1\t0\t0\n", "0\tn\t0\n1\tn\t1\t\n0\tm\t1\n"))
+@example(case=("0\t2\t0\n", "0\t\t0\n1\tn\t0\n"))
+@settings(max_examples=150, deadline=None)
+def test_cli_exit_codes_with_node_files(case):
+    links_text, nodes_text = case
+    with tempfile.TemporaryDirectory() as tmp, address_space(1 << 30):
+        links, nodes, sparse = (str(Path(tmp, name))
+                                for name in ("link.dat", "node.dat", "sparse.dat"))
+        Path(links).write_bytes(links_text.encode())
+        Path(nodes).write_bytes(nodes_text.encode())
+        common = ["--links", links, "--nodes", nodes]
+        outcomes = [_run(["sparsify", *common, "--k", "1", "--out", sparse])]
+        sparsified = outcomes[0][0] == 0
+        if sparsified:
+            outcomes.append(_run(["verify", *common, "--k", "1", "--sparse", sparse]))
+        outcomes.append(_run(["stats", *common]))
+        outcomes.append(_run(["eval", *common, "--holdout", "0.5", "--k", "1"]))
+    for code, err in outcomes:
+        assert code in (0, 1, 2, 3), err
+        warned = [line.startswith("warning:") for line in err.splitlines()]
+        assert sum(warned) <= 1 and len(warned) - sum(warned) <= 1, err
+    if sparsified:
         assert outcomes[1][0] == 0, outcomes[1][1]
