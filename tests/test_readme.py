@@ -1,13 +1,20 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples and its command-line block run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+import hgsparse as hg
+from hgsparse.cli import run
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+CLI_BLOCK = re.search(r"^## Command line\n+```sh\n(.*?)^```", TEXT, re.M | re.S).group(1)
+COMMANDS = [argv for line in CLI_BLOCK.replace("\\\n", " ").splitlines()
+            if (argv := shlex.split(line, comments=True))]
 
 
 def test_readme_has_python_examples():
@@ -18,3 +25,15 @@ def test_readme_has_python_examples():
 def test_readme_python_block_runs(block, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # whatever a block writes stays out of the checkout
     exec(compile(block, str(README), "exec"), {"__name__": "__readme__"})
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # the commands run in order on a typed graph written where they read it
+    monkeypatch.chdir(tmp_path)
+    g = hg.generate(hg.GenSpec((60, 40), ((0, 1, 400, 1.0), (1, 0, 300, 0.5),
+                                          (0, 0, 200, 0.0)), seed=3))
+    hg.write_link_file(g, "link.dat")
+    hg.write_node_file("node.dat", g.node_ids, g.node_types)
+    assert COMMANDS and {argv[0] for argv in COMMANDS} == {"hgsparse"}
+    for argv in COMMANDS:
+        assert run(argv[1:]) == 0, (argv, capsys.readouterr().err)
