@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from ._rng import substream_seed
-from .errors import (DataError, LinkFormatError, NodeFileError,
+from .errors import (DataError, GenSpecError, LinkFormatError, NodeFileError,
                      UnknownEdgeError, UnknownNodeError, VerificationError)
 from .evalproxy import COMMON_NEIGHBORS, SCORERS, evaluate
 from .graph import HeteroGraph, build_graph_arrays
@@ -193,7 +193,10 @@ def generate_cmd(spec_path, node_types_opt, edge_opts, seed, out, nodes_out,
     if spec_path:
         if node_types_opt or edge_opts:
             raise click.UsageError("give either --spec or --node-types/--edge, not both")
-        spec = parse_spec_file(spec_path)
+        try:
+            spec = parse_spec_file(spec_path)
+        except GenSpecError as exc:
+            raise DataError(f"{spec_path}: {exc}") from None
     else:
         if not node_types_opt or not edge_opts:
             raise click.UsageError("need --spec, or both --node-types and --edge")

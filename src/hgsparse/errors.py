@@ -38,7 +38,7 @@ class UnknownEdgeError(DataError):
 
 
 class NonFiniteWeightError(DataError):
-    """Edge weight is inf or -inf."""
+    """Edge weight is NaN, inf or -inf."""
 
 
 class EmptyGraphError(DataError):

@@ -300,7 +300,9 @@ def build_graph_arrays(src, dst, etype, weight=None,
     When ``node_ids`` is given it declares the node table (with
     ``node_types`` aligned); endpoints outside it raise.  Otherwise the
     node set is inferred from the endpoints with every node typed 0.
-    Duplicate identities are collapsed, first occurrence wins.
+    ``weight`` is None or one finite value per edge; a NaN or an infinity
+    raises :class:`NonFiniteWeightError`.  Duplicate identities are
+    collapsed, first occurrence wins.
     """
     src = _as_int64(src, "src")
     dst = _as_int64(dst, "dst")
@@ -314,7 +316,7 @@ def build_graph_arrays(src, dst, etype, weight=None,
         weight = np.ascontiguousarray(weight, dtype=np.float64)
         if weight.shape != src.shape:
             raise ValueError("weight must align with the edge arrays")
-        if np.isinf(weight).any():
+        if not np.isfinite(weight).all():
             raise NonFiniteWeightError("edge weight is not finite")
 
     if node_ids is None:
@@ -381,6 +383,8 @@ def build_graph_arrays(src, dst, etype, weight=None,
 def build_graph(edges: Iterable, node_types: Mapping[int, int] | None = None) -> HeteroGraph:
     """Build a graph from (src, dst, etype[, weight]) tuples.
 
+    Every record carries a finite weight or none does; a fourth field of
+    None is no weight.  Mixing the two raises ValueError.
     ``node_types`` optionally declares the full node table as a mapping
     node id -> node type id; endpoints must then be declared.
     """
@@ -388,24 +392,20 @@ def build_graph(edges: Iterable, node_types: Mapping[int, int] | None = None) ->
     dsts: list[int] = []
     etypes: list[int] = []
     weights: list[float] = []
-    any_weight = False
     for rec in edges:
         if len(rec) not in (3, 4):
             raise ValueError(f"edge record must have 3 or 4 fields, got {rec!r}")
         srcs.append(rec[0])
         dsts.append(rec[1])
         etypes.append(rec[2])
-        w = rec[3] if len(rec) == 4 else None
-        if w is None:
-            weights.append(np.nan)
-        else:
-            any_weight = True
-            weights.append(float(w))
+        if len(rec) == 4 and rec[3] is not None:
+            weights.append(float(rec[3]))
+    if weights and len(weights) != len(srcs):
+        raise ValueError("edge records must all carry a weight or all carry none")
     node_ids = node_type_arr = None
     if node_types is not None:
         node_ids = np.fromiter(node_types.keys(), dtype=np.int64, count=len(node_types))
         node_type_arr = np.fromiter(node_types.values(), dtype=np.int64, count=len(node_types))
     return build_graph_arrays(
-        srcs, dsts, etypes,
-        weight=np.asarray(weights) if any_weight else None,
+        srcs, dsts, etypes, weight=weights or None,
         node_ids=node_ids, node_types=node_type_arr)

@@ -44,6 +44,7 @@ original node ids, so two selections diff cleanly.
 from __future__ import annotations
 
 import json
+import os
 import re
 import warnings
 from contextlib import contextmanager
@@ -106,6 +107,13 @@ class NodeTable:
         return int(self.ids.shape[0])
 
 
+def _source_name(source):
+    """A source as errors name it: a path in full, a stream by its ``name``."""
+    if isinstance(source, os.PathLike):  # a Path's ``name`` is its last part only
+        return os.fspath(source)
+    return getattr(source, "name", source)
+
+
 @contextmanager
 def _opened(source, mode: str):
     try:
@@ -116,10 +124,9 @@ def _opened(source, mode: str):
             with open(source, mode, encoding="utf-8", newline=newline) as handle:
                 yield handle
     except UnicodeDecodeError:
-        raise DataError(f"{getattr(source, 'name', source)}: not UTF-8 text") from None
+        raise DataError(f"{_source_name(source)}: not UTF-8 text") from None
     except OSError as exc:  # e.g. an output directory that does not exist
-        name = getattr(source, "name", source)
-        raise DataError(f"{name}: {exc.strerror or exc}") from None
+        raise DataError(f"{_source_name(source)}: {exc.strerror or exc}") from None
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -406,25 +413,22 @@ def _int_rows(rows: int, columns: list[tuple[str, np.ndarray]], tail: str = ""
     return lens, text[keep]
 
 
-def _text_rows(strings: list[str], lead: str, present: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Each string after ``lead``: UTF-8 byte counts, and the bytes row by row.
+def _weight_rows(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``\\t<repr(w)>\\n`` per weight: byte counts, and the bytes row by row.
 
-    ``strings`` holds the rows where ``present`` is True; the other rows
-    get nothing, not even the lead.
+    ``repr`` of a finite float is ASCII, so a character is a byte.
     """
-    text = lead + lead.join(strings) if strings else ""
-    counts = map(len, strings) if text.isascii() else (len(s.encode()) for s in strings)
-    lens = np.zeros(present.shape[0], dtype=np.int64)
-    lens[present] = np.fromiter(counts, dtype=np.int64, count=len(strings)) + len(lead.encode())
-    return lens, np.frombuffer(text.encode(), dtype=np.uint8)
+    strings = list(map(repr, weight.tolist()))
+    text = "\t" + "\n\t".join(strings) + "\n" if strings else ""
+    lens = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings)) + 2
+    return lens, np.frombuffer(text.encode("ascii"), dtype=np.uint8)
 
 
 def _join_rows(pieces: list[tuple[np.ndarray, np.ndarray]]) -> str:
     """The text whose rows are ``pieces`` end to end.
 
     A piece is a byte count per row and its bytes row by row, as
-    :func:`_int_rows` and :func:`_text_rows` give; each is spliced into
+    :func:`_int_rows` and :func:`_weight_rows` give; each is spliced into
     one buffer at its offset in every row.
     """
     if len(pieces) == 1:
@@ -442,8 +446,8 @@ def _join_rows(pieces: list[tuple[np.ndarray, np.ndarray]]) -> str:
 def write_link_file(g: HeteroGraph, dest, selected=None) -> int:
     """Write kept edges tab-separated in canonical order; returns the line count.
 
-    A weight is written as ``repr(float(w))``; a NaN weight, an edge
-    built without one, gets no weight column.
+    A weighted graph writes ``repr(float(w))`` as a fourth column on
+    every line, so the file reads back with ``has_weight=True``.
     """
     ids = np.flatnonzero(g.edge_mask(selected))
     rows = ids.shape[0]
@@ -452,11 +456,7 @@ def write_link_file(g: HeteroGraph, dest, selected=None) -> int:
     if g.weight is None:
         pieces = [_int_rows(rows, columns, "\n")]
     else:
-        weight = g.weight[ids]
-        present = ~np.isnan(weight)
-        pieces = [_int_rows(rows, columns),
-                  _text_rows(list(map(repr, weight[present].tolist())), "\t", present),
-                  _int_rows(rows, [], "\n")]
+        pieces = [_int_rows(rows, columns), _weight_rows(g.weight[ids])]
     with _opened(dest, "w") as stream:
         stream.write(_join_rows(pieces))
     return rows

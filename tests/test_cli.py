@@ -353,6 +353,17 @@ def test_generate_from_spec_file(tmp_path):
     assert other.read_text() != out.read_text()
 
 
+def test_generate_spec_errors_name_the_file(tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    for text, message in (("node_types = 4\nfoo = 1\n", "line 2: unknown key 'foo'"),
+                          ("node_types = 4\n", "spec file declares no edge types"),
+                          ("node_types = 0\nedges 0 0 1 0\n",
+                           "node type sizes must be positive")):
+        spec.write_text(text)
+        assert run(["generate", "--spec", str(spec), "--out", str(tmp_path / "g.dat")]) == 2
+        assert _one_line_error(capsys) == f"error: {spec}: {message}\n"
+
+
 def test_generate_flag_conflicts(tmp_path):
     spec = tmp_path / "g.spec"
     spec.write_text("node_types = 4\nedges 0 0 2 0\n")

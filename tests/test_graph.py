@@ -96,15 +96,20 @@ def test_duplicate_keeps_first_weight():
 
 
 def test_mixed_weight_presence():
-    g = build_graph([EdgeRecord(1, 2, 0, 2.5), (2, 3, 0)])
-    assert g.weight is not None
-    assert g.weight[edge_index(g, 1, 2, 0)] == 2.5
-    assert np.isnan(g.weight[edge_index(g, 2, 3, 0)])  # no weight
+    # a weight on some records and not on others is a bad argument
+    for records in ([EdgeRecord(1, 2, 0, 2.5), (2, 3, 0)],
+                    [(1, 2, 0), EdgeRecord(2, 3, 0, 2.5)],
+                    [(1, 2, 0, 2.5), EdgeRecord(2, 3, 0)]):
+        with pytest.raises(ValueError, match="all carry a weight or all carry none"):
+            build_graph(records)
+    assert build_graph([EdgeRecord(1, 2, 0), (2, 3, 0)]).weight is None
 
 
 def test_non_finite_weight_rejected():
     with pytest.raises(NonFiniteWeightError):
         build_graph([EdgeRecord(1, 2, 0, float("inf"))])
+    with pytest.raises(NonFiniteWeightError):
+        build_graph([EdgeRecord(1, 2, 0, float("nan"))])
 
 
 def test_undeclared_endpoint_rejected():
@@ -375,7 +380,8 @@ def edge_tables(draw):
     pool = sorted(draw(st.sets(st.integers(0, 2**63 - 1), min_size=1, max_size=12)))
     edges = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool),
                                     st.sampled_from([0, 1, 2, 7, 2**40]),
-                                    st.floats(-1e3, 1e3) | st.just(float("nan"))),
+                                    st.floats(-1e3, 1e3)
+                                    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])),
                           max_size=60))
     if draw(st.booleans()):
         edges.sort()

@@ -9,17 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgsparse import (
+    DataError,
     LinkFileOptions,
     LinkFormatError,
     NodeFileError,
     build_graph,
     build_graph_arrays,
+    parse_spec_file,
     read_link_file,
     read_node_file,
     write_link_file,
     write_node_file,
     write_report,
 )
+
+from conftest import EdgeRecord
 
 
 def _rows(table) -> list[tuple]:
@@ -163,10 +167,14 @@ def test_write_subset(g1):
 
 
 def test_write_preserves_weight_column():
-    g = build_graph([(1, 2, 0, 0.5), (2, 3, 0)])
+    g = build_graph([(1, 2, 0, 0.5), (2, 3, 0, -0.0)])
     out = io.StringIO()
     write_link_file(g, out)
-    assert out.getvalue() == "1\t2\t0\t0.5\n2\t3\t0\n"
+    assert out.getvalue() == "1\t2\t0\t0.5\n2\t3\t0\t-0.0\n"
+    out.seek(0)
+    table = read_link_file(out, LinkFileOptions(has_weight=True))
+    assert _rows(table) == [(1, 2, 0, 0.5), (2, 3, 0, -0.0)]
+    assert np.signbit(table.weight).tolist() == [False, True]
 
 
 def _graph(table):
@@ -183,7 +191,7 @@ def _reference_write(g, dest, selected=None) -> int:
     weights = g.weight[ids] if g.weight is not None else None
     for i in range(ids.shape[0]):
         line = f"{src[i]}\t{dst[i]}\t{etype[i]}"
-        if weights is not None and not np.isnan(weights[i]):
+        if weights is not None:
             line += f"\t{float(weights[i])!r}"
         dest.write(line + "\n")
     return int(ids.shape[0])
@@ -193,7 +201,7 @@ def _reference_write(g, dest, selected=None) -> int:
 def test_writer_matches_per_row_reference(seed):
     rng = np.random.default_rng(seed)
     m = 300
-    weight = rng.choice([np.nan, 0.1, 1e-300, 2.5, 1e300, -0.0, 1 / 3], size=m)
+    weight = rng.choice([0.1, 1e-300, 2.5, 1e300, -0.0, 1 / 3], size=m)
     base = [0, 10**12, 2**63 - 41][seed]  # up to the largest int64 id
     g = build_graph_arrays(base + rng.integers(0, 40, size=m),
                            base + rng.integers(0, 40, size=m), rng.integers(0, 5, size=m),
@@ -259,6 +267,47 @@ def test_write_read_build_round_trip(edges, weights, keep):
     else:  # repr gives back every bit, the sign of -0.0 included
         np.testing.assert_array_equal(back.weight.view(np.int64),
                                       g.weight[mask].view(np.int64))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_record_kinds = (st.tuples(_node_ids, _node_ids, _node_ids),
+                 st.tuples(_node_ids, _node_ids, _node_ids, _finite),
+                 st.builds(EdgeRecord, _node_ids, _node_ids, _node_ids))
+
+
+@given(records=st.one_of(*(st.lists(kind, max_size=30) for kind in _record_kinds),
+                         st.lists(st.one_of(*_record_kinds), max_size=30)))
+@settings(max_examples=200, deadline=None)
+def test_built_records_round_trip(records):
+    # a graph is weighted on every edge or on none, so whatever the record
+    # builder accepts, the writer writes and the reader reads back
+    weighted = sum(len(rec) == 4 and rec[3] is not None for rec in records)
+    if 0 < weighted < len(records):
+        with pytest.raises(ValueError):
+            build_graph(records)
+        return
+    g = build_graph(records)
+    out = io.StringIO()
+    assert write_link_file(g, out) == g.m
+    table = read_link_file(io.StringIO(out.getvalue()),
+                           LinkFileOptions(has_weight=g.weight is not None))
+    for name in ("src", "dst"):
+        np.testing.assert_array_equal(getattr(table, name), g.node_ids[getattr(g, name)])
+    np.testing.assert_array_equal(table.etype, g.etype)
+    if weighted:
+        np.testing.assert_array_equal(table.weight.view(np.int64), g.weight.view(np.int64))
+    else:
+        assert g.weight is None and table.weight is None
+
+
+def test_missing_paths_are_named_in_full(g1, tmp_path):
+    missing = tmp_path / "nope" / "link.dat"
+    for call in (read_link_file, read_node_file, parse_spec_file,
+                 lambda path: write_link_file(g1, path)):
+        for source in (missing, str(missing)):
+            with pytest.raises(DataError) as info:
+                call(source)
+            assert str(info.value) == f"{missing}: No such file or directory"
 
 
 def test_roundtrip_is_byte_stable(tmp_path):
