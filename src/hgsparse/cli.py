@@ -1,8 +1,9 @@
 """Command-line front end: sparsify, stats, generate, verify, eval.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or
-inconsistent inputs, or an output path that cannot be written), 3
-verification failure, 4 internal error (a fault in hgsparse itself).
+inconsistent inputs, an output path that cannot be written, or a run
+that does not fit in memory), 3 verification failure, 4 internal error
+(a fault in hgsparse itself).
 Every failure, and every warning, prints one line on stderr and no
 traceback.
 """
@@ -279,6 +280,8 @@ def verify_cmd(links, nodes, weighted, delimiter, comment_prefix,
 def eval_cmd(links, nodes, weighted, delimiter, comment_prefix, holdout, seed,
              scorer, negatives_per_positive, k, method, report_path, deterministic):
     """Link-prediction proxy on the full or sparsified train graph."""
+    if not 0 < holdout < 1:  # FloatRange's bound checks are false for nan, so it passes
+        raise click.BadParameter(f"{holdout} is not in the range 0<x<1.", param_hint="'--holdout'")
     g = _load_graph(links, nodes, weighted, delimiter, comment_prefix)
     params = None
     if k is not None:
@@ -319,6 +322,10 @@ def run(argv=None) -> int:
         return 3
     except DataError as exc:
         click.echo(f"error: {exc}", err=True)
+        return 2
+    except MemoryError as exc:  # an input too large for this machine, not a fault
+        click.echo(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+                   err=True)
         return 2
     except Exception as exc:  # a fault of the program, not of its input
         click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)

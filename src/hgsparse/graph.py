@@ -77,6 +77,8 @@ def _as_int64(values, name: str, unknown: str | None = None) -> np.ndarray:
     with ``unknown`` formatted with the value when that is given.
     """
     arr = np.asarray(values)
+    if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
+        arr = np.asarray(values, dtype=object)  # each value as given, not rounded to float
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if not np.can_cast(arr.dtype, np.int64):  # floats, uint64, objects
@@ -89,6 +91,18 @@ def _as_int64(values, name: str, unknown: str | None = None) -> np.ndarray:
                 raise (UnknownNodeError(unknown.format(repr(v))) if unknown else
                        ValueError(f"{name} holds {v!r}, not an integer in int64's range"))
     return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+def _as_ids(values, name: str) -> np.ndarray:
+    """``values`` as ids: whole numbers in [0, 2**63), as a 1-d int64 array.
+
+    Node ids, node types and edge types all follow this rule, the one the
+    readers hold files to.  A value outside it raises ValueError naming it.
+    """
+    arr = _as_int64(values, name)
+    if arr.size and arr.min() < 0:
+        raise ValueError(f"{name} holds {int(arr[arr < 0][0])}, not an integer in [0, 2**63)")
+    return arr
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -300,18 +314,17 @@ def build_graph_arrays(src, dst, etype, weight=None,
     When ``node_ids`` is given it declares the node table (with
     ``node_types`` aligned); endpoints outside it raise.  Otherwise the
     node set is inferred from the endpoints with every node typed 0.
+    Node ids, node types and edge types are whole numbers in [0, 2**63),
+    as the readers require; any other value raises ValueError.
     ``weight`` is None or one finite value per edge; a NaN or an infinity
     raises :class:`NonFiniteWeightError`.  Duplicate identities are
     collapsed, first occurrence wins.
     """
-    src = _as_int64(src, "src")
-    dst = _as_int64(dst, "dst")
-    etype = _as_int64(etype, "etype")
+    src = _as_ids(src, "src")
+    dst = _as_ids(dst, "dst")
+    etype = _as_ids(etype, "etype")
     if not (src.shape == dst.shape == etype.shape):
         raise ValueError("src, dst and etype must have equal length")
-    for name, arr in (("src", src), ("dst", dst), ("etype", etype)):
-        if arr.size and arr.min() < 0:
-            raise ValueError(f"{name} contains a negative id")
     if weight is not None:
         weight = np.ascontiguousarray(weight, dtype=np.float64)
         if weight.shape != src.shape:
@@ -323,16 +336,11 @@ def build_graph_arrays(src, dst, etype, weight=None,
         node_ids = np.unique(np.concatenate((src, dst)))
         node_types = np.zeros(node_ids.shape[0], dtype=np.int64)
     else:
-        node_ids = _as_int64(node_ids, "node_ids")
-        if node_types is None:
-            node_types = np.zeros(node_ids.shape[0], dtype=np.int64)
-        else:
-            node_types = _as_int64(node_types, "node_types")
+        node_ids = _as_ids(node_ids, "node_ids")
+        node_types = (np.zeros(node_ids.shape[0], dtype=np.int64) if node_types is None
+                      else _as_ids(node_types, "node_types"))
         if node_types.shape != node_ids.shape:
             raise ValueError("node_types must align with node_ids")
-        if node_ids.size:
-            if node_ids.min() < 0 or node_types.min() < 0:
-                raise ValueError("node ids and types must be non-negative")
         perm = np.argsort(node_ids, kind="stable")
         node_ids = node_ids[perm]
         node_types = np.ascontiguousarray(node_types[perm])
@@ -386,7 +394,8 @@ def build_graph(edges: Iterable, node_types: Mapping[int, int] | None = None) ->
     Every record carries a finite weight or none does; a fourth field of
     None is no weight.  Mixing the two raises ValueError.
     ``node_types`` optionally declares the full node table as a mapping
-    node id -> node type id; endpoints must then be declared.
+    node id -> node type id; endpoints must then be declared.  Ids and
+    types, keys and values alike, follow :func:`build_graph_arrays`' rule.
     """
     srcs: list[int] = []
     dsts: list[int] = []
@@ -404,8 +413,7 @@ def build_graph(edges: Iterable, node_types: Mapping[int, int] | None = None) ->
         raise ValueError("edge records must all carry a weight or all carry none")
     node_ids = node_type_arr = None
     if node_types is not None:
-        node_ids = np.fromiter(node_types.keys(), dtype=np.int64, count=len(node_types))
-        node_type_arr = np.fromiter(node_types.values(), dtype=np.int64, count=len(node_types))
+        node_ids, node_type_arr = list(node_types), list(node_types.values())
     return build_graph_arrays(
         srcs, dsts, etypes, weight=weights or None,
         node_ids=node_ids, node_types=node_type_arr)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, LinkFormatError, NodeFileError
-from .graph import HeteroGraph, _ranges
+from .graph import HeteroGraph, _as_ids, _ranges
 
 _MAX_ID = 2**63 - 1  # ids are stored as int64
 # A line's trailing CRs are not part of it.  A file read by path has none
@@ -367,47 +367,39 @@ def read_node_file(source) -> NodeTable:
 
 def _int_rows(rows: int, columns: list[tuple[str, np.ndarray]], tail: str = ""
               ) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` rows of int64 columns in decimal, each after its lead, then ``tail``.
+    """``rows`` rows of id columns in decimal, each after its lead, then ``tail``.
 
-    Returns each row's byte count and the bytes row by row.  One uint8
-    matrix holds the rows: a column's lead, then its digits right-aligned
-    in as many places as its longest value needs; reading the matrix row
-    by row past each value's padding gives the text.
+    The columns are int64 ids, in [0, 2**63) as the builders and
+    :func:`write_node_file` hold them, so no value has a sign.  Returns
+    each row's byte count and the bytes row by row.  One uint8 matrix
+    holds the rows: a column's lead, then its digits right-aligned in as
+    many places as its longest value needs; reading the matrix row by row
+    past each value's padding gives the text.
     """
     tail_bytes = np.frombuffer(tail.encode(), dtype=np.uint8)
-    cells = []  # per column: lead, values, magnitudes, digits of the largest, sign places
+    cells = []  # per column: lead, values, digits of the largest
     for lead, values in columns:
-        mag = np.abs(values).view(np.uint64)  # np.abs(-2**63) is 2**63 in uint64
-        top = int(mag.max(initial=0))
+        top = int(values.max(initial=0))
         if top < 2**32:
-            mag = mag.astype(np.uint32)  # uint32 arithmetic cuts the write by about 30%
-        sign = int(values.shape[0] > 0 and values.min() < 0)
-        cells.append((np.frombuffer(lead.encode(), dtype=np.uint8), values, mag,
-                      len(str(top)), sign))
-    width = sum(lead.shape[0] + sign + digits for lead, _, _, digits, sign in cells)
+            values = values.astype(np.uint32)  # uint32 arithmetic cuts the write by about 30%
+        cells.append((np.frombuffer(lead.encode(), dtype=np.uint8), values, len(str(top))))
+    width = sum(lead.shape[0] + digits for lead, _, digits in cells)
     text = np.empty((rows, width + tail_bytes.shape[0]), dtype=np.uint8)
     keep = np.ones(text.shape, dtype=bool)
     lens = np.full(rows, tail_bytes.shape[0], dtype=np.int64)
     at = 0
-    for lead, values, mag, digits, sign in cells:
+    for lead, values, digits in cells:
         text[:, at:at + lead.shape[0]] = lead
-        at += lead.shape[0] + sign + digits  # the column ends at ``at``
-        count = np.ones(rows, dtype=np.int64)  # each value's digits and sign
+        at += lead.shape[0] + digits  # the column ends at ``at``
+        count = np.ones(rows, dtype=np.int64)  # each value's digits
         for k in range(1, digits):
-            shown = mag >= 10**k  # place k, counted from the units, holds a digit
+            shown = values >= 10**k  # place k, counted from the units, holds a digit
             keep[:, at - 1 - k] = shown
             count += shown
         for k in range(digits):
-            quotient = mag // 10
-            text[:, at - 1 - k] = mag - quotient * 10 + 48  # '0'
-            mag = quotient
-        if sign:
-            keep[:, at - 1 - digits] = False
-            neg = np.flatnonzero(values < 0)
-            count[neg] += 1
-            place = at - count[neg]
-            text[neg, place] = 45  # '-'
-            keep[neg, place] = True
+            quotient = values // 10
+            text[:, at - 1 - k] = values - quotient * 10 + 48  # '0'
+            values = quotient
         lens += lead.shape[0] + count
     text[:, at:] = tail_bytes
     return lens, text[keep]
@@ -463,12 +455,21 @@ def write_link_file(g: HeteroGraph, dest, selected=None) -> int:
 
 
 def write_node_file(dest, node_ids, node_types) -> int:
-    """Write a node table, naming node ``<id>`` ``n<id>``."""
-    ids = np.asarray(node_ids, dtype=np.int64)
-    types = np.asarray(node_types, dtype=np.int64)
+    """Write a node table, naming node ``<id>`` ``n<id>``; returns the line count.
+
+    Only a table that :func:`read_node_file` reads back is written: ids
+    and types whole numbers in [0, 2**63), and no id twice.  Any other
+    raises ValueError before ``dest`` is opened.
+    """
+    ids = _as_ids(node_ids, "node_ids")
+    types = _as_ids(node_types, "node_types")
     rows = ids.shape[0]
     if types.shape != ids.shape:
         raise ValueError("node_types must align with node_ids")
+    ordered = np.sort(ids)
+    repeat = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeat.shape[0]:
+        raise ValueError(f"duplicate node id {int(repeat[0])} in node_ids")
     with _opened(dest, "w") as stream:
         stream.write(_join_rows([_int_rows(rows, [("", ids), ("\tn", ids), ("\t", types)],
                                            "\n")]))

@@ -431,6 +431,20 @@ def test_generate_unallocatable_rank_weights_exit_two(tmp_path):
     assert not out.exists()
 
 
+def test_eval_out_of_memory_exits_two(tmp_path):
+    # the 200 x 100,000 negative matrix fits in 512 MiB, but the stages
+    # after it need more than 1 GiB; an input that does not fit is bad
+    # input, not a fault of the program
+    links, nodes = str(tmp_path / "link.dat"), str(tmp_path / "node.dat")
+    assert run(["generate", "--node-types", "50 50", "--edge", "0:1:1000:0.5", "--seed", "1",
+                "--out", links, "--nodes-out", nodes]) == 0
+    proc = _run_limited(512 << 20, ["eval", "--links", links, "--nodes", nodes,
+                                    "--negatives-per-positive", "100000"])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: out of memory: ")
+
+
 def test_verify_accepts_own_output(chain_file, tmp_path, capsys):
     sparse = tmp_path / "sparse.dat"
     run(["sparsify", "--links", str(chain_file), "--k", "1", "--out", str(sparse)])

@@ -8,8 +8,10 @@ from the values where int32, int63 and int64 handling can break: 0,
 reader accepts or rejects: ids past int64 and uint64, weights, blank and
 comment lines and a non-ASCII delimiter.  The third runs eval with its
 flags at the ends of their ranges, the fourth runs generate with
-sizes, alphas and counts at the ends of theirs, and the fifth gives
-sparsify, verify, stats and eval a node file.
+sizes, alphas and counts at the ends of theirs, the fifth gives
+sparsify, verify, stats and eval a node file, and the sixth gives
+sparsify, verify and eval each flag at the ends of its range and just
+past them.
 """
 
 import contextlib
@@ -48,7 +50,7 @@ def address_space(extra: int):
 
     Only the soft limit changes, so the old one comes back on exit.  An
     allocation sized by an id value then fails with MemoryError, which
-    the CLI reports as exit 4, instead of taking the host's memory.
+    the CLI reports as exit 2, instead of taking the host's memory.
     """
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     with open("/proc/self/statm") as statm:
@@ -297,3 +299,38 @@ def test_cli_exit_codes_with_node_files(case):
         assert sum(warned) <= 1 and len(warned) - sum(warned) <= 1, err
     if sparsified:
         assert outcomes[1][0] == 0, outcomes[1][1]
+
+
+# per flag: the ends of its range, values just inside them, and values
+# just past them, which click rejects with exit 1.  nan passes click's
+# FloatRange, whose bound checks are false for it.
+FLAG_ENDS = {
+    "--holdout": ("5e-324", "1e-300", "0.5", "0.9999999999999999", "0", "1", "nan", "-inf"),
+    "--negatives-per-positive": ("1", "1000", str(2**31), str(2**63 - 1), str(2**64), "0"),
+    "--k": ("1", str(2**31), str(2**63 - 1), str(2**63), "0", "-1"),
+    "--seed": ("0", str(2**64 - 1), str(2**64), "-1"),
+}
+COMMAND_FLAGS = {"sparsify": ("--k", "--seed"), "verify": ("--k",),
+                 "eval": ("--holdout", "--negatives-per-positive", "--k", "--seed")}
+
+
+@st.composite
+def flag_cases(draw) -> tuple[str, list[str]]:
+    """A command and a value from FLAG_ENDS for each of its flags."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    return command, [part for flag in COMMAND_FLAGS[command]
+                     for part in (flag, draw(st.sampled_from(FLAG_ENDS[flag])))]
+
+
+@given(text=link_texts(), case=flag_cases())
+@example(text="0\t1\t0\n1\t0\t0\n", case=("eval", ["--holdout", "nan"]))
+@settings(max_examples=150, deadline=None)
+def test_cli_exit_codes_with_flags_at_range_ends(text, case):
+    command, flags = case
+    with tempfile.TemporaryDirectory() as tmp, address_space(1 << 30):
+        links, out = (str(Path(tmp, name)) for name in ("link.dat", "out.dat"))
+        Path(links).write_bytes(text.encode())
+        outputs = {"sparsify": ["--out", out], "verify": ["--sparse", links], "eval": []}
+        code, err = _run([command, "--links", links, *outputs[command], *flags])
+    assert code in (0, 1, 2, 3), err
+    assert err.count("\n") <= 1, err

@@ -213,6 +213,32 @@ def test_non_integer_ids_are_not_truncated():
     assert (g.node_ids.tolist(), g.dst.tolist()) == ([1, 2], [1])
 
 
+def test_node_type_mapping_is_held_to_the_id_rule():
+    # a cast to int64 took the key 2.7 to node 2
+    for node_types, bad in (({2.7: 0, 3: 1}, "node_ids holds 2.7"),
+                            ({2: 0.5, 3: 1}, "node_types holds 0.5"),
+                            ({2: 0, 2**63: 1}, f"node_ids holds {2**63}"),
+                            ({2: 0, 3: 2**64}, f"node_types holds {2**64}"),
+                            ({-1: 0, 3: 1}, "node_ids holds -1"),
+                            ({2: 0, 3: -2**63}, f"node_types holds {-2**63}")):
+        with pytest.raises(ValueError, match=f"^{bad}, not an integer"):
+            build_graph([(3, 3, 0)], node_types=node_types)
+    # whole floats are ids, and a large int beside one keeps every digit
+    g = build_graph([(2**53 + 1, 3, 0)], node_types={2**53 + 1: 1.0, 3.0: 2**63 - 1})
+    assert g.node_ids.tolist() == [3, 2**53 + 1]
+    assert g.node_types.tolist() == [2**63 - 1, 1]
+
+
+def test_negative_ids_and_types_are_rejected():
+    for args, kwargs, name in ((([-1], [2], [0]), {}, "src"), (([1], [-2], [0]), {}, "dst"),
+                               (([1], [2], [-2**63]), {}, "etype"),
+                               (([1], [2], [0]), {"node_ids": [1, 2, -3]}, "node_ids"),
+                               (([1], [2], [0]), {"node_ids": [1, 2], "node_types": [0, -1]},
+                                "node_types")):
+        with pytest.raises(ValueError, match=f"^{name} holds -"):
+            build_graph_arrays(*args, **kwargs)
+
+
 _INT64 = (-2**63, 2**63 - 1)
 
 

@@ -232,13 +232,20 @@ def test_writer_matches_reference_at_digit_boundaries():
 
 
 def test_node_writer_matches_reference_at_digit_boundaries():
-    ids = np.array(_DIGIT_BOUNDARIES + [-1, -9, -10, -(2**63 - 1), -2**63], dtype=np.int64)
+    ids = np.array(_DIGIT_BOUNDARIES, dtype=np.int64)
     types = ids[::-1].copy()
     for rows in (slice(0, 0), slice(0, 1), slice(-1, None), slice(None)):
         new, old = io.StringIO(), io.StringIO()
         args = (ids[rows], types[rows])
         assert write_node_file(new, *args) == _reference_write_nodes(old, *args)
         assert new.getvalue() == old.getvalue()
+    # the reader takes no sign, so the writer writes none
+    for negative in (-1, -9, -10, -(2**63 - 1), -2**63):
+        for args in (([negative], [0]), ([0], [negative])):
+            out = io.StringIO()
+            with pytest.raises(ValueError, match=f"holds {negative}, not an integer"):
+                write_node_file(out, *args)
+            assert out.getvalue() == ""
 
 
 _node_ids = st.one_of(st.integers(0, 50), st.integers(0, 2**63 - 1),
@@ -272,7 +279,7 @@ def test_write_read_build_round_trip(edges, weights, keep):
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _record_kinds = (st.tuples(_node_ids, _node_ids, _node_ids),
                  st.tuples(_node_ids, _node_ids, _node_ids, _finite),
-                 st.builds(EdgeRecord, _node_ids, _node_ids, _node_ids))
+                 st.builds(EdgeRecord, _node_ids, _node_ids, _node_ids, weight=st.none()))
 
 
 @given(records=st.one_of(*(st.lists(kind, max_size=30) for kind in _record_kinds),
@@ -349,6 +356,45 @@ def test_node_writer_matches_per_row_reference():
         assert new.getvalue() == old.getvalue()
     with pytest.raises(ValueError):
         write_node_file(io.StringIO(), ids[:2], types[:1])
+
+
+# whole numbers in and out of [0, 2**63), as ints and as floats, and
+# fractions; few small ids, so they repeat
+_table_values = st.one_of(st.integers(0, 9), st.integers(0, 2**63 - 1),
+                          st.sampled_from([-1, -2**63, 2**53 + 1, 2**63 - 1, 2**63, 2**64]),
+                          st.sampled_from([0.0, 3.0, -1.0, 2.5, 2.0**63, float("nan")]))
+
+
+def _is_id(value) -> bool:
+    return float(value).is_integer() and 0 <= int(value) < 2**63
+
+
+@given(rows=st.lists(st.tuples(_table_values, _table_values), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_node_writer_writes_only_what_the_reader_reads(rows):
+    ids = [node for node, _ in rows]
+    types = [kind for _, kind in rows]
+    valid = all(map(_is_id, ids + types)) and len(set(map(int, ids))) == len(ids)
+    out = io.StringIO()
+    if not valid:
+        with pytest.raises(ValueError):
+            write_node_file(out, ids, types)
+        assert out.getvalue() == ""
+        return
+    assert write_node_file(out, ids, types) == len(rows)
+    assert _nodes(read_node_file(io.StringIO(out.getvalue()))) == (
+        [int(node) for node in ids], [int(kind) for kind in types])
+
+
+def test_node_writer_rejects_before_opening(tmp_path):
+    path = tmp_path / "node.dat"
+    for ids, types, message in (([2.5, 3], [0, 1], "node_ids holds 2.5"),
+                                ([3, 3], [0, 1], "duplicate node id 3"),
+                                ([1, 2], [0, 2**63], f"node_types holds {2**63}"),
+                                ([-1], [0], "node_ids holds -1")):
+        with pytest.raises(ValueError, match=message):
+            write_node_file(path, ids, types)
+        assert not path.exists()
 
 
 def test_report_is_sorted_json(tmp_path):
