@@ -42,11 +42,9 @@ def _input_options(cmd):
     for option in reversed([
         click.option("--links", required=True,
                      type=click.Path(exists=True, dir_okay=False),
-                     help="link file: src, dst, etype per line"),
+                     help="link file: src, dst, etype[, weight] per line"),
         click.option("--nodes", type=click.Path(exists=True, dir_okay=False),
                      help="node file: id, name, node type per line"),
-        click.option("--weighted", is_flag=True,
-                     help="link file carries a weight column"),
         click.option("--delimiter", default="\t",
                      help="field delimiter of the link file (default: tab)"),
         click.option("--comment-prefix", default=None,
@@ -56,14 +54,6 @@ def _input_options(cmd):
     return cmd
 
 
-def _link_options(weighted: bool, delimiter: str, comment_prefix) -> LinkFileOptions:
-    try:
-        return LinkFileOptions(has_weight=weighted, delimiter=delimiter,
-                               comment_prefix=comment_prefix)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from None  # one line, no usage text
-
-
 def _read_links(path: str, opts: LinkFileOptions) -> LinkTable:
     try:
         return read_link_file(path, opts)
@@ -71,8 +61,11 @@ def _read_links(path: str, opts: LinkFileOptions) -> LinkTable:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _load_graph(links, nodes, weighted, delimiter, comment_prefix) -> HeteroGraph:
-    opts = _link_options(weighted, delimiter, comment_prefix)
+def _load_graph(links, nodes, delimiter, comment_prefix) -> HeteroGraph:
+    try:
+        opts = LinkFileOptions(delimiter=delimiter, comment_prefix=comment_prefix)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None  # one line, no usage text
     table = _read_links(links, opts)
     node_ids = node_types = None
     if nodes:
@@ -123,10 +116,10 @@ def _selection_report(g: HeteroGraph, mask, k: int, method: str, seed,
               help="where to write the JSON run report")
 @click.option("--deterministic", is_flag=True,
               help="omit the timestamp so identical runs are byte-identical")
-def sparsify_cmd(links, nodes, weighted, delimiter, comment_prefix,
+def sparsify_cmd(links, nodes, delimiter, comment_prefix,
                  k, method, seed, out, report_path, deterministic):
     """Sparsify a graph and write the kept edges."""
-    g = _load_graph(links, nodes, weighted, delimiter, comment_prefix)
+    g = _load_graph(links, nodes, delimiter, comment_prefix)
     result = sparsify(g, SparsifyParams(k=k, method=method, seed=seed))
     write_link_file(g, out, result.mask)
     violations = coverage_report(g, result.mask, k, method)
@@ -142,10 +135,9 @@ def sparsify_cmd(links, nodes, weighted, delimiter, comment_prefix,
 @_input_options
 @click.option("--report", "report_path", type=click.Path(dir_okay=False))
 @click.option("--deterministic", is_flag=True)
-def stats_cmd(links, nodes, weighted, delimiter, comment_prefix,
-              report_path, deterministic):
+def stats_cmd(links, nodes, delimiter, comment_prefix, report_path, deterministic):
     """Print summary statistics of a graph."""
-    g = _load_graph(links, nodes, weighted, delimiter, comment_prefix)
+    g = _load_graph(links, nodes, delimiter, comment_prefix)
     stats = g.stats()
     click.echo(f"nodes:          {stats.n}")
     click.echo(f"edges:          {stats.m}")
@@ -232,13 +224,12 @@ def generate_cmd(spec_path, node_types_opt, edge_opts, seed, out, nodes_out,
               show_default=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False))
 @click.option("--deterministic", is_flag=True)
-def verify_cmd(links, nodes, weighted, delimiter, comment_prefix,
+def verify_cmd(links, nodes, delimiter, comment_prefix,
                sparse, k, method, report_path, deterministic):
     """Check a sparse edge file against the guarantees of a method."""
-    g = _load_graph(links, nodes, weighted, delimiter, comment_prefix)
+    g = _load_graph(links, nodes, delimiter, comment_prefix)
     # the sparse file is read as sparsify writes it: tab-delimited
-    opts = _link_options(weighted, "\t", comment_prefix)
-    kept = _read_links(sparse, opts)
+    kept = _read_links(sparse, LinkFileOptions(comment_prefix=comment_prefix))
     mask = np.zeros(g.m, dtype=bool)
     try:
         mask[g.edge_ids(kept.src, kept.dst, kept.etype)] = True
@@ -277,12 +268,12 @@ def verify_cmd(links, nodes, weighted, delimiter, comment_prefix,
               show_default=True)
 @click.option("--report", "report_path", type=click.Path(dir_okay=False))
 @click.option("--deterministic", is_flag=True)
-def eval_cmd(links, nodes, weighted, delimiter, comment_prefix, holdout, seed,
+def eval_cmd(links, nodes, delimiter, comment_prefix, holdout, seed,
              scorer, negatives_per_positive, k, method, report_path, deterministic):
     """Link-prediction proxy on the full or sparsified train graph."""
     if not 0 < holdout < 1:  # FloatRange's bound checks are false for nan, so it passes
         raise click.BadParameter(f"{holdout} is not in the range 0<x<1.", param_hint="'--holdout'")
-    g = _load_graph(links, nodes, weighted, delimiter, comment_prefix)
+    g = _load_graph(links, nodes, delimiter, comment_prefix)
     params = None
     if k is not None:
         params = SparsifyParams(k=k, method=method, seed=substream_seed(seed, 2))

@@ -13,20 +13,20 @@ class DataError(Exception):
     """Invalid input data (file contents, graph references, specs)."""
 
 
-class LinkFormatError(DataError):
+class _LineError(DataError):
+    """A fault on one line of an input file; carries its 1-based number."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
+class LinkFormatError(_LineError):
     """Malformed line in a link file; carries 1-based line number."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
-
-class NodeFileError(DataError):
+class NodeFileError(_LineError):
     """Malformed line or duplicate id in a node file."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class UnknownNodeError(DataError):

@@ -305,10 +305,8 @@ def evaluate(g: HeteroGraph, holdout: float = 0.2, seed: int = 0,
     train_mask = np.zeros(g.m, dtype=bool)
     train_mask[split.train_ids] = True
     train_g = g.subgraph(train_mask)
-    if sparsify_params is not None:
-        view = TrainView.from_graph(train_g, sparsify(train_g, sparsify_params).mask)
-    else:
-        view = TrainView.from_graph(train_g)
+    view = TrainView.from_graph(train_g, None if sparsify_params is None
+                                else sparsify(train_g, sparsify_params).mask)
     pos_u = g.src[split.test_pos_ids]
     pos_v = g.dst[split.test_pos_ids]
     pos_scores = score_pairs(view, pos_u, pos_v, scorer)

@@ -313,7 +313,8 @@ def build_graph_arrays(src, dst, etype, weight=None,
 
     When ``node_ids`` is given it declares the node table (with
     ``node_types`` aligned); endpoints outside it raise.  Otherwise the
-    node set is inferred from the endpoints with every node typed 0.
+    node set is inferred from the endpoints with every node typed 0, and
+    ``node_types`` without ``node_ids`` raises ValueError.
     Node ids, node types and edge types are whole numbers in [0, 2**63),
     as the readers require; any other value raises ValueError.
     ``weight`` is None or one finite value per edge; a NaN or an infinity
@@ -333,6 +334,8 @@ def build_graph_arrays(src, dst, etype, weight=None,
             raise NonFiniteWeightError("edge weight is not finite")
 
     if node_ids is None:
+        if node_types is not None:
+            raise ValueError("node_types needs node_ids")
         node_ids = np.unique(np.concatenate((src, dst)))
         node_types = np.zeros(node_ids.shape[0], dtype=np.int64)
     else:

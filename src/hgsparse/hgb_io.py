@@ -5,8 +5,9 @@ Formats (UTF-8):
 * link file: ``<src>\\t<dst>\\t<etype>[\\t<weight>]`` per line, the
   delimiter any one non-digit character.  Ids and edge types are ASCII
   digits ``[0-9]+`` of any length with a value in ``[0, 2**63)``; the
-  weight column is there on every line or on none, and holds a finite
-  value that ``float()`` accepts.  A line ends at ``\\n`` without the
+  weight column is there on every line or on none, as the first line
+  that is neither blank nor a comment has it, and holds a finite value
+  that ``float()`` accepts.  A line ends at ``\\n`` without the
   CRs just before it; read by path, a lone CR also ends a line.  Blank
   (whitespace-only) lines and lines starting with the comment prefix
   are skipped but counted in error line numbers.
@@ -66,7 +67,11 @@ _IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
 
 @dataclass(frozen=True)
 class LinkFileOptions:
-    has_weight: bool = False
+    """How to cut a link file into fields: its delimiter and comment prefix.
+
+    Whether a file has a weight column is read from the file itself.
+    """
+
     delimiter: str = "\t"
     comment_prefix: str | None = None
 
@@ -250,15 +255,19 @@ def _parse_id(field: str, what: str) -> int:
     return int(digits)
 
 
-def _line_error(line: str, opts: LinkFileOptions) -> str:
-    """Why a line that is neither blank nor a comment is not a link."""
-    fields = line.split(opts.delimiter)
+def _line_error(line: str, delimiter: str, has_weight: bool, decider: int) -> str:
+    """Why a line that is neither blank nor a comment is not a link.
+
+    Line ``decider`` (1-based) is the first row, whose width says whether
+    the file has a weight column.
+    """
+    fields = line.split(delimiter)
     if len(fields) not in (3, 4):
         return f"expected 3 or 4 fields, got {len(fields)}"
-    if len(fields) == 4 and not opts.has_weight:
-        return "unexpected weight column (weights are disabled)"
-    if len(fields) == 3 and opts.has_weight:
-        return "missing weight column (weights are enabled)"
+    if len(fields) == 4 and not has_weight:
+        return f"unexpected weight column (line {decider} has none)"
+    if len(fields) == 3 and has_weight:
+        return f"missing weight column (line {decider} has one)"
     try:
         for what, field in zip(("src", "dst", "etype"), fields):
             _parse_id(field, what)
@@ -274,7 +283,10 @@ def _line_error(line: str, opts: LinkFileOptions) -> str:
 def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTable:
     """Parse a link file into columns, in file order.
 
-    Raises :class:`LinkFormatError` naming the first malformed line.
+    The first line that is neither blank nor a comment decides the weight
+    column: with 4 fields every row carries a weight, with 3 none does.
+    A file without rows reads with ``weight=None``.  Raises
+    :class:`LinkFormatError` naming the first malformed line.
     """
     lines = _split_lines(source, opts.delimiter)
     text, chars, _, sep, line_first, line_last, line_start, line_end = lines
@@ -283,9 +295,15 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     else:
         comment = chars[line_start] == ord(opts.comment_prefix)
     # a row's first three fields are the ids src, dst and etype
-    bad = line_last - line_first + 1 != (4 if opts.has_weight else 3)
+    width = line_last - line_first + 1
+    # the first line that is neither blank nor a comment decides whether
+    # every row has a fourth field, a weight; Python looks up to it only
+    decider = next((i for i in range(width.shape[0])
+                    if not comment[i] and text[line_start[i]:line_end[i]].strip()), -1)
+    has_weight = decider >= 0 and width[decider] == 4
+    bad = width != (4 if has_weight else 3)
     in_weight = None
-    if opts.has_weight:
+    if has_weight:
         # a weight, the rest of a line after its third field, is free
         # text; its newline separates it from the next weight
         in_weight = _span_mask(chars.shape[0],
@@ -293,7 +311,7 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     good, _, (src, dst, etype) = _rows(lines, bad, comment, in_weight, 3)
 
     weight = None
-    if opts.has_weight:
+    if has_weight:
         fields = _text(chars[in_weight]).split("\n")[:-1]
         parsed: list[float] = []
         try:
@@ -307,7 +325,8 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     first = np.flatnonzero(bad)
     if first.shape[0]:
         i = int(first[0])
-        raise LinkFormatError(i + 1, _line_error(text[line_start[i]:line_end[i]], opts))
+        raise LinkFormatError(i + 1, _line_error(text[line_start[i]:line_end[i]],
+                                                 opts.delimiter, has_weight, decider + 1))
     return LinkTable(src, dst, etype, weight)
 
 
@@ -439,7 +458,7 @@ def write_link_file(g: HeteroGraph, dest, selected=None) -> int:
     """Write kept edges tab-separated in canonical order; returns the line count.
 
     A weighted graph writes ``repr(float(w))`` as a fourth column on
-    every line, so the file reads back with ``has_weight=True``.
+    every line, so the file reads back with its weights.
     """
     ids = np.flatnonzero(g.edge_mask(selected))
     rows = ids.shape[0]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import IN, OUT, HeteroGraph
-from .sparsify import METHODS, PER_TYPE
+from .sparsify import PER_TYPE, SparsifyParams
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,10 @@ def coverage_report(g: HeteroGraph, selected, k: int,
     The floor is min(k, |bucket|) for per-type and 1 for all-types.
     Violations are listed exhaustively (out-direction buckets first,
     then in-direction, each in (node, etype) order) so reports diff
-    cleanly.
+    cleanly.  ``k`` and ``method`` must pass :class:`SparsifyParams`'
+    check; anything it rejects raises ValueError here too.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    SparsifyParams(k=k, method=method)
     mask = g.edge_mask(selected)
     if g.m == 0:
         return []

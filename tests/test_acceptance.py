@@ -121,7 +121,7 @@ def test_determinism_byte_identical(tmp_path):
                     reason=f"set {PUBMED_ENV} to a PubMed link.dat to enable")
 def test_pubmed_ratio_reproduction():
     started = time.perf_counter()
-    table = read_link_file(os.environ[PUBMED_ENV], LinkFileOptions(has_weight=True))
+    table = read_link_file(os.environ[PUBMED_ENV])
     g = build_graph_arrays(table.src, table.dst, table.etype, weight=table.weight)
     expected = {1: 0.45, 2: 0.59, 3: 0.67, 5: 0.75, 10: 0.86}
     ratios = {k: sparsify(g, SparsifyParams(k=k, seed=0)).ratio

@@ -112,12 +112,15 @@ def test_usage_errors_print_one_line(star_file, capsys, argv, message):
     assert capsys.readouterr() == ("", f"Error: {message}\n")
 
 
-def test_malformed_input_exits_two(tmp_path):
+def test_malformed_input_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.dat"
     bad.write_text("1\t2\n")
     assert run(["stats", "--links", str(bad)]) == 2
-    bad.write_text("1\t2\t0\t1.5\n")
-    assert run(["stats", "--links", str(bad)]) == 2  # weight without --weighted
+    bad.write_text("\n1\t2\t0\n2\t3\t0\n3\t4\t0\t1.5\n")  # a weight on one row only
+    capsys.readouterr()
+    assert run(["stats", "--links", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 4: unexpected weight column (line 2 has none)\n")
 
 
 def _one_line_error(capsys) -> str:
@@ -308,7 +311,7 @@ def test_weighted_and_delimiter_flags(tmp_path):
     src = tmp_path / "w.csv"
     src.write_text("1,2,0,0.5\n2,3,0,1.25\n")
     out = tmp_path / "w_sparse.csv"
-    assert run(["sparsify", "--links", str(src), "--weighted", "--delimiter", ",",
+    assert run(["sparsify", "--links", str(src), "--delimiter", ",",
                 "--k", "1", "--out", str(out)]) == 0
     assert out.read_text() == "1\t2\t0\t0.5\n2\t3\t0\t1.25\n"
 
@@ -319,7 +322,7 @@ def test_verify_reads_sparse_output_of_any_delimiter(tmp_path):
     src = tmp_path / "w.txt"
     src.write_text("1→2→0→0.5\n2→3→0→-0.0\n")
     out = tmp_path / "w_sparse.dat"
-    flags = ["--links", str(src), "--weighted", "--delimiter", "→", "--k", "1"]
+    flags = ["--links", str(src), "--delimiter", "→", "--k", "1"]
     assert run(["sparsify", *flags, "--out", str(out)]) == 0
     assert run(["verify", *flags, "--sparse", str(out)]) == 0
 
@@ -372,6 +375,19 @@ def test_generate_flag_conflicts(tmp_path):
                 "--out", out]) == 1
     assert run(["generate", "--out", out]) == 1
     assert run(["generate", "--node-types", "4", "--out", out]) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--node-types", "4", "--edge", "0:0"],
+     "--edge must be src_type:dst_type:count[:alpha], got '0:0'"),
+    (["--node-types", "4", "--edge", "0:0:x"], "invalid number in --edge '0:0:x'"),
+    (["--node-types", "4 x", "--edge", "0:0:2"], "invalid --node-types '4 x'"),
+])
+def test_generate_malformed_flags_exit_one(tmp_path, capsys, flags, message):
+    out = tmp_path / "x.dat"
+    assert run(["generate", *flags, "--out", str(out)]) == 1
+    assert _one_line_error(capsys) == f"Error: {message}\n"
+    assert not out.exists()
 
 
 def test_generate_infeasible_exits_two(tmp_path):

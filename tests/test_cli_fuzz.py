@@ -126,8 +126,6 @@ def dialect_texts(draw) -> tuple[str, list[str]]:
             lines.append("# " + draw(st.sampled_from(EDGE_IDS)))
     lines += lines[:draw(st.integers(0, len(lines)))]  # duplicates
     flags = ["--delimiter", delimiter]
-    if weighted:
-        flags.append("--weighted")
     if comment:
         flags += ["--comment-prefix", "#"]
     return "".join(line + "\n" for line in lines), flags

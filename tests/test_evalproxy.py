@@ -173,6 +173,13 @@ def test_negative_matrix_independent_of_chunk(monkeypatch, chunk):
         _negative_matrix(g, np.array([0, g.m - 2, g.m - 1]), 9, seed=4)
 
 
+def test_negative_matrix_needs_a_negative_per_positive():
+    g = build_graph([(0, 1, 0), (0, 2, 0)])
+    with pytest.raises(ValueError) as err:
+        _negative_matrix(g, np.array([0]), 0, seed=0)
+    assert str(err.value) == "per_pos must be >= 1, got 0"
+
+
 def test_negatives_uniform_on_sparse_neighbourhood():
     # 5 free destinations among 10; each of 10k seeds draws one negative
     edges = [(0, w, 0) for w in range(10, 15)]
@@ -334,6 +341,13 @@ def test_candidate_ranks_tie_rule():
     ranks = candidate_ranks([1.0, 1.0, 1.0],
                             np.array([[0.5], [1.0], [2.0]]))
     assert list(ranks) == [1.0, 1.5, 2.0]
+
+
+def test_candidate_ranks_need_one_negative_row_per_positive():
+    for neg in (np.array([0.5, 1.0]), np.zeros((3, 2))):
+        with pytest.raises(ValueError) as err:
+            candidate_ranks([1.0, 2.0], neg)
+        assert str(err.value) == "neg_score_matrix must be (len(pos_scores), per_pos)"
 
 
 def test_nan_scores_and_ranks_rejected():

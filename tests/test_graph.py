@@ -129,6 +129,35 @@ def test_empty_node_table_rejects_every_id():
         build_graph_arrays([0], [5], [0], node_ids=[0])
 
 
+def test_node_types_need_node_ids():
+    # without a node table every node is typed 0, so types alone would be
+    # dropped unchecked
+    for types in ([5, 7], [5, 7, 9, "x"]):
+        with pytest.raises(ValueError, match="^node_types needs node_ids$"):
+            build_graph_arrays([1], [2], [0], node_types=types)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(src=[1, 2], dst=[2], etype=[0, 0]), "src, dst and etype must have equal length"),
+    (dict(src=[1], dst=[2], etype=[0], weight=[0.5, 1.0]),
+     "weight must align with the edge arrays"),
+    (dict(src=[1], dst=[2], etype=[0], node_ids=[1, 2], node_types=[0]),
+     "node_types must align with node_ids"),
+    (dict(src=[1], dst=[2], etype=[0], node_ids=[2, 1, 2]),
+     "duplicate node id 2 in node table"),
+])
+def test_arrays_builder_rejects_misaligned_tables(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        build_graph_arrays(**kwargs)
+    assert str(err.value) == message
+
+
+def test_record_builder_rejects_short_records():
+    with pytest.raises(ValueError) as err:
+        build_graph([(1, 2, 0), (1, 2)])
+    assert str(err.value) == "edge record must have 3 or 4 fields, got (1, 2)"
+
+
 def test_edge_index_and_ids(g1):
     for eid in range(g1.m):
         assert edge_index(g1, *g1.edge_key(eid)) == eid

@@ -41,8 +41,7 @@ def test_two_line_parse():
 
 
 def test_weighted_parse():
-    opts = LinkFileOptions(has_weight=True)
-    table = read_link_file(io.StringIO("1\t2\t0\t0.5\n"), opts)
+    table = read_link_file(io.StringIO("1\t2\t0\t0.5\n"))
     assert _rows(table) == [(1, 2, 0, 0.5)]
     assert table.weight.dtype == np.float64
 
@@ -54,12 +53,15 @@ def test_two_fields_is_an_error():
     assert "expected 3" in str(err.value) and "got 2" in str(err.value)
 
 
-def test_field_count_must_match_weight_flag():
-    # 4 fields requires has_weight, 3 fields forbids it
-    with pytest.raises(LinkFormatError):
-        read_link_file(io.StringIO("1\t2\t0\t0.5\n"))
-    with pytest.raises(LinkFormatError):
-        read_link_file(io.StringIO("1\t2\t0\n"), LinkFileOptions(has_weight=True))
+def test_field_count_must_match_first_row():
+    # the first line that is neither blank nor a comment decides the width
+    opts = LinkFileOptions(comment_prefix="#")
+    with pytest.raises(LinkFormatError) as err:
+        read_link_file(io.StringIO("# w\n\n1\t2\t0\n1\t3\t0\t0.5\n"), opts)
+    assert str(err.value) == "line 4: unexpected weight column (line 3 has none)"
+    with pytest.raises(LinkFormatError) as err:
+        read_link_file(io.StringIO("1\t2\t0\t0.5\n1\t3\t0\n"))
+    assert str(err.value) == "line 2: missing weight column (line 1 has one)"
 
 
 def test_line_numbers_count_skipped_lines():
@@ -71,11 +73,10 @@ def test_line_numbers_count_skipped_lines():
 
 
 def test_non_finite_weight_rejected_at_parse():
-    opts = LinkFileOptions(has_weight=True)
     with pytest.raises(LinkFormatError):
-        read_link_file(io.StringIO("1\t2\t0\tnan\n"), opts)
+        read_link_file(io.StringIO("1\t2\t0\tnan\n"))
     with pytest.raises(LinkFormatError):
-        read_link_file(io.StringIO("1\t2\t0\tinf\n"), opts)
+        read_link_file(io.StringIO("1\t2\t0\tinf\n"))
 
 
 def test_custom_delimiter():
@@ -172,7 +173,7 @@ def test_write_preserves_weight_column():
     write_link_file(g, out)
     assert out.getvalue() == "1\t2\t0\t0.5\n2\t3\t0\t-0.0\n"
     out.seek(0)
-    table = read_link_file(out, LinkFileOptions(has_weight=True))
+    table = read_link_file(out)
     assert _rows(table) == [(1, 2, 0, 0.5), (2, 3, 0, -0.0)]
     assert np.signbit(table.weight).tolist() == [False, True]
 
@@ -263,13 +264,12 @@ def test_write_read_build_round_trip(edges, weights, keep):
     mask = np.array(keep[:g.m], dtype=bool)
     out = io.StringIO()
     assert write_link_file(g, out, mask) == int(mask.sum())
-    opts = LinkFileOptions(has_weight=weight is not None)
-    table = read_link_file(io.StringIO(out.getvalue()), opts)
+    table = read_link_file(io.StringIO(out.getvalue()))
     back = build_graph_arrays(table.src, table.dst, table.etype, weight=table.weight,
                               node_ids=g.node_ids)
     for name in ("src", "dst", "etype"):
         np.testing.assert_array_equal(getattr(back, name), getattr(g, name)[mask])
-    if weight is None:
+    if weight is None or not mask.any():  # a file without rows has no weights
         assert back.weight is None
     else:  # repr gives back every bit, the sign of -0.0 included
         np.testing.assert_array_equal(back.weight.view(np.int64),
@@ -296,8 +296,7 @@ def test_built_records_round_trip(records):
     g = build_graph(records)
     out = io.StringIO()
     assert write_link_file(g, out) == g.m
-    table = read_link_file(io.StringIO(out.getvalue()),
-                           LinkFileOptions(has_weight=g.weight is not None))
+    table = read_link_file(io.StringIO(out.getvalue()))
     for name in ("src", "dst"):
         np.testing.assert_array_equal(getattr(table, name), g.node_ids[getattr(g, name)])
     np.testing.assert_array_equal(table.etype, g.etype)

@@ -1,10 +1,12 @@
 """read_link_file against the per-line loop it replaced, plus input fuzzing.
 
-The reference reader below is that loop, with one change in
-``_parse_id``: an id field must be ASCII digits (``field.isascii() and
+The reference reader below is that loop, with two changes.  In
+``_parse_id`` an id field must be ASCII digits (``field.isascii() and
 field.isdigit()``) before ``int`` sees it, so ``" 1"``, ``"+2"``,
-``"1_0"`` and non-ASCII digits are malformed.  The columnar reader must return the same columns, or
-raise the same error with the same line number and message.
+``"1_0"`` and non-ASCII digits are malformed.  And the weight column is
+the file's: the first line that is neither blank nor a comment decides
+whether every row has one.  The columnar reader must return the same
+columns, or raise the same error with the same line number and message.
 
 Python's ``int`` refuses strings of more than 4300 digits, so the
 reference rejects such ids while the columnar reader parses them; the
@@ -41,8 +43,13 @@ def _parse_id(field: str, what: str, line_no: int) -> int:
 
 
 def reference_read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> list[EdgeRecord]:
-    """Parse a link file into EdgeRecords in file order."""
+    """Parse a link file into EdgeRecords in file order.
+
+    The first line that is neither blank nor a comment decides whether
+    every row has a weight: it does when that line has 4 fields.
+    """
     records: list[EdgeRecord] = []
+    decider = has_weight = None
     with _opened(source, "r") as stream:
         for line_no, raw in enumerate(stream, 1):
             line = raw.rstrip("\r\n")
@@ -51,20 +58,22 @@ def reference_read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) 
             if opts.comment_prefix and line.startswith(opts.comment_prefix):
                 continue
             fields = line.split(opts.delimiter)
+            if decider is None:
+                decider, has_weight = line_no, len(fields) == 4
             if len(fields) not in (3, 4):
                 raise LinkFormatError(
                     line_no, f"expected 3 or 4 fields, got {len(fields)}")
-            if len(fields) == 4 and not opts.has_weight:
+            if len(fields) == 4 and not has_weight:
                 raise LinkFormatError(
-                    line_no, "unexpected weight column (weights are disabled)")
-            if len(fields) == 3 and opts.has_weight:
+                    line_no, f"unexpected weight column (line {decider} has none)")
+            if len(fields) == 3 and has_weight:
                 raise LinkFormatError(
-                    line_no, "missing weight column (weights are enabled)")
+                    line_no, f"missing weight column (line {decider} has one)")
             src = _parse_id(fields[0], "src", line_no)
             dst = _parse_id(fields[1], "dst", line_no)
             etype = _parse_id(fields[2], "etype", line_no)
             weight = None
-            if opts.has_weight:
+            if has_weight:
                 try:
                     weight = float(fields[3])
                 except ValueError:
@@ -84,7 +93,7 @@ def _outcome(read, source, opts):
         return ("error", type(exc).__name__, getattr(exc, "line_no", None), str(exc))
     if isinstance(result, list):
         columns = [[r[i] for r in result] for i in range(3)]
-        weight = [r.weight for r in result] if opts.has_weight else None
+        weight = [r.weight for r in result] if result and result[0].weight is not None else None
     else:
         for column in (result.src, result.dst, result.etype):
             assert column.dtype == np.int64 and column.shape == (len(result),)
@@ -132,8 +141,8 @@ weights = _mostly(
 
 @st.composite
 def link_texts(draw):
+    weighted = draw(st.booleans())
     opts = LinkFileOptions(
-        has_weight=draw(st.booleans()),
         delimiter=draw(st.sampled_from(DELIMITERS)),
         comment_prefix=draw(st.sampled_from([None, "#", "%", "→", " "])))
     lines = []
@@ -142,8 +151,8 @@ def link_texts(draw):
                             st.just("fields"), odds=20))
         if kind == "edge":
             fields = [draw(ids) for _ in range(3)]
-            # mostly the width the options expect, sometimes the other
-            if draw(_mostly(st.just(opts.has_weight), st.just(not opts.has_weight))):
+            # mostly the width of the file's first rows, sometimes the other
+            if draw(_mostly(st.just(weighted), st.just(not weighted))):
                 fields.append(draw(weights))
             line = opts.delimiter.join(fields)
         elif kind == "fields":
@@ -171,23 +180,22 @@ def test_matches_reference_on_generated_files(case):
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=st.sampled_from(list("0123456789\t\n\r ,#x.-+") + ["١", "→"]),
                max_size=60),
-       st.booleans(), st.sampled_from(DELIMITERS), st.sampled_from([None, "#", "\t", "→"]))
-def test_matches_reference_on_random_text(text, has_weight, delimiter, comment_prefix):
-    _agree(text, LinkFileOptions(has_weight, delimiter, comment_prefix))
+       st.sampled_from(DELIMITERS), st.sampled_from([None, "#", "\t", "→"]))
+def test_matches_reference_on_random_text(text, delimiter, comment_prefix):
+    _agree(text, LinkFileOptions(delimiter, comment_prefix))
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.lists(st.sampled_from([b"1", b"07", b"\t", b"\r", b"\n", b"\r\n", b"#",
                                        b" ", b"0.5", b"\xff", b"\xc3\xa9", b"9" * 20]),
-                     max_size=30).map(b"".join),
-       has_weight=st.booleans())
-def test_matches_reference_on_disk(tmp_path, data, has_weight):
+                     max_size=30).map(b"".join))
+def test_matches_reference_on_disk(tmp_path, data):
     # by path, universal newlines turn a lone CR into a line break, and
     # bytes that are not UTF-8 are a DataError naming the file
     path = tmp_path / "link.dat"
     path.write_bytes(data)
-    opts = LinkFileOptions(has_weight=has_weight, comment_prefix="#")
+    opts = LinkFileOptions(comment_prefix="#")
     assert (_outcome(read_link_file, path, opts)
             == _outcome(reference_read_link_file, path, opts))
 
@@ -207,8 +215,7 @@ def test_matches_reference_on_disk(tmp_path, data, has_weight):
     "1\t2\t0\t\n",
 ])
 def test_matches_reference_on_edge_cases(text):
-    for opts in (LinkFileOptions(), LinkFileOptions(has_weight=True)):
-        _agree(text, opts)
+    _agree(text, LinkFileOptions())
 
 
 # one defect far down a 200k-line file: the columnar reader finds a bad

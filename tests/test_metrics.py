@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from hgsparse import (
     ALL_TYPES,
@@ -48,6 +49,15 @@ def test_all_types_floor_is_one(g1):
     report = coverage_report(g1, H, 2, method=ALL_TYPES)
     assert [(v.node, v.direction, v.etype) for v in report] == [(3, "in", 0)]
     assert report[0].required == 1
+
+
+def test_coverage_report_holds_k_and_method_to_the_sparsify_rule(g1):
+    # the same k and method that SparsifyParams rejects
+    for k, method, message in ((1.5, PER_TYPE, "k must be a positive integer, got 1.5"),
+                               (0, PER_TYPE, "k must be a positive integer, got 0"),
+                               (1, "bogus", "method must be one of")):
+        with pytest.raises(ValueError, match=message):
+            coverage_report(g1, None, k, method)
 
 
 def test_violation_to_dict(g1):

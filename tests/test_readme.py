@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hgsparse as hg
-from hgsparse.cli import run
+from hgsparse.cli import app, run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -37,3 +37,15 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
     assert COMMANDS and {argv[0] for argv in COMMANDS} == {"hgsparse"}
     for argv in COMMANDS:
         assert run(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_names_only_real_flags():
+    # every --flag in inline code and in the command-line block is an
+    # option of some hgsparse command
+    options = {opt for command in app.commands.values() for param in command.params
+               for opt in param.opts + param.secondary_opts}
+    inline = {flag for span in re.findall(r"`([^`\n]+)`", TEXT)
+              for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", span)}
+    block = {arg.split("=")[0] for argv in COMMANDS for arg in argv if arg.startswith("--")}
+    assert inline and block
+    assert inline | block <= options, sorted((inline | block) - options)
