@@ -18,21 +18,30 @@ Formats (UTF-8):
 * report: a JSON object, keys sorted, written with a trailing newline
 
 Readers and writers are columnar.  :func:`read_link_file` and
-:func:`read_node_file` cut the whole text into lines and fields with
-numpy passes over its code points and hand them to one row core,
-``_rows``, with a mask of the free-text characters: a weighted link
-file's weight tail, or a node file's name field and attribute tail.
-The core checks by exception for both readers: the positions of
-characters outside free text that are neither digits nor separators,
-and of separators that end an empty field, are mapped to their lines
-with ``searchsorted``; those lines and the ones of the wrong width are
-the only ones checked further, for being blank.  One ``np.fromstring``
-call parses every id from a copy of the text that keeps the rows' id
-digits and has spaces elsewhere.  Past a few passes over the text, the
-work follows the faulty and skipped lines, not the rows.  The readers
-add only what differs: width rules, the weight parse, the repeated-id
-check and the attribute warning.  Python looks at one line only: the
-first bad one, to explain it in the error.
+:func:`read_node_file` read the text in blocks of about ``_BLOCK``
+characters, each cut just after its last newline; a line longer than a
+block grows its block until the line ends.  Each block is cut into
+lines and fields with numpy passes over its code points and handed to
+one row core, ``_rows``, with a mask of the free-text characters: a
+weighted link file's weight tail, or a node file's name field and
+attribute tail.  The core checks by exception for both readers: the
+positions of characters outside free text that are neither digits nor
+separators, and of separators that end an empty field, are mapped to
+their lines with ``searchsorted``; those lines and the ones of the
+wrong width are the only ones checked further, for being blank.  One
+``np.fromstring`` call per block parses its ids from a copy of the
+block that keeps the rows' id digits and has spaces elsewhere.  Past a
+few passes over the text, the work follows the faulty and skipped
+lines, not the rows.  The readers add only what differs: width rules,
+the weight parse, the repeated-id check and the attribute warning.
+Line numbers carry the line count of the blocks before; the link
+reader finds its deciding line once, in the first block that holds
+one, and the node reader checks repeated ids and places its warning
+once every block is read.  Python looks at one line only: the first
+bad one, to explain it in the error.  A read holds a few arrays the
+size of one block plus the columns read so far, which are joined at
+the end, so its memory is about the output columns twice over, not a
+multiple of the text.
 :func:`write_link_file` and :func:`write_node_file` cut the decimal
 digits of their int columns into one uint8 buffer, splice in the weight
 column by its byte lengths, and hand the stream the whole text in one
@@ -57,9 +66,12 @@ from .errors import DataError, LinkFormatError, NodeFileError
 from .graph import HeteroGraph, _as_ids, _ranges
 
 _MAX_ID = 2**63 - 1  # ids are stored as int64
+# characters read at once; bounds a read's temporaries
+_BLOCK = 1 << 18
 # A line's trailing CRs are not part of it.  A file read by path has none
-# left after universal-newline decoding; a text stream may keep them.
-_TRAILING_CR = re.compile(r"\r+(?=\n|\Z)")
+# left after universal-newline decoding; a text stream may keep them.  A
+# block ends at a newline, so a line's CRs are in the block it ends.
+_TRAILING_CR = re.compile(r"\r+(?=\n)")
 # str.isspace() by code point; no code point above U+3000 is whitespace,
 # so larger ones clip to the last entry, which is False
 _IS_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
@@ -159,21 +171,36 @@ def _span_mask(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(inside, bounds[1:] - bounds[:-1])
 
 
-def _split_lines(source, delimiter: str) -> tuple:
-    """Read a whole text and find its lines and the ends of their fields.
+def _blocks(source):
+    """The text of ``source`` in blocks of about ``_BLOCK`` characters.
 
-    Returns the text, without trailing CRs and ending in a newline unless
-    empty; its code points; the mask of delimiters and newlines and their
-    positions ``sep``; and per line, the index into ``sep`` of its first
-    field's end and of its newline, and the positions of its first
-    character and of its newline.
+    A block ends just after a newline, so a line longer than ``_BLOCK``
+    grows its block until it ends; the last block gets a newline if the
+    text ends without one.  An empty text yields no block.
     """
+    head = []  # the start of a line that the last read cut
     with _opened(source, "r") as stream:
-        text = stream.read()
+        while chunk := stream.read(_BLOCK):
+            cut = chunk.rfind("\n") + 1
+            if cut:
+                head.append(chunk[:cut])
+                yield "".join(head)
+                head, chunk = [], chunk[cut:]
+            head.append(chunk)
+    if tail := "".join(head):
+        yield tail + "\n"
+
+
+def _split_lines(text: str, delimiter: str) -> tuple:
+    """Find the lines of a block and the ends of their fields.
+
+    Returns the text, without trailing CRs; its code points; the mask of
+    delimiters and newlines and their positions ``sep``; and per line,
+    the index into ``sep`` of its first field's end and of its newline,
+    and the positions of its first character and of its newline.
+    """
     if "\r" in text:
         text = _TRAILING_CR.sub("", text)
-    if text and not text.endswith("\n"):
-        text += "\n"
     chars = _code_points(text)
     # a line's fields end at delimiters and at its newline
     is_nl = chars == 10
@@ -288,59 +315,79 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     A file without rows reads with ``weight=None``.  Raises
     :class:`LinkFormatError` naming the first malformed line.
     """
-    lines = _split_lines(source, opts.delimiter)
-    text, chars, _, sep, line_first, line_last, line_start, line_end = lines
-    if opts.comment_prefix is None:
-        comment = np.zeros(line_end.shape[0], dtype=bool)
-    else:
-        comment = chars[line_start] == ord(opts.comment_prefix)
-    # a row's first three fields are the ids src, dst and etype
-    width = line_last - line_first + 1
-    # the first line that is neither blank nor a comment decides whether
-    # every row has a fourth field, a weight; Python looks up to it only
-    decider = next((i for i in range(width.shape[0])
-                    if not comment[i] and text[line_start[i]:line_end[i]].strip()), -1)
-    has_weight = decider >= 0 and width[decider] == 4
-    bad = width != (4 if has_weight else 3)
-    in_weight = None
-    if has_weight:
-        # a weight, the rest of a line after its third field, is free
-        # text; its newline separates it from the next weight
-        in_weight = _span_mask(chars.shape[0],
-                               sep[np.minimum(line_first + 2, line_last)] + 1, line_end + 1)
-    good, _, (src, dst, etype) = _rows(lines, bad, comment, in_weight, 3)
+    decider, has_weight = -1, False
+    ids, weights = [np.empty((3, 0), dtype=np.int64)], []
+    failed = None  # the first malformed line's number and message
+    offset = 0  # the lines of the blocks before this one
+    for text in _blocks(source):
+        lines = _split_lines(text, opts.delimiter)
+        text, chars, _, sep, line_first, line_last, line_start, line_end = lines
+        if opts.comment_prefix is None:
+            comment = np.zeros(line_end.shape[0], dtype=bool)
+        else:
+            comment = chars[line_start] == ord(opts.comment_prefix)
+        # a row's first three fields are the ids src, dst and etype
+        width = line_last - line_first + 1
+        if decider < 0:
+            # the first line that is neither blank nor a comment decides
+            # whether every row has a fourth field, a weight; Python looks
+            # up to it only
+            i = next((i for i in range(width.shape[0])
+                      if not comment[i] and text[line_start[i]:line_end[i]].strip()), -1)
+            if i >= 0:
+                decider, has_weight = offset + i, bool(width[i] == 4)
+        bad = width != (4 if has_weight else 3)
+        in_weight = None
+        if has_weight:
+            # a weight, the rest of a line after its third field, is free
+            # text; its newline separates it from the next weight
+            in_weight = _span_mask(chars.shape[0],
+                                   sep[np.minimum(line_first + 2, line_last)] + 1,
+                                   line_end + 1)
+        good, _, block_ids = _rows(lines, bad, comment, in_weight, 3)
+        ids.append(block_ids)
 
-    weight = None
-    if has_weight:
-        fields = _text(chars[in_weight]).split("\n")[:-1]
-        parsed: list[float] = []
-        try:
-            parsed.extend(map(float, fields))
-        except ValueError:
-            # extend keeps what it appended, so the first bad field is next
-            bad[good[len(parsed)]] = True
-        weight = np.array(parsed, dtype=np.float64)
-        bad[good[:weight.shape[0]][~np.isfinite(weight)]] = True
+        if has_weight:
+            fields = _text(chars[in_weight]).split("\n")[:-1]
+            parsed: list[float] = []
+            try:
+                parsed.extend(map(float, fields))
+            except ValueError:
+                # extend keeps what it appended, so the first bad field is next
+                bad[good[len(parsed)]] = True
+            weight = np.array(parsed, dtype=np.float64)
+            bad[good[:weight.shape[0]][~np.isfinite(weight)]] = True
+            weights.append(weight)
 
-    first = np.flatnonzero(bad)
-    if first.shape[0]:
-        i = int(first[0])
-        raise LinkFormatError(i + 1, _line_error(text[line_start[i]:line_end[i]],
-                                                 opts.delimiter, has_weight, decider + 1))
-    return LinkTable(src, dst, etype, weight)
+        first = np.flatnonzero(bad)
+        if failed is None and first.shape[0]:
+            i = int(first[0])
+            failed = (offset + i + 1, _line_error(text[line_start[i]:line_end[i]],
+                                                  opts.delimiter, has_weight, decider + 1))
+        offset += line_end.shape[0]
+    # raised once the whole text is read, so that a later undecodable
+    # byte is the error instead
+    if failed is not None:
+        raise LinkFormatError(*failed)
+    src, dst, etype = np.concatenate(ids, axis=1)
+    return LinkTable(src, dst, etype, np.concatenate(weights) if has_weight else None)
 
 
 def _node_line_error(line: str) -> str:
-    """Why a node-file line that is not blank does not add a node."""
+    """Why a node-file line that is not blank is not a row.
+
+    It has fewer than 3 fields, or its id or type is not one; a
+    repeated id is found only once every block is read.
+    """
     fields = line.split("\t")
     if len(fields) < 3:
         return f"expected at least 3 fields, got {len(fields)}"
     try:
-        node_id = _parse_id(fields[0], "node id")
+        _parse_id(fields[0], "node id")
         _parse_id(fields[2], "node type")
     except ValueError as exc:
         return str(exc)
-    return f"duplicate node id {node_id}"
+    raise AssertionError(f"node line {line!r} is a row")
 
 
 def read_node_file(source) -> NodeTable:
@@ -350,38 +397,56 @@ def read_node_file(source) -> NodeTable:
     repeated id, and warns once about extra columns when the first line
     with them comes no later than that.
     """
-    lines = _split_lines(source, "\t")
-    text, chars, _, sep, first, last, line_start, line_end = lines
-    width = last - first + 1
-    # a row has 3 or more fields: the id, a name, the type and attribute
-    # columns.  The name, with the tab that ends it, and the attribute
-    # columns are free text; on a shorter line the spans stop at its end.
-    ends = sep[np.minimum(first + np.arange(3)[:, None], last)] + 1
-    free = _span_mask(chars.shape[0], np.stack((ends[0], ends[2]), axis=1).ravel(),
-                      np.stack((ends[1], line_end + 1), axis=1).ravel())
-    bad = width < 3
-    good, blank, (ids, types) = _rows(lines, bad, np.zeros_like(bad), free, 2)
+    ids, rows = [np.empty((2, 0), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    # the first malformed line's number and message, the first wide line's
+    # number and extra columns
+    failed = wide = None
+    offset = 0  # the lines of the blocks before this one
+    for text in _blocks(source):
+        lines = _split_lines(text, "\t")
+        text, chars, _, sep, first, last, line_start, line_end = lines
+        width = last - first + 1
+        # a row has 3 or more fields: the id, a name, the type and attribute
+        # columns.  The name, with the tab that ends it, and the attribute
+        # columns are free text; on a shorter line the spans stop at its end.
+        ends = sep[np.minimum(first + np.arange(3)[:, None], last)] + 1
+        free = _span_mask(chars.shape[0], np.stack((ends[0], ends[2]), axis=1).ravel(),
+                          np.stack((ends[1], line_end + 1), axis=1).ravel())
+        bad = width < 3
+        good, blank, block_ids = _rows(lines, bad, np.zeros_like(bad), free, 2)
+        ids.append(block_ids)
+        rows.append(good + offset)
+
+        malformed = np.flatnonzero(bad)
+        if failed is None and malformed.shape[0]:
+            i = int(malformed[0])
+            failed = (offset + i + 1, _node_line_error(text[line_start[i]:line_end[i]]))
+        is_wide = width > 3
+        is_wide[blank] = False
+        wide_lines = np.flatnonzero(is_wide)
+        if wide is None and wide_lines.shape[0]:
+            i = int(wide_lines[0])
+            wide = (offset + i + 1, int(width[i]) - 3)
+        offset += line_end.shape[0]
+    node_ids, types = np.concatenate(ids, axis=1)
 
     # a repeated id is an error on its first repeat; a stable sort puts
     # each id's rows in file order, so every row after the first of a
     # run repeats an earlier one
-    order = np.argsort(ids, kind="stable")
-    repeat = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    order = np.argsort(node_ids, kind="stable")
+    repeat = order[1:][node_ids[order[1:]] == node_ids[order[:-1]]]
     if repeat.shape[0]:
-        bad[good[repeat.min()]] = True
+        row = int(repeat.min())
+        line = int(np.concatenate(rows)[row]) + 1
+        if failed is None or line < failed[0]:
+            failed = (line, f"duplicate node id {int(node_ids[row])}")
 
-    failed = np.flatnonzero(bad)
-    wide = width > 3
-    wide[blank] = False
-    wide = np.flatnonzero(wide)
-    if wide.shape[0] and (not failed.shape[0] or wide[0] <= failed[0]):
-        i = int(wide[0])
-        warnings.warn(f"node file line {i + 1}: ignoring {int(width[i]) - 3} "
+    if wide is not None and (failed is None or wide[0] <= failed[0]):
+        warnings.warn(f"node file line {wide[0]}: ignoring {wide[1]} "
                       "attribute column(s)", stacklevel=2)
-    if failed.shape[0]:
-        i = int(failed[0])
-        raise NodeFileError(i + 1, _node_line_error(text[line_start[i]:line_end[i]]))
-    return NodeTable(ids, types)
+    if failed is not None:
+        raise NodeFileError(*failed)
+    return NodeTable(node_ids, types)
 
 
 def _int_rows(rows: int, columns: list[tuple[str, np.ndarray]], tail: str = ""

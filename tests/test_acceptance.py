@@ -18,7 +18,6 @@ from hgsparse import (
     PER_TYPE,
     EdgeTypeSpec,
     GenSpec,
-    LinkFileOptions,
     SparsifyParams,
     auc,
     build_graph_arrays,

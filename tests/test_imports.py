@@ -1,4 +1,4 @@
-"""No module of the package imports a name that it never uses."""
+"""No module of the package or its tests imports a name that it never uses."""
 
 import ast
 from pathlib import Path
@@ -37,9 +37,10 @@ def test_no_unused_imports():
         "import numpy as np\nimport os.path\n"
         "def f(x: 'Iterable[int]') -> int:\n    return np.size(x)\n")) == ["NamedTuple", "os"]
     package = Path(hgsparse.__file__).parent
-    offenders = {path.name: unused for path in sorted(package.glob("*.py"))
-                 if path.name != "__init__.py"
-                 and (unused := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    paths = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    offenders = {str(path): unused for path in paths
+                 if (unused := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
     assert offenders == {}
 
 

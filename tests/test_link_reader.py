@@ -6,7 +6,9 @@ field.isdigit()``) before ``int`` sees it, so ``" 1"``, ``"+2"``,
 ``"1_0"`` and non-ASCII digits are malformed.  And the weight column is
 the file's: the first line that is neither blank nor a comment decides
 whether every row has one.  The columnar reader must return the same
-columns, or raise the same error with the same line number and message.
+columns, or raise the same error with the same line number and message,
+also when a block size of a few characters splits the file into many
+blocks.
 
 Python's ``int`` refuses strings of more than 4300 digits, so the
 reference rejects such ids while the columnar reader parses them; the
@@ -16,7 +18,9 @@ columnar reader's behaviour on long ids.
 
 import io
 import math
+import tracemalloc
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -25,7 +29,8 @@ from hypothesis import strategies as st
 
 from hgsparse import (DataError, LinkFileOptions, LinkFormatError,
                       parse_spec_file, read_link_file, read_node_file)
-from hgsparse.hgb_io import _IS_SPACE, _opened
+from hgsparse import hgb_io
+from hgsparse.hgb_io import _BLOCK, _IS_SPACE, _opened
 
 from conftest import EdgeRecord
 
@@ -105,9 +110,16 @@ def _outcome(read, source, opts):
     return ("ok", columns, weight)
 
 
-def _agree(text: str, opts: LinkFileOptions) -> None:
-    new = _outcome(read_link_file, io.StringIO(text), opts)
-    assert new == _outcome(reference_read_link_file, io.StringIO(text), opts)
+# the default block size, and small ones that split every file into many
+# blocks: one line a block, a few characters, a few lines
+BLOCKS = (_BLOCK, 1, 7, 64)
+
+
+def _agree(text: str, opts: LinkFileOptions, blocks=BLOCKS) -> None:
+    expected = _outcome(reference_read_link_file, io.StringIO(text), opts)
+    for block in blocks:
+        with patch.object(hgb_io, "_BLOCK", block):
+            assert _outcome(read_link_file, io.StringIO(text), opts) == expected, block
 
 
 DELIMITERS = ["\t", ",", " ", "|", "→", "　"]
@@ -196,8 +208,10 @@ def test_matches_reference_on_disk(tmp_path, data):
     path = tmp_path / "link.dat"
     path.write_bytes(data)
     opts = LinkFileOptions(comment_prefix="#")
-    assert (_outcome(read_link_file, path, opts)
-            == _outcome(reference_read_link_file, path, opts))
+    expected = _outcome(reference_read_link_file, path, opts)
+    for block in BLOCKS:
+        with patch.object(hgb_io, "_BLOCK", block):
+            assert _outcome(read_link_file, path, opts) == expected, block
 
 
 @pytest.mark.parametrize("text", [
@@ -213,6 +227,8 @@ def test_matches_reference_on_disk(tmp_path, data):
     "1\t2\t\n",
     "1\t2\t\t0.5\n",
     "1\t2\t0\t\n",
+    "0" * 100 + "1\t2\t0\n3\t4\t0\n",  # a line longer than the small blocks
+    "1\t2\t0\t0.5\n" * 30 + "3\t4\t0\tnan\n",  # a bad weight blocks after the decider
 ])
 def test_matches_reference_on_edge_cases(text):
     _agree(text, LinkFileOptions())
@@ -234,7 +250,71 @@ FAR_LINE = 199_990
 def test_matches_reference_on_a_far_defect(defect, comment_prefix):
     lines = [f"{i}\t{i * 7 % 1000}\t{i % 5}" for i in range(200_000)]
     lines[FAR_LINE - 1] = defect
-    _agree("\n".join(lines) + "\n", LinkFileOptions(comment_prefix=comment_prefix))
+    # the file is about ten default blocks
+    _agree("\n".join(lines) + "\n", LinkFileOptions(comment_prefix=comment_prefix),
+           blocks=(_BLOCK,))
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_width_errors_name_the_decider_blocks_later(block):
+    # the deciding line comes after blank and comment lines that fill a
+    # block, and the faulty row after it, many small blocks later
+    head = " \n" * (block // 2 + 10) + "#\n" * 5
+    decider = head.count("\n") + 1
+    rows = "1\t2\t0\t0.5\n" * 200
+    opts = LinkFileOptions(comment_prefix="#")
+    with patch.object(hgb_io, "_BLOCK", block):
+        assert read_link_file(io.StringIO(head + rows), opts).weight.tolist() == [0.5] * 200
+        for tail, message in (("3\t4\t0", f"missing weight column (line {decider} has one)"),
+                              ("3\t4\t0\t1\t2", "expected 3 or 4 fields, got 5")):
+            with pytest.raises(LinkFormatError) as err:
+                read_link_file(io.StringIO(head + rows + tail), opts)
+            assert (err.value.line_no, str(err.value)) == (
+                decider + 200, f"line {decider + 200}: {message}")
+        with pytest.raises(LinkFormatError) as err:
+            read_link_file(io.StringIO(head + "1\t2\t0\n" * 200 + "3\t4\t0\t0.5\n"), opts)
+        assert str(err.value) == (f"line {decider + 200}: unexpected weight column "
+                                  f"(line {decider} has none)")
+
+
+@pytest.mark.parametrize("block", [_BLOCK, 7])
+def test_crlf_split_across_blocks(block):
+    # the first read ends between the first line's CR and its newline
+    text = "1\t2\t" + "0" * (block - 5) + "\r\n3\t4\t1\r\r\n5\t6\t2\r"
+    assert text.index("\r") == block - 1
+    with patch.object(hgb_io, "_BLOCK", block):
+        table = read_link_file(io.StringIO(text))
+    assert table.etype.tolist() == [0, 1, 2]
+
+
+def test_undecodable_byte_after_a_malformed_line(tmp_path):
+    # the whole file is decoded before a malformed line is named, so a
+    # bad byte many blocks later is the error, whatever the block size
+    path = tmp_path / "link.dat"
+    path.write_bytes(b"1\t2\n" + b"3\t4\t0\n" * 20_000 + b"\xff\n")
+    for block in (_BLOCK, 64):
+        with patch.object(hgb_io, "_BLOCK", block), pytest.raises(DataError) as err:
+            read_link_file(path)
+        assert str(err.value) == f"{path}: not UTF-8 text"
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_read_memory_is_bounded_by_blocks(tmp_path, weighted):
+    # a read holds a few arrays per block, and the id columns twice while
+    # it joins them: about 4x this file, against 16x for a whole-text read
+    tail = "\t0.5\n" if weighted else "\n"
+    path = tmp_path / "link.dat"
+    path.write_text("".join(f"{i}\t{i * 7 % 1000}\t0{tail}" for i in range(240_000)))
+    size = path.stat().st_size
+    assert size > 10 * _BLOCK
+    tracemalloc.start()
+    try:
+        table = read_link_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 240_000
+    assert peak < 6 * size
 
 
 @pytest.mark.parametrize("delimiter", ["\n", "\r"])

@@ -4,11 +4,13 @@ The reference reader below is that loop.  The columnar reader must
 return the same ids and types in file order, or raise the same
 error with the same line number and message, and warn about extra
 columns in the same way: once, naming the first such line, and only
-when that line comes no later than the error.
+when that line comes no later than the error.  It must do so also when a
+block size of a few characters splits the file into many blocks.
 """
 
 import io
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hgsparse import DataError, NodeFileError, read_node_file
-from hgsparse.hgb_io import _opened, _parse_id
+from hgsparse import hgb_io
+from hgsparse.hgb_io import _BLOCK, _opened, _parse_id
 
 
 def reference_read_node_file(source) -> dict[int, int]:
@@ -68,9 +71,16 @@ def _outcome(read, source):
     return outcome, [(w.category, str(w.message), w.filename) for w in caught]
 
 
-def _agree(text: str) -> None:
-    assert (_outcome(read_node_file, io.StringIO(text))
-            == _outcome(reference_read_node_file, io.StringIO(text)))
+# the default block size, and small ones that split every file into many
+# blocks: one line a block, a few characters, a few lines
+BLOCKS = (_BLOCK, 1, 7, 64)
+
+
+def _agree(text: str, blocks=BLOCKS) -> None:
+    expected = _outcome(reference_read_node_file, io.StringIO(text))
+    for block in blocks:
+        with patch.object(hgb_io, "_BLOCK", block):
+            assert _outcome(read_node_file, io.StringIO(text)) == expected, block
 
 
 def _mostly(common, rare, odds: int = 10):
@@ -144,7 +154,10 @@ def test_matches_reference_on_disk(tmp_path, data):
     # bytes that are not UTF-8 are a DataError naming the file
     path = tmp_path / "node.dat"
     path.write_bytes(data)
-    assert _outcome(read_node_file, path) == _outcome(reference_read_node_file, path)
+    expected = _outcome(reference_read_node_file, path)
+    for block in BLOCKS:
+        with patch.object(hgb_io, "_BLOCK", block):
+            assert _outcome(read_node_file, path) == expected, block
 
 
 @pytest.mark.parametrize("text", [
@@ -187,4 +200,5 @@ def test_matches_reference_on_a_far_defect(defect):
     # one defect far down a 200k-line file, whose names hold digits
     lines = [f"{i}\tn{i}\t{i % 4}" for i in range(200_000)]
     lines[199_989] = defect
-    _agree("\n".join(lines) + "\n")
+    # the file is about ten default blocks
+    _agree("\n".join(lines) + "\n", blocks=(_BLOCK,))
