@@ -35,14 +35,17 @@ def coverage_report(g: HeteroGraph, selected, k: int,
     check; anything it rejects raises ValueError here too.
     """
     SparsifyParams(k=k, method=method)
-    mask = g.edge_mask(selected)
+    mask = g._selection(selected)
     if g.m == 0:
         return []
     layout = g.layout
-    sizes = np.diff(layout.bkt_ptr)
-    kept = np.add.reduceat(mask[layout.order], layout.bkt_ptr[:-1])
-    required = np.minimum(min(k, g.m), sizes) if method == PER_TYPE else np.ones_like(sizes)
+    ptr = layout.bkt_ptr
+    kept = np.add.reduceat(mask[layout.order], ptr[:-1])
+    # every bucket is nonempty, so min(1, |bucket|) is all-types' floor of 1
+    required = np.minimum(min(k, g.m) if method == PER_TYPE else 1, ptr[1:] - ptr[:-1])
     bad = (kept < required).nonzero()[0]
+    if not bad.shape[0]:
+        return []
     # bucket b belongs to side d * n + u, the last side starting at or before b
     side = np.searchsorted(layout.side_bkt_ptr, bad, side="right") - 1
     inward, node = np.divmod(side, g.n)
@@ -55,16 +58,15 @@ def coverage_report(g: HeteroGraph, selected, k: int,
 
 def isolated_nodes(g: HeteroGraph, selected) -> set[int]:
     """Original ids of nodes with edges in g but none in the selection."""
-    mask = g.edge_mask(selected)
-    kept_deg = (np.bincount(g.src[mask], minlength=g.n)
-                + np.bincount(g.dst[mask], minlength=g.n))
-    lost = (g.degrees() > 0) & (kept_deg == 0)
-    return {int(u) for u in g.node_ids[lost]}
+    mask = g._selection(selected)
+    kept_deg = np.bincount(np.concatenate((g.src[mask], g.dst[mask])), minlength=g.n)
+    lost = ((g.degrees() > 0) & (kept_deg == 0)).nonzero()[0]
+    return set(g.node_ids[lost].tolist()) if lost.shape[0] else set()
 
 
 def per_type_kept(g: HeteroGraph, selected) -> dict[int, int]:
     """Kept-edge count for every edge type present in g."""
-    mask = g.edge_mask(selected)
+    mask = g._selection(selected)
     # count by the rank of each type, which stays below t whatever the values
     counts = np.bincount(np.searchsorted(g.etype_ids, g.etype[mask]), minlength=g.t)
     return dict(zip(g.etype_ids.tolist(), counts.tolist()))

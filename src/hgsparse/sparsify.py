@@ -187,22 +187,25 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     selected = np.ones(g.m, dtype=bool)
     if units.shape[0]:
         lens = size[units]
-        pos = _ranges(ptr[units], lens)
+        starts = lens.cumsum() - lens  # where each unit's entries begin in pos
+        pos = _ranges(ptr[units], lens, starts)
+        edge = layout.order[pos]
         # pos holds the loop units' entries, unit by unit in time order.  An
         # edge's other entry lies in bucket tb; when that bucket is
         # order-free, it keeps the edge, before this unit (held) or after.
         tb = a.pos_bkt[a.twin[pos]]
         twin_loop = loop[tb]
-        selected[layout.order[pos[twin_loop]]] = False
+        selected[edge[twin_loop]] = False
         held = ~twin_loop & (a.bkt_time[tb] < time[units].repeat(lens))
         if covers is None:  # the loop units are the loop buckets
             bkts, sizes = units, lens
         else:
             bkts = a.bkt_by_time[loop[a.bkt_by_time]]
             sizes, covers = a.bkt_size[bkts], covers[units]
-        selected |= _walk(g, pos, lens, bkts, sizes, covers, tb, held, k, phase,
-                          params.seed)
-    kept = int(selected.sum())
+            starts = sizes.cumsum() - sizes  # where each bucket's entries begin in pos
+        selected |= _walk(g, pos, edge, lens, bkts, sizes, starts, covers, tb, held, k,
+                          phase, params.seed)
+    kept = int(np.count_nonzero(selected))
     return SparsifierResult(params=params, mask=selected, kept=kept, ratio=kept / g.m)
 
 
@@ -217,55 +220,59 @@ def _by_priority(word: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.argsort(unit << np.uint64(32) | word >> np.uint64(32), kind="stable")
 
 
-def _walk(g, pos, lens, bkts, sizes, covers, tb, held, k, phase, seed) -> np.ndarray:
+def _walk(g, pos, edge, lens, bkts, sizes, starts, covers, tb, held, k, phase, seed):
     """Walk the loop units in time order: cover their buckets, then top up to k.
 
-    ``bkts`` holds the loop units' buckets in time order and ``sizes``
-    their entry counts.  ``covers`` holds each unit's bucket count when
-    the units cover their buckets (all-types) and is None when they cover
-    nothing.  A covering unit keeps, in each bucket that holds no kept
-    edge, the entry of least cover word.  A unit that then holds fewer
-    than k kept edges picks its first ``k - kept`` free entries in
-    ``phase`` priority order, all among its first k.  Returns a mask of
-    the picked edges and of the held ones among the candidates.
+    ``pos`` holds the loop units' layout positions and ``edge`` their edge
+    ids.  ``bkts`` holds the loop units' buckets in time order, ``sizes``
+    their entry counts and ``starts`` where each begins in ``pos``.
+    ``covers`` holds each unit's bucket count when the units cover their
+    buckets (all-types) and is None when they cover nothing.  A covering
+    unit keeps, in each bucket that holds no kept edge, the entry of least
+    cover word.  A unit that then holds fewer than k kept edges picks its
+    first ``k - kept`` free entries in ``phase`` priority order, all among
+    its first k.  Returns a mask of the picked edges and of the held ones
+    among the candidates.
     """
-    a, order = _sweep_arrays(g), g.layout.order
-    bkt_starts = sizes.cumsum() - sizes
-    kept = np.add.reduceat(held, bkt_starts)  # per bucket
-    key = 3 * (2 * order[pos] + (pos >= g.m))
+    a = _sweep_arrays(g)
+    kept = np.add.reduceat(held, starts)  # per bucket
+    key = 3 * (2 * edge + (pos >= g.m))
     if covers is None:  # a unit is one bucket; walk those that top up
         top_up = kept < k
         bkts, kept = bkts[top_up], kept[top_up]
         count = bkts.shape[0]
         bounds, tops = range(1, count + 1), range(0, k * count, k)
-        cover_keys = key[:0]
     else:  # walk every side; one that covers k or more buckets keeps k edges
         bounds = covers.cumsum()
         top_up = (covers < k) & (np.add.reduceat(kept, bounds - covers) < k)
         bounds = bounds.tolist()
         # each bucket has one cover candidate, ahead of the top-up ones
         tops = (bkts.shape[0] + k * (top_up.cumsum() - top_up)).tolist()
-        cover_keys = key + _COVER
     top = top_up.repeat(lens)
     top_lens = lens[top_up]
-    # one draw gives the cover words, if any, then the top-up words
-    word = counter_words(seed, _SWEEP_TAG, np.concatenate((cover_keys, key[top] + phase)))
-    ranked = top.nonzero()[0][_by_priority(word[cover_keys.shape[0]:], top_lens)]
-    least = np.empty(0, dtype=np.intp)
-    if covers is not None:
-        word = word[:cover_keys.shape[0]]
+    top_keys = key[top] + phase
+    if covers is None:
+        word = counter_words(seed, _SWEEP_TAG, top_keys)
+    else:  # one draw gives the cover words, then the top-up words
+        word = counter_words(seed, _SWEEP_TAG, np.concatenate((key + _COVER, top_keys)))
+        cover_word, word = word[:key.shape[0]], word[key.shape[0]:]
         # words are distinct, so each bucket has one least word
-        least = (word == np.minimum.reduceat(word, bkt_starts).repeat(sizes)).nonzero()[0]
+        least = (cover_word == np.minimum.reduceat(cover_word, starts).repeat(sizes)).nonzero()[0]
+        del cover_word
+    # each top-up unit's k least-priority entries, indexed among the top-up entries
+    first = _by_priority(word, top_lens)[((top_lens.cumsum() - top_lens)[:, None]
+                                          + np.arange(k)).ravel()]
     del word  # both phases' words; free them before the loop's lists are built
-    cand = np.concatenate((least, ranked[((top_lens.cumsum() - top_lens)[:, None]
-                                          + np.arange(k)).ravel()]))
+    cand = top.nonzero()[0][first]
+    if covers is not None:
+        cand = np.concatenate((least, cand))
     slot = np.full(a.bkt_size.shape[0], -1)
     slot[bkts] = np.arange(bkts.shape[0])
     # a pick raises the kept count of its edge's other bucket when the walk
     # reaches that bucket later
     other = slot[tb[cand]]
     later = np.where(other > slot[a.pos_bkt[pos[cand]]], other, -1).tolist()
-    edges = order[pos[cand]]
+    edges = edge[cand]
     taken = np.zeros(g.m, dtype=np.uint8)  # one byte per edge
     taken[edges[held[cand]]] = 1  # held edges are kept, never free
     taken, edges, kept = bytearray(taken), edges.tolist(), kept.tolist()

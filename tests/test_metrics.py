@@ -83,6 +83,33 @@ def test_per_type_kept(g1):
     assert per_type_kept(g1, mask_of(g1, [(1, 4, 1)])) == {0: 0, 1: 1}
 
 
+CHECKS = {
+    "coverage_report per-type": lambda g, selected: coverage_report(g, selected, 1),
+    "coverage_report all-types": lambda g, selected: coverage_report(g, selected, 1, ALL_TYPES),
+    "isolated_nodes": isolated_nodes,
+    "per_type_kept": per_type_kept,
+}
+
+
+@pytest.mark.parametrize("check", CHECKS.values(), ids=list(CHECKS))
+def test_checks_hold_the_selection_rule(g1, check):
+    # the checks read the caller's mask in place, yet reject what edge_mask rejects
+    for selected in (np.array([0, 2]), [True, False, True], np.array([1, 0, 1], dtype=np.uint8)):
+        with pytest.raises(ValueError, match="None or a boolean mask"):
+            check(g1, selected)
+    with pytest.raises(ValueError, match="mask length"):
+        check(g1, np.ones(2, dtype=bool))
+
+
+@pytest.mark.parametrize("check", CHECKS.values(), ids=list(CHECKS))
+def test_checks_leave_the_mask_unchanged(g1, check):
+    for bits in ([False] * 3, [True, False, True], [True] * 3):
+        mask = np.array(bits)
+        mask.flags.writeable = False  # a write raises rather than pass unseen
+        check(g1, mask)
+        assert mask.tolist() == bits
+
+
 # ---- golden pins of the coverage check and the graph summary ----
 #
 # sha256 of the JSON (sorted keys) of every violation that coverage_report
