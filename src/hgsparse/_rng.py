@@ -4,13 +4,34 @@ The word at counter ``c`` of stream ``(seed, tag)`` is output ``c`` of a
 SplitMix64 generator seeded at ``substream_seed(seed, tag)`` (Steele, Lea
 & Flood, OOPSLA 2014).  No word depends on another, so numpy computes
 them in batches (Salmon et al., SC 2011); counter to word is a bijection,
-so distinct counters of one stream never share a word.  Each use keys
-its own tags.
+so distinct counters of one stream never share a word.
+
+Streams stay independent only while their keys stay distinct (Salmon et
+al., SC 2011), so every tag is named once, here, and no two uses share
+one:
+
+=====================  ======  ==========================================
+name                   tag     stream
+=====================  ======  ==========================================
+``SPLIT_TAG``          0       eval's holdout split
+``NEGATIVE_TAG``       1       eval's negatives
+``SWEEP_TAG``          2       the sparsify sweep's priority words
+``GEN_SRC_TAG``        3 + 2i  the generator's sources of edge type i
+``GEN_DST_TAG``        4 + 2i  the generator's destinations of edge type i
+=====================  ======  ==========================================
+
+``NEGATIVE_TAG`` and ``SWEEP_TAG`` also key :func:`substream_seed`: eval
+draws its negatives, and sparsifies its train edges, under the seeds
+``substream_seed(seed, NEGATIVE_TAG)`` and ``substream_seed(seed,
+SWEEP_TAG)`` of its own seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+SPLIT_TAG, NEGATIVE_TAG, SWEEP_TAG = 0, 1, 2
+GEN_SRC_TAG, GEN_DST_TAG = 3, 4  # edge type i adds 2i to each
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 import click
 import numpy as np
 
-from ._rng import substream_seed
+from ._rng import SWEEP_TAG, substream_seed
 from .errors import (DataError, GenSpecError, LinkFormatError, NodeFileError,
                      UnknownEdgeError, UnknownNodeError, VerificationError)
 from .evalproxy import COMMON_NEIGHBORS, SCORERS, evaluate
@@ -276,7 +276,7 @@ def eval_cmd(links, nodes, delimiter, comment_prefix, holdout, seed,
     g = _load_graph(links, nodes, delimiter, comment_prefix)
     params = None
     if k is not None:
-        params = SparsifyParams(k=k, method=method, seed=substream_seed(seed, 2))
+        params = SparsifyParams(k=k, method=method, seed=substream_seed(seed, SWEEP_TAG))
     rep = evaluate(g, holdout=holdout, seed=seed, scorer=scorer,
                    negatives_per_positive=negatives_per_positive,
                    sparsify_params=params)

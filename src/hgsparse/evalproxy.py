@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import counter_words, randbelow_array, substream_seed
+from ._rng import NEGATIVE_TAG, SPLIT_TAG, counter_words, randbelow_array, substream_seed
 from .errors import DegenerateSplitError, NegativeSamplingError
 from .graph import HeteroGraph, _as_int64, _ranges
 from .sparsify import SparsifyParams, sparsify
@@ -42,7 +42,6 @@ _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)  # bit r of a marks word
 
 # negative-matrix entries drawn at once; bounds _negative_matrix's temporaries
 _NEG_CHUNK = 1 << 14
-_SPLIT_TAG, _NEGATIVE_TAG = 0, 1  # counter-keyed stream tags
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def split_edges(g: HeteroGraph, holdout_fraction: float, seed: int = 0) -> EdgeS
         raise DegenerateSplitError(
             f"holdout {holdout_fraction} of m={g.m} edges leaves an empty side")
     # the test_count smallest words; they are distinct, so nothing ties
-    keys = counter_words(seed, _SPLIT_TAG, np.arange(g.m))
+    keys = counter_words(seed, SPLIT_TAG, np.arange(g.m))
     test = keys <= np.partition(keys, test_count - 1)[test_count - 1]
     return EdgeSplit(train_ids=np.flatnonzero(~test), test_pos_ids=np.flatnonzero(test))
 
@@ -135,7 +134,7 @@ def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
     for start in range(0, flat.shape[0], _NEG_CHUNK):
         entry = np.arange(start, min(start + _NEG_CHUNK, flat.shape[0]))
         row = entry // per_pos
-        r = randbelow_array(counter_words(seed, _NEGATIVE_TAG, entry), free[row])
+        r = randbelow_array(counter_words(seed, NEGATIVE_TAG, entry), free[row])
         r += np.searchsorted(shifted, base[row] - first[row] + r, side="right") - first[row]
         flat[entry] = pop_nodes[lo[row] + r]
     return out
@@ -301,7 +300,7 @@ def evaluate(g: HeteroGraph, holdout: float = 0.2, seed: int = 0,
     """
     split = split_edges(g, holdout, seed)
     neg = _negative_matrix(g, split.test_pos_ids, negatives_per_positive,
-                           substream_seed(seed, 1))
+                           substream_seed(seed, NEGATIVE_TAG))
     train_mask = np.zeros(g.m, dtype=bool)
     train_mask[split.train_ids] = True
     train_g = g.subgraph(train_mask)

@@ -105,6 +105,39 @@ def _as_ids(values, name: str) -> np.ndarray:
     return arr
 
 
+def _sort_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The stable order that sorts ``ids``, the sorted ids, and the first
+    row that repeats an earlier id, or -1 when no id repeats.
+
+    A stable sort keeps each id's rows in row order, so every row after
+    the first of a run of equal ids repeats an earlier one.
+    """
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    return order, ordered, int(repeats.min()) if repeats.shape[0] else -1
+
+
+def _node_table(node_ids, node_types) -> tuple[np.ndarray, ...]:
+    """A node table held to the readers' rule, and its stable sort by id.
+
+    Ids and types follow :func:`_as_ids`, types align with ids and no id
+    comes twice; ``node_types`` None types every node 0.  Returns the ids
+    and types in the order given, the order that sorts the ids and the
+    sorted ids.  Any other table raises ValueError; a repeat names the
+    id of the first row that repeats an earlier one.
+    """
+    ids = _as_ids(node_ids, "node_ids")
+    types = (np.zeros(ids.shape[0], dtype=np.int64) if node_types is None
+             else _as_ids(node_types, "node_types"))
+    if types.shape != ids.shape:
+        raise ValueError("node_types must align with node_ids")
+    order, ordered, row = _sort_ids(ids)
+    if row >= 0:
+        raise ValueError(f"duplicate node id {int(ids[row])} in node table")
+    return ids, types, order, ordered
+
+
 def _ranges(starts: np.ndarray, lens: np.ndarray, offsets=None) -> np.ndarray:
     """``arange(s, s + n)`` for each pair of ``starts`` and ``lens``, concatenated.
 
@@ -353,18 +386,8 @@ def build_graph_arrays(src, dst, etype, weight=None,
         node_ids = np.unique(np.concatenate((src, dst)))
         node_types = np.zeros(node_ids.shape[0], dtype=np.int64)
     else:
-        node_ids = _as_ids(node_ids, "node_ids")
-        node_types = (np.zeros(node_ids.shape[0], dtype=np.int64) if node_types is None
-                      else _as_ids(node_types, "node_types"))
-        if node_types.shape != node_ids.shape:
-            raise ValueError("node_types must align with node_ids")
-        perm = np.argsort(node_ids, kind="stable")
-        node_ids = node_ids[perm]
-        node_types = np.ascontiguousarray(node_types[perm])
-        if node_ids.size > 1 and (node_ids[1:] == node_ids[:-1]).any():
-            dup = int(node_ids[np.flatnonzero(node_ids[1:] == node_ids[:-1])[0]])
-            raise ValueError(f"duplicate node id {dup} in node table")
-    node_ids = np.ascontiguousarray(node_ids)
+        _, node_types, perm, node_ids = _node_table(node_ids, node_types)
+        node_types = node_types[perm]
     n = node_ids.shape[0]
 
     src = _positions(node_ids, src, "edge source {} is not in the node table")

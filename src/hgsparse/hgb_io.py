@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, LinkFormatError, NodeFileError
-from .graph import HeteroGraph, _as_ids, _ranges
+from .graph import HeteroGraph, _node_table, _ranges, _sort_ids
 
 _MAX_ID = 2**63 - 1  # ids are stored as int64
 # characters read at once; bounds a read's temporaries
@@ -430,13 +430,9 @@ def read_node_file(source) -> NodeTable:
         offset += line_end.shape[0]
     node_ids, types = np.concatenate(ids, axis=1)
 
-    # a repeated id is an error on its first repeat; a stable sort puts
-    # each id's rows in file order, so every row after the first of a
-    # run repeats an earlier one
-    order = np.argsort(node_ids, kind="stable")
-    repeat = order[1:][node_ids[order[1:]] == node_ids[order[:-1]]]
-    if repeat.shape[0]:
-        row = int(repeat.min())
+    # a repeated id is an error on its first repeat
+    _, _, row = _sort_ids(node_ids)
+    if row >= 0:
         line = int(np.concatenate(rows)[row]) + 1
         if failed is None or line < failed[0]:
             failed = (line, f"duplicate node id {int(node_ids[row])}")
@@ -545,15 +541,8 @@ def write_node_file(dest, node_ids, node_types) -> int:
     and types whole numbers in [0, 2**63), and no id twice.  Any other
     raises ValueError before ``dest`` is opened.
     """
-    ids = _as_ids(node_ids, "node_ids")
-    types = _as_ids(node_types, "node_types")
+    ids, types, _, _ = _node_table(node_ids, node_types)
     rows = ids.shape[0]
-    if types.shape != ids.shape:
-        raise ValueError("node_types must align with node_ids")
-    ordered = np.sort(ids)
-    repeat = ordered[1:][ordered[1:] == ordered[:-1]]
-    if repeat.shape[0]:
-        raise ValueError(f"duplicate node id {int(repeat[0])} in node_ids")
     with _opened(dest, "w") as stream:
         stream.write(_join_rows([_int_rows(rows, [("", ids), ("\tn", ids), ("\t", types)],
                                            "\n")]))

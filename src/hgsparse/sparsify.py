@@ -16,7 +16,7 @@ per vertex, edges only ever added to the kept set H.
 Every sample is a bottom-k sample, a uniform subset without replacement
 (Cohen & Kaplan, PODC 2007): edge e in direction d (0 out, 1 in) has in
 phase p the priority word ``3 * (2e + d) + p`` of the counter-keyed
-``(seed, _SWEEP_TAG)`` stream of :mod:`hgsparse._rng`, the phases being
+``(seed, SWEEP_TAG)`` stream of :mod:`hgsparse._rng`, the phases being
 per-type top-up, all-types cover and all-types top-up.  A cover keeps
 its bucket's least word; a top-up keeps the free edges whose words have
 the least high 32 bits, ties in layout order (ascending edge id within a
@@ -26,14 +26,18 @@ choices, and a (graph, k, method, seed) tuple fully determines H.
 The sweep visits units: a per-type bucket, or an all-types side (a
 node-direction).  The unit of node u in direction d comes at time
 2*rank(u) + d, rank being the position of u in :func:`vertex_order`.
-One walk serves both methods: a unit first covers each of its buckets
-that holds no kept edge (all-types only), then tops up to k kept edges.
+One function, :func:`sparsify`, runs both methods: a unit first covers
+each of its buckets that holds no kept edge (all-types only), then tops
+up to k kept edges.  The method decides the units, the held counts, the
+top-up flags and words, the cover candidates and the loop's cover step,
+and nothing else.
 A unit is *order-free*, keeping all of its edges whatever H holds on
 arrival, when it has at most max(k, c) entries, c being its cover count
 (its bucket count for all-types, 0 for per-type): its top-up needs at
 least as many edges as it has free, or each of its buckets holds one
-edge and is covered.  One numpy pass keeps the order-free units' edges;
-one Python loop walks the other units, the loop units, in time order.
+edge and is covered.  One numpy pass keeps the order-free units' edges,
+and a graph without other units is done; one Python loop walks the
+other units, the loop units, in time order.
 
 The loop visits only candidate entries.  A loop unit holds more than k
 entries.  A top-up takes the first ``k - kept`` free entries in priority
@@ -62,7 +66,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import counter_words
+from ._rng import SWEEP_TAG, counter_words
 from .errors import EmptyGraphError
 from .graph import HeteroGraph, _ranges
 
@@ -70,7 +74,6 @@ PER_TYPE = "per-type"
 ALL_TYPES = "all-types"
 METHODS = (PER_TYPE, ALL_TYPES)
 
-_SWEEP_TAG = 2  # the sweep's stream; eval's split and negatives use tags 0 and 1
 _TOP_UP, _COVER, _SIDE_TOP_UP = 0, 1, 2  # the phase of a priority word
 
 
@@ -167,104 +170,85 @@ def vertex_order(g: HeteroGraph) -> np.ndarray:
 
 
 def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
-    """Run whichever method ``params`` names."""
+    """Run whichever method ``params`` names.
+
+    Keeps every order-free unit's edges, then walks the loop units in time
+    order.  A covering unit keeps, in each bucket that holds no kept edge,
+    the entry of least cover word; a unit that then holds fewer than k kept
+    edges picks its first ``k - kept`` free entries in priority order, all
+    among its first k.
+    """
     if g.m == 0:
         raise EmptyGraphError("cannot sparsify a graph with no edges")
-    a, layout = _sweep_arrays(g), g.layout
-    k = min(int(params.k), g.m)  # no unit holds more than m edges
-    # a unit's order, entries and time, what it covers and its top-up phase;
-    # a unit of more than max(k, its cover count) entries is a loop unit
-    if params.method == PER_TYPE:  # a bucket, which covers nothing
-        loop = unit_loop = a.bkt_size > k
-        by_time, size, time, ptr = a.bkt_by_time, a.bkt_size, a.bkt_time, layout.bkt_ptr
-        covers, phase = None, _TOP_UP
-    else:  # a side, which covers each of its buckets
+    a, layout, m = _sweep_arrays(g), g.layout, g.m
+    k = min(int(params.k), m)  # no unit holds more than m edges
+    cover = params.method == ALL_TYPES
+    # a unit's order, entries and time; a unit of more than max(k, its
+    # cover count) entries is a loop unit
+    if cover:  # a side, which covers each of its buckets
         unit_loop = a.side_size > np.maximum(a.side_bkts, k)
         loop = unit_loop.repeat(a.side_bkts)
         by_time, size, time, ptr = a.side_by_time, a.side_size, a.side_time, layout.side_ptr
-        covers, phase = a.side_bkts, _SIDE_TOP_UP
+    else:  # a bucket, which covers nothing
+        loop = unit_loop = a.bkt_size > k
+        by_time, size, time, ptr = a.bkt_by_time, a.bkt_size, a.bkt_time, layout.bkt_ptr
     units = by_time[unit_loop[by_time]]
-    selected = np.ones(g.m, dtype=bool)
-    if units.shape[0]:
-        lens = size[units]
-        starts = lens.cumsum() - lens  # where each unit's entries begin in pos
-        pos = _ranges(ptr[units], lens, starts)
-        edge = layout.order[pos]
-        # pos holds the loop units' entries, unit by unit in time order.  An
-        # edge's other entry lies in bucket tb; when that bucket is
-        # order-free, it keeps the edge, before this unit (held) or after.
-        tb = a.pos_bkt[a.twin[pos]]
-        twin_loop = loop[tb]
-        selected[edge[twin_loop]] = False
-        held = ~twin_loop & (a.bkt_time[tb] < time[units].repeat(lens))
-        if covers is None:  # the loop units are the loop buckets
-            bkts, sizes = units, lens
-        else:
-            bkts = a.bkt_by_time[loop[a.bkt_by_time]]
-            sizes, covers = a.bkt_size[bkts], covers[units]
-            starts = sizes.cumsum() - sizes  # where each bucket's entries begin in pos
-        selected |= _walk(g, pos, edge, lens, bkts, sizes, starts, covers, tb, held, k,
-                          phase, params.seed)
-    kept = int(np.count_nonzero(selected))
-    return SparsifierResult(params=params, mask=selected, kept=kept, ratio=kept / g.m)
-
-
-def _by_priority(word: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The order that sorts each unit's run of entries by priority.
-
-    A priority is the high 32 bits of the entry's word; one stable sort of
-    ``unit << 32 | priority`` keeps layout order among equal priorities.
-    A loop unit holds more than k >= 1 of the 2m entries, so unit < 2**32.
-    """
-    unit = np.arange(lens.shape[0], dtype=np.uint64).repeat(lens)
-    return np.argsort(unit << np.uint64(32) | word >> np.uint64(32), kind="stable")
-
-
-def _walk(g, pos, edge, lens, bkts, sizes, starts, covers, tb, held, k, phase, seed):
-    """Walk the loop units in time order: cover their buckets, then top up to k.
-
-    ``pos`` holds the loop units' layout positions and ``edge`` their edge
-    ids.  ``bkts`` holds the loop units' buckets in time order, ``sizes``
-    their entry counts and ``starts`` where each begins in ``pos``.
-    ``covers`` holds each unit's bucket count when the units cover their
-    buckets (all-types) and is None when they cover nothing.  A covering
-    unit keeps, in each bucket that holds no kept edge, the entry of least
-    cover word.  A unit that then holds fewer than k kept edges picks its
-    first ``k - kept`` free entries in ``phase`` priority order, all among
-    its first k.  Returns a mask of the picked edges and of the held ones
-    among the candidates.
-    """
-    a = _sweep_arrays(g)
-    kept = np.add.reduceat(held, starts)  # per bucket
-    key = 3 * (2 * edge + (pos >= g.m))
-    if covers is None:  # a unit is one bucket; walk those that top up
-        top_up = kept < k
-        bkts, kept = bkts[top_up], kept[top_up]
-        count = bkts.shape[0]
-        bounds, tops = range(1, count + 1), range(0, k * count, k)
-    else:  # walk every side; one that covers k or more buckets keeps k edges
+    selected = np.ones(m, dtype=bool)
+    if not units.shape[0]:  # every unit is order-free and keeps all of its edges
+        return SparsifierResult(params=params, mask=selected, kept=m, ratio=1.0)
+    lens = size[units]
+    starts = lens.cumsum() - lens  # where each unit's entries begin in pos
+    pos = _ranges(ptr[units], lens, starts)
+    edge = layout.order[pos]
+    # pos holds the loop units' entries, unit by unit in time order.  An
+    # edge's other entry lies in bucket tb; when that bucket is
+    # order-free, it keeps the edge, before this unit (held) or after.
+    tb = a.pos_bkt[a.twin[pos]]
+    twin_loop = loop[tb]
+    selected[edge[twin_loop]] = False
+    held = ~twin_loop & (a.bkt_time[tb] < time[units].repeat(lens))
+    key = 3 * (2 * edge + (pos >= m))
+    # The walk's buckets and their held counts, whether each unit tops up,
+    # each walked unit's end among the buckets (bounds) and where its
+    # top-up candidates begin (tops), and the words of the draw
+    if cover:  # walk every side; one that covers k or more buckets keeps k edges
+        bkts = a.bkt_by_time[loop[a.bkt_by_time]]
+        sizes = a.bkt_size[bkts]
+        starts = sizes.cumsum() - sizes  # where each bucket's entries begin in pos
+        kept = np.add.reduceat(held, starts)
+        covers = a.side_bkts[units]
         bounds = covers.cumsum()
         top_up = (covers < k) & (np.add.reduceat(kept, bounds - covers) < k)
         bounds = bounds.tolist()
         # each bucket has one cover candidate, ahead of the top-up ones
         tops = (bkts.shape[0] + k * (top_up.cumsum() - top_up)).tolist()
-    top = top_up.repeat(lens)
-    top_lens = lens[top_up]
-    top_keys = key[top] + phase
-    if covers is None:
-        word = counter_words(seed, _SWEEP_TAG, top_keys)
-    else:  # one draw gives the cover words, then the top-up words
-        word = counter_words(seed, _SWEEP_TAG, np.concatenate((key + _COVER, top_keys)))
+        top = top_up.repeat(lens)
+        # one draw gives the cover words, then the top-up words
+        word = counter_words(params.seed, SWEEP_TAG,
+                             np.concatenate((key + _COVER, key[top] + _SIDE_TOP_UP)))
         cover_word, word = word[:key.shape[0]], word[key.shape[0]:]
         # words are distinct, so each bucket has one least word
         least = (cover_word == np.minimum.reduceat(cover_word, starts).repeat(sizes)).nonzero()[0]
         del cover_word
-    # each top-up unit's k least-priority entries, indexed among the top-up entries
-    first = _by_priority(word, top_lens)[((top_lens.cumsum() - top_lens)[:, None]
-                                          + np.arange(k)).ravel()]
-    del word  # both phases' words; free them before the loop's lists are built
+    else:  # a unit is one bucket; walk those that top up
+        kept = np.add.reduceat(held, starts)
+        top_up = kept < k
+        bkts, kept = units[top_up], kept[top_up]
+        bounds, tops = range(1, bkts.shape[0] + 1), range(0, k * bkts.shape[0], k)
+        top = top_up.repeat(lens)
+        word = counter_words(params.seed, SWEEP_TAG, key[top] + _TOP_UP)
+    # Each top-up unit's k least-priority entries, indexed among the top-up
+    # entries.  A priority is the high 32 bits of the entry's word; one
+    # stable sort of ``unit << 32 | priority`` keeps layout order among
+    # equal priorities.  A loop unit holds more than k >= 1 of the 2m
+    # entries, so unit < 2**32.
+    top_lens = lens[top_up]
+    unit = np.arange(top_lens.shape[0], dtype=np.uint64).repeat(top_lens)
+    first = np.argsort(unit << np.uint64(32) | word >> np.uint64(32), kind="stable")[
+        ((top_lens.cumsum() - top_lens)[:, None] + np.arange(k)).ravel()]
+    del word, unit  # both phases' words; free them before the loop's lists are built
     cand = top.nonzero()[0][first]
-    if covers is not None:
+    if cover:
         cand = np.concatenate((least, cand))
     slot = np.full(a.bkt_size.shape[0], -1)
     slot[bkts] = np.arange(bkts.shape[0])
@@ -273,10 +257,9 @@ def _walk(g, pos, edge, lens, bkts, sizes, starts, covers, tb, held, k, phase, s
     other = slot[tb[cand]]
     later = np.where(other > slot[a.pos_bkt[pos[cand]]], other, -1).tolist()
     edges = edge[cand]
-    taken = np.zeros(g.m, dtype=np.uint8)  # one byte per edge
+    taken = np.zeros(m, dtype=np.uint8)  # one byte per edge
     taken[edges[held[cand]]] = 1  # held edges are kept, never free
     taken, edges, kept = bytearray(taken), edges.tolist(), kept.tolist()
-    cover = covers is not None
     lo = 0
     for hi, j in zip(bounds, tops):
         have = 0
@@ -300,4 +283,6 @@ def _walk(g, pos, edge, lens, bkts, sizes, starts, covers, tb, held, k, phase, s
                     kept[t] += 1
                 need -= 1
             j += 1
-    return np.frombuffer(taken, dtype=bool)
+    selected |= np.frombuffer(taken, dtype=bool)
+    total = int(np.count_nonzero(selected))
+    return SparsifierResult(params=params, mask=selected, kept=total, ratio=total / m)

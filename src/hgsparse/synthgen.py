@@ -19,14 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import counter_words
+from ._rng import GEN_DST_TAG, GEN_SRC_TAG, counter_words
 from .errors import GenSpecError, InfeasibleSpecError, RetryCapError
 from .graph import HeteroGraph, build_graph_arrays
 from .hgb_io import _opened
-
-# edge type i draws its srcs from stream tag 3 + 2i and its dsts from
-# 4 + 2i, clear of the tags 0-2 of eval and the sweep
-_FIRST_TAG = 3
 
 
 @dataclass(frozen=True)
@@ -71,8 +67,11 @@ class GenSpec:
                 raise GenSpecError(
                     f"edge type {i}: endpoint types must reference the "
                     f"{n_types} declared node types")
-            if not (np.isfinite(e.alpha) and e.alpha >= 0):
-                raise GenSpecError(f"edge type {i}: alpha must be finite and >= 0")
+            alpha = np.asarray(e.alpha)  # numpy tests no string, None or huge int
+            if not (alpha.dtype.kind in "biuf" and alpha.ndim == 0
+                    and np.isfinite(alpha) and alpha >= 0):
+                raise GenSpecError(f"edge type {i}: alpha must be finite and >= 0, "
+                                   f"got {e.alpha!r}")
 
 
 def _rank_cdf(size: int, alpha: float) -> np.ndarray:
@@ -82,9 +81,8 @@ def _rank_cdf(size: int, alpha: float) -> np.ndarray:
     return cdf
 
 
-def _uniform(seed: int, tag: int, first: int, count: int) -> np.ndarray:
-    """Floats in [0, 1) from words first, first + 1, ... of a stream."""
-    word = counter_words(seed, tag, np.arange(first, first + count))
+def _uniform(word: np.ndarray) -> np.ndarray:
+    """Floats in [0, 1), one from the top 53 bits of each word."""
     return (word >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
@@ -127,12 +125,12 @@ def generate(spec: GenSpec) -> HeteroGraph:
                 raise RetryCapError(
                     f"edge type {etype_id}: exceeded {cap} draws with only "
                     f"{len(accepted)} of {e.count} distinct edges")
-            tag = _FIRST_TAG + 2 * etype_id
             try:  # numpy refuses a batch it cannot allocate before taking memory
-                us = np.searchsorted(src_cdf, _uniform(spec.seed, tag, draws_used, batch),
-                                     side="right")
-                vs = np.searchsorted(dst_cdf, _uniform(spec.seed, tag + 1, draws_used, batch),
-                                     side="right")
+                draws = np.arange(draws_used, draws_used + batch)
+                us = np.searchsorted(src_cdf, _uniform(counter_words(
+                    spec.seed, GEN_SRC_TAG + 2 * etype_id, draws)), side="right")
+                vs = np.searchsorted(dst_cdf, _uniform(counter_words(
+                    spec.seed, GEN_DST_TAG + 2 * etype_id, draws)), side="right")
             except (ValueError, MemoryError):
                 raise GenSpecError(f"edge type {etype_id}: cannot allocate {batch} draws "
                                    f"for {e.count} edges") from None

@@ -32,7 +32,7 @@ from hgsparse import (
     split_edges,
     substream_seed,
 )
-from hgsparse._rng import counter_words, randbelow_array
+from hgsparse._rng import NEGATIVE_TAG, SWEEP_TAG, counter_words, randbelow_array
 from hgsparse import evalproxy
 from hgsparse.evalproxy import _negative_matrix
 
@@ -466,7 +466,7 @@ def _sha(scores):
 @pytest.mark.parametrize("scorer,k", sorted(GOLDEN_EVAL, key=str))
 def test_evaluate_golden(gate_graph, scorer, k):
     g = gate_graph
-    params = None if k is None else SparsifyParams(k=k, seed=substream_seed(0, 2))
+    params = None if k is None else SparsifyParams(k=k, seed=substream_seed(0, SWEEP_TAG))
     report = evaluate(g, 0.2, seed=0, scorer=scorer, negatives_per_positive=19,
                       sparsify_params=params)
     want_auc, want_mrr, want_pos, want_neg = GOLDEN_EVAL[(scorer, k)]
@@ -474,7 +474,7 @@ def test_evaluate_golden(gate_graph, scorer, k):
     assert report.mrr == want_mrr
     # the same pipeline, step by step, to reach the score vectors
     split = split_edges(g, 0.2, 0)
-    neg = _negative_matrix(g, split.test_pos_ids, 19, substream_seed(0, 1))
+    neg = _negative_matrix(g, split.test_pos_ids, 19, substream_seed(0, NEGATIVE_TAG))
     train_mask = np.zeros(g.m, dtype=bool)
     train_mask[split.train_ids] = True
     train_g = g.subgraph(train_mask)
@@ -491,7 +491,7 @@ def test_evaluate_golden(gate_graph, scorer, k):
 def test_negative_matrix_golden(gate_graph):
     g = gate_graph
     pos_ids = split_edges(g, 0.2, 0).test_pos_ids
-    neg = _negative_matrix(g, pos_ids, 19, substream_seed(0, 1))
+    neg = _negative_matrix(g, pos_ids, 19, substream_seed(0, NEGATIVE_TAG))
     assert neg.shape == (4000, 19)
     assert hashlib.sha256(neg.astype(np.int64).tobytes()).hexdigest() == GOLDEN_NEGATIVES
     # every draw keeps the positive's dst type and is not an edge of g

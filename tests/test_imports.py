@@ -1,9 +1,10 @@
-"""No module of the package or its tests imports a name that it never uses."""
+"""Source lints: no unused import or dead private helper, and one table of stream tags."""
 
 import ast
 from pathlib import Path
 
 import hgsparse
+from hgsparse import _rng
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -77,3 +78,54 @@ def test_no_dead_private_helpers():
     package = Path(hgsparse.__file__).parent
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
     assert _unread_privates(trees) == []
+
+
+_KEYED = ("counter_words", "substream_seed")  # the calls that take a stream tag
+
+
+def _tag_names(rng_tree: ast.Module) -> set[str]:
+    """The stream tags that ``_rng`` names at module level."""
+    return {node.id for stmt in rng_tree.body if isinstance(stmt, ast.Assign)
+            for target in stmt.targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and node.id.endswith("_TAG")}
+
+
+def _loose_tags(tree: ast.Module, tags: set[str]) -> list[int]:
+    """The lines of the keyed calls whose tag does not come from the table.
+
+    A call's tag is its second argument or its ``tag`` keyword.  It must
+    be a table name, or a table name plus an offset; an int literal, or
+    any other name, is loose.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) not in _KEYED:
+            continue
+        tag = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg == "tag"), None)
+        while isinstance(tag, ast.BinOp) and isinstance(tag.op, ast.Add):
+            tag = tag.left
+        if not (isinstance(tag, ast.Name) and tag.id in tags):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_stream_tags_come_from_one_table():
+    package = Path(hgsparse.__file__).parent
+    tags = _tag_names(ast.parse((package / "_rng.py").read_text(encoding="utf-8")))
+    assert tags == {"SPLIT_TAG", "NEGATIVE_TAG", "SWEEP_TAG", "GEN_SRC_TAG", "GEN_DST_TAG"}
+    assert _loose_tags(ast.parse(
+        "counter_words(s, 2, c)\nsubstream_seed(s, SWEEP_TAG)\n"
+        "counter_words(s, tag, c)\nrng.counter_words(s, GEN_SRC_TAG + 2 * i, c)\n"
+        "substream_seed(s, tag=1)\nhg.substream_seed(s, tag=NEGATIVE_TAG)\n"), tags) == [1, 3, 5]
+    # no two streams share a tag, whatever the generator's edge-type count
+    fixed = [_rng.SPLIT_TAG, _rng.NEGATIVE_TAG, _rng.SWEEP_TAG]
+    generated = [tag + 2 * i for i in range(1000) for tag in (_rng.GEN_SRC_TAG, _rng.GEN_DST_TAG)]
+    assert len(set(fixed + generated)) == len(fixed) + len(generated)
+    offenders = {path.name: lines for path in sorted(package.glob("*.py"))
+                 if path.name != "_rng.py"
+                 and (lines := _loose_tags(ast.parse(path.read_text(encoding="utf-8")), tags))}
+    assert offenders == {}

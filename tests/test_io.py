@@ -396,6 +396,20 @@ def test_node_writer_rejects_before_opening(tmp_path):
         assert not path.exists()
 
 
+def test_node_table_rule_names_the_first_repeat():
+    # the first repeat in row order is id 5, not the smallest repeated id
+    ids, types = [5, 3, 5, 3], [0, 0, 0, 0]
+    for table in (lambda: build_graph_arrays([5], [3], [0], node_ids=ids, node_types=types),
+                  lambda: write_node_file(io.StringIO(), ids, types)):
+        with pytest.raises(ValueError) as err:
+            table()
+        assert str(err.value) == "duplicate node id 5 in node table"
+    text = "".join(f"{node}\tn{node}\t0\n" for node in ids)
+    with pytest.raises(NodeFileError) as err:
+        read_node_file(io.StringIO(text))
+    assert str(err.value) == "line 3: duplicate node id 5"
+
+
 def test_report_is_sorted_json(tmp_path):
     path = tmp_path / "r.json"
     write_report({"b": 1, "a": [1, 2]}, path)

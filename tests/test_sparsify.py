@@ -25,8 +25,8 @@ from hgsparse import (
     sparsify,
     vertex_order,
 )
-from hgsparse._rng import splitmix64, substream_seed
-from hgsparse.sparsify import _SWEEP_TAG, _sweep_arrays
+from hgsparse._rng import SWEEP_TAG, splitmix64, substream_seed
+from hgsparse.sparsify import _sweep_arrays
 
 from conftest import covered_hub, dict_buckets, edge_keys, make_random_graph
 
@@ -36,7 +36,7 @@ SPARSIFY_MODULE = sys.modules["hgsparse.sparsify"]  # hgsparse.sparsify is the f
 
 def sweep_word(seed: int):
     """Word of counter c of the sweep's stream, computed one at a time."""
-    base = substream_seed(seed, _SWEEP_TAG)
+    base = substream_seed(seed, SWEEP_TAG)
     return lambda c: splitmix64((base + c * _GAMMA) % 2**64)
 
 

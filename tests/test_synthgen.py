@@ -114,6 +114,10 @@ def test_spec_validation():
         GenSpec((4.5,), (EdgeTypeSpec(0, 0, 2),))
     with pytest.raises(GenSpecError, match="must be integers"):
         GenSpec((4,), (EdgeTypeSpec(0.0, 0, 2),))
+    # alphas on which numpy's isfinite raises TypeError
+    for alpha in ("x", None, 1j, 10**400):
+        with pytest.raises(GenSpecError, match="alpha must be finite"):
+            GenSpec((3,), ((0, 0, 2, alpha),))
 
 
 def test_parse_spec_file():
