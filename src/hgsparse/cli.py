@@ -38,20 +38,32 @@ def app():
     """Sparsify typed directed graphs, verify the results, and measure impact."""
 
 
-def _input_options(cmd):
-    for option in reversed([
-        click.option("--links", required=True,
-                     type=click.Path(exists=True, dir_okay=False),
-                     help="link file: src, dst, etype[, weight] per line"),
-        click.option("--nodes", type=click.Path(exists=True, dir_okay=False),
-                     help="node file: id, name, node type per line"),
-        click.option("--delimiter", default="\t",
-                     help="field delimiter of the link file (default: tab)"),
-        click.option("--comment-prefix", default=None,
-                     help="skip link-file lines starting with this character"),
-    ]):
-        cmd = option(cmd)
-    return cmd
+def _options(*options):
+    """One decorator that adds ``options`` to a command, in the order given."""
+    def add(cmd):
+        for option in reversed(options):
+            cmd = option(cmd)
+        return cmd
+    return add
+
+
+_input_options = _options(
+    click.option("--links", required=True,
+                 type=click.Path(exists=True, dir_okay=False),
+                 help="link file: src, dst, etype[, weight] per line"),
+    click.option("--nodes", type=click.Path(exists=True, dir_okay=False),
+                 help="node file: id, name, node type per line"),
+    click.option("--delimiter", default="\t",
+                 help="field delimiter of the link file (default: tab)"),
+    click.option("--comment-prefix", default=None,
+                 help="skip link-file lines starting with this character"),
+)
+_report_options = _options(
+    click.option("--report", "report_path", type=click.Path(dir_okay=False),
+                 help="where to write the JSON run report"),
+    click.option("--deterministic", is_flag=True,
+                 help="omit the timestamp so identical runs are byte-identical"),
+)
 
 
 def _read_links(path: str, opts: LinkFileOptions) -> LinkTable:
@@ -83,24 +95,31 @@ def _load_graph(links, nodes, delimiter, comment_prefix) -> HeteroGraph:
                               node_ids=node_ids, node_types=node_types)
 
 
-def _stamp(report: dict, deterministic: bool) -> dict:
-    if not deterministic:
-        report["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return report
+def _write_run_report(path, deterministic: bool, build) -> None:
+    """Write the report ``build()`` returns to ``path``, when there is a path.
+
+    ``build`` runs only then.  The report gains ``generated_at`` unless
+    ``deterministic``.
+    """
+    if path:
+        report = build()
+        if not deterministic:
+            report["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        write_report(report, path)
 
 
-def _selection_report(g: HeteroGraph, mask, k: int, method: str, seed,
-                      violations, isolated, deterministic: bool) -> dict:
-    """The report of sparsify and verify: what an edge selection kept."""
+def _selection_report(g: HeteroGraph, mask, k: int, method: str, seed) -> dict:
+    """The report of sparsify and verify: what an edge selection kept and
+    what the coverage and isolated-node checks found in it."""
     kept = int(mask.sum())
-    return _stamp({
+    return {
         "n": g.n, "m": g.m, "k": k, "t": g.t, "method": method, "seed": seed,
         "kept_edges": kept, "ratio": kept / g.m if g.m else 0.0,
         "per_type_kept": {str(t): c for t, c in per_type_kept(g, mask).items()},
         "duplicates_dropped": g.duplicates_dropped,
-        "coverage_violations": [v.to_dict() for v in violations],
-        "isolated_nodes": sorted(isolated),
-    }, deterministic)
+        "coverage_violations": [v.to_dict() for v in coverage_report(g, mask, k, method)],
+        "isolated_nodes": sorted(isolated_nodes(g, mask)),
+    }
 
 
 @app.command(name="sparsify")
@@ -112,29 +131,22 @@ def _selection_report(g: HeteroGraph, mask, k: int, method: str, seed,
 @click.option("--seed", type=_SEED_RANGE, default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False),
               help="where to write the kept edges")
-@click.option("--report", "report_path", type=click.Path(dir_okay=False),
-              help="where to write the JSON run report")
-@click.option("--deterministic", is_flag=True,
-              help="omit the timestamp so identical runs are byte-identical")
+@_report_options
 def sparsify_cmd(links, nodes, delimiter, comment_prefix,
                  k, method, seed, out, report_path, deterministic):
     """Sparsify a graph and write the kept edges."""
     g = _load_graph(links, nodes, delimiter, comment_prefix)
     result = sparsify(g, SparsifyParams(k=k, method=method, seed=seed))
     write_link_file(g, out, result.mask)
-    violations = coverage_report(g, result.mask, k, method)
-    isolated = isolated_nodes(g, result.mask)
-    if report_path:
-        write_report(_selection_report(g, result.mask, k, method, seed, violations,
-                                       isolated, deterministic), report_path)
+    _write_run_report(report_path, deterministic,
+                      lambda: _selection_report(g, result.mask, k, method, seed))
     click.echo(f"kept {result.kept} of {g.m} edges "
                f"(ratio {result.ratio:.4f}, method {method}, k={k}) -> {out}")
 
 
 @app.command(name="stats")
 @_input_options
-@click.option("--report", "report_path", type=click.Path(dir_okay=False))
-@click.option("--deterministic", is_flag=True)
+@_report_options
 def stats_cmd(links, nodes, delimiter, comment_prefix, report_path, deterministic):
     """Print summary statistics of a graph."""
     g = _load_graph(links, nodes, delimiter, comment_prefix)
@@ -148,10 +160,8 @@ def stats_cmd(links, nodes, delimiter, comment_prefix, report_path, deterministi
         click.echo(f"  edge type {etype}: {count}")
     click.echo(f"max bucket:     {stats.max_bucket}")
     click.echo(f"duplicates:     {g.duplicates_dropped}")
-    if report_path:
-        report = _stamp(stats.to_dict(), deterministic)
-        report["duplicates_dropped"] = g.duplicates_dropped
-        write_report(report, report_path)
+    _write_run_report(report_path, deterministic,
+                      lambda: {**stats.to_dict(), "duplicates_dropped": g.duplicates_dropped})
 
 
 def _parse_edge_flag(text: str) -> EdgeTypeSpec:
@@ -178,8 +188,7 @@ def _parse_edge_flag(text: str) -> EdgeTypeSpec:
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--nodes-out", type=click.Path(dir_okay=False),
               help="also write the node table here")
-@click.option("--report", "report_path", type=click.Path(dir_okay=False))
-@click.option("--deterministic", is_flag=True)
+@_report_options
 def generate_cmd(spec_path, node_types_opt, edge_opts, seed, out, nodes_out,
                  report_path, deterministic):
     """Generate a seeded synthetic graph."""
@@ -205,11 +214,8 @@ def generate_cmd(spec_path, node_types_opt, edge_opts, seed, out, nodes_out,
     write_link_file(g, out)
     if nodes_out:
         write_node_file(nodes_out, g.node_ids, g.node_types)
-    if report_path:
-        stats = g.stats()
-        report = _stamp(stats.to_dict(), deterministic)
-        report["seed"] = spec.seed
-        write_report(report, report_path)
+    _write_run_report(report_path, deterministic,
+                      lambda: {**g.stats().to_dict(), "seed": spec.seed})
     click.echo(f"generated n={g.n} m={g.m} t={g.t} (seed {spec.seed}) -> {out}")
 
 
@@ -222,8 +228,7 @@ def generate_cmd(spec_path, node_types_opt, edge_opts, seed, out, nodes_out,
 @click.option("--k", required=True, type=_K_RANGE)
 @click.option("--method", type=click.Choice(METHODS), default=PER_TYPE,
               show_default=True)
-@click.option("--report", "report_path", type=click.Path(dir_okay=False))
-@click.option("--deterministic", is_flag=True)
+@_report_options
 def verify_cmd(links, nodes, delimiter, comment_prefix,
                sparse, k, method, report_path, deterministic):
     """Check a sparse edge file against the guarantees of a method."""
@@ -235,16 +240,14 @@ def verify_cmd(links, nodes, delimiter, comment_prefix,
         mask[g.edge_ids(kept.src, kept.dst, kept.etype)] = True
     except (UnknownEdgeError, UnknownNodeError) as exc:
         raise VerificationError(f"sparse file is not a subset of the graph: {exc}")
-    violations = coverage_report(g, mask, k, method)
-    isolated = isolated_nodes(g, mask)
+    report = _selection_report(g, mask, k, method, None)
+    violations, isolated = report["coverage_violations"], report["isolated_nodes"]
     for v in violations:
-        click.echo(f"violation: node {v.node} {v.direction} etype {v.etype}: "
-                   f"kept {v.actual} < required {v.required}")
-    for u in sorted(isolated):
+        click.echo(f"violation: node {v['node']} {v['direction']} etype {v['etype']}: "
+                   f"kept {v['actual']} < required {v['required']}")
+    for u in isolated:
         click.echo(f"isolated: node {u}")
-    if report_path:
-        write_report(_selection_report(g, mask, k, method, None, violations,
-                                       isolated, deterministic), report_path)
+    _write_run_report(report_path, deterministic, lambda: report)
     if violations or isolated:
         raise VerificationError(
             f"{len(violations)} coverage violation(s), "
@@ -266,8 +269,7 @@ def verify_cmd(links, nodes, delimiter, comment_prefix,
               help="sparsify the train edges first (absent = full-graph baseline)")
 @click.option("--method", type=click.Choice(METHODS), default=PER_TYPE,
               show_default=True)
-@click.option("--report", "report_path", type=click.Path(dir_okay=False))
-@click.option("--deterministic", is_flag=True)
+@_report_options
 def eval_cmd(links, nodes, delimiter, comment_prefix, holdout, seed,
              scorer, negatives_per_positive, k, method, report_path, deterministic):
     """Link-prediction proxy on the full or sparsified train graph."""
@@ -283,12 +285,9 @@ def eval_cmd(links, nodes, delimiter, comment_prefix, holdout, seed,
     variant = f"{method} k={k}" if k is not None else "full graph"
     click.echo(f"auc {rep.auc:.4f}  mrr {rep.mrr:.4f}  "
                f"({variant}, {rep.positives} positives, {scorer})")
-    if report_path:
-        report = _stamp(rep.to_dict(), deterministic)
-        report.update({"n": g.n, "m": g.m, "t": g.t, "holdout": holdout,
-                       "seed": seed, "k": k,
-                       "method": method if k is not None else None})
-        write_report(report, report_path)
+    _write_run_report(report_path, deterministic, lambda: {
+        **rep.to_dict(), "n": g.n, "m": g.m, "t": g.t, "holdout": holdout,
+        "seed": seed, "k": k, "method": method if k is not None else None})
 
 
 def run(argv=None) -> int:

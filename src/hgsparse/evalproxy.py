@@ -23,7 +23,7 @@ positive by binary search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,9 +59,7 @@ class EvalReport:
     positives: int
 
     def to_dict(self) -> dict:
-        return {"auc": self.auc, "mrr": self.mrr,
-                "negatives_per_positive": self.negatives_per_positive,
-                "scorer": self.scorer, "positives": self.positives}
+        return asdict(self)
 
 
 def split_edges(g: HeteroGraph, holdout_fraction: float, seed: int = 0) -> EdgeSplit:

@@ -16,6 +16,12 @@ time (ascending original id, so the remap is monotone); original ids
 are kept for all user-facing output.  The remap first looks for each id
 at its offset from the smallest, where every id of a contiguous node
 table sits, and binary-searches only the ids not found there.
+
+Checking, remapping and ordering are the builder's work; the graph's
+constructor takes canonical columns and derives the edge-type table,
+the layout and the degrees.  A subgraph keeps a subset of its parent's
+rows, still canonical, and shares its parent's node table, so it goes
+straight to the constructor.
 """
 
 from __future__ import annotations
@@ -209,14 +215,22 @@ def _build_layout(src: np.ndarray, dst: np.ndarray, etype_rank: np.ndarray,
 
 
 class HeteroGraph:
-    """Use :func:`build_graph` or :func:`build_graph_arrays` to construct."""
+    """Use :func:`build_graph` or :func:`build_graph_arrays` to construct.
+
+    The constructor takes the dense canonical columns as they are: the
+    node ids, ascending, and their types; the edge table in canonical
+    order without repeats; the count of repeats dropped; and the pair
+    key ``src * n + dst``.  It derives the edge-type table, the bucket
+    layout and the degrees.  A subgraph shares its parent's node table.
+    """
 
     __slots__ = ("node_ids", "node_types", "src", "dst", "etype", "weight",
                  "duplicates_dropped", "layout", "etype_ids", "sweep_cache",
                  "_degrees", "_pair_key")
 
     def __init__(self, node_ids, node_types, src, dst, etype, weight,
-                 duplicates_dropped, layout, etype_ids, degrees, pair_key):
+                 duplicates_dropped, pair_key):
+        n = node_ids.shape[0]
         self.node_ids = node_ids
         self.node_types = node_types
         self.src = src
@@ -224,11 +238,14 @@ class HeteroGraph:
         self.etype = etype
         self.weight = weight
         self.duplicates_dropped = duplicates_dropped
-        self.layout = layout
-        self.etype_ids = etype_ids  # the distinct edge types, ascending
+        # the distinct edge types, ascending, and each edge's rank among them
+        self.etype_ids, etype_rank = np.unique(etype, return_inverse=True)
+        self.layout = _build_layout(src, dst, etype_rank, self.etype_ids, n)
+        side_size = np.diff(self.layout.side_ptr)
+        self._degrees = side_size[:n] + side_size[n:]
+        self._degrees.flags.writeable = False
         # the sweep's per-graph arrays; :mod:`hgsparse.sparsify` fills it on first use
         self.sweep_cache = None
-        self._degrees = degrees
         # src * n + dst; it ascends with each pair's etypes in one run
         self._pair_key = pair_key
 
@@ -278,7 +295,10 @@ class HeteroGraph:
                 int(self.etype[edge_id]))
 
     def edge_ids(self, src, dst, etype) -> np.ndarray:
-        """Edge id of each (src, dst, etype) identity, given in original ids."""
+        """Edge id of each (src, dst, etype) identity, given in original ids.
+
+        Columns of unequal length raise ValueError.
+        """
         ids = self.dense_edge_ids(self.dense_ids(src), self.dense_ids(dst),
                                   _as_int64(etype, "edge types"))
         if (ids < 0).any():
@@ -290,7 +310,12 @@ class HeteroGraph:
 
     def dense_edge_ids(self, src: np.ndarray, dst: np.ndarray,
                        etype: np.ndarray) -> np.ndarray:
-        """Edge id of each (src, dst, etype) of dense node ids; -1 if absent."""
+        """Edge id of each (src, dst, etype) of dense node ids; -1 if absent.
+
+        Columns of unequal length raise ValueError.
+        """
+        if not (src.shape == dst.shape == etype.shape):
+            raise ValueError("src, dst and etype must have equal length")
         pair = self._pair_key
         key = src * self.n + dst
         lo = np.searchsorted(pair, key, side="left")
@@ -326,16 +351,16 @@ class HeteroGraph:
         return selected
 
     def subgraph(self, selected) -> "HeteroGraph":
-        """Graph over the same node table keeping only the selected edges."""
-        mask = self.edge_mask(selected)
-        return build_graph_arrays(
-            self.node_ids[self.src[mask]],
-            self.node_ids[self.dst[mask]],
-            self.etype[mask],
-            weight=self.weight[mask] if self.weight is not None else None,
-            node_ids=self.node_ids,
-            node_types=self.node_types,
-        )
+        """Graph over the same node table keeping only the selected edges.
+
+        Kept rows stay in canonical order, so they and the node table, which
+        the subgraph shares, go to the constructor as they are.
+        """
+        mask = self._selection(selected)
+        return HeteroGraph(self.node_ids, self.node_types,
+                           self.src[mask], self.dst[mask], self.etype[mask],
+                           self.weight[mask] if self.weight is not None else None,
+                           0, self._pair_key[mask])
 
     # ---- summary ----
 
@@ -418,14 +443,8 @@ def build_graph_arrays(src, dst, etype, weight=None,
         dst = dst[perm]
         if weight is not None:
             weight = weight[perm]
-    etype_ids, etype_rank = np.unique(etype, return_inverse=True)
-    layout = _build_layout(src, dst, etype_rank, etype_ids, n)
-    side_size = np.diff(layout.side_ptr)
-    degrees = side_size[:n] + side_size[n:]
-    degrees.flags.writeable = False
     return HeteroGraph(node_ids, node_types, src, dst, etype, weight,
-                       m_in - pair.shape[0], layout, etype_ids,
-                       degrees, pair)
+                       m_in - pair.shape[0], pair)
 
 
 def build_graph(edges: Iterable, node_types: Mapping[int, int] | None = None) -> HeteroGraph:

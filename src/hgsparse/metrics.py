@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,9 +19,7 @@ class CoverageViolation:
     actual: int
 
     def to_dict(self) -> dict:
-        return {"node": self.node, "direction": self.direction,
-                "etype": self.etype, "required": self.required,
-                "actual": self.actual}
+        return asdict(self)
 
 
 def coverage_report(g: HeteroGraph, selected, k: int,

@@ -54,10 +54,11 @@ the edge's other entry when the loop reaches that bucket later.
 
 The vertex order, the times, the sizes and each position's bucket and
 twin depend on the graph alone.  :class:`SweepArrays` holds them; the
-first :func:`sparsify` or :func:`vertex_order` call on a graph builds
-them and keeps them in the graph's ``sweep_cache`` slot, where later
-calls find them.  Nothing else builds them: the coverage checks and the
-graph summary read the layout's pointers.
+first :func:`sparsify` call on a graph builds them, taking the vertex
+order from :func:`vertex_order`, and keeps them in the graph's
+``sweep_cache`` slot, where later calls find them.  Nothing else builds
+them: :func:`vertex_order` itself sorts the degrees on each call, and
+the coverage checks and the graph summary read the layout's pointers.
 """
 
 from __future__ import annotations
@@ -131,8 +132,7 @@ def _build_sweep_arrays(g: HeteroGraph) -> SweepArrays:
     side_bkts = np.diff(layout.side_bkt_ptr)
     bkt_size = np.diff(layout.bkt_ptr)
     side_time = np.empty(2 * n, dtype=index)
-    # a stable sort of the degrees breaks ties by ascending node id
-    side_time[np.argsort(g.degrees(), kind="stable")] = np.arange(0, 2 * n, 2)
+    side_time[vertex_order(g)] = np.arange(0, 2 * n, 2)
     side_time[n:] = side_time[:n] + 1
     side_by_time = np.empty(2 * n, dtype=index)
     side_by_time[side_time] = np.arange(2 * n)
@@ -166,7 +166,8 @@ def _sweep_arrays(g: HeteroGraph) -> SweepArrays:
 
 def vertex_order(g: HeteroGraph) -> np.ndarray:
     """Dense node ids in ascending (total degree, node id) order."""
-    return _sweep_arrays(g).side_by_time[::2].astype(np.int64)
+    # a stable sort of the degrees breaks ties by ascending node id
+    return np.argsort(g.degrees(), kind="stable")
 
 
 def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:

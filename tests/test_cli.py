@@ -301,9 +301,10 @@ def test_internal_error_exits_four(star_file, tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("stage failed")
 
+    # sparsify runs its checks only for the report it writes
     monkeypatch.setattr(cli, "coverage_report", broken)
     assert run(["sparsify", "--links", str(star_file), "--k", "1",
-                "--out", str(tmp_path / "o.dat")]) == 4
+                "--out", str(tmp_path / "o.dat"), "--report", str(tmp_path / "r.json")]) == 4
     assert _one_line_error(capsys) == "internal error: RuntimeError: stage failed\n"
 
 

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 import pytest
 
 from hgsparse import (
+    METHODS,
     NonFiniteWeightError,
+    SparsifyParams,
     UnknownEdgeError,
     UnknownNodeError,
     build_graph,
     build_graph_arrays,
+    sparsify,
 )
 
 from hgsparse.graph import _positions
@@ -171,6 +174,19 @@ def test_edge_index_and_ids(g1):
     dense = g1.dense_ids([1, 1, 2])
     assert list(g1.dense_edge_ids(dense, g1.dense_ids([2, 2, 1]), np.array([0, 1, 0]))) == \
         [edge_index(g1, 1, 2, 0), -1, -1]
+
+
+@pytest.mark.parametrize("src, dst, etype", [
+    ([1], [2, 3], [0, 0]),  # src would broadcast
+    ([1], [2], [0, 1]),     # the second etype would be dropped
+    ([1, 1], [2], [0]),     # etype would be indexed past its end
+])
+def test_edge_ids_reject_unequal_columns(g1, src, dst, etype):
+    message = "^src, dst and etype must have equal length$"
+    with pytest.raises(ValueError, match=message):
+        g1.edge_ids(src, dst, etype)
+    with pytest.raises(ValueError, match=message):
+        g1.dense_edge_ids(g1.dense_ids(src), g1.dense_ids(dst), np.array(etype))
 
 
 @pytest.mark.parametrize("seed", [1, 7, 18, 28])
@@ -513,3 +529,43 @@ def test_g1_types_recorded(g1):
     # node table keeps declared types in ascending node order
     assert dict(zip(g1.node_ids.tolist(), g1.node_types.tolist())) == G1_TYPES
     assert [tuple(e) for e in G1_EDGES] == [g1.edge_key(i) for i in range(3)]
+
+
+def _graph_arrays(g) -> dict:
+    """Every column, the edge-type table, the pair key, the layout and the degrees."""
+    arrays = {name: getattr(g, name) for name in ("node_ids", "node_types", "src", "dst",
+                                                  "etype", "weight", "etype_ids", "_pair_key")}
+    arrays.update(vars(g.layout))
+    arrays["degrees"] = g.degrees()
+    return arrays
+
+
+@given(table=edge_tables(), typed=st.booleans(),
+       kept=st.sampled_from(["none", "all", "some"]), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_subgraph_matches_a_build_of_its_kept_edges(table, typed, kept, data):
+    src, dst, etype, weight, node_ids = table
+    g = build_graph_arrays(src, dst, etype, weight=weight, node_ids=node_ids,
+                           node_types=node_ids % 3 if typed else None)
+    if kept == "some":
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m)),
+                        dtype=bool)
+    else:
+        mask = np.full(g.m, kept == "all")
+    sub = g.subgraph(mask)
+    want = build_graph_arrays(g.node_ids[g.src[mask]], g.node_ids[g.dst[mask]], g.etype[mask],
+                              weight=None if g.weight is None else g.weight[mask],
+                              node_ids=g.node_ids, node_types=g.node_types)
+    assert sub.duplicates_dropped == want.duplicates_dropped == 0
+    got = _graph_arrays(sub)
+    for name, expected in _graph_arrays(want).items():
+        if expected is None:
+            assert got[name] is None, name
+            continue
+        assert got[name].dtype == expected.dtype, name
+        np.testing.assert_array_equal(got[name], expected, err_msg=name)
+    assert not sub.degrees().flags.writeable
+    if sub.m:
+        for method in METHODS:
+            params = SparsifyParams(k=2, method=method, seed=3)
+            assert np.array_equal(sparsify(sub, params).mask, sparsify(want, params).mask)

@@ -168,6 +168,18 @@ def test_vertex_order_by_degree_then_id():
     assert g.node_ids[vertex_order(g)].tolist() == [2, 3, 4, 5, 1]
 
 
+def test_sweep_takes_its_vertex_order_from_vertex_order():
+    # the sweep's arrays take the order through the module's name, once per graph
+    g = make_random_graph(3)
+    order = mock.Mock(wraps=vertex_order)
+    with mock.patch.object(SPARSIFY_MODULE, "vertex_order", order):
+        sparsify(g, SparsifyParams(k=2))
+        assert order.call_count == 1
+        sparsify(g, SparsifyParams(k=1, method=ALL_TYPES))
+        assert order.call_count == 1
+    assert _sweep_arrays(g).side_by_time[::2].tolist() == vertex_order(g).tolist()
+
+
 @st.composite
 def split_edge_graphs(draw):
     """Graphs built around the edges of the sweep's order-free/loop split.
@@ -379,6 +391,7 @@ def test_only_the_sweep_builds_its_arrays():
     per_type_kept(g, mask)
     g.degrees()
     g.stats()
+    vertex_order(g)
     assert g.sweep_cache is None
     sparsify(g, SparsifyParams(k=2))
     assert isinstance(g.sweep_cache, SPARSIFY_MODULE.SweepArrays)
