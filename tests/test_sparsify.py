@@ -568,6 +568,23 @@ def test_sparsify_mask_golden_pubmed_like(pubmed_graph):
         assert (res.kept, _mask_sha(res.mask)) == (kept, digest)
 
 
+# sha256 over every mask, in loop order, of both methods at five budgets
+# on 300 random graphs and at three budgets on two PubMed-shaped graphs,
+# the sparsifier seed the graph's seed
+GOLDEN_WIDE_MASKS = "3a787ddd57409b70abdb47703c43d7161986fa2d446bf287a0fc71059507db14"
+
+
+def test_sparsify_mask_golden_wide(pubmed_graph):
+    digest = hashlib.sha256()
+    runs = [(make_random_graph(i), (1, 2, 3, 5, 10), i) for i in range(300)]
+    runs += [(pubmed_graph, (1, 3, 10), 0), (generate(pubmed_like_spec(1)), (1, 3, 10), 1)]
+    for g, budgets, seed in runs:
+        for k in budgets:
+            for method in METHODS:
+                digest.update(sparsify(g, SparsifyParams(k=k, method=method, seed=seed)).mask.tobytes())
+    assert digest.hexdigest() == GOLDEN_WIDE_MASKS
+
+
 # The per-graph arrays that sparsify caches, in bytes per edge: two int32
 # arrays over the 2m layout positions, and int32 or int64 arrays over the
 # buckets and sides.  pubmed_like_spec(0) needs about 37.
