@@ -7,16 +7,20 @@ type-agnostic view of the train edges, then report AUC and MRR over the
 same candidate sets.  Sparsification, when requested, is applied to the
 train portion only, so full-graph and sparsified runs share identical
 test sets and negatives and their metrics are directly comparable.
+Everything runs on one graph: the train side is a boolean selection of
+the input, and only the sweep, when there is one, gets a train subgraph
+to work on.  All candidates, positives first, go through one scoring
+pass.
 The split and the negatives draw from the counter-keyed stream of
 :mod:`hgsparse._rng` as batched numpy, one word per edge or negative;
 a negative is a uniform rank among its positive's free destinations,
 the high word of its word times the free count (multiply-shift, with a
 redraw from the next word in about one case in 2**64 / count).  The
-train view is one sort of packed pair keys.  Scoring expands each
-pair's lower-degree neighbor row and tests each entry against a bitmask
-of the other endpoint's row: the pairs go in order of that endpoint,
-and 64 such rows at a time share one n-long ``uint64`` word array, one
-bit per row.  AUC sorts the negatives and counts those below each
+train view is one sort of pair keys packed from the selected columns.
+Scoring expands each pair's lower-degree neighbor row and tests each
+entry against a bitmask of the other endpoint's row: the pairs go in
+order of that endpoint, and 64 such rows at a time share one n-long
+``uint64`` word array, one bit per row.  AUC sorts the negatives and counts those below each
 positive by binary search.
 """
 
@@ -152,14 +156,17 @@ class TrainView:
     def from_graph(cls, g: HeteroGraph, selected=None) -> "TrainView":
         """The view over the selected edges of g (all of them for None).
 
-        Both directions of every edge go in as one key ``a * n + b``, which
+        A selection of g's train edges gives the view of a train graph
+        without building one.  Both directions of every selected edge go
+        in as one key ``a * n + b``, packed from g's columns, which
         cannot overflow as ``n * n < 2**63``; one sort orders them by
         ``(a, b)``, repeats are dropped, and ``divmod`` splits the rest
         back into rows and neighbors.
         """
         mask = g.edge_mask(selected)
         n = g.n
-        keys = np.sort(np.concatenate((g._pair_key[mask], g.dst[mask] * n + g.src[mask])))
+        src, dst = g.src[mask], g.dst[mask]
+        keys = np.sort(np.concatenate((src * n + dst, dst * n + src)))
         if keys.size:
             keep = np.empty(keys.shape[0], dtype=bool)
             keep[0] = True
@@ -293,23 +300,26 @@ def evaluate(g: HeteroGraph, holdout: float = 0.2, seed: int = 0,
              sparsify_params: SparsifyParams | None = None) -> EvalReport:
     """Full pipeline on one graph; identical split/negatives per seed.
 
-    With ``sparsify_params`` set, only the train edges are sparsified
-    before scoring; the test side is untouched.
+    The train side is a boolean selection of ``g``.  With
+    ``sparsify_params`` set, only the train edges are sparsified, on a
+    subgraph whose rows are the train ids in order, and the sweep's mask
+    narrows the selection; the test side is untouched.  Every positive
+    and every negative is scored in one :func:`score_pairs` call,
+    positives first; each pair's sum is its own, so the scores are those
+    of scoring the two sides apart.
     """
     split = split_edges(g, holdout, seed)
     neg = _negative_matrix(g, split.test_pos_ids, negatives_per_positive,
                            substream_seed(seed, NEGATIVE_TAG))
-    train_mask = np.zeros(g.m, dtype=bool)
-    train_mask[split.train_ids] = True
-    train_g = g.subgraph(train_mask)
-    view = TrainView.from_graph(train_g, None if sparsify_params is None
-                                else sparsify(train_g, sparsify_params).mask)
+    train = np.zeros(g.m, dtype=bool)
+    train[split.train_ids] = True
+    if sparsify_params is not None:
+        train[split.train_ids] = sparsify(g.subgraph(train), sparsify_params).mask
     pos_u = g.src[split.test_pos_ids]
-    pos_v = g.dst[split.test_pos_ids]
-    pos_scores = score_pairs(view, pos_u, pos_v, scorer)
-    neg_scores = score_pairs(
-        view, np.repeat(pos_u, negatives_per_positive), neg.ravel(), scorer
-    ).reshape(neg.shape)
+    scores = score_pairs(TrainView.from_graph(g, train),
+                         np.concatenate((pos_u, np.repeat(pos_u, negatives_per_positive))),
+                         np.concatenate((g.dst[split.test_pos_ids], neg.ravel())), scorer)
+    pos_scores, neg_scores = scores[:pos_u.shape[0]], scores[pos_u.shape[0]:].reshape(neg.shape)
     return EvalReport(
         auc=auc(pos_scores, neg_scores.ravel()),
         mrr=mrr(candidate_ranks(pos_scores, neg_scores)),

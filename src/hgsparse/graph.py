@@ -48,7 +48,6 @@ class BucketLayout:
 
     order: np.ndarray         # 2m edge ids grouped by (side, etype), ascending in a bucket
     bkt_ptr: np.ndarray       # bucket b spans order[bkt_ptr[b]:bkt_ptr[b+1]]
-    bkt_etype: np.ndarray     # edge type of bucket b
     side_bkt_ptr: np.ndarray  # side s owns buckets side_bkt_ptr[s]:side_bkt_ptr[s+1]
     side_ptr: np.ndarray      # side s owns order[side_ptr[s]:side_ptr[s+1]]
 
@@ -182,10 +181,10 @@ def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndar
 
 
 def _build_layout(src: np.ndarray, dst: np.ndarray, etype_rank: np.ndarray,
-                  etype_ids: np.ndarray, n: int) -> BucketLayout:
-    """The buckets of a table in canonical order; etype_rank indexes etype_ids."""
+                  t: int, n: int) -> BucketLayout:
+    """The buckets of a table in canonical order; etype_rank is each edge's
+    rank among the t distinct edge types."""
     m = src.shape[0]
-    t = etype_ids.shape[0]
     # A bucket's key is side * t + etype rank, and its edge ids ascend.
     # The table is sorted by (src, dst, etype), so a stable sort of the
     # out keys, which are nearly sorted already, keeps edge id order in
@@ -210,26 +209,25 @@ def _build_layout(src: np.ndarray, dst: np.ndarray, etype_rank: np.ndarray,
     side[np.searchsorted(starts, m):] += n
     side_bkt_ptr = np.zeros(2 * n + 1, dtype=np.int64)
     np.cumsum(np.bincount(side, minlength=2 * n), out=side_bkt_ptr[1:])
-    return BucketLayout(order, bkt_ptr, etype_ids[etype_rank[order[starts]]],
-                        side_bkt_ptr, bkt_ptr[side_bkt_ptr])
+    return BucketLayout(order, bkt_ptr, side_bkt_ptr, bkt_ptr[side_bkt_ptr])
 
 
 class HeteroGraph:
     """Use :func:`build_graph` or :func:`build_graph_arrays` to construct.
 
-    The constructor takes the dense canonical columns as they are: the
-    node ids, ascending, and their types; the edge table in canonical
-    order without repeats; the count of repeats dropped; and the pair
-    key ``src * n + dst``.  It derives the edge-type table, the bucket
-    layout and the degrees.  A subgraph shares its parent's node table.
+    The constructor takes only the dense canonical columns, as they are:
+    the node ids, ascending, and their types; the edge table in canonical
+    order without repeats; and the count of repeats dropped.  It derives
+    the edge-type table, the bucket layout and the degrees.  A subgraph
+    shares its parent's node table.
     """
 
     __slots__ = ("node_ids", "node_types", "src", "dst", "etype", "weight",
                  "duplicates_dropped", "layout", "etype_ids", "sweep_cache",
-                 "_degrees", "_pair_key")
+                 "_degrees")
 
     def __init__(self, node_ids, node_types, src, dst, etype, weight,
-                 duplicates_dropped, pair_key):
+                 duplicates_dropped):
         n = node_ids.shape[0]
         self.node_ids = node_ids
         self.node_types = node_types
@@ -240,14 +238,12 @@ class HeteroGraph:
         self.duplicates_dropped = duplicates_dropped
         # the distinct edge types, ascending, and each edge's rank among them
         self.etype_ids, etype_rank = np.unique(etype, return_inverse=True)
-        self.layout = _build_layout(src, dst, etype_rank, self.etype_ids, n)
+        self.layout = _build_layout(src, dst, etype_rank, self.etype_ids.shape[0], n)
         side_size = np.diff(self.layout.side_ptr)
         self._degrees = side_size[:n] + side_size[n:]
         self._degrees.flags.writeable = False
         # the sweep's per-graph arrays; :mod:`hgsparse.sparsify` fills it on first use
         self.sweep_cache = None
-        # src * n + dst; it ascends with each pair's etypes in one run
-        self._pair_key = pair_key
 
     # ---- basic counts ----
 
@@ -316,7 +312,8 @@ class HeteroGraph:
         """
         if not (src.shape == dst.shape == etype.shape):
             raise ValueError("src, dst and etype must have equal length")
-        pair = self._pair_key
+        # src * n + dst ascends over the table, each pair's etypes in one run
+        pair = self.src * self.n + self.dst
         key = src * self.n + dst
         lo = np.searchsorted(pair, key, side="left")
         run = np.searchsorted(pair, key, side="right") - lo
@@ -359,8 +356,7 @@ class HeteroGraph:
         mask = self._selection(selected)
         return HeteroGraph(self.node_ids, self.node_types,
                            self.src[mask], self.dst[mask], self.etype[mask],
-                           self.weight[mask] if self.weight is not None else None,
-                           0, self._pair_key[mask])
+                           self.weight[mask] if self.weight is not None else None, 0)
 
     # ---- summary ----
 
@@ -443,8 +439,7 @@ def build_graph_arrays(src, dst, etype, weight=None,
         dst = dst[perm]
         if weight is not None:
             weight = weight[perm]
-    return HeteroGraph(node_ids, node_types, src, dst, etype, weight,
-                       m_in - pair.shape[0], pair)
+    return HeteroGraph(node_ids, node_types, src, dst, etype, weight, m_in - pair.shape[0])
 
 
 def build_graph(edges: Iterable, node_types: Mapping[int, int] | None = None) -> HeteroGraph:

@@ -50,7 +50,7 @@ def coverage_report(g: HeteroGraph, selected, k: int,
     return [CoverageViolation(node=u, direction=IN if d else OUT, etype=t,
                               required=r, actual=a)
             for u, d, t, r, a in zip(g.node_ids[node].tolist(), inward.tolist(),
-                                     layout.bkt_etype[bad].tolist(),
+                                     g.etype[layout.order[ptr[bad]]].tolist(),
                                      required[bad].tolist(), kept[bad].tolist())]
 
 

@@ -17,6 +17,7 @@ from hgsparse import (
     DegenerateSplitError,
     EdgeTypeSpec,
     GenSpec,
+    HeteroGraph,
     NegativeSamplingError,
     SparsifyParams,
     TrainView,
@@ -76,6 +77,13 @@ def test_split_deterministic(chain10):
 def test_split_rounds_half_up(chain10):
     # 0.25 of 10 edges -> 2.5 -> 3 test positives
     assert len(split_edges(chain10, 0.25, seed=0).test_pos_ids) == 3
+
+
+def test_split_of_two_edges():
+    # the smallest graph that splits, one edge to each side
+    split = split_edges(build_graph([(1, 2, 0), (2, 3, 0)]), 0.5, seed=0)
+    assert (split.test_pos_ids.shape[0], split.train_ids.shape[0]) == (1, 1)
+    assert sorted(split.test_pos_ids.tolist() + split.train_ids.tolist()) == [0, 1]
 
 
 def test_split_guards(chain10):
@@ -459,6 +467,23 @@ def gate_graph():
                             seed=1000))
 
 
+@pytest.mark.parametrize("k", [None, 2])
+def test_evaluate_scores_once_on_one_graph(gate_graph, monkeypatch, k):
+    # the train side is a selection of g; only the sweep gets a subgraph
+    calls = []
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return call
+
+    for owner, name in ((evalproxy, "score_pairs"), (HeteroGraph, "subgraph")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    evaluate(gate_graph, 0.2, seed=0, sparsify_params=None if k is None else SparsifyParams(k=k))
+    assert calls == ["score_pairs"] if k is None else ["subgraph", "score_pairs"]
+
+
 def _sha(scores):
     return hashlib.sha256(np.ascontiguousarray(scores, dtype=np.float64).tobytes()).hexdigest()
 
@@ -475,11 +500,11 @@ def test_evaluate_golden(gate_graph, scorer, k):
     # the same pipeline, step by step, to reach the score vectors
     split = split_edges(g, 0.2, 0)
     neg = _negative_matrix(g, split.test_pos_ids, 19, substream_seed(0, NEGATIVE_TAG))
-    train_mask = np.zeros(g.m, dtype=bool)
-    train_mask[split.train_ids] = True
-    train_g = g.subgraph(train_mask)
-    view = TrainView.from_graph(
-        train_g, None if params is None else sparsify(train_g, params).mask)
+    train = np.zeros(g.m, dtype=bool)
+    train[split.train_ids] = True
+    if params is not None:
+        train[split.train_ids] = sparsify(g.subgraph(train), params).mask
+    view = TrainView.from_graph(g, train)
     pos_u = g.src[split.test_pos_ids]
     pos_scores = score_pairs(view, pos_u, g.dst[split.test_pos_ids], scorer)
     neg_scores = score_pairs(view, np.repeat(pos_u, 19), neg.ravel(), scorer)

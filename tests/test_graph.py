@@ -40,7 +40,7 @@ def layout_buckets(g) -> dict:
         key = ("in" if side >= g.n else "out", int(g.node_ids[side % g.n]))
         for b in range(lay.side_bkt_ptr[side], lay.side_bkt_ptr[side + 1]):
             ids = lay.order[lay.bkt_ptr[b]:lay.bkt_ptr[b + 1]].tolist()
-            buckets.setdefault(key, {})[int(lay.bkt_etype[b])] = ids
+            buckets.setdefault(key, {})[int(g.etype[ids[0]])] = ids
     return buckets
 
 
@@ -70,7 +70,8 @@ def test_node_buckets_partition_direction(g1):
     # node 1's out side holds its two buckets and nothing else
     lay = g1.layout
     side = dense_id(g1, 1)
-    assert list(lay.bkt_etype[lay.side_bkt_ptr[side]:lay.side_bkt_ptr[side + 1]]) == [0, 1]
+    first = lay.bkt_ptr[lay.side_bkt_ptr[side]:lay.side_bkt_ptr[side + 1]]
+    assert list(g1.etype[lay.order[first]]) == [0, 1]
     assert sorted(lay.order[lay.side_ptr[side]:lay.side_ptr[side + 1]]) == [0, 1, 2]
 
 
@@ -397,12 +398,12 @@ def test_buckets_partition_edges(edges):
     assert buckets == dict_buckets(g)
     assert all(list(by_type) == sorted(by_type) for by_type in buckets.values())
     # ascending edge id inside each bucket, and no bucket is empty
-    for b in range(lay.bkt_etype.shape[0]):
+    for b in range(lay.bkt_ptr.shape[0] - 1):
         ids = lay.order[lay.bkt_ptr[b]:lay.bkt_ptr[b + 1]].tolist()
         assert ids and ids == sorted(ids)
     # the out sides come first and hold the first m entries, and each
     # direction's buckets partition the m edges
-    assert lay.side_bkt_ptr[0] == 0 and lay.side_bkt_ptr[-1] == lay.bkt_etype.shape[0]
+    assert lay.side_bkt_ptr[0] == 0 and lay.side_bkt_ptr[-1] == lay.bkt_ptr.shape[0] - 1
     assert (np.diff(lay.side_bkt_ptr) >= 0).all()
     assert list(lay.side_ptr) == list(lay.bkt_ptr[lay.side_bkt_ptr])
     assert lay.bkt_ptr[0] == 0 and lay.side_ptr[g.n] == g.m and lay.bkt_ptr[-1] == 2 * g.m
@@ -438,8 +439,7 @@ def reference_build(src, dst, etype, weight, node_ids) -> dict:
         "src": s, "dst": d, "etype": e,
         "weight": None if weight is None else weight[perm][keep],
         "duplicates_dropped": perm.shape[0] - m,
-        "_pair_key": s * n + d, "etype_ids": np.unique(e),
-        "order": order, "bkt_ptr": bkt_ptr, "bkt_etype": et[starts],
+        "etype_ids": np.unique(e), "order": order, "bkt_ptr": bkt_ptr,
         "side_bkt_ptr": side_bkt_ptr, "side_ptr": bkt_ptr[side_bkt_ptr],
     }
 
@@ -532,9 +532,9 @@ def test_g1_types_recorded(g1):
 
 
 def _graph_arrays(g) -> dict:
-    """Every column, the edge-type table, the pair key, the layout and the degrees."""
+    """Every column, the edge-type table, the layout and the degrees."""
     arrays = {name: getattr(g, name) for name in ("node_ids", "node_types", "src", "dst",
-                                                  "etype", "weight", "etype_ids", "_pair_key")}
+                                                  "etype", "weight", "etype_ids")}
     arrays.update(vars(g.layout))
     arrays["degrees"] = g.degrees()
     return arrays
