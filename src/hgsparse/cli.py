@@ -19,12 +19,12 @@ import click
 import numpy as np
 
 from ._rng import SWEEP_TAG, substream_seed
-from .errors import (DataError, GenSpecError, LinkFormatError, NodeFileError,
-                     UnknownEdgeError, UnknownNodeError, VerificationError)
+from .errors import (DataError, GenSpecError, UnknownEdgeError, UnknownNodeError,
+                     VerificationError)
 from .evalproxy import COMMON_NEIGHBORS, SCORERS, evaluate
-from .graph import HeteroGraph, build_graph_arrays
-from .hgb_io import (LinkFileOptions, LinkTable, read_link_file, read_node_file,
-                     write_link_file, write_node_file, write_report)
+from .graph import HeteroGraph, _sort_ids, build_graph_arrays
+from .hgb_io import (LinkFileOptions, read_link_file, read_node_file, write_link_file,
+                     write_node_file, write_report)
 from .metrics import coverage_report, isolated_nodes, per_type_kept
 from .sparsify import METHODS, PER_TYPE, SparsifyParams, sparsify
 from .synthgen import EdgeTypeSpec, GenSpec, generate, parse_spec_file
@@ -66,27 +66,18 @@ _report_options = _options(
 )
 
 
-def _read_links(path: str, opts: LinkFileOptions) -> LinkTable:
-    try:
-        return read_link_file(path, opts)
-    except LinkFormatError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
 def _load_graph(links, nodes, delimiter, comment_prefix) -> HeteroGraph:
     try:
         opts = LinkFileOptions(delimiter=delimiter, comment_prefix=comment_prefix)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from None  # one line, no usage text
-    table = _read_links(links, opts)
+    table = read_link_file(links, opts)
     node_ids = node_types = None
     if nodes:
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 node_table = read_node_file(nodes)
-        except NodeFileError as exc:
-            raise DataError(f"{nodes}: {exc}") from None
         finally:  # one line each, before any error
             for warning in caught:
                 click.echo(f"warning: {nodes}: {warning.message}", err=True)
@@ -234,12 +225,16 @@ def verify_cmd(links, nodes, delimiter, comment_prefix,
     """Check a sparse edge file against the guarantees of a method."""
     g = _load_graph(links, nodes, delimiter, comment_prefix)
     # the sparse file is read as sparsify writes it: tab-delimited
-    kept = _read_links(sparse, LinkFileOptions(comment_prefix=comment_prefix))
-    mask = np.zeros(g.m, dtype=bool)
+    kept = read_link_file(sparse, LinkFileOptions(comment_prefix=comment_prefix))
     try:
-        mask[g.edge_ids(kept.src, kept.dst, kept.etype)] = True
+        ids = g.edge_ids(kept.src, kept.dst, kept.etype)
     except (UnknownEdgeError, UnknownNodeError) as exc:
         raise VerificationError(f"sparse file is not a subset of the graph: {exc}")
+    row = _sort_ids(ids)[2]  # the first row, in file order, that repeats an earlier one
+    if row >= 0:
+        raise VerificationError(f"sparse file repeats edge {g.edge_key(int(ids[row]))}")
+    mask = np.zeros(g.m, dtype=bool)
+    mask[ids] = True
     report = _selection_report(g, mask, k, method, None)
     violations, isolated = report["coverage_violations"], report["isolated_nodes"]
     for v in violations:

@@ -14,10 +14,14 @@ class DataError(Exception):
 
 
 class _LineError(DataError):
-    """A fault on one line of an input file; carries its 1-based number."""
+    """A fault on one line of an input file; carries its 1-based number.
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    The message starts with the file's name, ``source``, when it has one.
+    """
+
+    def __init__(self, line_no: int, message: str, source=None):
+        super().__init__(("" if source is None else f"{source}: ")
+                         + f"line {line_no}: {message}")
         self.line_no = line_no
 
 

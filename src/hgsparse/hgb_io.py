@@ -125,10 +125,12 @@ class NodeTable:
 
 
 def _source_name(source):
-    """A source as errors name it: a path in full, a stream by its ``name``."""
-    if isinstance(source, os.PathLike):  # a Path's ``name`` is its last part only
-        return os.fspath(source)
-    return getattr(source, "name", source)
+    """A source as errors name it: a path in full, a stream by its ``name``,
+    and None for a stream without one."""
+    if hasattr(source, "read") or hasattr(source, "write"):
+        return getattr(source, "name", None)
+    # a Path in full, not its ``name``, which is its last part only
+    return os.fspath(source) if isinstance(source, os.PathLike) else source
 
 
 @contextmanager
@@ -313,7 +315,8 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     The first line that is neither blank nor a comment decides the weight
     column: with 4 fields every row carries a weight, with 3 none does.
     A file without rows reads with ``weight=None``.  Raises
-    :class:`LinkFormatError` naming the first malformed line.
+    :class:`LinkFormatError` naming the source, when it has a name, and
+    the first malformed line.
     """
     decider, has_weight = -1, False
     ids, weights = [np.empty((3, 0), dtype=np.int64)], []
@@ -368,7 +371,7 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     # raised once the whole text is read, so that a later undecodable
     # byte is the error instead
     if failed is not None:
-        raise LinkFormatError(*failed)
+        raise LinkFormatError(*failed, _source_name(source))
     src, dst, etype = np.concatenate(ids, axis=1)
     return LinkTable(src, dst, etype, np.concatenate(weights) if has_weight else None)
 
@@ -393,9 +396,9 @@ def _node_line_error(line: str) -> str:
 def read_node_file(source) -> NodeTable:
     """Parse a node file into columns, in file order.
 
-    Raises :class:`NodeFileError` naming the first malformed line or
-    repeated id, and warns once about extra columns when the first line
-    with them comes no later than that.
+    Raises :class:`NodeFileError` naming the source, when it has a name,
+    and the first malformed line or repeated id, and warns once about
+    extra columns when the first line with them comes no later than that.
     """
     ids, rows = [np.empty((2, 0), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     # the first malformed line's number and message, the first wide line's
@@ -441,7 +444,7 @@ def read_node_file(source) -> NodeTable:
         warnings.warn(f"node file line {wide[0]}: ignoring {wide[1]} "
                       "attribute column(s)", stacklevel=2)
     if failed is not None:
-        raise NodeFileError(*failed)
+        raise NodeFileError(*failed, _source_name(source))
     return NodeTable(node_ids, types)
 
 

@@ -519,6 +519,18 @@ def test_verify_subset_messages_and_empty_sparse(chain_file, tmp_path, capsys):
     assert payload["per_type_kept"] == {"0": 0}
 
 
+def test_verify_rejects_a_repeated_line(tmp_path, capsys):
+    # every edge is in the sparse file, and two of them twice; the first
+    # repeat in file order is named, not the lowest edge repeated
+    links, sparse = tmp_path / "link.dat", tmp_path / "sparse.dat"
+    links.write_text("1\t2\t0\n1\t3\t0\n1\t4\t1\n")
+    sparse.write_text("1\t3\t0\n1\t2\t0\n1\t4\t1\n1\t3\t0\n1\t2\t0\n")
+    assert run(["verify", "--links", str(links), "--sparse", str(sparse), "--k", "1"]) == 3
+    assert capsys.readouterr().err == "verification failed: sparse file repeats edge (1, 3, 0)\n"
+    sparse.write_text("1\t3\t0\n1\t2\t0\n1\t4\t1\n")
+    assert run(["verify", "--links", str(links), "--sparse", str(sparse), "--k", "1"]) == 0
+
+
 def test_bad_link_options_exit_one(star_file, capsys):
     for flag, value, reason in (("--comment-prefix", "0", "comment_prefix must not be a digit"),
                                 ("--delimiter", "7", "delimiter must not be a digit"),

@@ -79,6 +79,27 @@ def test_non_finite_weight_rejected_at_parse():
         read_link_file(io.StringIO("1\t2\t0\tinf\n"))
 
 
+def test_line_errors_name_a_file_or_a_named_stream(tmp_path):
+    # a path names its file and a stream its name; a stream without one
+    # gives the line alone
+    links, nodes = tmp_path / "link.dat", tmp_path / "node.dat"
+    links.write_text("1\t2\t0\n3\t4\n")
+    nodes.write_text("1\ta\t0\n1\tb\t0\n")
+    for read, path, cls, message in (
+            (read_link_file, links, LinkFormatError, "line 2: expected 3 or 4 fields, got 2"),
+            (read_node_file, nodes, NodeFileError, "line 2: duplicate node id 1")):
+        for source in (path, str(path)):
+            with pytest.raises(cls) as err:
+                read(source)
+            assert (err.value.line_no, str(err.value)) == (2, f"{path}: {message}")
+        with open(path) as stream, pytest.raises(cls) as err:
+            read(stream)
+        assert str(err.value) == f"{path}: {message}"
+        with pytest.raises(cls) as err:
+            read(io.StringIO(path.read_text()))
+        assert str(err.value) == message
+
+
 def test_custom_delimiter():
     table = read_link_file(io.StringIO("1,2,0\n"), LinkFileOptions(delimiter=","))
     assert _rows(table) == [(1, 2, 0, None)]

@@ -20,6 +20,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -35,15 +36,15 @@ from hgsparse.hgb_io import _BLOCK, _IS_SPACE, _opened
 from conftest import EdgeRecord
 
 
-def _parse_id(field: str, what: str, line_no: int) -> int:
+def _parse_id(field: str, what: str, line_no: int, error) -> int:
     try:
         if not (field.isascii() and field.isdigit()):
             raise ValueError(field)
         value = int(field)
     except ValueError:
-        raise LinkFormatError(line_no, f"invalid integer {field!r} for {what}") from None
+        raise error(line_no, f"invalid integer {field!r} for {what}") from None
     if not 0 <= value < 2**63:  # stored as int64
-        raise LinkFormatError(line_no, f"{what} {value} is outside [0, 2**63)")
+        raise error(line_no, f"{what} {value} is outside [0, 2**63)")
     return value
 
 
@@ -51,8 +52,10 @@ def reference_read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) 
     """Parse a link file into EdgeRecords in file order.
 
     The first line that is neither blank nor a comment decides whether
-    every row has a weight: it does when that line has 4 fields.
+    every row has a weight: it does when that line has 4 fields.  An
+    error names the file when the source is a path.
     """
+    error = partial(LinkFormatError, source=None if hasattr(source, "read") else str(source))
     records: list[EdgeRecord] = []
     decider = has_weight = None
     with _opened(source, "r") as stream:
@@ -66,26 +69,22 @@ def reference_read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) 
             if decider is None:
                 decider, has_weight = line_no, len(fields) == 4
             if len(fields) not in (3, 4):
-                raise LinkFormatError(
-                    line_no, f"expected 3 or 4 fields, got {len(fields)}")
+                raise error(line_no, f"expected 3 or 4 fields, got {len(fields)}")
             if len(fields) == 4 and not has_weight:
-                raise LinkFormatError(
-                    line_no, f"unexpected weight column (line {decider} has none)")
+                raise error(line_no, f"unexpected weight column (line {decider} has none)")
             if len(fields) == 3 and has_weight:
-                raise LinkFormatError(
-                    line_no, f"missing weight column (line {decider} has one)")
-            src = _parse_id(fields[0], "src", line_no)
-            dst = _parse_id(fields[1], "dst", line_no)
-            etype = _parse_id(fields[2], "etype", line_no)
+                raise error(line_no, f"missing weight column (line {decider} has one)")
+            src = _parse_id(fields[0], "src", line_no, error)
+            dst = _parse_id(fields[1], "dst", line_no, error)
+            etype = _parse_id(fields[2], "etype", line_no, error)
             weight = None
             if has_weight:
                 try:
                     weight = float(fields[3])
                 except ValueError:
-                    raise LinkFormatError(
-                        line_no, f"invalid weight {fields[3]!r}") from None
+                    raise error(line_no, f"invalid weight {fields[3]!r}") from None
                 if not math.isfinite(weight):
-                    raise LinkFormatError(line_no, f"non-finite weight {fields[3]!r}")
+                    raise error(line_no, f"non-finite weight {fields[3]!r}")
             records.append(EdgeRecord(src, dst, etype, weight))
     return records
 

@@ -10,6 +10,7 @@ block size of a few characters splits the file into many blocks.
 
 import io
 import warnings
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -23,7 +24,11 @@ from hgsparse.hgb_io import _BLOCK, _opened, _parse_id
 
 
 def reference_read_node_file(source) -> dict[int, int]:
-    """Parse a node file into {node_id: node_type_id}."""
+    """Parse a node file into {node_id: node_type_id}.
+
+    An error names the file when the source is a path.
+    """
+    error = partial(NodeFileError, source=None if hasattr(source, "read") else str(source))
     table: dict[int, int] = {}
     warned_extra = False
     with _opened(source, "r") as stream:
@@ -33,8 +38,7 @@ def reference_read_node_file(source) -> dict[int, int]:
                 continue
             fields = line.split("\t")
             if len(fields) < 3:
-                raise NodeFileError(
-                    line_no, f"expected at least 3 fields, got {len(fields)}")
+                raise error(line_no, f"expected at least 3 fields, got {len(fields)}")
             if len(fields) > 3 and not warned_extra:
                 warnings.warn(
                     f"node file line {line_no}: ignoring "
@@ -45,9 +49,9 @@ def reference_read_node_file(source) -> dict[int, int]:
                 node_id = _parse_id(fields[0], "node id")
                 node_type = _parse_id(fields[2], "node type")
             except ValueError as exc:
-                raise NodeFileError(line_no, str(exc)) from None
+                raise error(line_no, str(exc)) from None
             if node_id in table:
-                raise NodeFileError(line_no, f"duplicate node id {node_id}")
+                raise error(line_no, f"duplicate node id {node_id}")
             table[node_id] = node_type
     return table
 
