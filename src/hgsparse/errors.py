@@ -10,18 +10,21 @@ from __future__ import annotations
 
 
 class DataError(Exception):
-    """Invalid input data (file contents, graph references, specs)."""
+    """Invalid input data (file contents, graph references, specs).
+
+    The message starts with the name of the file at fault, ``source``,
+    when there is one.
+    """
+
+    def __init__(self, message: str, source=None):
+        super().__init__(message if source is None else f"{source}: {message}")
 
 
 class _LineError(DataError):
-    """A fault on one line of an input file; carries its 1-based number.
-
-    The message starts with the file's name, ``source``, when it has one.
-    """
+    """A fault on one line of an input file; carries its 1-based number."""
 
     def __init__(self, line_no: int, message: str, source=None):
-        super().__init__(("" if source is None else f"{source}: ")
-                         + f"line {line_no}: {message}")
+        super().__init__(f"line {line_no}: {message}", source)
         self.line_no = line_no
 
 

@@ -20,8 +20,8 @@ train view is one sort of pair keys packed from the selected columns.
 Scoring expands each pair's lower-degree neighbor row and tests each
 entry against a bitmask of the other endpoint's row: the pairs go in
 order of that endpoint, and 64 such rows at a time share one n-long
-``uint64`` word array, one bit per row.  AUC sorts the negatives and counts those below each
-positive by binary search.
+``uint64`` word array, one bit per row.  AUC sorts the negatives and
+counts those below each positive by binary search.
 """
 
 from __future__ import annotations

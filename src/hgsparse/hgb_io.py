@@ -143,9 +143,9 @@ def _opened(source, mode: str):
             with open(source, mode, encoding="utf-8", newline=newline) as handle:
                 yield handle
     except UnicodeDecodeError:
-        raise DataError(f"{_source_name(source)}: not UTF-8 text") from None
+        raise DataError("not UTF-8 text", _source_name(source)) from None
     except OSError as exc:  # e.g. an output directory that does not exist
-        raise DataError(f"{_source_name(source)}: {exc.strerror or exc}") from None
+        raise DataError(exc.strerror or str(exc), _source_name(source)) from None
 
 
 def _code_points(text: str) -> np.ndarray:

@@ -79,9 +79,9 @@ def test_non_finite_weight_rejected_at_parse():
         read_link_file(io.StringIO("1\t2\t0\tinf\n"))
 
 
-def test_line_errors_name_a_file_or_a_named_stream(tmp_path):
+def test_errors_name_a_file_or_a_named_stream(tmp_path):
     # a path names its file and a stream its name; a stream without one
-    # gives the line alone
+    # gives the fault alone
     links, nodes = tmp_path / "link.dat", tmp_path / "node.dat"
     links.write_text("1\t2\t0\n3\t4\n")
     nodes.write_text("1\ta\t0\n1\tb\t0\n")
@@ -98,6 +98,9 @@ def test_line_errors_name_a_file_or_a_named_stream(tmp_path):
         with pytest.raises(cls) as err:
             read(io.StringIO(path.read_text()))
         assert str(err.value) == message
+    with pytest.raises(DataError) as err:
+        read_link_file(io.TextIOWrapper(io.BytesIO(b"1\t2\t0\n\xff\n"), encoding="utf-8"))
+    assert str(err.value) == "not UTF-8 text"
 
 
 def test_custom_delimiter():
