@@ -481,7 +481,7 @@ def test_evaluate_scores_once_on_one_graph(gate_graph, monkeypatch, k):
     for owner, name in ((evalproxy, "score_pairs"), (HeteroGraph, "subgraph")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     evaluate(gate_graph, 0.2, seed=0, sparsify_params=None if k is None else SparsifyParams(k=k))
-    assert calls == ["score_pairs"] if k is None else ["subgraph", "score_pairs"]
+    assert calls == (["score_pairs"] if k is None else ["subgraph", "score_pairs"])
 
 
 def _sha(scores):
