@@ -163,7 +163,7 @@ class TrainView:
         ``(a, b)``, repeats are dropped, and ``divmod`` splits the rest
         back into rows and neighbors.
         """
-        mask = g.edge_mask(selected)
+        mask = g._selection(selected)
         n = g.n
         src, dst = g.src[mask], g.dst[mask]
         keys = np.sort(np.concatenate((src * n + dst, dst * n + src)))

@@ -150,7 +150,8 @@ def _ranges(starts: np.ndarray, lens: np.ndarray, offsets=None) -> np.ndarray:
     ``lens.cumsum() - lens``; a caller that needs it too may pass it in.
     """
     offsets = lens.cumsum() - lens if offsets is None else offsets
-    return (starts - offsets).repeat(lens) + np.arange(lens.sum())
+    ranges = (starts - offsets).repeat(lens)
+    return np.add(ranges, np.arange(ranges.shape[0]), out=ranges)
 
 
 def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndarray:
@@ -168,8 +169,8 @@ def _positions(sorted_ids: np.ndarray, ids: np.ndarray, missing: str) -> np.ndar
             raise UnknownNodeError(missing.format(int(ids[0])))
         return np.zeros(0, dtype=np.int64)
     # in uint64 an id below the first wraps to a large offset, clipped to n - 1
-    pos = np.minimum(ids.view(np.uint64) - sorted_ids[:1].view(np.uint64), n - 1)
-    pos = pos.view(np.int64)
+    pos = ids.view(np.uint64) - sorted_ids[:1].view(np.uint64)
+    pos = np.minimum(pos, n - 1, out=pos).view(np.int64)
     miss = np.flatnonzero(sorted_ids[pos] != ids)
     if miss.shape[0]:
         found = np.searchsorted(sorted_ids, ids[miss])
@@ -192,23 +193,33 @@ def _build_layout(src: np.ndarray, dst: np.ndarray, etype_rank: np.ndarray,
     # ids ascend with them: ordering the edges by (dst, src) first, however
     # ties fall, then stably by in key, gives ascending ids too.  n * t
     # cannot overflow, as t <= m and, like n, m < 2**31.5 in any graph that
-    # fits in memory.
-    out_key = src * t + etype_rank
-    out = np.argsort(out_key, kind="stable")
+    # fits in memory.  One direction at a time, a key lives only until the
+    # bucket starts are marked from it, so besides the columns and the
+    # ranks at most four m-long arrays live at once.
+    first = np.ones(2 * m + 1, dtype=bool)  # where a bucket starts; 2m ends the last
     by_dst = np.argsort(dst * n + src)
-    in_key = (dst * t + etype_rank)[by_dst]
-    into = np.argsort(in_key, kind="stable")
-    order = np.concatenate((out, by_dst[into]))
-    key = np.concatenate((out_key[out], in_key[into]))
-    first = np.ones(2 * m, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    first[m:m + 1] = True  # the first in-side bucket, whatever its key
-    starts = np.flatnonzero(first)
-    bkt_ptr = np.append(starts, 2 * m)
-    side = key[starts] // t
-    side[np.searchsorted(starts, m):] += n
+    key = (dst * t + etype_rank)[by_dst]
+    into = np.argsort(key, kind="stable")
+    key = key[into]
+    np.not_equal(key[1:], key[:-1], out=first[m + 1:2 * m])  # the in half starts one
+    in_order = by_dst[into]
+    del key, by_dst, into
+    key = src * t + etype_rank
+    out = np.argsort(key, kind="stable")
+    key = key[out]
+    np.not_equal(key[1:], key[:-1], out=first[1:m])
+    del key
+    order = np.concatenate((out, in_order))
+    del out, in_order
+    bkt_ptr = np.flatnonzero(first)
+    # a bucket's side is the source of its first edge among the out
+    # buckets, which come first, and n + its destination among the in ones
+    lead = order[bkt_ptr[:-1]]
+    outs = bkt_ptr.searchsorted(m)
     side_bkt_ptr = np.zeros(2 * n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(side, minlength=2 * n), out=side_bkt_ptr[1:])
+    side_bkt_ptr[1:n + 1] = np.bincount(src[lead[:outs]], minlength=n)
+    side_bkt_ptr[n + 1:] = np.bincount(dst[lead[outs:]], minlength=n)
+    np.cumsum(side_bkt_ptr, out=side_bkt_ptr)
     return BucketLayout(order, bkt_ptr, side_bkt_ptr, bkt_ptr[side_bkt_ptr])
 
 
@@ -312,16 +323,22 @@ class HeteroGraph:
         """
         if not (src.shape == dst.shape == etype.shape):
             raise ValueError("src, dst and etype must have equal length")
-        # src * n + dst ascends over the table, each pair's etypes in one run
-        pair = self.src * self.n + self.dst
-        key = src * self.n + dst
-        lo = np.searchsorted(pair, key, side="left")
-        run = np.searchsorted(pair, key, side="right") - lo
-        owner = np.repeat(np.arange(key.shape[0]), run)
-        pos = _ranges(lo, run)
-        hit = self.etype[pos] == etype[owner]
-        ids = np.full(key.shape[0], -1, dtype=np.int64)
-        ids[owner[hit]] = pos[hit]
+        # src * n + dst ascends over the table, each pair's etypes in one
+        # run, ascending: a query looks along its pair's run from the first
+        # row, one row a pass, while the row's etype is below its own.  The
+        # m-long pair key lives for the search alone.
+        row = np.searchsorted(self.src * self.n + self.dst, src * self.n + dst)
+        ids = np.full(row.shape[0], -1, dtype=np.int64)
+        look = row < self.m
+        while look.any():
+            found = self.etype.take(row, mode="clip")
+            look &= self.src.take(row, mode="clip") == src
+            look &= self.dst.take(row, mode="clip") == dst
+            hit = look & (found == etype)
+            ids[hit] = row[hit]
+            look &= found < etype
+            row += 1
+            look &= row < self.m
         return ids
 
     # ---- edge selections ----
@@ -433,13 +450,13 @@ def build_graph_arrays(src, dst, etype, weight=None,
         keep = np.ones(perm.shape[0], dtype=bool)
         keep[1:] = (pair[1:] != pair[:-1]) | (etype[1:] != etype[:-1])
         perm = perm[keep]
-        pair = pair[keep]
         etype = etype[keep]
         src = src[perm]
         dst = dst[perm]
         if weight is not None:
             weight = weight[perm]
-    return HeteroGraph(node_ids, node_types, src, dst, etype, weight, m_in - pair.shape[0])
+    pair = step = keep = perm = None  # free them before the graph builds its layout
+    return HeteroGraph(node_ids, node_types, src, dst, etype, weight, m_in - src.shape[0])
 
 
 def build_graph(edges: Iterable, node_types: Mapping[int, int] | None = None) -> HeteroGraph:

@@ -39,13 +39,16 @@ reader finds its deciding line once, in the first block that holds
 one, and the node reader checks repeated ids and places its warning
 once every block is read.  Python looks at one line only: the first
 bad one, to explain it in the error.  A read holds a few arrays the
-size of one block plus the columns read so far, which are joined at
-the end, so its memory is about the output columns twice over, not a
-multiple of the text.
-:func:`write_link_file` and :func:`write_node_file` cut the decimal
-digits of their int columns into one uint8 buffer, splice in the weight
-column by its byte lengths, and hand the stream the whole text in one
-write.
+size of one block plus the columns read so far, each block's part of a
+column in its own buffer.  The columns are joined one at a time at the
+end, each one's parts freed once it is joined, so a read's memory is
+about the output columns and one more column, not a multiple of the
+text.
+:func:`write_link_file` and :func:`write_node_file` write ``_WRITE_ROWS``
+rows at a time: they cut the decimal digits of a chunk's int columns
+into one uint8 buffer, splice in its weight column by its byte lengths,
+and hand the stream the chunk's text in one write, so a write holds one
+chunk's text however many rows there are.
 
 Link output is in canonical (src, dst, etype) ascending order with
 original node ids, so two selections diff cleanly.
@@ -68,6 +71,8 @@ from .graph import HeteroGraph, _node_table, _ranges, _sort_ids
 _MAX_ID = 2**63 - 1  # ids are stored as int64
 # characters read at once; bounds a read's temporaries
 _BLOCK = 1 << 18
+# rows made and written at once; bounds a write's temporaries
+_WRITE_ROWS = 1 << 15
 # A line's trailing CRs are not part of it.  A file read by path has none
 # left after universal-newline decoding; a text stream may keep them.  A
 # block ends at a newline, so a line's CRs are in the block it ends.
@@ -229,7 +234,7 @@ def _rows(lines: tuple, bad: np.ndarray, skip: np.ndarray, free: np.ndarray | No
     an id of 2**63 or more; ``free`` keeps only the rows' characters.
 
     Returns the rows' line indices, the blank lines' indices and the
-    rows' ids as an (ids_per_row, rows) int64 array.
+    rows' ids as an (ids_per_row, rows) int64 view of one parse.
     """
     _, chars, is_sep, _, _, _, start, end = lines
     digit = chars - 48 <= 9  # wraps below '0' in the unsigned dtype
@@ -267,7 +272,7 @@ def _rows(lines: tuple, bad: np.ndarray, skip: np.ndarray, free: np.ndarray | No
         values = np.fromstring(digits.astype(np.uint8, copy=False).tobytes(),
                                dtype=np.uint64, sep=" ")
     bad[good[np.flatnonzero(values > _MAX_ID) // ids_per_row]] = True
-    return good, blank, values.view(np.int64).reshape(-1, ids_per_row).T.copy()
+    return good, blank, values.view(np.int64).reshape(-1, ids_per_row).T
 
 
 def _parse_id(field: str, what: str) -> int:
@@ -319,7 +324,8 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
     the first malformed line.
     """
     decider, has_weight = -1, False
-    ids, weights = [np.empty((3, 0), dtype=np.int64)], []
+    # src, dst and etype, then the weights, each a list of per-block parts
+    columns = [[np.empty(0, dtype=np.int64)] for _ in range(3)] + [[]]
     failed = None  # the first malformed line's number and message
     offset = 0  # the lines of the blocks before this one
     for text in _blocks(source):
@@ -348,7 +354,8 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
                                    sep[np.minimum(line_first + 2, line_last)] + 1,
                                    line_end + 1)
         good, _, block_ids = _rows(lines, bad, comment, in_weight, 3)
-        ids.append(block_ids)
+        for parts, column in zip(columns, block_ids):
+            parts.append(column.copy())  # its own buffer, freed once joined
 
         if has_weight:
             fields = _text(chars[in_weight]).split("\n")[:-1]
@@ -360,7 +367,7 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
                 bad[good[len(parsed)]] = True
             weight = np.array(parsed, dtype=np.float64)
             bad[good[:weight.shape[0]][~np.isfinite(weight)]] = True
-            weights.append(weight)
+            columns[3].append(weight)
 
         first = np.flatnonzero(bad)
         if failed is None and first.shape[0]:
@@ -368,12 +375,15 @@ def read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> LinkTab
             failed = (offset + i + 1, _line_error(text[line_start[i]:line_end[i]],
                                                   opts.delimiter, has_weight, decider + 1))
         offset += line_end.shape[0]
+        # free the block's arrays before the next block is read
+        del lines, text, chars, _, sep, line_start, line_end, width, bad, good, block_ids, column
     # raised once the whole text is read, so that a later undecodable
     # byte is the error instead
     if failed is not None:
         raise LinkFormatError(*failed, _source_name(source))
-    src, dst, etype = np.concatenate(ids, axis=1)
-    return LinkTable(src, dst, etype, np.concatenate(weights) if has_weight else None)
+    # one column at a time, each popped list freeing its parts once joined,
+    # so that only one column is held twice
+    return LinkTable(*[np.concatenate(columns.pop(0)) if columns[0] else None for _ in range(4)])
 
 
 def _node_line_error(line: str) -> str:
@@ -400,7 +410,9 @@ def read_node_file(source) -> NodeTable:
     and the first malformed line or repeated id, and warns once about
     extra columns when the first line with them comes no later than that.
     """
-    ids, rows = [np.empty((2, 0), dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    # ids and types, each a list of per-block parts, and the rows' lines
+    columns = [[np.empty(0, dtype=np.int64)] for _ in range(2)]
+    rows = [np.empty(0, dtype=np.int64)]
     # the first malformed line's number and message, the first wide line's
     # number and extra columns
     failed = wide = None
@@ -417,7 +429,8 @@ def read_node_file(source) -> NodeTable:
                           np.stack((ends[1], line_end + 1), axis=1).ravel())
         bad = width < 3
         good, blank, block_ids = _rows(lines, bad, np.zeros_like(bad), free, 2)
-        ids.append(block_ids)
+        for parts, column in zip(columns, block_ids):
+            parts.append(column.copy())
         rows.append(good + offset)
 
         malformed = np.flatnonzero(bad)
@@ -431,7 +444,9 @@ def read_node_file(source) -> NodeTable:
             i = int(wide_lines[0])
             wide = (offset + i + 1, int(width[i]) - 3)
         offset += line_end.shape[0]
-    node_ids, types = np.concatenate(ids, axis=1)
+        # free the block's arrays before the next block is read
+        del lines, text, chars, _, sep, line_start, line_end, free, bad, good, block_ids, column
+    node_ids, types = [np.concatenate(columns.pop(0)) for _ in range(2)]
 
     # a repeated id is an error on its first repeat
     _, _, row = _sort_ids(node_ids)
@@ -448,9 +463,8 @@ def read_node_file(source) -> NodeTable:
     return NodeTable(node_ids, types)
 
 
-def _int_rows(rows: int, columns: list[tuple[str, np.ndarray]], tail: str = ""
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` rows of id columns in decimal, each after its lead, then ``tail``.
+def _int_rows(columns: list[tuple[str, np.ndarray]], tail: str = "") -> tuple[np.ndarray, ...]:
+    """Rows of id columns in decimal, each after its lead, then ``tail``.
 
     The columns are int64 ids, in [0, 2**63) as the builders and
     :func:`write_node_file` hold them, so no value has a sign.  Returns
@@ -459,6 +473,7 @@ def _int_rows(rows: int, columns: list[tuple[str, np.ndarray]], tail: str = ""
     many places as its longest value needs; reading the matrix row by row
     past each value's padding gives the text.
     """
+    rows = columns[0][1].shape[0]
     tail_bytes = np.frombuffer(tail.encode(), dtype=np.uint8)
     cells = []  # per column: lead, values, digits of the largest
     for lead, values in columns:
@@ -522,19 +537,25 @@ def write_link_file(g: HeteroGraph, dest, selected=None) -> int:
     """Write kept edges tab-separated in canonical order; returns the line count.
 
     A weighted graph writes ``repr(float(w))`` as a fourth column on
-    every line, so the file reads back with its weights.
+    every line, so the file reads back with its weights.  A selection
+    that is not one raises ValueError before ``dest`` is opened.  The
+    file is opened, and emptied, before any text is made, and takes its
+    text a chunk of rows at a time, so a write that fails leaves the
+    lines written before it.
     """
-    ids = np.flatnonzero(g.edge_mask(selected))
-    rows = ids.shape[0]
-    columns = [("", g.node_ids[g.src[ids]]), ("\t", g.node_ids[g.dst[ids]]),
-               ("\t", g.etype[ids])]
-    if g.weight is None:
-        pieces = [_int_rows(rows, columns, "\n")]
-    else:
-        pieces = [_int_rows(rows, columns), _weight_rows(g.weight[ids])]
+    mask = None if selected is None else g._selection(selected)
     with _opened(dest, "w") as stream:
-        stream.write(_join_rows(pieces))
-    return rows
+        for lo in range(0, g.m, _WRITE_ROWS):
+            ids = slice(lo, lo + _WRITE_ROWS)  # the next edges, of which the kept ones
+            if mask is not None:
+                ids = np.flatnonzero(mask[ids]) + lo
+            columns = [("", g.node_ids[g.src[ids]]), ("\t", g.node_ids[g.dst[ids]]),
+                       ("\t", g.etype[ids])]
+            pieces = [_int_rows(columns, "\n" if g.weight is None else "")]
+            if g.weight is not None:
+                pieces.append(_weight_rows(g.weight[ids]))
+            stream.write(_join_rows(pieces))
+    return g.m if mask is None else int(np.count_nonzero(mask))
 
 
 def write_node_file(dest, node_ids, node_types) -> int:
@@ -542,13 +563,17 @@ def write_node_file(dest, node_ids, node_types) -> int:
 
     Only a table that :func:`read_node_file` reads back is written: ids
     and types whole numbers in [0, 2**63), and no id twice.  Any other
-    raises ValueError before ``dest`` is opened.
+    raises ValueError before ``dest`` is opened.  As in
+    :func:`write_link_file`, a write that fails later leaves the lines
+    written before it.
     """
     ids, types, _, _ = _node_table(node_ids, node_types)
     rows = ids.shape[0]
     with _opened(dest, "w") as stream:
-        stream.write(_join_rows([_int_rows(rows, [("", ids), ("\tn", ids), ("\t", types)],
-                                           "\n")]))
+        for lo in range(0, rows, _WRITE_ROWS):
+            at = slice(lo, lo + _WRITE_ROWS)
+            columns = [("", ids[at]), ("\tn", ids[at]), ("\t", types[at])]
+            stream.write(_join_rows([_int_rows(columns, "\n")]))
     return rows
 
 

@@ -136,10 +136,18 @@ def _build_sweep_arrays(g: HeteroGraph) -> SweepArrays:
     side_time[n:] = side_time[:n] + 1
     side_by_time = np.empty(2 * n, dtype=index)
     side_by_time[side_time] = np.arange(2 * n)
-    out_at = np.empty(m, dtype=index)  # the position of each edge's out entry
-    out_at[order[:m]] = np.arange(m)
-    in_at = np.empty(m, dtype=index)
-    in_at[order[m:]] = np.arange(m, 2 * m)
+    # made before twin, so that its int64 temporaries meet fewer arrays
+    bkt_by_time = _ranges(layout.side_bkt_ptr[side_by_time], side_bkts[side_by_time])
+    bkt_by_time = bkt_by_time.astype(index)
+    # an in entry's twin is its edge's out entry, found through out_at, the
+    # position of each edge's out entry; an out entry's twin is the in
+    # entry that names it
+    out_at = np.empty(m, dtype=index)
+    out_at[order[:m]] = np.arange(m, dtype=index)
+    twin = np.empty(2 * m, dtype=index)
+    twin[m:] = out_at[order[m:]]
+    twin[twin[m:]] = np.arange(m, 2 * m, dtype=index)
+    del out_at
     arrays = SweepArrays(
         side_time=side_time,
         side_by_time=side_by_time,
@@ -147,10 +155,9 @@ def _build_sweep_arrays(g: HeteroGraph) -> SweepArrays:
         side_size=np.diff(layout.side_ptr),
         bkt_size=bkt_size,
         bkt_time=side_time.repeat(side_bkts),
-        bkt_by_time=_ranges(layout.side_bkt_ptr[side_by_time],
-                            side_bkts[side_by_time]).astype(index),
+        bkt_by_time=bkt_by_time,
         pos_bkt=np.arange(bkt_size.shape[0], dtype=index).repeat(bkt_size),
-        twin=np.concatenate((in_at[order[:m]], out_at[order[m:]])),
+        twin=twin,
     )
     for array in vars(arrays).values():
         array.flags.writeable = False
@@ -200,66 +207,77 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     lens = size[units]
     starts = lens.cumsum() - lens  # where each unit's entries begin in pos
     pos = _ranges(ptr[units], lens, starts)
-    edge = layout.order[pos]
     # pos holds the loop units' entries, unit by unit in time order.  An
     # edge's other entry lies in bucket tb; when that bucket is
     # order-free, it keeps the edge, before this unit (held) or after.
+    # Past this point only pos and held stay entry-long: the words and
+    # the sort keys are drawn, used and freed one at a time.
     tb = a.pos_bkt[a.twin[pos]]
     twin_loop = loop[tb]
-    selected[edge[twin_loop]] = False
+    selected[layout.order[pos]] = ~twin_loop  # both of an edge's entries agree
     held = ~twin_loop & (a.bkt_time[tb] < time[units].repeat(lens))
-    key = 3 * (2 * edge + (pos >= m))
+    del tb, twin_loop
     # The walk's buckets and their held counts, whether each unit tops up,
     # each walked unit's end among the buckets (bounds) and where its
-    # top-up candidates begin (tops), and the words of the draw
+    # top-up candidates begin (tops).  The top-up units' entries draw
+    # words and, for all-types, after them those of the bare buckets, the
+    # ones with no held edge: a bucket with one never reads its cover
+    # candidate, so it draws no cover word and keeps its first entry there.
     if cover:  # walk every side; one that covers k or more buckets keeps k edges
         bkts = a.bkt_by_time[loop[a.bkt_by_time]]
         sizes = a.bkt_size[bkts]
-        starts = sizes.cumsum() - sizes  # where each bucket's entries begin in pos
-        kept = np.add.reduceat(held, starts)
+        least = sizes.cumsum() - sizes  # where each bucket's entries begin in pos
+        kept = np.add.reduceat(held, least)
         covers = a.side_bkts[units]
         bounds = covers.cumsum()
         top_up = (covers < k) & (np.add.reduceat(kept, bounds - covers) < k)
         bounds = bounds.tolist()
         # each bucket has one cover candidate, ahead of the top-up ones
         tops = (bkts.shape[0] + k * (top_up.cumsum() - top_up)).tolist()
-        top = top_up.repeat(lens)
-        # one draw gives the cover words, then the top-up words
-        word = counter_words(params.seed, SWEEP_TAG,
-                             np.concatenate((key + _COVER, key[top] + _SIDE_TOP_UP)))
-        cover_word, word = word[:key.shape[0]], word[key.shape[0]:]
-        # words are distinct, so each bucket has one least word
-        least = (cover_word == np.minimum.reduceat(cover_word, starts).repeat(sizes)).nonzero()[0]
-        del cover_word
+        bare = kept == 0
+        bare_at = bare.repeat(sizes).nonzero()[0]
+        sizes = sizes[bare]
     else:  # a unit is one bucket; walk those that top up
         kept = np.add.reduceat(held, starts)
         top_up = kept < k
         bkts, kept = units[top_up], kept[top_up]
         bounds, tops = range(1, bkts.shape[0] + 1), range(0, k * bkts.shape[0], k)
-        top = top_up.repeat(lens)
-        word = counter_words(params.seed, SWEEP_TAG, key[top] + _TOP_UP)
+    top = top_up.repeat(lens).nonzero()[0]
+    key = pos[np.concatenate((top, bare_at)) if cover else top]
+    key = 3 * (2 * layout.order[key] + (key >= m)) + (_SIDE_TOP_UP if cover else _TOP_UP)
+    if cover:
+        key[top.shape[0]:] += _COVER - _SIDE_TOP_UP
+    word = counter_words(params.seed, SWEEP_TAG, key)
+    if cover:  # words are distinct, so each bare bucket has one least cover word
+        least[bare] = bare_at[(word[top.shape[0]:] == np.minimum.reduceat(
+            word[top.shape[0]:], sizes.cumsum() - sizes).repeat(sizes)).nonzero()[0]]
     # Each top-up unit's k least-priority entries, indexed among the top-up
     # entries.  A priority is the high 32 bits of the entry's word; one
     # stable sort of ``unit << 32 | priority`` keeps layout order among
     # equal priorities.  A loop unit holds more than k >= 1 of the 2m
     # entries, so unit < 2**32.
     top_lens = lens[top_up]
-    unit = np.arange(top_lens.shape[0], dtype=np.uint64).repeat(top_lens)
-    first = np.argsort(unit << np.uint64(32) | word >> np.uint64(32), kind="stable")[
+    word = word[:top.shape[0]] >> np.uint64(32)
+    word |= (np.arange(top_lens.shape[0], dtype=np.uint64) << np.uint64(32)).repeat(top_lens)
+    first = np.argsort(word, kind="stable")[
         ((top_lens.cumsum() - top_lens)[:, None] + np.arange(k)).ravel()]
-    del word, unit  # both phases' words; free them before the loop's lists are built
-    cand = top.nonzero()[0][first]
+    del key, word  # free the draw before the loop's lists are built
+    cand = top[first]
     if cover:
         cand = np.concatenate((least, cand))
+        del least
+    at = pos[cand]
+    edges = layout.order[at]
+    taken = np.zeros(m, dtype=np.uint8)  # one byte per edge
+    taken[edges[held[cand]]] = 1  # held edges are kept, never free
+    del pos, held, cand
     slot = np.full(a.bkt_size.shape[0], -1)
     slot[bkts] = np.arange(bkts.shape[0])
     # a pick raises the kept count of its edge's other bucket when the walk
     # reaches that bucket later
-    other = slot[tb[cand]]
-    later = np.where(other > slot[a.pos_bkt[pos[cand]]], other, -1).tolist()
-    edges = edge[cand]
-    taken = np.zeros(m, dtype=np.uint8)  # one byte per edge
-    taken[edges[held[cand]]] = 1  # held edges are kept, never free
+    other = slot[a.pos_bkt[a.twin[at]]]
+    later = np.where(other > slot[a.pos_bkt[at]], other, -1).tolist()
+    del slot, at, other  # only the loop's lists stay
     taken, edges, kept = bytearray(taken), edges.tolist(), kept.tolist()
     lo = 0
     for hi, j in zip(bounds, tops):
