@@ -325,20 +325,22 @@ class HeteroGraph:
             raise ValueError("src, dst and etype must have equal length")
         # src * n + dst ascends over the table, each pair's etypes in one
         # run, ascending: a query looks along its pair's run from the first
-        # row, one row a pass, while the row's etype is below its own.  The
-        # m-long pair key lives for the search alone.
-        row = np.searchsorted(self.src * self.n + self.dst, src * self.n + dst)
-        ids = np.full(row.shape[0], -1, dtype=np.int64)
-        look = row < self.m
-        while look.any():
-            found = self.etype.take(row, mode="clip")
-            look &= self.src.take(row, mode="clip") == src
-            look &= self.dst.take(row, mode="clip") == dst
-            hit = look & (found == etype)
-            ids[hit] = row[hit]
-            look &= found < etype
-            row += 1
-            look &= row < self.m
+        # row, one row a pass, while the row's etype is below its own, so a
+        # pass reads only the queries still looking.  The m-long pair key
+        # lives for the search alone.
+        at = np.searchsorted(self.src * self.n + self.dst, src * self.n + dst)
+        ids = np.full(at.shape[0], -1, dtype=np.int64)
+        look = np.arange(at.shape[0])  # the queries still looking, each at its row at
+        while look.shape[0]:
+            same = at < self.m  # first, whether the row is in the table
+            look, at = look[same], at[same]
+            same = self.src[at] == src[look]
+            same &= self.dst[at] == dst[look]
+            below = self.etype[at]
+            below -= etype[look]  # 0 at the query's edge, below 0 before it
+            ids[look[same & (below == 0)]] = at[same & (below == 0)]
+            same &= below < 0
+            look, at = look[same], at[same] + 1
         return ids
 
     # ---- edge selections ----

@@ -551,9 +551,8 @@ def write_link_file(g: HeteroGraph, dest, selected=None) -> int:
                 ids = np.flatnonzero(mask[ids]) + lo
             columns = [("", g.node_ids[g.src[ids]]), ("\t", g.node_ids[g.dst[ids]]),
                        ("\t", g.etype[ids])]
-            pieces = [_int_rows(columns, "\n" if g.weight is None else "")]
-            if g.weight is not None:
-                pieces.append(_weight_rows(g.weight[ids]))
+            pieces = [_int_rows(columns, "\n")] if g.weight is None else [
+                _int_rows(columns), _weight_rows(g.weight[ids])]
             stream.write(_join_rows(pieces))
     return g.m if mask is None else int(np.count_nonzero(mask))
 

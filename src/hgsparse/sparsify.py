@@ -137,8 +137,7 @@ def _build_sweep_arrays(g: HeteroGraph) -> SweepArrays:
     side_by_time = np.empty(2 * n, dtype=index)
     side_by_time[side_time] = np.arange(2 * n)
     # made before twin, so that its int64 temporaries meet fewer arrays
-    bkt_by_time = _ranges(layout.side_bkt_ptr[side_by_time], side_bkts[side_by_time])
-    bkt_by_time = bkt_by_time.astype(index)
+    bkt_by_time = _ranges(layout.side_bkt_ptr[side_by_time], side_bkts[side_by_time]).astype(index)
     # an in entry's twin is its edge's out entry, found through out_at, the
     # position of each edge's out entry; an out entry's twin is the in
     # entry that names it
@@ -210,47 +209,45 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     # pos holds the loop units' entries, unit by unit in time order.  An
     # edge's other entry lies in bucket tb; when that bucket is
     # order-free, it keeps the edge, before this unit (held) or after.
-    # Past this point only pos and held stay entry-long: the words and
-    # the sort keys are drawn, used and freed one at a time.
+    # Past this point pos and held stay entry-long, and the draw's keys
+    # and words live until they are read, each freed then.
     tb = a.pos_bkt[a.twin[pos]]
     twin_loop = loop[tb]
-    selected[layout.order[pos]] = ~twin_loop  # both of an edge's entries agree
-    held = ~twin_loop & (a.bkt_time[tb] < time[units].repeat(lens))
+    held = ~twin_loop
+    selected[layout.order[pos]] = held  # both of an edge's entries agree
+    held &= a.bkt_time[tb] < time[units].repeat(lens)
     del tb, twin_loop
     # The walk's buckets and their held counts, whether each unit tops up,
     # each walked unit's end among the buckets (bounds) and where its
-    # top-up candidates begin (tops).  The top-up units' entries draw
-    # words and, for all-types, after them those of the bare buckets, the
-    # ones with no held edge: a bucket with one never reads its cover
-    # candidate, so it draws no cover word and keeps its first entry there.
+    # top-up candidates begin (tops).  One draw gives the top-up units'
+    # entries their words and, for all-types, after them every entry its
+    # cover word.
     if cover:  # walk every side; one that covers k or more buckets keeps k edges
         bkts = a.bkt_by_time[loop[a.bkt_by_time]]
         sizes = a.bkt_size[bkts]
-        least = sizes.cumsum() - sizes  # where each bucket's entries begin in pos
-        kept = np.add.reduceat(held, least)
+        starts = sizes.cumsum() - sizes  # where each bucket's entries begin in pos
+        kept = np.add.reduceat(held, starts)
         covers = a.side_bkts[units]
         bounds = covers.cumsum()
         top_up = (covers < k) & (np.add.reduceat(kept, bounds - covers) < k)
         bounds = bounds.tolist()
         # each bucket has one cover candidate, ahead of the top-up ones
         tops = (bkts.shape[0] + k * (top_up.cumsum() - top_up)).tolist()
-        bare = kept == 0
-        bare_at = bare.repeat(sizes).nonzero()[0]
-        sizes = sizes[bare]
     else:  # a unit is one bucket; walk those that top up
         kept = np.add.reduceat(held, starts)
         top_up = kept < k
         bkts, kept = units[top_up], kept[top_up]
         bounds, tops = range(1, bkts.shape[0] + 1), range(0, k * bkts.shape[0], k)
     top = top_up.repeat(lens).nonzero()[0]
-    key = pos[np.concatenate((top, bare_at)) if cover else top]
+    key = np.concatenate((pos[top], pos)) if cover else pos[top]
     key = 3 * (2 * layout.order[key] + (key >= m)) + (_SIDE_TOP_UP if cover else _TOP_UP)
     if cover:
         key[top.shape[0]:] += _COVER - _SIDE_TOP_UP
     word = counter_words(params.seed, SWEEP_TAG, key)
-    if cover:  # words are distinct, so each bare bucket has one least cover word
-        least[bare] = bare_at[(word[top.shape[0]:] == np.minimum.reduceat(
-            word[top.shape[0]:], sizes.cumsum() - sizes).repeat(sizes)).nonzero()[0]]
+    del key
+    if cover:  # words are distinct, so each bucket has one least cover word
+        least = (word[top.shape[0]:] == np.minimum.reduceat(
+            word[top.shape[0]:], starts).repeat(sizes)).nonzero()[0]
     # Each top-up unit's k least-priority entries, indexed among the top-up
     # entries.  A priority is the high 32 bits of the entry's word; one
     # stable sort of ``unit << 32 | priority`` keeps layout order among
@@ -261,7 +258,7 @@ def sparsify(g: HeteroGraph, params: SparsifyParams) -> SparsifierResult:
     word |= (np.arange(top_lens.shape[0], dtype=np.uint64) << np.uint64(32)).repeat(top_lens)
     first = np.argsort(word, kind="stable")[
         ((top_lens.cumsum() - top_lens)[:, None] + np.arange(k)).ravel()]
-    del key, word  # free the draw before the loop's lists are built
+    del word  # free the draw before the loop's lists are built
     cand = top[first]
     if cover:
         cand = np.concatenate((least, cand))

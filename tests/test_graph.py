@@ -204,6 +204,18 @@ def test_dense_edge_ids_match_a_set_lookup(seed):
     assert g.dense_edge_ids(us, ws, ts).tolist() == want
 
 
+def test_dense_edge_ids_walk_a_long_etype_run():
+    # one pair holds the even etypes below 100, and the last pair of the
+    # table ends its run at the table's end
+    etype = np.arange(0, 100, 2)
+    g = build_graph_arrays(np.r_[np.zeros(50, int), 1, 2], np.r_[np.ones(50, int), 2, 0],
+                           np.r_[etype, 0, 7])
+    ts = np.r_[np.arange(101), 7, 8]
+    us, ws = np.r_[np.zeros(101, int), 2, 2], np.r_[np.ones(101, int), 0, 0]
+    want = [t // 2 if t % 2 == 0 and t < 100 else -1 for t in range(101)] + [51, -1]
+    assert g.dense_edge_ids(us, ws, ts).tolist() == want
+
+
 def test_edge_mask_forms(g1):
     assert g1.edge_mask(None).all()
     mask = np.array([True, False, True])
