@@ -463,7 +463,8 @@ def read_node_file(source) -> NodeTable:
     return NodeTable(node_ids, types)
 
 
-def _int_rows(columns: list[tuple[str, np.ndarray]], tail: str = "") -> tuple[np.ndarray, ...]:
+def _int_rows(columns: list[tuple[str, np.ndarray]], tail: str = ""
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Rows of id columns in decimal, each after its lead, then ``tail``.
 
     The columns are int64 ids, in [0, 2**63) as the builders and

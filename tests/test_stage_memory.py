@@ -8,7 +8,6 @@ about 15% headroom over what this tree measures on a 47k-edge graph.
 
 import importlib.util
 import io
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +37,7 @@ def graph():
     return generate(_scaled(5))  # 47,291 edges
 
 
-def _traced(call):
-    """``call()``, and the peak and kept bytes tracemalloc saw over it."""
-    tracemalloc.start()
-    try:
-        result = call()
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak, kept
+_traced = stage_memory._traced  # the call's result, peak and kept MiB
 
 
 class _Sink:
@@ -106,7 +97,7 @@ def test_write_peak_does_not_grow_with_m(monkeypatch, weighted):
                                    weight=np.random.default_rng(0).random(g.m))
         for selected in (None, np.random.default_rng(1).random(g.m) < 0.5):
             _, peak, _ = _traced(lambda: write_link_file(g, _Sink(), selected))
-            assert peak < (250 if weighted else 135) * 1024
+            assert peak < (250 if weighted else 135) / 1024  # MiB
 
 
 def _one_shot(g, selected=None) -> str:
