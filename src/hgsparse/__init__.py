@@ -14,9 +14,9 @@ from .errors import (DataError, DegenerateSplitError, EmptyGraphError,
                      NegativeSamplingError, NodeFileError, NonFiniteWeightError,
                      RetryCapError, UnknownEdgeError, UnknownNodeError,
                      VerificationError)
-from .evalproxy import (ADAMIC_ADAR, COMMON_NEIGHBORS, SCORERS, EdgeSplit,
-                        EvalReport, TrainView, auc, candidate_ranks, evaluate,
-                        mrr, score_pairs, split_edges)
+from .evalproxy import (ADAMIC_ADAR, COMMON_NEIGHBORS, SCORERS, EvalReport,
+                        TrainView, auc, candidate_ranks, evaluate, mrr,
+                        score_pairs, split_edges)
 from .graph import (IN, OUT, GraphStats, HeteroGraph, build_graph,
                     build_graph_arrays)
 from .hgb_io import (LinkFileOptions, LinkTable, NodeTable, read_link_file,
@@ -25,7 +25,7 @@ from .hgb_io import (LinkFileOptions, LinkTable, NodeTable, read_link_file,
 from .metrics import (CoverageViolation, coverage_report, isolated_nodes,
                       per_type_kept)
 from .sparsify import (ALL_TYPES, METHODS, PER_TYPE, SparsifierResult,
-                       SparsifyParams, sparsify, vertex_order)
+                       SparsifyParams, sparsify)
 from .synthgen import (EdgeTypeSpec, GenSpec, generate, parse_spec_file,
                        pubmed_like_spec)
 
@@ -38,7 +38,7 @@ NUMBA_ENABLED = False
 __all__ = [
     "ADAMIC_ADAR", "ALL_TYPES", "COMMON_NEIGHBORS", "IN", "METHODS",
     "NUMBA_ENABLED", "OUT", "PER_TYPE", "SCORERS",
-    "CoverageViolation", "DataError", "DegenerateSplitError", "EdgeSplit",
+    "CoverageViolation", "DataError", "DegenerateSplitError",
     "EdgeTypeSpec", "EmptyGraphError", "EvalReport", "GenSpec", "GenSpecError",
     "GraphStats", "HeteroGraph", "InfeasibleSpecError", "LinkFileOptions",
     "LinkFormatError", "LinkTable", "NegativeSamplingError", "NodeFileError",
@@ -49,5 +49,5 @@ __all__ = [
     "generate", "isolated_nodes", "mrr", "parse_spec_file", "per_type_kept",
     "pubmed_like_spec", "read_link_file", "read_node_file",
     "score_pairs", "sparsify", "split_edges", "substream_seed",
-    "vertex_order", "write_link_file", "write_node_file", "write_report",
+    "write_link_file", "write_node_file", "write_report",
 ]

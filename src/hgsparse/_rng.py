@@ -20,10 +20,12 @@ name                   tag     stream
 ``GEN_DST_TAG``        4 + 2i  the generator's destinations of edge type i
 =====================  ======  ==========================================
 
-``NEGATIVE_TAG`` and ``SWEEP_TAG`` also key :func:`substream_seed`: eval
-draws its negatives, and sparsifies its train edges, under the seeds
-``substream_seed(seed, NEGATIVE_TAG)`` and ``substream_seed(seed,
-SWEEP_TAG)`` of its own seed.
+``NEGATIVE_TAG`` and ``SWEEP_TAG`` also key :func:`substream_seed`:
+:func:`hgsparse.evaluate` draws its negatives, and sparsifies its train
+edges, under the seeds ``substream_seed(seed, NEGATIVE_TAG)`` and
+``substream_seed(seed, SWEEP_TAG)`` of its one seed.  ``hgsparse eval``
+passes its ``--seed`` straight to it, so the library and the command
+give the same report.
 """
 
 from __future__ import annotations

@@ -18,9 +18,7 @@ from datetime import datetime, timezone
 import click
 import numpy as np
 
-from ._rng import SWEEP_TAG, substream_seed
-from .errors import (DataError, GenSpecError, UnknownEdgeError, UnknownNodeError,
-                     VerificationError)
+from .errors import DataError, UnknownEdgeError, UnknownNodeError, VerificationError
 from .evalproxy import COMMON_NEIGHBORS, SCORERS, evaluate
 from .graph import HeteroGraph, _sort_ids, build_graph_arrays
 from .hgb_io import (LinkFileOptions, read_link_file, read_node_file, write_link_file,
@@ -186,10 +184,7 @@ def generate_cmd(spec_path, node_types_opt, edge_opts, seed, out, nodes_out,
     if spec_path:
         if node_types_opt or edge_opts:
             raise click.UsageError("give either --spec or --node-types/--edge, not both")
-        try:
-            spec = parse_spec_file(spec_path)
-        except GenSpecError as exc:
-            raise DataError(f"{spec_path}: {exc}") from None
+        spec = parse_spec_file(spec_path)
     else:
         if not node_types_opt or not edge_opts:
             raise click.UsageError("need --spec, or both --node-types and --edge")
@@ -271,12 +266,8 @@ def eval_cmd(links, nodes, delimiter, comment_prefix, holdout, seed,
     if not 0 < holdout < 1:  # FloatRange's bound checks are false for nan, so it passes
         raise click.BadParameter(f"{holdout} is not in the range 0<x<1.", param_hint="'--holdout'")
     g = _load_graph(links, nodes, delimiter, comment_prefix)
-    params = None
-    if k is not None:
-        params = SparsifyParams(k=k, method=method, seed=substream_seed(seed, SWEEP_TAG))
     rep = evaluate(g, holdout=holdout, seed=seed, scorer=scorer,
-                   negatives_per_positive=negatives_per_positive,
-                   sparsify_params=params)
+                   negatives_per_positive=negatives_per_positive, k=k, method=method)
     variant = f"{method} k={k}" if k is not None else "full graph"
     click.echo(f"auc {rep.auc:.4f}  mrr {rep.mrr:.4f}  "
                f"({variant}, {rep.positives} positives, {scorer})")

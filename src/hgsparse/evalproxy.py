@@ -31,10 +31,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._rng import NEGATIVE_TAG, SPLIT_TAG, counter_words, randbelow_array, substream_seed
+from ._rng import (NEGATIVE_TAG, SPLIT_TAG, SWEEP_TAG, counter_words, randbelow_array,
+                   substream_seed)
 from .errors import DegenerateSplitError, NegativeSamplingError
 from .graph import HeteroGraph, _as_int64, _ranges
-from .sparsify import SparsifyParams, sparsify
+from .sparsify import PER_TYPE, SparsifyParams, sparsify
 
 COMMON_NEIGHBORS = "common-neighbors"
 ADAMIC_ADAR = "adamic-adar"
@@ -49,12 +50,6 @@ _NEG_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
-class EdgeSplit:
-    train_ids: np.ndarray
-    test_pos_ids: np.ndarray
-
-
-@dataclass(frozen=True)
 class EvalReport:
     auc: float
     mrr: float
@@ -66,8 +61,13 @@ class EvalReport:
         return asdict(self)
 
 
-def split_edges(g: HeteroGraph, holdout_fraction: float, seed: int = 0) -> EdgeSplit:
-    """Uniform edge holdout; test size is round-half-up(fraction * m)."""
+def split_edges(g: HeteroGraph, holdout_fraction: float, seed: int = 0) -> np.ndarray:
+    """Uniform edge holdout: the bool mask over edge ids of the test edges.
+
+    The test edges are the round-half-up(fraction * m) edges with the
+    smallest words of the ``(seed, SPLIT_TAG)`` stream; the train edges
+    are the rest, ``~mask``.
+    """
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     if g.m < 2:
@@ -78,8 +78,7 @@ def split_edges(g: HeteroGraph, holdout_fraction: float, seed: int = 0) -> EdgeS
             f"holdout {holdout_fraction} of m={g.m} edges leaves an empty side")
     # the test_count smallest words; they are distinct, so nothing ties
     keys = counter_words(seed, SPLIT_TAG, np.arange(g.m))
-    test = keys <= np.partition(keys, test_count - 1)[test_count - 1]
-    return EdgeSplit(train_ids=np.flatnonzero(~test), test_pos_ids=np.flatnonzero(test))
+    return keys <= np.partition(keys, test_count - 1)[test_count - 1]
 
 
 def _negative_matrix(g: HeteroGraph, pos_ids: np.ndarray, per_pos: int,
@@ -297,33 +296,39 @@ def mrr(ranks) -> float:
 
 def evaluate(g: HeteroGraph, holdout: float = 0.2, seed: int = 0,
              scorer: str = COMMON_NEIGHBORS, negatives_per_positive: int = 19,
-             sparsify_params: SparsifyParams | None = None) -> EvalReport:
+             k: int | None = None, method: str = PER_TYPE) -> EvalReport:
     """Full pipeline on one graph; identical split/negatives per seed.
 
-    The train side is a boolean selection of ``g``.  With
-    ``sparsify_params`` set, only the train edges are sparsified, on a
-    subgraph whose rows are the train ids in order, and the sweep's mask
-    narrows the selection; the test side is untouched.  Every positive
-    and every negative is scored in one :func:`score_pairs` call,
-    positives first; each pair's sum is its own, so the scores are those
-    of scoring the two sides apart.
+    ``seed`` drives every stream: the split draws from ``(seed,
+    SPLIT_TAG)``, and the negatives and the sweep run under the seeds
+    ``substream_seed(seed, NEGATIVE_TAG)`` and ``substream_seed(seed,
+    SWEEP_TAG)``, so ``hgsparse eval --seed`` gives the same report.
+    The train side is a boolean selection of ``g``, the complement of
+    the split's test mask.  With ``k`` set, only the train edges are
+    sparsified, by ``method``, on a subgraph whose rows are the train
+    ids in order, and the sweep's mask narrows the selection; the test
+    side is untouched.  Without ``k``, ``method`` is not read.  Every
+    positive and every negative is scored in one :func:`score_pairs`
+    call, positives first; each pair's sum is its own, so the scores are
+    those of scoring the two sides apart.
     """
-    split = split_edges(g, holdout, seed)
-    neg = _negative_matrix(g, split.test_pos_ids, negatives_per_positive,
+    params = None if k is None else SparsifyParams(k, method, substream_seed(seed, SWEEP_TAG))
+    test = split_edges(g, holdout, seed)
+    pos_ids = np.flatnonzero(test)
+    neg = _negative_matrix(g, pos_ids, negatives_per_positive,
                            substream_seed(seed, NEGATIVE_TAG))
-    train = np.zeros(g.m, dtype=bool)
-    train[split.train_ids] = True
-    if sparsify_params is not None:
-        train[split.train_ids] = sparsify(g.subgraph(train), sparsify_params).mask
-    pos_u = g.src[split.test_pos_ids]
+    train = ~test
+    if params is not None:
+        train[train] = sparsify(g.subgraph(train), params).mask
+    pos_u = g.src[pos_ids]
     scores = score_pairs(TrainView.from_graph(g, train),
                          np.concatenate((pos_u, np.repeat(pos_u, negatives_per_positive))),
-                         np.concatenate((g.dst[split.test_pos_ids], neg.ravel())), scorer)
+                         np.concatenate((g.dst[pos_ids], neg.ravel())), scorer)
     pos_scores, neg_scores = scores[:pos_u.shape[0]], scores[pos_u.shape[0]:].reshape(neg.shape)
     return EvalReport(
         auc=auc(pos_scores, neg_scores.ravel()),
         mrr=mrr(candidate_ranks(pos_scores, neg_scores)),
         negatives_per_positive=negatives_per_positive,
         scorer=scorer,
-        positives=int(split.test_pos_ids.shape[0]),
+        positives=int(pos_ids.shape[0]),
     )

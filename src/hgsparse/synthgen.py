@@ -22,7 +22,7 @@ import numpy as np
 from ._rng import GEN_DST_TAG, GEN_SRC_TAG, counter_words
 from .errors import GenSpecError, InfeasibleSpecError, RetryCapError
 from .graph import HeteroGraph, build_graph_arrays
-from .hgb_io import _opened
+from .hgb_io import _opened, _source_name
 
 
 @dataclass(frozen=True)
@@ -161,44 +161,49 @@ def parse_spec_file(source) -> GenSpec:
 
     Lines: ``node_types = <size> [<size> ...]``, ``seed = <int>``, and
     one ``edges <src_type> <dst_type> <count> <alpha>`` per edge type.
-    Blank lines and ``#`` comments are skipped.
+    Blank lines and ``#`` comments are skipped.  Raises
+    :class:`GenSpecError` naming the source, when it has a name, for a
+    malformed line or an inconsistent spec.
     """
     with _opened(source, "r") as stream:
         lines = stream.read().splitlines()
     sizes: list[int] | None = None
     seed = 0
     entries: list[EdgeTypeSpec] = []
-    for line_no, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            if line.startswith("edges"):
-                parts = line.split()
-                if len(parts) != 5:
-                    raise GenSpecError(
-                        f"line {line_no}: expected 'edges <src_type> "
-                        f"<dst_type> <count> <alpha>', got {line!r}")
-                entries.append(EdgeTypeSpec(int(parts[1]), int(parts[2]),
-                                            int(parts[3]), float(parts[4])))
-            elif "=" in line:
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key == "node_types":
-                    sizes = [int(x) for x in value.replace(",", " ").split()]
-                elif key == "seed":
-                    seed = int(value.strip())
+    try:
+        for line_no, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            try:
+                if parts[0] == "edges":
+                    if len(parts) != 5:
+                        raise GenSpecError(
+                            f"line {line_no}: expected 'edges <src_type> "
+                            f"<dst_type> <count> <alpha>', got {line!r}")
+                    entries.append(EdgeTypeSpec(int(parts[1]), int(parts[2]),
+                                                int(parts[3]), float(parts[4])))
+                elif "=" in line:
+                    key, _, value = line.partition("=")
+                    key = key.strip()
+                    if key == "node_types":
+                        sizes = [int(x) for x in value.replace(",", " ").split()]
+                    elif key == "seed":
+                        seed = int(value.strip())
+                    else:
+                        raise GenSpecError(f"line {line_no}: unknown key {key!r}")
                 else:
-                    raise GenSpecError(f"line {line_no}: unknown key {key!r}")
-            else:
-                raise GenSpecError(f"line {line_no}: unrecognized line {line!r}")
-        except ValueError:
-            raise GenSpecError(f"line {line_no}: invalid number in {line!r}") from None
-    if sizes is None:
-        raise GenSpecError("spec file declares no node_types")
-    if not entries:
-        raise GenSpecError("spec file declares no edge types")
-    return GenSpec(tuple(sizes), tuple(entries), seed)
+                    raise GenSpecError(f"line {line_no}: unrecognized line {line!r}")
+            except ValueError:
+                raise GenSpecError(f"line {line_no}: invalid number in {line!r}") from None
+        if sizes is None:
+            raise GenSpecError("spec file declares no node_types")
+        if not entries:
+            raise GenSpecError("spec file declares no edge types")
+        return GenSpec(tuple(sizes), tuple(entries), seed)
+    except GenSpecError as exc:
+        raise GenSpecError(str(exc), _source_name(source)) from None
 
 
 def pubmed_like_spec(seed: int = 0, alpha: float = 1.0) -> GenSpec:

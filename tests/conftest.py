@@ -1,6 +1,7 @@
 """Shared fixtures: small hand-built graphs, a seeded random-graph factory,
-dict-built buckets, dense-id and neighbor lookups, edge records, masks of
-edge identities, and identity-keyed views of edge ids and negatives."""
+dict-built buckets, dense-id and neighbor lookups, edge records, the id
+field rule of the reference readers, masks of edge identities, and
+identity-keyed views of edge ids and negatives."""
 
 from typing import NamedTuple
 
@@ -18,6 +19,25 @@ class EdgeRecord(NamedTuple):
     dst: int
     etype: int
     weight: float | None = None
+
+
+def parse_id(field: str, what: str, line_no: int, error) -> int:
+    """An id or type field of a link or node file, as the reference readers read it.
+
+    The field must be ASCII digits (``field.isascii() and
+    field.isdigit()``), so ``" 1"``, ``"+2"``, ``"1_0"`` and non-ASCII
+    digits are malformed, and its value must lie in [0, 2**63).  Leading
+    zeros are dropped before ``int`` sees the digits, and a value of more
+    than 19 digits is out of range before it does, so ids longer than
+    Python's 4300-digit limit are read, or refused, like any other.
+    Raises ``error(line_no, message)``.
+    """
+    if not (field.isascii() and field.isdigit()):
+        raise error(line_no, f"invalid integer {field!r} for {what}")
+    digits = field.lstrip("0") or "0"
+    if len(digits) > 19 or int(digits) >= 2**63:  # stored as int64
+        raise error(line_no, f"{what} {digits} is outside [0, 2**63)")
+    return int(digits)
 
 
 # Three-edge example used throughout: gene 1 links diseases 2, 3 via

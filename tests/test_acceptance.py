@@ -159,10 +159,8 @@ def test_eval_proxy_robustness():
         full, k10, k3 = [], [], []
         for seed in range(5):
             full.append(evaluate(g, 0.2, seed=seed, negatives_per_positive=19).auc)
-            k10.append(evaluate(g, 0.2, seed=seed, negatives_per_positive=19,
-                                sparsify_params=SparsifyParams(k=10, seed=seed)).auc)
-            k3.append(evaluate(g, 0.2, seed=seed, negatives_per_positive=19,
-                               sparsify_params=SparsifyParams(k=3, seed=seed)).auc)
+            k10.append(evaluate(g, 0.2, seed=seed, negatives_per_positive=19, k=10).auc)
+            k3.append(evaluate(g, 0.2, seed=seed, negatives_per_positive=19, k=3).auc)
         worst10 = max(worst10, abs(np.mean(full) - np.mean(k10)))
         worst3 = max(worst3, abs(np.mean(full) - np.mean(k3)))
     ok = worst10 <= 0.05 and worst3 <= 0.10

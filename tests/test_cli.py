@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from hgsparse import (ALL_TYPES, PER_TYPE, GenSpec, evaluate, generate, write_link_file,
+                      write_node_file)
 from hgsparse import cli
 from hgsparse.cli import run
 
@@ -561,6 +563,23 @@ def test_eval_full_and_sparsified(star_file, tmp_path, capsys):
                 "--report", str(report), "--deterministic"])
     assert code == 0
     assert json.loads(report.read_text())["method"] == "per-type"
+
+
+@pytest.mark.parametrize("k, method", [(None, PER_TYPE), (2, PER_TYPE), (2, ALL_TYPES)])
+def test_eval_matches_the_library(tmp_path, k, method):
+    # evaluate, given the command's seed, k and method, reports what the command does
+    g = generate(GenSpec((40, 30), ((0, 1, 200, 0.8), (1, 0, 150, 0.5), (0, 0, 100, 0.0)),
+                         seed=4))
+    links, nodes, report = tmp_path / "link.dat", tmp_path / "node.dat", tmp_path / "e.json"
+    write_link_file(g, links)
+    write_node_file(nodes, g.node_ids, g.node_types)
+    flags = [] if k is None else ["--k", str(k), "--method", method]
+    assert run(["eval", "--links", str(links), "--nodes", str(nodes), "--seed", "3",
+                *flags, "--report", str(report), "--deterministic"]) == 0
+    payload = json.loads(report.read_text())
+    rep = evaluate(g, seed=3, k=k, method=method)
+    assert (payload["auc"], payload["mrr"], payload["positives"]) == (rep.auc, rep.mrr,
+                                                                      rep.positives)
 
 
 def test_eval_holdout_range_enforced(star_file):

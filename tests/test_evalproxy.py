@@ -33,7 +33,7 @@ from hgsparse import (
     split_edges,
     substream_seed,
 )
-from hgsparse._rng import NEGATIVE_TAG, SWEEP_TAG, counter_words, randbelow_array
+from hgsparse._rng import NEGATIVE_TAG, SPLIT_TAG, SWEEP_TAG, counter_words, randbelow_array
 from hgsparse import evalproxy
 from hgsparse.evalproxy import _negative_matrix
 
@@ -52,38 +52,38 @@ def chain10():
 
 
 def test_split_sizes(chain10):
-    split = split_edges(chain10, 0.2, seed=4)
-    assert len(split.test_pos_ids) == 2
-    assert len(split.train_ids) == 8
+    test = split_edges(chain10, 0.2, seed=4)
+    assert test.dtype == np.bool_ and test.shape == (chain10.m,)
+    assert int(test.sum()) == 2
+    assert int((~test).sum()) == 8
 
 
 def test_split_partitions_edges(chain10):
-    split = split_edges(chain10, 0.3, seed=1)
-    train, test = set(split.train_ids.tolist()), set(split.test_pos_ids.tolist())
-    assert train | test == set(range(10))
-    assert train & test == set()
-    assert list(split.train_ids) == sorted(train)
-    assert list(split.test_pos_ids) == sorted(test)
+    test = split_edges(chain10, 0.3, seed=1)
+    train_ids, test_ids = np.flatnonzero(~test).tolist(), np.flatnonzero(test).tolist()
+    assert sorted(train_ids + test_ids) == list(range(10))
+    # the test edges are the 3 with the smallest words of the split stream
+    words = counter_words(1, SPLIT_TAG, np.arange(10))
+    assert test_ids == sorted(np.argsort(words)[:3].tolist())
 
 
 def test_split_deterministic(chain10):
     a = split_edges(chain10, 0.2, seed=9)
     b = split_edges(chain10, 0.2, seed=9)
-    assert np.array_equal(a.test_pos_ids, b.test_pos_ids)
+    assert np.array_equal(a, b)
     c = split_edges(chain10, 0.2, seed=10)
-    assert not np.array_equal(a.test_pos_ids, c.test_pos_ids)
+    assert not np.array_equal(a, c)
 
 
 def test_split_rounds_half_up(chain10):
     # 0.25 of 10 edges -> 2.5 -> 3 test positives
-    assert len(split_edges(chain10, 0.25, seed=0).test_pos_ids) == 3
+    assert int(split_edges(chain10, 0.25, seed=0).sum()) == 3
 
 
 def test_split_of_two_edges():
     # the smallest graph that splits, one edge to each side
-    split = split_edges(build_graph([(1, 2, 0), (2, 3, 0)]), 0.5, seed=0)
-    assert (split.test_pos_ids.shape[0], split.train_ids.shape[0]) == (1, 1)
-    assert sorted(split.test_pos_ids.tolist() + split.train_ids.tolist()) == [0, 1]
+    test = split_edges(build_graph([(1, 2, 0), (2, 3, 0)]), 0.5, seed=0)
+    assert test.tolist() in ([True, False], [False, True])
 
 
 def test_split_guards(chain10):
@@ -411,14 +411,12 @@ def test_evaluate_deterministic(proxy_graph):
 def test_saturating_sparsifier_changes_nothing(proxy_graph):
     k_sat = proxy_graph.stats().max_bucket
     full = evaluate(proxy_graph, seed=5, negatives_per_positive=7)
-    sat = evaluate(proxy_graph, seed=5, negatives_per_positive=7,
-                   sparsify_params=SparsifyParams(k=k_sat, seed=99))
+    sat = evaluate(proxy_graph, seed=5, negatives_per_positive=7, k=k_sat)
     assert full == sat
 
 
 def test_evaluate_with_all_types_sparsifier(proxy_graph):
-    report = evaluate(proxy_graph, seed=5, negatives_per_positive=3,
-                      sparsify_params=SparsifyParams(k=2, method=ALL_TYPES, seed=1))
+    report = evaluate(proxy_graph, seed=5, negatives_per_positive=3, k=2, method=ALL_TYPES)
     assert 0.0 <= report.auc <= 1.0
 
 
@@ -433,7 +431,7 @@ def test_evaluate_adamic_adar(proxy_graph):
 #
 # Exact AUC/MRR floats of evaluate() and sha256 digests of the positive
 # and negative score vectors it ranks (eval seed 0, holdout 0.2, 19
-# negatives; the k=3 sparsifier seed is the one `eval --k 3` derives).
+# negatives; evaluate sparsifies at k=3 under the sweep seed it derives).
 # A change of any of these values must be deliberate and recorded.
 
 GOLDEN_EVAL = {
@@ -480,7 +478,7 @@ def test_evaluate_scores_once_on_one_graph(gate_graph, monkeypatch, k):
 
     for owner, name in ((evalproxy, "score_pairs"), (HeteroGraph, "subgraph")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    evaluate(gate_graph, 0.2, seed=0, sparsify_params=None if k is None else SparsifyParams(k=k))
+    evaluate(gate_graph, 0.2, seed=0, k=k)
     assert calls == (["score_pairs"] if k is None else ["subgraph", "score_pairs"])
 
 
@@ -491,22 +489,21 @@ def _sha(scores):
 @pytest.mark.parametrize("scorer,k", sorted(GOLDEN_EVAL, key=str))
 def test_evaluate_golden(gate_graph, scorer, k):
     g = gate_graph
-    params = None if k is None else SparsifyParams(k=k, seed=substream_seed(0, SWEEP_TAG))
-    report = evaluate(g, 0.2, seed=0, scorer=scorer, negatives_per_positive=19,
-                      sparsify_params=params)
+    report = evaluate(g, 0.2, seed=0, scorer=scorer, negatives_per_positive=19, k=k)
     want_auc, want_mrr, want_pos, want_neg = GOLDEN_EVAL[(scorer, k)]
     assert report.auc == want_auc
     assert report.mrr == want_mrr
     # the same pipeline, step by step, to reach the score vectors
-    split = split_edges(g, 0.2, 0)
-    neg = _negative_matrix(g, split.test_pos_ids, 19, substream_seed(0, NEGATIVE_TAG))
-    train = np.zeros(g.m, dtype=bool)
-    train[split.train_ids] = True
-    if params is not None:
-        train[split.train_ids] = sparsify(g.subgraph(train), params).mask
+    test = split_edges(g, 0.2, 0)
+    pos_ids = np.flatnonzero(test)
+    neg = _negative_matrix(g, pos_ids, 19, substream_seed(0, NEGATIVE_TAG))
+    train = ~test
+    if k is not None:
+        params = SparsifyParams(k=k, seed=substream_seed(0, SWEEP_TAG))
+        train[train] = sparsify(g.subgraph(train), params).mask
     view = TrainView.from_graph(g, train)
-    pos_u = g.src[split.test_pos_ids]
-    pos_scores = score_pairs(view, pos_u, g.dst[split.test_pos_ids], scorer)
+    pos_u = g.src[pos_ids]
+    pos_scores = score_pairs(view, pos_u, g.dst[pos_ids], scorer)
     neg_scores = score_pairs(view, np.repeat(pos_u, 19), neg.ravel(), scorer)
     assert auc(pos_scores, neg_scores) == report.auc
     assert _sha(pos_scores) == want_pos
@@ -515,7 +512,7 @@ def test_evaluate_golden(gate_graph, scorer, k):
 
 def test_negative_matrix_golden(gate_graph):
     g = gate_graph
-    pos_ids = split_edges(g, 0.2, 0).test_pos_ids
+    pos_ids = np.flatnonzero(split_edges(g, 0.2, 0))
     neg = _negative_matrix(g, pos_ids, 19, substream_seed(0, NEGATIVE_TAG))
     assert neg.shape == (4000, 19)
     assert hashlib.sha256(neg.astype(np.int64).tobytes()).hexdigest() == GOLDEN_NEGATIVES

@@ -129,3 +129,39 @@ def test_stream_tags_come_from_one_table():
                  if path.name != "_rng.py"
                  and (lines := _loose_tags(ast.parse(path.read_text(encoding="utf-8")), tags))}
     assert offenders == {}
+
+
+def _rng_imports(tree: ast.Module, names: set[str]) -> list[int]:
+    """The lines of ``tree``'s imports that reach into ``_rng``.
+
+    An import reaches in when a part of its module path is ``_rng``, or
+    when it imports ``_rng`` or one of ``names``, the names that ``_rng``
+    defines, also as re-exported by the package.
+    """
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [part for alias in node.names for part in alias.name.split(".")]
+        else:
+            continue
+        if "_rng" in parts or names.intersection(parts):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_cli_takes_no_stream_rule_from_rng():
+    # the command passes its seed on; every derived seed has its home in the library
+    package = Path(hgsparse.__file__).parent
+    rng_tree = ast.parse((package / "_rng.py").read_text(encoding="utf-8"))
+    names = {stmt.name for stmt in rng_tree.body if isinstance(stmt, ast.FunctionDef)}
+    names |= {node.id for stmt in rng_tree.body if isinstance(stmt, ast.Assign)
+              for target in stmt.targets for node in ast.walk(target)
+              if isinstance(node, ast.Name)}
+    assert {"substream_seed", "SWEEP_TAG"} <= names
+    assert _rng_imports(ast.parse(
+        "from ._rng import SWEEP_TAG\nfrom hgsparse._rng import x\nfrom . import _rng\n"
+        "import hgsparse._rng as r\nfrom . import substream_seed\n"
+        "from .sparsify import sparsify\nimport numpy as np\n"), names) == [1, 2, 3, 4, 5]
+    assert _rng_imports(ast.parse((package / "cli.py").read_text(encoding="utf-8")), names) == []

@@ -1,19 +1,14 @@
 """read_link_file against the per-line loop it replaced, plus input fuzzing.
 
-The reference reader below is that loop, with two changes.  In
-``_parse_id`` an id field must be ASCII digits (``field.isascii() and
-field.isdigit()``) before ``int`` sees it, so ``" 1"``, ``"+2"``,
-``"1_0"`` and non-ASCII digits are malformed.  And the weight column is
+The reference reader below is that loop, with two changes.  Its id
+fields follow ``conftest.parse_id``: ASCII digits with a value in
+[0, 2**63), so ``" 1"``, ``"+2"``, ``"1_0"`` and non-ASCII digits are
+malformed, and ids of any length are read.  And the weight column is
 the file's: the first line that is neither blank nor a comment decides
 whether every row has one.  The columnar reader must return the same
 columns, or raise the same error with the same line number and message,
 also when a block size of a few characters splits the file into many
 blocks.
-
-Python's ``int`` refuses strings of more than 4300 digits, so the
-reference rejects such ids while the columnar reader parses them; the
-generated ids stay far below that length, and a test below pins the
-columnar reader's behaviour on long ids.
 """
 
 import io
@@ -33,19 +28,7 @@ from hgsparse import (DataError, LinkFileOptions, LinkFormatError,
 from hgsparse import hgb_io
 from hgsparse.hgb_io import _BLOCK, _IS_SPACE, _opened
 
-from conftest import EdgeRecord
-
-
-def _parse_id(field: str, what: str, line_no: int, error) -> int:
-    try:
-        if not (field.isascii() and field.isdigit()):
-            raise ValueError(field)
-        value = int(field)
-    except ValueError:
-        raise error(line_no, f"invalid integer {field!r} for {what}") from None
-    if not 0 <= value < 2**63:  # stored as int64
-        raise error(line_no, f"{what} {value} is outside [0, 2**63)")
-    return value
+from conftest import EdgeRecord, parse_id
 
 
 def reference_read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) -> list[EdgeRecord]:
@@ -74,9 +57,9 @@ def reference_read_link_file(source, opts: LinkFileOptions = LinkFileOptions()) 
                 raise error(line_no, f"unexpected weight column (line {decider} has none)")
             if len(fields) == 3 and has_weight:
                 raise error(line_no, f"missing weight column (line {decider} has one)")
-            src = _parse_id(fields[0], "src", line_no, error)
-            dst = _parse_id(fields[1], "dst", line_no, error)
-            etype = _parse_id(fields[2], "etype", line_no, error)
+            src = parse_id(fields[0], "src", line_no, error)
+            dst = parse_id(fields[1], "dst", line_no, error)
+            etype = parse_id(fields[2], "etype", line_no, error)
             weight = None
             if has_weight:
                 try:

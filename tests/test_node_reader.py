@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 from hgsparse import DataError, NodeFileError, read_node_file
 from hgsparse import hgb_io
-from hgsparse.hgb_io import _BLOCK, _opened, _parse_id
+from hgsparse.hgb_io import _BLOCK, _opened
+
+from conftest import parse_id
 
 
 def reference_read_node_file(source) -> dict[int, int]:
@@ -45,11 +47,8 @@ def reference_read_node_file(source) -> dict[int, int]:
                     f"{len(fields) - 3} attribute column(s)",
                     stacklevel=2)
                 warned_extra = True
-            try:
-                node_id = _parse_id(fields[0], "node id")
-                node_type = _parse_id(fields[2], "node type")
-            except ValueError as exc:
-                raise error(line_no, str(exc)) from None
+            node_id = parse_id(fields[0], "node id", line_no, error)
+            node_type = parse_id(fields[2], "node type", line_no, error)
             if node_id in table:
                 raise error(line_no, f"duplicate node id {node_id}")
             table[node_id] = node_type

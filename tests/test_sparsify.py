@@ -23,10 +23,9 @@ from hgsparse import (
     per_type_kept,
     pubmed_like_spec,
     sparsify,
-    vertex_order,
 )
 from hgsparse._rng import SWEEP_TAG, splitmix64, substream_seed
-from hgsparse.sparsify import _sweep_arrays
+from hgsparse.sparsify import _sweep_arrays, vertex_order
 
 from conftest import covered_hub, dict_buckets, edge_keys, make_random_graph
 

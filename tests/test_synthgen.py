@@ -158,6 +158,37 @@ def test_parse_errors_carry_line_numbers():
         parse_spec_file(io.StringIO("what even is this\n"))
 
 
+def test_parse_errors_name_their_source(tmp_path):
+    # a path, or a stream with a name, prefixes the message; a stream
+    # without one leaves it bare
+    path = tmp_path / "bad.spec"
+    for text, message in (("node_types = 4\nfoo = 1\n", "line 2: unknown key 'foo'"),
+                          ("node_types = 4\nedges 0 0 x 0\n",
+                           "line 2: invalid number in 'edges 0 0 x 0'"),
+                          ("node_types = 4\n", "spec file declares no edge types"),
+                          ("node_types = 0\nedges 0 0 1 0\n",
+                           "node type sizes must be positive")):
+        path.write_text(text)
+        with open(path, encoding="utf-8") as stream:
+            for source, want in ((path, f"{path}: {message}"), (str(path), f"{path}: {message}"),
+                                 (stream, f"{path}: {message}"), (io.StringIO(text), message)):
+                with pytest.raises(GenSpecError) as err:
+                    parse_spec_file(source)
+                assert str(err.value) == want
+
+
+def test_edges_keyword_is_the_first_word():
+    # a word that only starts with "edges" is no edge type
+    for line in ("edgesXYZ 0 0 1 0.5", "edges2 0 0 1 0"):
+        with pytest.raises(GenSpecError, match=f"^line 2: unrecognized line {re.escape(repr(line))}$"):
+            parse_spec_file(io.StringIO(f"node_types = 4\n{line}\nedges 0 0 1 0\n"))
+    with pytest.raises(GenSpecError, match="^line 1: unknown key 'edges'$"):
+        parse_spec_file(io.StringIO("edges=1\n"))
+    # any whitespace ends the word
+    spec = parse_spec_file(io.StringIO("node_types = 4\nedges\t0 0 1 0.5\n"))
+    assert spec.edge_types == (EdgeTypeSpec(0, 0, 1, 0.5),)
+
+
 def test_parse_requires_both_sections():
     with pytest.raises(GenSpecError, match="node_types"):
         parse_spec_file(io.StringIO("edges 0 0 1 0\n"))
