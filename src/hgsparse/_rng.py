@@ -20,12 +20,13 @@ name                   tag     stream
 ``GEN_DST_TAG``        4 + 2i  the generator's destinations of edge type i
 =====================  ======  ==========================================
 
-``NEGATIVE_TAG`` and ``SWEEP_TAG`` also key :func:`substream_seed`:
-:func:`hgsparse.evaluate` draws its negatives, and sparsifies its train
-edges, under the seeds ``substream_seed(seed, NEGATIVE_TAG)`` and
-``substream_seed(seed, SWEEP_TAG)`` of its one seed.  ``hgsparse eval``
-passes its ``--seed`` straight to it, so the library and the command
-give the same report.
+Every draw is word ``c`` of stream ``(seed, TAG)`` for the seed its
+caller passed: each stream keys its tag once, in :func:`counter_words`,
+and no caller derives a seed of its own first.  So :func:`hgsparse.evaluate`
+draws its split, negatives and sweep from its one seed, as ``hgsparse
+eval --seed`` does, and its sweep is the one ``hgsparse sparsify`` runs
+under that seed.  A seed is an int in [0, 2**64), and
+:func:`check_seed` is the one test of that.
 """
 
 from __future__ import annotations
@@ -123,6 +124,12 @@ def randbelow_array(keys, bounds) -> np.ndarray:
         redraw = near[word[near] < (np.uint64(0) - b) % b]
         todo, bound, key = todo[redraw], bound[redraw], key[redraw] + _GAMMA_U64
     return out
+
+
+def check_seed(seed, error=ValueError) -> None:
+    """Raise ``error`` unless ``seed`` is an int in [0, 2**64), a stream's seed."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise error(f"seed must be in [0, 2**64), got {seed!r}")
 
 
 def substream_seed(seed: int, tag: int) -> int:

@@ -31,8 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._rng import (NEGATIVE_TAG, SPLIT_TAG, SWEEP_TAG, counter_words, randbelow_array,
-                   substream_seed)
+from ._rng import NEGATIVE_TAG, SPLIT_TAG, check_seed, counter_words, randbelow_array
 from .errors import DegenerateSplitError, NegativeSamplingError
 from .graph import HeteroGraph, _as_int64, _ranges
 from .sparsify import PER_TYPE, SparsifyParams, sparsify
@@ -66,10 +65,12 @@ def split_edges(g: HeteroGraph, holdout_fraction: float, seed: int = 0) -> np.nd
 
     The test edges are the round-half-up(fraction * m) edges with the
     smallest words of the ``(seed, SPLIT_TAG)`` stream; the train edges
-    are the rest, ``~mask``.
+    are the rest, ``~mask``.  A seed that is not an int in [0, 2**64)
+    raises ValueError.
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
+    check_seed(seed)
     if g.m < 2:
         raise DegenerateSplitError(f"need at least 2 edges to split, have {g.m}")
     test_count = int(math.floor(holdout_fraction * g.m + 0.5))
@@ -299,10 +300,13 @@ def evaluate(g: HeteroGraph, holdout: float = 0.2, seed: int = 0,
              k: int | None = None, method: str = PER_TYPE) -> EvalReport:
     """Full pipeline on one graph; identical split/negatives per seed.
 
-    ``seed`` drives every stream: the split draws from ``(seed,
-    SPLIT_TAG)``, and the negatives and the sweep run under the seeds
-    ``substream_seed(seed, NEGATIVE_TAG)`` and ``substream_seed(seed,
-    SWEEP_TAG)``, so ``hgsparse eval --seed`` gives the same report.
+    ``seed`` keys every stream as it is: the split, the negatives and
+    the sweep draw from the ``(seed, SPLIT_TAG)``, ``(seed,
+    NEGATIVE_TAG)`` and ``(seed, SWEEP_TAG)`` streams.  So ``hgsparse
+    eval --seed`` gives the same report, and the sweep keeps what
+    ``hgsparse sparsify`` with the same seed, ``k`` and ``method`` keeps
+    of a file of the train edges.  A seed that is not an int in [0,
+    2**64) raises ValueError, with ``k`` or without.
     The train side is a boolean selection of ``g``, the complement of
     the split's test mask.  With ``k`` set, only the train edges are
     sparsified, by ``method``, on a subgraph whose rows are the train
@@ -312,11 +316,10 @@ def evaluate(g: HeteroGraph, holdout: float = 0.2, seed: int = 0,
     call, positives first; each pair's sum is its own, so the scores are
     those of scoring the two sides apart.
     """
-    params = None if k is None else SparsifyParams(k, method, substream_seed(seed, SWEEP_TAG))
+    params = None if k is None else SparsifyParams(k, method, seed)
     test = split_edges(g, holdout, seed)
     pos_ids = np.flatnonzero(test)
-    neg = _negative_matrix(g, pos_ids, negatives_per_positive,
-                           substream_seed(seed, NEGATIVE_TAG))
+    neg = _negative_matrix(g, pos_ids, negatives_per_positive, seed)
     train = ~test
     if params is not None:
         train[train] = sparsify(g.subgraph(train), params).mask

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import SWEEP_TAG, counter_words
+from ._rng import SWEEP_TAG, check_seed, counter_words
 from .errors import EmptyGraphError
 from .graph import HeteroGraph, _ranges
 
@@ -89,8 +89,7 @@ class SparsifyParams:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed!r}")
+        check_seed(self.seed)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import GEN_DST_TAG, GEN_SRC_TAG, counter_words
+from ._rng import GEN_DST_TAG, GEN_SRC_TAG, check_seed, counter_words
 from .errors import GenSpecError, InfeasibleSpecError, RetryCapError
 from .graph import HeteroGraph, build_graph_arrays
 from .hgb_io import _opened, _source_name
@@ -54,8 +54,7 @@ class GenSpec:
             raise GenSpecError(f"node type sizes must be integers, got {self.node_type_sizes!r}")
         if any(s < 1 for s in self.node_type_sizes):
             raise GenSpecError("node type sizes must be positive")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise GenSpecError(f"seed must be in [0, 2**64), got {self.seed!r}")
+        check_seed(self.seed, GenSpecError)
         n_types = len(self.node_type_sizes)
         for i, e in enumerate(self.edge_types):
             if not all(map(_is_int, (e.src_type, e.dst_type, e.count))):

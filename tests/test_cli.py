@@ -10,7 +10,7 @@ import pytest
 
 from hgsparse import (ALL_TYPES, PER_TYPE, GenSpec, evaluate, generate, write_link_file,
                       write_node_file)
-from hgsparse import cli
+from hgsparse import cli, evalproxy
 from hgsparse.cli import run
 
 REPORT_FIELDS = {"n", "m", "k", "t", "method", "seed", "kept_edges", "ratio",
@@ -580,6 +580,34 @@ def test_eval_matches_the_library(tmp_path, k, method):
     rep = evaluate(g, seed=3, k=k, method=method)
     assert (payload["auc"], payload["mrr"], payload["positives"]) == (rep.auc, rep.mrr,
                                                                       rep.positives)
+
+
+@pytest.mark.parametrize("method", [PER_TYPE, ALL_TYPES])
+def test_eval_sweeps_its_train_edges_as_sparsify_does(tmp_path, monkeypatch, method):
+    # eval keeps of its train edges what sparsify, given the same seed, k,
+    # method and node file, keeps of a file of those edges
+    g = generate(GenSpec((40, 30), ((0, 1, 200, 0.8), (1, 0, 150, 0.5), (0, 0, 100, 0.0)),
+                         seed=4))
+    links, nodes, train_links = tmp_path / "link.dat", tmp_path / "node.dat", tmp_path / "t.dat"
+    write_link_file(g, links)
+    write_node_file(nodes, g.node_ids, g.node_types)
+    sweeps, sweep = [], evalproxy.sparsify
+
+    def captured(train, params):
+        result = sweep(train, params)
+        sweeps.append((train, result.mask))
+        return result
+
+    monkeypatch.setattr(evalproxy, "sparsify", captured)
+    flags = ["--nodes", str(nodes), "--seed", "5", "--k", "2", "--method", method]
+    assert run(["eval", "--links", str(links), *flags]) == 0
+    [(train, mask)] = sweeps
+    assert 0 < mask.sum() < train.m
+    write_link_file(train, train_links)
+    write_link_file(train, tmp_path / "eval.out", mask)
+    assert run(["sparsify", "--links", str(train_links), *flags,
+                "--out", str(tmp_path / "sparsify.out")]) == 0
+    assert (tmp_path / "eval.out").read_bytes() == (tmp_path / "sparsify.out").read_bytes()
 
 
 def test_eval_holdout_range_enforced(star_file):

@@ -97,6 +97,18 @@ def test_split_guards(chain10):
         split_edges(build_graph([(1, 2, 0)]), 0.5)
 
 
+@pytest.mark.parametrize("seed", [2**64, -1, 1.5])
+def test_seed_outside_the_stream_range_raises(chain10, seed):
+    # 2**64 and -1 once wrapped to the reports of seeds 0 and 2**64 - 1,
+    # and 1.5 failed inside numpy with a TypeError
+    message = re.escape(f"seed must be in [0, 2**64), got {seed!r}")
+    with pytest.raises(ValueError, match=message):
+        split_edges(chain10, 0.2, seed=seed)
+    for k in (None, 1):
+        with pytest.raises(ValueError, match=message):
+            evaluate(chain10, seed=seed, negatives_per_positive=1, k=k)
+
+
 def test_negative_exhaustion(g1):
     # type population of node 2 is {2, 3}; both already linked from 1
     with pytest.raises(NegativeSamplingError):

@@ -131,6 +131,25 @@ def test_stream_tags_come_from_one_table():
     assert offenders == {}
 
 
+def _substream_calls(tree: ast.Module) -> list[int]:
+    """The lines of the calls of ``substream_seed``, by name or attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "substream_seed"]
+
+
+def test_only_rng_derives_a_seed():
+    # each stream keys its tag once, in counter_words; a caller that derived
+    # a seed with substream_seed first would key its tag twice
+    assert _substream_calls(ast.parse(
+        "substream_seed(s, 1)\nf(substream_seed)\nhg.substream_seed(s, tag=2)\n"
+        "counter_words(s, SWEEP_TAG, c)\nfrom ._rng import substream_seed\n")) == [1, 3]
+    package = Path(hgsparse.__file__).parent
+    offenders = {path.name: lines for path in sorted(package.glob("*.py"))
+                 if path.name != "_rng.py"
+                 and (lines := _substream_calls(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert offenders == {}
+
+
 def _rng_imports(tree: ast.Module, names: set[str]) -> list[int]:
     """The lines of ``tree``'s imports that reach into ``_rng``.
 

@@ -141,7 +141,8 @@ def test_randbelow_small_bounds_consume_nothing():
 
 
 def test_seed_validation():
-    # seeds enter the stream through SparsifyParams and GenSpec, on [0, 2**64)
+    # seeds enter the stream through SparsifyParams, GenSpec and split_edges,
+    # on [0, 2**64); test_evalproxy tries split_edges and evaluate
     types = (EdgeTypeSpec(0, 0, 6),)
     for bad in (-1, 1 << 64, 1.5):
         with pytest.raises(ValueError, match="seed must be in"):
