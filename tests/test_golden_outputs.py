@@ -50,9 +50,9 @@ GOLDEN = {
     "generate-flags.json":
         "8261d41190d22284752fd7ea428c3a12fa657c9e595ba24d42506c0fce405871",
     "eval-full.json":
-        "e68dd3b23814c5b6d9b7fcdf79c875222afea94ee7417836b2718c5ac2b46f2b",
+        "5d7fb874f006be301239955b9300b924bb7e99fb78a28085b84a39f2d11e3cf7",
     "eval-k.json":
-        "560b5802c3a6a3265b4763ef95c8647ecae57997f83207714b297c961293ea09",
+        "68b62e720da5a4f1a599859ff0b71e072aa8721d6f64244ff2db562c487cdde6",
 }
 
 
