@@ -98,8 +98,7 @@ def test_split_guards(chain10):
 
 @pytest.mark.parametrize("seed", [2**64, -1, 1.5])
 def test_seed_outside_the_stream_range_raises(chain10, seed):
-    # 2**64 and -1 once wrapped to the reports of seeds 0 and 2**64 - 1,
-    # and 1.5 failed inside numpy with a TypeError
+    # a seed outside [0, 2**64) is refused, not wrapped modulo 2**64
     message = re.escape(f"seed must be in [0, 2**64), got {seed!r}")
     with pytest.raises(ValueError, match=message):
         split_edges(chain10, 0.2, seed=seed)
