@@ -45,10 +45,13 @@ end, each one's parts freed once it is joined, so a read's memory is
 about the output columns and one more column, not a multiple of the
 text.
 :func:`write_link_file` and :func:`write_node_file` write ``_WRITE_ROWS``
-rows at a time: they cut the decimal digits of a chunk's int columns
-into one uint8 buffer, splice in its weight column by its byte lengths,
-and hand the stream the chunk's text in one write, so a write holds one
-chunk's text however many rows there are.
+rows at a time.  A chunk's rows are laid out in one uint8 matrix, per
+column its lead and a fixed-width cell, then a newline: an int column's
+cell holds each value's decimal digits right-aligned, a weight column's
+cell each weight's ``repr`` padded with NULs.  One mask keeps the digit
+places each value uses and the bytes that are not NULs, and the stream
+takes the chunk's text in one write, so a write holds one chunk's text
+however many rows there are.
 
 Link output is in canonical (src, dst, etype) ascending order with
 original node ids, so two selections diff cleanly.
@@ -463,75 +466,48 @@ def read_node_file(source) -> NodeTable:
     return NodeTable(node_ids, types)
 
 
-def _int_rows(columns: list[tuple[str, np.ndarray]], tail: str = ""
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of id columns in decimal, each after its lead, then ``tail``.
+def _chunk_text(columns: list[tuple[str, np.ndarray]]) -> str:
+    """The lines of a chunk of rows: each column's cell after its lead.
 
-    The columns are int64 ids, in [0, 2**63) as the builders and
-    :func:`write_node_file` hold them, so no value has a sign.  Returns
-    each row's byte count and the bytes row by row.  One uint8 matrix
-    holds the rows: a column's lead, then its digits right-aligned in as
-    many places as its longest value needs; reading the matrix row by row
-    past each value's padding gives the text.
+    A column is int64 ids, in [0, 2**63) as the builders and
+    :func:`write_node_file` hold them, so no value has a sign, or bytes
+    cells padded with NULs.  One uint8 matrix holds the rows: per column
+    its lead, then its cell, then a newline column.  An id's cell is its
+    digits right-aligned in as many places as the column's largest value
+    needs; reading the matrix row by row past each id's unused places and
+    each cell's NULs gives the text.
     """
     rows = columns[0][1].shape[0]
-    tail_bytes = np.frombuffer(tail.encode(), dtype=np.uint8)
-    cells = []  # per column: lead, values, digits of the largest
+    cells = []  # per column: lead, values, cell width
     for lead, values in columns:
-        top = int(values.max(initial=0))
-        if top < 2**32:
-            values = values.astype(np.uint32)  # uint32 arithmetic cuts the write by about 30%
-        cells.append((np.frombuffer(lead.encode(), dtype=np.uint8), values, len(str(top))))
-    width = sum(lead.shape[0] + digits for lead, _, digits in cells)
-    text = np.empty((rows, width + tail_bytes.shape[0]), dtype=np.uint8)
+        if values.dtype.kind == "S":
+            width = values.itemsize
+        else:
+            top = int(values.max(initial=0))
+            width = len(str(top))
+            if top < 2**32:
+                values = values.astype(np.uint32)  # uint32 arithmetic cuts the write by about 30%
+        cells.append((np.frombuffer(lead.encode(), dtype=np.uint8), values, width))
+    text = np.empty((rows, sum(lead.shape[0] + width for lead, _, width in cells) + 1),
+                    dtype=np.uint8)
     keep = np.ones(text.shape, dtype=bool)
-    lens = np.full(rows, tail_bytes.shape[0], dtype=np.int64)
     at = 0
-    for lead, values, digits in cells:
+    for lead, values, width in cells:
         text[:, at:at + lead.shape[0]] = lead
-        at += lead.shape[0] + digits  # the column ends at ``at``
-        count = np.ones(rows, dtype=np.int64)  # each value's digits
-        for k in range(1, digits):
-            shown = values >= 10**k  # place k, counted from the units, holds a digit
-            keep[:, at - 1 - k] = shown
-            count += shown
-        for k in range(digits):
+        at += lead.shape[0] + width  # the cell ends at ``at``
+        if values.dtype.kind == "S":
+            cell = values.view(np.uint8).reshape(rows, width)
+            text[:, at - width:at] = cell
+            keep[:, at - width:at] = cell != 0
+            continue
+        for k in range(1, width):
+            keep[:, at - 1 - k] = values >= 10**k  # place k, counted from the units, holds a digit
+        for k in range(width):
             quotient = values // 10
             text[:, at - 1 - k] = values - quotient * 10 + 48  # '0'
             values = quotient
-        lens += lead.shape[0] + count
-    text[:, at:] = tail_bytes
-    return lens, text[keep]
-
-
-def _weight_rows(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``\\t<repr(w)>\\n`` per weight: byte counts, and the bytes row by row.
-
-    ``repr`` of a finite float is ASCII, so a character is a byte.
-    """
-    strings = list(map(repr, weight.tolist()))
-    text = "\t" + "\n\t".join(strings) + "\n" if strings else ""
-    lens = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings)) + 2
-    return lens, np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-
-
-def _join_rows(pieces: list[tuple[np.ndarray, np.ndarray]]) -> str:
-    """The text whose rows are ``pieces`` end to end.
-
-    A piece is a byte count per row and its bytes row by row, as
-    :func:`_int_rows` and :func:`_weight_rows` give; each is spliced into
-    one buffer at its offset in every row.
-    """
-    if len(pieces) == 1:
-        return pieces[0][1].tobytes().decode()
-    lens = sum(count for count, _ in pieces)
-    ends = np.cumsum(lens)
-    out = np.empty(int(ends[-1]) if ends.shape[0] else 0, dtype=np.uint8)
-    at = ends - lens
-    for count, data in pieces:
-        out[_span_mask(out.shape[0], at, at + count)] = data
-        at += count
-    return out.tobytes().decode()
+    text[:, at] = 10  # '\n'
+    return text[keep].tobytes().decode()
 
 
 def write_link_file(g: HeteroGraph, dest, selected=None) -> int:
@@ -552,9 +528,10 @@ def write_link_file(g: HeteroGraph, dest, selected=None) -> int:
                 ids = np.flatnonzero(mask[ids]) + lo
             columns = [("", g.node_ids[g.src[ids]]), ("\t", g.node_ids[g.dst[ids]]),
                        ("\t", g.etype[ids])]
-            pieces = [_int_rows(columns, "\n")] if g.weight is None else [
-                _int_rows(columns), _weight_rows(g.weight[ids])]
-            stream.write(_join_rows(pieces))
+            if g.weight is not None:  # ``repr`` of a finite float is ASCII
+                columns.append(("\t", np.array(list(map(repr, g.weight[ids].tolist())),
+                                                dtype="S")))
+            stream.write(_chunk_text(columns))
     return g.m if mask is None else int(np.count_nonzero(mask))
 
 
@@ -573,7 +550,7 @@ def write_node_file(dest, node_ids, node_types) -> int:
         for lo in range(0, rows, _WRITE_ROWS):
             at = slice(lo, lo + _WRITE_ROWS)
             columns = [("", ids[at]), ("\tn", ids[at]), ("\t", types[at])]
-            stream.write(_join_rows([_int_rows(columns, "\n")]))
+            stream.write(_chunk_text(columns))
     return rows
 
 

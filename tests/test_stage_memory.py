@@ -101,13 +101,13 @@ def test_write_peak_does_not_grow_with_m(monkeypatch, weighted):
 
 
 def _one_shot(g, selected=None) -> str:
-    # the whole selection's text from one _join_rows over all of its rows
+    # the whole selection's text from one _chunk_text over all of its rows
     ids = np.flatnonzero(g.edge_mask(selected))
     columns = [("", g.node_ids[g.src[ids]]), ("\t", g.node_ids[g.dst[ids]]),
                ("\t", g.etype[ids])]
-    if g.weight is None:
-        return hgb_io._join_rows([hgb_io._int_rows(columns, "\n")])
-    return hgb_io._join_rows([hgb_io._int_rows(columns), hgb_io._weight_rows(g.weight[ids])])
+    if g.weight is not None:
+        columns.append(("\t", np.array([repr(w) for w in g.weight[ids].tolist()], dtype="S")))
+    return hgb_io._chunk_text(columns)
 
 
 def _seam_graph(weighted: bool):
@@ -115,7 +115,10 @@ def _seam_graph(weighted: bool):
     rng = np.random.default_rng(7)
     ids = np.unique(10 ** rng.integers(0, 13, size=200) + rng.integers(0, 9, size=200))
     m = 130
-    weight = rng.choice([0.1, 1e-300, 2.5, 1e300, -0.0, 1 / 3], size=m) if weighted else None
+    # repr widths from 3 to 24 characters, the longest a float has, so that
+    # one chunk's weight cells pad short ones to the long ones' width
+    weight = rng.choice([0.1, 1e-300, 2.5, 1e300, -0.0, 1 / 3, 5e-324, 1e16,
+                         -1.7976931348623157e308], size=m) if weighted else None
     return build_graph_arrays(rng.choice(ids, size=m), rng.choice(ids, size=m),
                               rng.integers(0, 10**rng.integers(1, 6, size=m)), weight=weight)
 
@@ -137,8 +140,7 @@ def test_write_chunk_seams_are_byte_identical(monkeypatch, rows, weighted):
     out = io.StringIO()
     assert write_node_file(out, g.node_ids, g.node_types) == g.n
     ids, types = g.node_ids, g.node_types
-    assert out.getvalue() == hgb_io._join_rows(
-        [hgb_io._int_rows([("", ids), ("\tn", ids), ("\t", types)], "\n")])
+    assert out.getvalue() == hgb_io._chunk_text([("", ids), ("\tn", ids), ("\t", types)])
 
 
 @pytest.mark.parametrize("block", [16, 64, 1000])
@@ -187,7 +189,8 @@ def test_stage_tool_names_every_stage(tmp_path, capsys):
     rows = stage_memory.stages(_scaled(200), tmp_path)
     names = [name for name, _, _ in rows]
     assert names == [
-        "write_link_file, whole graph", "write_node_file", "read_link_file",
+        "write_link_file, whole graph", "write_node_file",
+        "write_link_file, weighted whole graph", "read_link_file",
         "read_node_file", "build_graph_arrays, file order", "build_graph_arrays, shuffled",
         "first sparsify, per-type k=3", "first sparsify, all-types k=3",
         "write_link_file, per-type k=3", "HeteroGraph.edge_ids, per-type k=3"]
