@@ -106,6 +106,9 @@ class LinkFileOptions:
             raise ValueError("comment_prefix must be a single character")
         if self.comment_prefix is not None and self.comment_prefix.isdigit():
             raise ValueError("comment_prefix must not be a digit")
+        if self.comment_prefix == self.delimiter:
+            # a line with an empty first field would pass for a comment
+            raise ValueError("comment_prefix must not be the delimiter")
 
 
 @dataclass(frozen=True, eq=False)

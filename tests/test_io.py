@@ -124,6 +124,15 @@ def test_digit_comment_prefix_is_rejected():
             LinkFileOptions(comment_prefix=prefix)
 
 
+def test_comment_prefix_equal_to_the_delimiter_is_rejected():
+    # a line with an empty first field would be both malformed and a comment
+    for delimiter in ("\t", ",", " ", "→"):
+        with pytest.raises(ValueError, match="comment_prefix must not be the delimiter"):
+            LinkFileOptions(delimiter=delimiter, comment_prefix=delimiter)
+    with pytest.raises(ValueError, match="comment_prefix must not be the delimiter"):
+        LinkFileOptions(comment_prefix="\t")  # the default delimiter
+
+
 def _nodes(table) -> tuple[list, list]:
     for column in (table.ids, table.types):
         assert column.dtype == np.int64 and column.shape == (len(table),)

@@ -133,12 +133,24 @@ weights = _mostly(
 )
 
 
+def _agree_or_reject(text: str, delimiter: str, comment_prefix: str | None) -> None:
+    """:func:`_agree` under these options, or, for a comment prefix that is
+    the delimiter, their ValueError: a line with an empty first field would
+    be both malformed and a comment."""
+    if comment_prefix == delimiter:
+        with pytest.raises(ValueError, match="comment_prefix must not be the delimiter"):
+            LinkFileOptions(delimiter, comment_prefix)
+    else:
+        _agree(text, LinkFileOptions(delimiter, comment_prefix))
+
+
 @st.composite
 def link_texts(draw):
+    """A link text and the delimiter and comment prefix it is cut with,
+    which may be the same character."""
     weighted = draw(st.booleans())
-    opts = LinkFileOptions(
-        delimiter=draw(st.sampled_from(DELIMITERS)),
-        comment_prefix=draw(st.sampled_from([None, "#", "%", "→", " "])))
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    comment_prefix = draw(st.sampled_from([None, "#", "%", "→", " "]))
     lines = []
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(_mostly(st.sampled_from(["edge"] * 4 + ["blank", "comment"]),
@@ -148,27 +160,27 @@ def link_texts(draw):
             # mostly the width of the file's first rows, sometimes the other
             if draw(_mostly(st.just(weighted), st.just(not weighted))):
                 fields.append(draw(weights))
-            line = opts.delimiter.join(fields)
+            line = delimiter.join(fields)
         elif kind == "fields":
             count = draw(st.sampled_from([1, 2, 3, 4, 5]))
-            line = opts.delimiter.join(draw(st.one_of(ids, weights)) for _ in range(count))
+            line = delimiter.join(draw(st.one_of(ids, weights)) for _ in range(count))
         elif kind == "blank":
             line = draw(st.sampled_from(["", " ", "\t", "  \t ", "\x0b", "\x1c",
                                          "　", "\xa0", "\x85", " "]))
         else:
-            prefix = opts.comment_prefix or "#"
+            prefix = comment_prefix or "#"
             line = prefix + draw(st.text(max_size=10).filter(lambda s: "\n" not in s))
         lines.append(line + draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r\r\n"])))
     text = "".join(lines)
     if draw(st.booleans()):
         text = text.rstrip("\n")
-    return text, opts
+    return text, delimiter, comment_prefix
 
 
 @settings(max_examples=600, deadline=None)
 @given(link_texts())
 def test_matches_reference_on_generated_files(case):
-    _agree(*case)
+    _agree_or_reject(*case)
 
 
 @settings(max_examples=300, deadline=None)
@@ -176,7 +188,7 @@ def test_matches_reference_on_generated_files(case):
                max_size=60),
        st.sampled_from(DELIMITERS), st.sampled_from([None, "#", "\t", "→"]))
 def test_matches_reference_on_random_text(text, delimiter, comment_prefix):
-    _agree(text, LinkFileOptions(delimiter, comment_prefix))
+    _agree_or_reject(text, delimiter, comment_prefix)
 
 
 @settings(max_examples=150, deadline=None,
