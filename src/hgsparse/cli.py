@@ -31,7 +31,8 @@ _SEED_RANGE = click.IntRange(0, 2**64 - 1)
 _K_RANGE = click.IntRange(1, 2**63 - 1)
 
 
-@click.group()
+# without arguments, a missing command is one usage line, not the help
+@click.group(no_args_is_help=False)
 def app():
     """Sparsify typed directed graphs, verify the results, and measure impact."""
 
@@ -64,12 +65,15 @@ _report_options = _options(
 )
 
 
-def _load_graph(links, nodes, delimiter, comment_prefix) -> HeteroGraph:
+def _link_options(delimiter, comment_prefix) -> LinkFileOptions:
     try:
-        opts = LinkFileOptions(delimiter=delimiter, comment_prefix=comment_prefix)
+        return LinkFileOptions(delimiter=delimiter, comment_prefix=comment_prefix)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from None  # one line, no usage text
-    table = read_link_file(links, opts)
+
+
+def _load_graph(links, nodes, delimiter, comment_prefix) -> HeteroGraph:
+    table = read_link_file(links, _link_options(delimiter, comment_prefix))
     node_ids = node_types = None
     if nodes:
         try:
@@ -218,9 +222,10 @@ def generate_cmd(spec_path, node_types_opt, edge_opts, seed, out, nodes_out,
 def verify_cmd(links, nodes, delimiter, comment_prefix,
                sparse, k, method, report_path, deterministic):
     """Check a sparse edge file against the guarantees of a method."""
-    g = _load_graph(links, nodes, delimiter, comment_prefix)
     # the sparse file is read as sparsify writes it: tab-delimited
-    kept = read_link_file(sparse, LinkFileOptions(comment_prefix=comment_prefix))
+    sparse_opts = _link_options("\t", comment_prefix)
+    g = _load_graph(links, nodes, delimiter, comment_prefix)
+    kept = read_link_file(sparse, sparse_opts)
     try:
         ids = g.edge_ids(kept.src, kept.dst, kept.etype)
     except (UnknownEdgeError, UnknownNodeError) as exc:
@@ -279,11 +284,9 @@ def eval_cmd(links, nodes, delimiter, comment_prefix, holdout, seed,
 def run(argv=None) -> int:
     """Dispatch argv (defaults to sys.argv[1:]) and map errors to exit codes."""
     try:
-        app.main(args=list(argv) if argv is not None else None,
-                 prog_name="hgsparse", standalone_mode=False)
-        return 0
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
+        # outside standalone mode, main returns an Exit's code, None on success
+        return app.main(args=list(argv) if argv is not None else None,
+                        prog_name="hgsparse", standalone_mode=False) or 0
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 1

@@ -534,11 +534,34 @@ def test_verify_rejects_a_repeated_line(tmp_path, capsys):
 
 
 def test_bad_link_options_exit_one(star_file, capsys):
-    for flag, value, reason in (("--comment-prefix", "0", "comment_prefix must not be a digit"),
-                                ("--delimiter", "7", "delimiter must not be a digit"),
-                                ("--delimiter", "::", "delimiter must be a single character")):
-        assert run(["stats", "--links", str(star_file), flag, value]) == 1
+    for flags, reason in ((["--comment-prefix", "0"], "comment_prefix must not be a digit"),
+                          (["--delimiter", "7"], "delimiter must not be a digit"),
+                          (["--delimiter", "::"], "delimiter must be a single character"),
+                          (["--comment-prefix", "\t"], "comment_prefix must not be the delimiter"),
+                          (["--delimiter", ",", "--comment-prefix", ","],
+                           "comment_prefix must not be the delimiter")):
+        assert run(["stats", "--links", str(star_file), *flags]) == 1
         assert _one_line_error(capsys) == f"Error: {reason}\n"
+    # verify reads --sparse tab-delimited with the user's comment prefix, and
+    # rejects a tab prefix before it reads a file, whatever --delimiter says
+    comma = star_file.with_name("comma.dat")
+    comma.write_text(star_file.read_text().replace("\t", ","))
+    for links, delimiter in ((star_file, "\t"), (comma, ",")):
+        assert run(["verify", "--links", str(links), "--delimiter", delimiter,
+                    "--comment-prefix", "\t", "--sparse", str(star_file), "--k", "1"]) == 1
+        assert _one_line_error(capsys) == "Error: comment_prefix must not be the delimiter\n"
+
+
+def test_bare_command_is_one_usage_line(capsys):
+    assert run([]) == 1
+    assert _one_line_error(capsys) == "Error: Missing command.\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sparsify", "--help"]])
+def test_help_goes_to_stdout_and_exits_zero(argv, capsys):
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("Usage: hgsparse") and captured.err == ""
 
 
 @pytest.mark.parametrize("delimiter", ["\n", "\r"])
