@@ -3,10 +3,11 @@
 Each stage runs once on the graph of ``pubmed_like_spec(seed)``, tracing
 from just before it starts: the peak is the most memory it held at once,
 and kept what it still holds when it returns, its result included.  The
-stages are the link and node writers and readers, the graph build from
-the read columns in file order and shuffled, the first ``sparsify`` of
-each method at k=3 (it builds the sweep arrays), and ``verify``'s edge-id
-lookup of the per-type k=3 selection.
+stages are the link and node writers and readers, the link writer on the
+graph with ``numpy.random.default_rng(seed).random`` weights, the graph
+build from the read columns in file order and shuffled, the first
+``sparsify`` of each method at k=3 (it builds the sweep arrays), and
+``verify``'s edge-id lookup of the per-type k=3 selection.
 
 Run ``python tools/stage_memory.py [seed]``; the seed defaults to 0.
 """
@@ -18,6 +19,8 @@ import random
 import sys
 import tempfile
 import tracemalloc
+
+import numpy as np
 
 import hgsparse as hg
 
@@ -38,8 +41,9 @@ def _traced(call):
 def stages(spec: hg.GenSpec, workdir) -> list[tuple[str, float, float]]:
     """(stage, peak MiB, kept MiB) of each stage on the graph of ``spec``,
     whose files go to the directory ``workdir``."""
-    links, nodes, sparse = (os.path.join(workdir, name)
-                            for name in ("link.dat", "node.dat", "sparse.dat"))
+    links, nodes, weighted_links, sparse = (
+        os.path.join(workdir, name)
+        for name in ("link.dat", "node.dat", "weighted.dat", "sparse.dat"))
     rows = []
 
     def run(name, call):
@@ -51,7 +55,13 @@ def stages(spec: hg.GenSpec, workdir) -> list[tuple[str, float, float]]:
     run("write_link_file, whole graph", lambda: hg.write_link_file(generated, links))
     run("write_node_file", lambda: hg.write_node_file(nodes, generated.node_ids,
                                                       generated.node_types))
+    weighted = hg.build_graph_arrays(
+        generated.node_ids[generated.src], generated.node_ids[generated.dst], generated.etype,
+        weight=np.random.default_rng(spec.seed).random(generated.m))
     del generated
+    run("write_link_file, weighted whole graph",
+        lambda: hg.write_link_file(weighted, weighted_links))
+    del weighted
     table = run("read_link_file", lambda: hg.read_link_file(links))
     node_table = run("read_node_file", lambda: hg.read_node_file(nodes))
 
